@@ -242,7 +242,9 @@ func (h *Hierarchy) Tick(now int64) {
 			return
 		}
 		h.stats.WritebacksToMem++
-		h.pendingWB = h.pendingWB[1:]
+		// Slide the backlog down instead of reslicing it from the head:
+		// the slice keeps its capacity and later appends do not allocate.
+		h.pendingWB = h.pendingWB[:copy(h.pendingWB, h.pendingWB[1:])]
 	}
 }
 

@@ -1,6 +1,9 @@
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // bankState tracks one bank's row buffer and its per-bank next-allowed times.
 type bankState struct {
@@ -280,6 +283,42 @@ func (d *Device) BankBusy(bank int, at int64) (precharging, activating bool) {
 	return pre, act
 }
 
+// BusyMasks is BankBusy for every bank at once, as bitmasks by flat bank
+// index, together with the first cycle after at from which either mask
+// can differ if no further command is issued: the nearest start or end
+// of an activate, precharge or pending auto-precharge window.
+func (d *Device) BusyMasks(at int64) (pre, act uint64, until int64) {
+	until = math.MaxInt64
+	for i := range d.banks {
+		b := &d.banks[i]
+		inPre, edge := within(at, b.preStart, b.preDone)
+		if b.apPending && !inPre {
+			inPre, edge = within(at, b.apAt, b.apAt+int64(d.tim.RP))
+		}
+		inAct, edgeAct := within(at, b.actStart, b.actDone)
+		if inPre {
+			pre |= 1 << i
+		}
+		if inAct {
+			act |= 1 << i
+		}
+		until = min(until, edge, edgeAct)
+	}
+	return pre, act, until
+}
+
+// within reports whether at lies in [start, end), and the first cycle
+// after at where that answer changes (never, once the window is past).
+func within(at, start, end int64) (in bool, edge int64) {
+	switch {
+	case at < start:
+		return false, start
+	case at < end:
+		return true, end
+	}
+	return false, math.MaxInt64
+}
+
 // fawOK reports whether a new ACT at cycle at respects the tFAW window.
 func (r *rankState) fawOK(at int64, faw int) bool {
 	return at >= r.faw[r.fawIdx]+int64(faw)
@@ -532,47 +571,61 @@ const (
 // whose constraint releases last. Ties resolve to the narrowest scope.
 func (d *Device) Blocking(cmd Command, at int64) BlockScope {
 	d.checkLoc(cmd.Loc)
-	b := &d.banks[d.bankIndex(cmd.Loc)]
-	g := &d.groups[d.groupIndex(cmd.Loc)]
-	r := &d.ranks[cmd.Loc.Rank]
+	if ready, scope := d.Ready(d.bankIndex(cmd.Loc), cmd.Kind); ready > at {
+		return scope
+	}
+	return ScopeNone
+}
 
-	tBank, tGroup, tRank, tBus := at, at, at, at
-	tRank = maxi64(tRank, r.refUntil)
-	switch cmd.Kind {
+// Ready returns the first cycle at which every timing constraint allows
+// a command of the given kind on the bank with flat index bank — the
+// maximum over its bank, bank-group, rank and data-bus next-allowed
+// times — and the scope attaining that maximum, the narrowest on a tie.
+// Row-buffer protocol state is the caller's to know: for a command that
+// state admits, EarliestIssue(cmd, at) is max(at, ready) and
+// Blocking(cmd, at) is scope while ready > at. Both stay exact until the
+// next Issue (a pending auto-precharge landing does not move them). The
+// bank index is not range-checked: this is the controller's per-command
+// query.
+func (d *Device) Ready(bank int, kind CommandKind) (ready int64, scope BlockScope) {
+	b := &d.banks[bank]
+	g := &d.groups[bank/d.geo.Banks]
+	rank := bank / d.geo.BanksPerRank()
+	r := &d.ranks[rank]
+
+	var tBank, tGroup int64
+	tRank, tBus := r.refUntil, int64(math.MinInt64) // only column commands need the bus
+	switch kind {
 	case CmdACT:
-		tBank = maxi64(tBank, b.nextACT)
+		tBank = b.nextACT
 		if b.apPending {
-			tBank = maxi64(tBank, b.apAt+int64(d.tim.RP))
+			tBank = max(tBank, b.apAt+int64(d.tim.RP))
 		}
-		tGroup = maxi64(tGroup, g.nextACT)
-		tRank = maxi64(tRank, r.nextACT)
-		if !r.fawOK(at, d.tim.FAW) {
-			tRank = maxi64(tRank, r.faw[r.fawIdx]+int64(d.tim.FAW))
-		}
+		tGroup = g.nextACT
+		tRank = max(tRank, r.nextACT, r.faw[r.fawIdx]+int64(d.tim.FAW))
 	case CmdPRE, CmdPREA:
-		tBank = maxi64(tBank, b.nextPRE)
+		tBank = b.nextPRE
 	case CmdRD, CmdRDA:
-		tBank = maxi64(tBank, b.nextCol)
-		tGroup = maxi64(tGroup, g.nextRD)
-		tRank = maxi64(tRank, r.nextRD)
-		tBus = maxi64(tBus, d.busFreeFor(cmd.Loc.Rank)-int64(d.tim.CL))
+		tBank, tGroup = b.nextCol, g.nextRD
+		tRank = max(tRank, r.nextRD)
+		tBus = d.busFreeFor(rank) - int64(d.tim.CL)
 	case CmdWR, CmdWRA:
-		tBank = maxi64(tBank, b.nextCol)
-		tGroup = maxi64(tGroup, g.nextWR)
-		tRank = maxi64(tRank, r.nextWR)
-		tBus = maxi64(tBus, d.busFreeFor(cmd.Loc.Rank)-int64(d.tim.CWL))
+		tBank, tGroup = b.nextCol, g.nextWR
+		tRank = max(tRank, r.nextWR)
+		tBus = d.busFreeFor(rank) - int64(d.tim.CWL)
 	}
 
-	scope, latest := ScopeNone, at
-	for _, c := range []struct {
-		s BlockScope
-		t int64
-	}{{ScopeBank, tBank}, {ScopeGroup, tGroup}, {ScopeRank, tRank}, {ScopeBus, tBus}} {
-		if c.t > latest {
-			scope, latest = c.s, c.t
-		}
+	ready, scope = tBank, ScopeBank
+	if tGroup > ready {
+		ready, scope = tGroup, ScopeGroup
 	}
-	return scope
+	if tRank > ready {
+		ready, scope = tRank, ScopeRank
+	}
+	if tBus > ready {
+		ready, scope = tBus, ScopeBus
+	}
+	return ready, scope
 }
 
 // ConsumeBusKind returns what the data bus carries at cycle at and clears

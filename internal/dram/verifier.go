@@ -64,7 +64,8 @@ type vscope struct {
 
 type vrank struct {
 	vscope
-	acts     []int64 // ACT issue times for the tFAW window
+	acts     [4]int64 // issue times of the last four ACTs (tFAW window),
+	actIdx   int      // the oldest of them at acts[actIdx]
 	refUntil int64
 	lastREF  int64
 }
@@ -93,6 +94,7 @@ func NewVerifier(geo Geometry, tim Timing) *Verifier {
 	for i := range v.rnk {
 		r := &v.rnk[i]
 		r.lastACT, r.lastRD, r.lastWR, r.refUntil, r.lastREF = farPast, farPast, farPast, farPast, farPast
+		r.acts = [4]int64{farPast, farPast, farPast, farPast}
 	}
 	return v
 }
@@ -169,18 +171,14 @@ func (v *Verifier) Check(cycle int64, cmd Command) []Violation {
 		v.require(cycle, cmd, b.lastPRE, tm.RP, "tRP(same bank)")
 		v.require(cycle, cmd, g.lastACT, tm.RRDL, "tRRD_L(same group)")
 		v.require(cycle, cmd, r.lastACT, tm.RRDS, "tRRD_S(same rank)")
-		if n := len(r.acts); n >= 4 {
-			if fourth := r.acts[n-4]; cycle < fourth+int64(tm.FAW) {
-				v.fail(cycle, cmd, "tFAW: 5th ACT %d cycles after %d", cycle-fourth, fourth)
-			}
+		if fourth := r.acts[r.actIdx]; cycle < fourth+int64(tm.FAW) {
+			v.fail(cycle, cmd, "tFAW: 5th ACT %d cycles after %d", cycle-fourth, fourth)
 		}
 		b.open, b.row = true, cmd.Loc.Row
 		b.lastACT = cycle
 		g.lastACT, r.lastACT = cycle, cycle
-		r.acts = append(r.acts, cycle)
-		if len(r.acts) > 8 {
-			r.acts = r.acts[len(r.acts)-8:]
-		}
+		r.acts[r.actIdx] = cycle
+		r.actIdx = (r.actIdx + 1) % len(r.acts)
 
 	case CmdPRE, CmdPREA:
 		banks := []int{bi}

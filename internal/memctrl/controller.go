@@ -1,7 +1,7 @@
 package memctrl
 
 import (
-	"fmt"
+	"math"
 
 	"dramstacks/internal/addrmap"
 	"dramstacks/internal/dram"
@@ -92,11 +92,10 @@ type Controller struct {
 	dev    *dram.Device
 	mapper addrmap.Mapper
 
-	now   int64
-	banks int
+	now int64
 
-	readQ  []*Request
-	writeQ []*Request
+	readQ  reqList // arrival order; each request is also on its bank's list
+	writeQ reqList
 	wbuf   map[uint64]*Request // line address -> queued write (forwarding/coalescing)
 
 	drain     bool // between watermarks of a write burst
@@ -121,22 +120,28 @@ type Controller struct {
 	// Request freelist, used only when cfg.Recycle is set.
 	reqFree []*Request
 
-	// Per-tick scheduling scratch, reused across cycles.
-	cand           []bankCand
+	// Incremental scheduling state (see schedule's doc comment): per-bank
+	// queues, candidates and cached device ready times. stale marks the
+	// banks whose candidates must be rebuilt before the next issue;
+	// candAge is a lower bound on the cycle at which aging promotes a
+	// classified request into the priority tier; wake is a lower bound
+	// on the cycle any candidate can issue; apNext is the earliest
+	// pending auto-precharge landing (never if none).
+	cand     []bankCand
+	allBanks uint64
+	stale    uint64
+	candAge  int64
+	wake     int64
+	apNext   int64
+
 	blockedMask    uint64
 	issuedCycle    int64 // cycle of the last issued command
 	lastIssuedBank int   // bank index of the last issued command, -1 if none
 
-	// Steady-state replay state (see schedule's doc comment). replayOK
-	// admits scan memoization at all (open-page policy only); candValid
-	// marks the cand array as reusable next cycle; candAge is the
-	// earliest future cycle at which aging promotes a scanned request
-	// into the priority tier; skipUntil is a proven lower bound on the
-	// next cycle any candidate could issue (0 = unknown).
-	replayOK  bool
-	candValid bool
-	candAge   int64
-	skipUntil int64
+	// Busy-bank masks for the bandwidth stack, exact for cycles before
+	// busyUntil (0 once a command opens another busy window).
+	preMask, actMask uint64
+	busyUntil        int64
 
 	// QoS state (all zero/nil when cfg.QoS is disabled; the booleans
 	// gate every QoS code path so a policy-less controller runs the
@@ -177,11 +182,12 @@ type pendingDone struct {
 	done int64
 }
 
-// bankCand is the per-bank candidate state built by the scheduling scan.
+// slots are one bank's scheduling candidates: what classifying the
+// bank's visible requests in arrival order against its open row yields.
 // The prio slots are populated only under a QoS policy with a priority
 // tier; they hold the oldest priority-tier (real-time or aged) request
 // per class, which the tiered scheduler serves before any normal slot.
-type bankCand struct {
+type slots struct {
 	col          *Request // oldest request whose row is open (column command ready-ish)
 	act          *Request // oldest request needing an activate (bank precharged)
 	pre          *Request // oldest request needing a precharge (row conflict)
@@ -193,6 +199,33 @@ type bankCand struct {
 	hasHitOther  bool     // some other-direction request hits the open row
 	sameRowCount int      // queued requests (both queues) targeting the open row
 }
+
+// holds reports whether req occupies one of the candidate slots.
+func (s *slots) holds(req *Request) bool {
+	return s.col == req || s.act == req || s.pre == req ||
+		s.colPrio == req || s.actPrio == req || s.prePrio == req
+}
+
+// bankCand is everything the scheduler keeps per bank: its queued
+// requests, the candidates among them, and the device's answers about
+// those candidates, cached by retime until the next command issues.
+type bankCand struct {
+	slots
+	queue reqList // the bank's requests of both directions, in arrival order
+
+	ready    int64 // first cycle the column command or activate may issue
+	readyPre int64 // first cycle the precharge may issue
+
+	// For markBlocked: until blockedUntil the lead candidate (col, else
+	// act, else pre) waits on a constraint shared by the banks in wide.
+	blockedUntil int64
+	wide         uint64
+
+	apAt int64 // landing cycle of the pending auto-precharge, 0 if none
+}
+
+// never is a cycle that does not come.
+const never = math.MaxInt64
 
 // New returns a controller for one channel of the given device, with the
 // given address mapper (used to decode request addresses).
@@ -207,7 +240,6 @@ func New(dev *dram.Device, mapper addrmap.Mapper, cfg Config) (*Controller, erro
 		cfg:         cfg,
 		dev:         dev,
 		mapper:      mapper,
-		banks:       geo.TotalBanks(),
 		wbuf:        make(map[uint64]*Request),
 		cand:        make([]bankCand, geo.TotalBanks()),
 		bw:          stacks.NewBandwidthAccountant(geo.TotalBanks()),
@@ -215,7 +247,9 @@ func New(dev *dram.Device, mapper addrmap.Mapper, cfg Config) (*Controller, erro
 		nextRefresh: make([]int64, geo.Ranks),
 		refPending:  make([]bool, geo.Ranks),
 		issuedCycle: -1,
-		replayOK:    cfg.Policy == OpenPage,
+		allBanks:    1<<geo.TotalBanks() - 1,
+		candAge:     never,
+		apNext:      never,
 	}
 	for r := range c.nextRefresh {
 		// Stagger rank refreshes across the interval.
@@ -302,13 +336,13 @@ func (c *Controller) Device() *dram.Device { return c.dev }
 
 // QueueLens returns the current read and write queue occupancy.
 func (c *Controller) QueueLens() (reads, writes int) {
-	return len(c.readQ), len(c.writeQ)
+	return c.readQ.n, c.writeQ.n
 }
 
 // Pending reports whether the controller still has queued or in-flight
 // work (used to drain simulations).
 func (c *Controller) Pending() bool {
-	return len(c.readQ)+len(c.writeQ)+len(c.inflight)+len(c.fwdDone) > 0
+	return c.readQ.n+c.writeQ.n+len(c.inflight)+len(c.fwdDone) > 0
 }
 
 // newRequest allocates a request, reusing a recycled one when the
@@ -363,11 +397,10 @@ func (c *Controller) EnqueueReadFrom(now int64, addr uint64, src int, onComplete
 		c.fwdDone = append(c.fwdDone, pendingDone{req, now + int64(c.cfg.CtrlLatency)})
 		return req, true
 	}
-	if len(c.readQ) >= c.cfg.ReadQueueCap {
+	if c.readQ.n >= c.cfg.ReadQueueCap {
 		return nil, false
 	}
 	req := c.newRequest(addr, false, src, onComplete, meta, now)
-	req.loc = c.mapper.Decode(addr)
 	req.refSnap = c.cumRefresh
 	req.drainSnap = c.cumDrainOnly
 	if c.qosReg {
@@ -376,9 +409,9 @@ func (c *Controller) EnqueueReadFrom(now int64, addr uint64, src int, onComplete
 			req.regSnap = c.cumReg[s]
 		}
 	}
-	c.readQ = append(c.readQ, req)
+	c.readQ.pushBack(req, inQueue)
 	c.stats.EnqueuedReads++
-	c.dirtyCand()
+	c.admit(req, now)
 	return req, true
 }
 
@@ -412,15 +445,14 @@ func (c *Controller) EnqueueWriteFrom(now int64, addr uint64, src int, onComplet
 		c.recycle(req)
 		return req, true
 	}
-	if len(c.writeQ) >= c.cfg.WriteQueueCap {
+	if c.writeQ.n >= c.cfg.WriteQueueCap {
 		return nil, false
 	}
 	req := c.newRequest(addr, true, src, onComplete, meta, now)
-	req.loc = c.mapper.Decode(addr)
-	c.writeQ = append(c.writeQ, req)
+	c.writeQ.pushBack(req, inQueue)
 	c.wbuf[addr] = req
 	c.stats.EnqueuedWrites++
-	c.dirtyCand()
+	c.admit(req, now)
 	return req, true
 }
 
@@ -457,9 +489,9 @@ func (c *Controller) qosTick(now int64) {
 		b := c.cfg.QoS.SourceBudget(s)
 		held := b > 0 && c.qosUsed[s] >= int64(b)
 		if held != c.qosHeld[s] {
-			// Held requests are invisible to the scheduling scan; a
-			// source (un)holding changes its inputs.
-			c.dirtyCand()
+			// Held requests are invisible to the scheduler; a source
+			// (un)holding changes every bank's candidates.
+			c.stale = c.allBanks
 		}
 		c.qosHeld[s] = held
 		if held {
@@ -484,7 +516,7 @@ func (c *Controller) heldReq(req *Request) bool {
 // every cycle before the sooner of the two is a pure refresh or idle
 // cycle that FastForwardQuiet can account in closed form.
 func (c *Controller) NextEventCycle(now int64) int64 {
-	if len(c.readQ) > 0 || len(c.writeQ) > 0 || len(c.inflight) > 0 || len(c.fwdDone) > 0 {
+	if c.Pending() {
 		return now + 1
 	}
 	for r := range c.refPending {
@@ -569,22 +601,23 @@ func (c *Controller) FastForwardQuiet(from, to int64) {
 }
 
 func (c *Controller) completeFinished(now int64) {
-	for len(c.inflight) > 0 && c.inflight[0].done <= now {
-		pd := c.inflight[0]
-		c.inflight = c.inflight[1:]
-		if pd.req.OnComplete != nil {
-			pd.req.OnComplete(pd.req, pd.done)
+	for _, fifo := range [...]*[]pendingDone{&c.inflight, &c.fwdDone} {
+		for len(*fifo) > 0 && (*fifo)[0].done <= now {
+			pd := (*fifo)[0]
+			*fifo = popFront(*fifo)
+			if pd.req.OnComplete != nil {
+				pd.req.OnComplete(pd.req, pd.done)
+			}
+			c.recycle(pd.req)
 		}
-		c.recycle(pd.req)
 	}
-	for len(c.fwdDone) > 0 && c.fwdDone[0].done <= now {
-		pd := c.fwdDone[0]
-		c.fwdDone = c.fwdDone[1:]
-		if pd.req.OnComplete != nil {
-			pd.req.OnComplete(pd.req, pd.done)
-		}
-		c.recycle(pd.req)
-	}
+}
+
+// popFront drops q's first element by sliding the rest down: the short
+// FIFOs here keep their capacity instead of draining it from the head
+// and reallocating on a later append.
+func popFront[T any](q []T) []T {
+	return q[:copy(q, q[1:])]
 }
 
 func (c *Controller) updateRefresh(now int64) {
@@ -596,20 +629,20 @@ func (c *Controller) updateRefresh(now int64) {
 }
 
 func (c *Controller) updateDrain() {
-	if !c.drain && len(c.writeQ) >= c.cfg.WriteHi {
+	if !c.drain && c.writeQ.n >= c.cfg.WriteHi {
 		c.drain = true
 		c.stats.DrainEntries++
 	}
-	if c.drain && len(c.writeQ) <= c.cfg.WriteLo {
+	if c.drain && c.writeQ.n <= c.cfg.WriteLo {
 		c.drain = false
 	}
 	// A read queue whose every entry is held by regulation is effectively
 	// empty: let buffered writes use the otherwise-forfeited cycles.
-	wm := c.drain || (len(c.readQ)-c.heldReads == 0 && len(c.writeQ) > 0)
+	wm := c.drain || (c.readQ.n-c.heldReads == 0 && c.writeQ.n > 0)
 	if wm != c.writeMode {
 		c.writeMode = wm
-		// Direction flip: the scan's active queue changed.
-		c.dirtyCand()
+		// Direction flip: every bank's candidates come from the other queue.
+		c.stale = c.allBanks
 	}
 }
 
@@ -627,25 +660,17 @@ func (c *Controller) account(now int64) {
 	}
 	if view.Data == dram.DataNone && !view.Refreshing {
 		c.markBlocked(now)
-		var preMask, actMask uint64
-		for b := 0; b < c.banks; b++ {
-			pre, act := c.dev.BankBusy(b, now)
-			if pre {
-				preMask |= 1 << b
-			}
-			if act {
-				actMask |= 1 << b
-			}
+		if now >= c.busyUntil {
+			c.preMask, c.actMask, c.busyUntil = c.dev.BusyMasks(now)
 		}
-		view.PreMask = preMask
-		view.ActMask = actMask
-		view.BlockedMask = c.blockedMask
+		preMask, actMask := c.preMask, c.actMask
+		view.PreMask, view.ActMask, view.BlockedMask = preMask, actMask, c.blockedMask
 		if c.writeMode {
-			view.Pending = len(c.writeQ) > 0
+			view.Pending = c.writeQ.n > 0
 		} else {
 			// Held reads are not pending: a cycle lost because every
 			// waiting read was over budget is regulation, not constraints.
-			view.Pending = len(c.readQ)-c.heldReads > 0
+			view.Pending = c.readQ.n-c.heldReads > 0
 		}
 		if preMask|actMask|c.blockedMask == 0 && view.Pending && c.issuedCycle != now {
 			// Nothing bank-attributable, yet a pending request did not
@@ -679,14 +704,10 @@ func (c *Controller) account(now int64) {
 		c.cumDrainOnly++
 	}
 	c.stats.Cycles++
-	c.stats.ReadQueueCycles += int64(len(c.readQ))
-	c.stats.WriteQueueCycles += int64(len(c.writeQ))
-	if len(c.readQ) > c.stats.MaxReadQueue {
-		c.stats.MaxReadQueue = len(c.readQ)
-	}
-	if len(c.writeQ) > c.stats.MaxWriteQueue {
-		c.stats.MaxWriteQueue = len(c.writeQ)
-	}
+	c.stats.ReadQueueCycles += int64(c.readQ.n)
+	c.stats.WriteQueueCycles += int64(c.writeQ.n)
+	c.stats.MaxReadQueue = max(c.stats.MaxReadQueue, c.readQ.n)
+	c.stats.MaxWriteQueue = max(c.stats.MaxWriteQueue, c.writeQ.n)
 	c.sampler.MaybeCut(now + 1)
 }
 
@@ -694,7 +715,7 @@ func (c *Controller) account(now int64) {
 // now, dropping expired windows from the FIFO.
 func (c *Controller) busOwnerAt(now int64) int {
 	for len(c.busOwner) > 0 && c.busOwner[0].end <= now {
-		c.busOwner = c.busOwner[1:]
+		c.busOwner = popFront(c.busOwner)
 	}
 	if len(c.busOwner) > 0 && c.busOwner[0].start <= now {
 		return c.busOwner[0].src
@@ -705,7 +726,7 @@ func (c *Controller) busOwnerAt(now int64) int {
 // oldestHeldSource returns the source of the oldest held read (the
 // queue is in arrival order), or stacks.SourceShared if none is found.
 func (c *Controller) oldestHeldSource() int {
-	for _, req := range c.readQ {
+	for req := c.readQ.head; req != nil; req = req.link[inQueue].next {
 		if c.heldReq(req) {
 			return req.src
 		}
@@ -777,13 +798,4 @@ func (c *Controller) classifyPage(req *Request) {
 
 func (c *Controller) bankIndex(l dram.Loc) int {
 	return (l.Rank*c.geo.Groups+l.Group)*c.geo.Banks + l.Bank
-}
-
-func removeReq(q []*Request, req *Request) []*Request {
-	for i, r := range q {
-		if r == req {
-			return append(q[:i], q[i+1:]...)
-		}
-	}
-	panic(fmt.Sprintf("memctrl: request %p not in queue", req))
 }

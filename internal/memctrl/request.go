@@ -21,8 +21,14 @@ type Request struct {
 	Meta any
 
 	loc    dram.Loc
+	bank   int // channel-local flat bank index of loc
 	arrive int64
 	src    int // request source (core index), or stacks.SourceShared
+
+	// Intrusive reqList links while queued: link[inQueue] threads the
+	// controller's read or write queue, link[inBank] the queue of the
+	// request's bank.
+	link [2]struct{ next, prev *Request }
 
 	// Latency bookkeeping (reads).
 	ownPre    int64 // precharge cycles this request itself incurred
@@ -74,3 +80,44 @@ func (r *Request) Loc() dram.Loc { return r.loc }
 // Forwarded reports whether a read was served from the write buffer
 // instead of DRAM.
 func (r *Request) Forwarded() bool { return r.forwarded }
+
+// Which Request.link a reqList threads.
+const (
+	inQueue = iota
+	inBank
+)
+
+// reqList is an arrival-ordered queue of requests, linked through the
+// requests themselves so that queueing allocates nothing and the
+// scheduler can remove its pick from the middle in O(1).
+type reqList struct {
+	head, tail *Request
+	n          int
+}
+
+func (l *reqList) pushBack(r *Request, k int) {
+	r.link[k].prev, r.link[k].next = l.tail, nil
+	if l.tail != nil {
+		l.tail.link[k].next = r
+	} else {
+		l.head = r
+	}
+	l.tail = r
+	l.n++
+}
+
+func (l *reqList) remove(r *Request, k int) {
+	ln := &r.link[k]
+	if ln.prev != nil {
+		ln.prev.link[k].next = ln.next
+	} else {
+		l.head = ln.next
+	}
+	if ln.next != nil {
+		ln.next.link[k].prev = ln.prev
+	} else {
+		l.tail = ln.prev
+	}
+	ln.next, ln.prev = nil, nil
+	l.n--
+}

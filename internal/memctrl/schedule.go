@@ -1,7 +1,7 @@
 package memctrl
 
 import (
-	"math"
+	"math/bits"
 
 	"dramstacks/internal/dram"
 )
@@ -11,50 +11,110 @@ import (
 // activates, then precharges, oldest request first within each class.
 // Refresh management preempts normal scheduling for its rank.
 //
-// The per-bank candidate scan is memoized across cycles (steady-state
-// replay): its inputs — queue contents and order, open-row state, the
-// write/read direction, per-source held state and priority-tier
-// membership — change only at identified points, each of which calls
-// dirtyCand. Between those points the previous scan's candidates are
-// replayed as-is, and issueNormal may additionally prove (via
-// dram.Device.EarliestIssue) that no candidate can legally issue before
-// a future cycle, skipping the issue passes entirely until then. Both
-// shortcuts bail out conservatively: any enqueue, any issued command,
-// a write-mode flip, a QoS window/held change, an aging-bound crossing
-// or a due refresh invalidates them, so the observable schedule is
-// byte-identical to rescanning every cycle. Under the closed-page
-// policy auto-precharges alter open-row state asynchronously (at Sync
-// time, with no dirtyCand hook), so memoization is disabled there and
-// the scan runs every cycle as before.
+// All scheduling state is kept incrementally. Requests sit on
+// arrival-ordered per-bank lists, and a bank's candidate slots change
+// only when that bank's inputs do:
+//
+//   - an enqueue to the bank folds the new, youngest request into the
+//     slots in O(1) (admit);
+//   - a command issued to the bank, or an auto-precharge landing on it,
+//     marks it stale, and rebuild reclassifies that one bank's lists;
+//   - a write-mode flip, a QoS held-set change or a request crossing
+//     the aging bound (candAge) changes what is visible or in which
+//     tier everywhere, and marks every bank stale.
+//
+// Stale banks are rebuilt here, after refresh management and before the
+// issue passes. A bank a normal command was issued to is therefore
+// rebuilt on the next cycle: this cycle's account still sees the
+// candidates the command was picked from (see markBlocked).
+//
+// What the device says about a bank's candidates — the first cycle
+// timing allows each, and the scope of the binding constraint — depends
+// on device state alone, which moves only when a command issues. retime
+// caches both per bank after every issue and whenever the bank's slots
+// change; until then the issue passes and markBlocked are integer
+// compares against now, and the passes do not run at all before wake,
+// the earliest cached ready time.
 func (c *Controller) schedule(now int64) {
 	c.lastIssuedBank = -1
-
 	refIssued := c.scheduleRefresh(now)
-	if refIssued {
-		// A REF or refresh-preparing PRE changed device state under the
-		// memoized candidates.
-		c.dirtyCand()
-	}
-	if c.qosPrio && c.candValid && now >= c.candAge {
-		// A queued request crossed the aging bound: its tier changed.
-		c.dirtyCand()
-	}
-	if !c.candValid {
-		c.scan(now)
-		c.candValid = c.replayOK
-	}
+	c.freshen(now)
 	if !refIssued {
 		c.issueNormal(now)
 	}
 }
 
-// dirtyCand invalidates the memoized scheduling scan and the
-// no-issue-before bound. The cand array itself is left intact: the
-// lazy markBlocked call in account still reads this cycle's candidates
-// after an issue invalidates them for the next cycle.
-func (c *Controller) dirtyCand() {
-	c.candValid = false
-	c.skipUntil = 0
+// freshen rebuilds the candidates of every stale bank.
+func (c *Controller) freshen(now int64) {
+	if now >= c.apNext {
+		c.landAutoPrecharges(now)
+	}
+	if c.qosPrio && now >= c.candAge {
+		// A classified request crossed the aging bound: its tier changed.
+		c.stale = c.allBanks
+	}
+	if c.stale == c.allBanks {
+		c.candAge = never
+	}
+	for m := c.stale; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		c.rebuild(b, now)
+		c.retime(b)
+	}
+	c.stale = 0
+}
+
+// issue places cmd, addressed to bank (-1: a whole rank), on the device
+// and retimes what it moved. A command moves the ready times of its own
+// bank and, elsewhere, only those of its own kind: an activate delays
+// activates (tRRD, tFAW), a column command delays column commands (tCCD,
+// turnarounds, the data bus), a precharge nothing, a refresh everything.
+// The bank's own candidates are stale.
+func (c *Controller) issue(now int64, cmd dram.Command, bank int) {
+	c.dev.Issue(cmd, now)
+	c.issuedCycle = now
+	c.lastIssuedBank = bank
+	if bank >= 0 {
+		c.stale |= 1 << bank
+	}
+	if cmd.Kind != dram.CmdRD && cmd.Kind != dram.CmdWR {
+		c.busyUntil = 0 // a bank starts an activate or (auto-)precharge window
+	}
+	c.wake = never
+	for b := range c.cand {
+		cd := &c.cand[b]
+		var moved bool
+		switch {
+		case b == bank, cmd.Kind == dram.CmdREF:
+			moved = true
+		case cmd.Kind == dram.CmdACT:
+			moved = cd.act != nil
+		case cmd.Kind.IsColumn():
+			moved = cd.col != nil || cd.colPrio != nil
+		}
+		if moved {
+			c.retime(b)
+		} else {
+			c.wake = min(c.wake, cd.ready, cd.readyPre)
+		}
+	}
+}
+
+// landAutoPrecharges marks the banks whose auto-precharge has come due
+// (the device applied it in Sync) stale: their row closed by itself.
+func (c *Controller) landAutoPrecharges(now int64) {
+	c.apNext = never
+	for b := range c.cand {
+		cd := &c.cand[b]
+		switch {
+		case cd.apAt == 0:
+		case cd.apAt <= now:
+			cd.apAt = 0
+			c.stale |= 1 << b
+		default:
+			c.apNext = min(c.apNext, cd.apAt)
+		}
+	}
 }
 
 // scheduleRefresh progresses refresh for pending ranks: it issues the REF
@@ -67,11 +127,10 @@ func (c *Controller) scheduleRefresh(now int64) bool {
 		}
 		ref := dram.Command{Kind: dram.CmdREF, Loc: dram.Loc{Rank: r}}
 		if c.dev.CanIssue(ref, now) {
-			c.dev.Issue(ref, now)
+			c.issue(now, ref, -1)
 			c.stats.Refreshes++
 			c.nextRefresh[r] += int64(c.tim.REFI)
 			c.refPending[r] = false
-			c.issuedCycle = now
 			return true
 		}
 		// Close open banks so the refresh can proceed.
@@ -85,9 +144,7 @@ func (c *Controller) scheduleRefresh(now int64) bool {
 				loc.Row = row
 				pre := dram.Command{Kind: dram.CmdPRE, Loc: loc}
 				if c.dev.CanIssue(pre, now) {
-					c.dev.Issue(pre, now)
-					c.issuedCycle = now
-					c.lastIssuedBank = c.bankIndex(loc)
+					c.issue(now, pre, c.bankIndex(loc))
 					return true
 				}
 			}
@@ -96,99 +153,156 @@ func (c *Controller) scheduleRefresh(now int64) bool {
 	return false
 }
 
-// scan classifies the active-direction queue into per-bank candidates and
-// counts open-row hits from both queues (for page-policy decisions).
-// Requests held by QoS regulation are invisible: they become no
-// candidate, preserve no row, and mark no bank blocked. With a priority
-// tier, the per-bank prio slots additionally track the oldest
+// admit queues req on its bank and folds it into the bank's candidates.
+// As the youngest request of its bank it can only fill an empty slot or
+// count as one more hit, so no rebuild is needed; the device's open-row
+// answer for the enqueue cycle is the one rebuild would get in the
+// coming Tick unless the bank goes stale first, and then rebuild runs.
+func (c *Controller) admit(req *Request, now int64) {
+	req.loc = c.mapper.Decode(req.Addr)
+	req.bank = c.bankIndex(req.loc)
+	cd := &c.cand[req.bank]
+	cd.queue.pushBack(req, inBank)
+	c.classify(cd, req, c.dev.OpenRow(req.loc, now), now)
+	if cd.holds(req) {
+		c.retime(req.bank)
+	}
+}
+
+// rebuild reclassifies bank b's queued requests from scratch.
+func (c *Controller) rebuild(b int, now int64) {
+	cd := &c.cand[b]
+	cd.slots = slots{}
+	if cd.queue.head == nil {
+		return
+	}
+	openRow := c.dev.OpenRow(cd.queue.head.loc, now)
+	for req := cd.queue.head; req != nil; req = req.link[inBank].next {
+		c.classify(cd, req, openRow, now)
+	}
+}
+
+// classify folds req into its bank's slots, given that every older
+// request of the bank already has been and that the bank's open row is
+// openRow (-1: precharged). Active-direction requests become candidates;
+// requests of both directions count open-row hits (for page-policy
+// decisions). Requests held by QoS regulation are invisible: they become
+// no candidate, preserve no row, and mark no bank blocked. With a
+// priority tier, the prio slots additionally track the oldest
 // priority-tier request per class.
-func (c *Controller) scan(now int64) {
-	for i := range c.cand {
-		c.cand[i] = bankCand{}
+func (c *Controller) classify(cd *bankCand, req *Request, openRow int, now int64) {
+	if c.qosReg && !req.Write && c.heldReq(req) {
+		return
 	}
-	c.candAge = math.MaxInt64
-	active, other := c.readQ, c.writeQ
-	if c.writeMode {
-		active, other = c.writeQ, c.readQ
-	}
-	for _, req := range active {
-		if c.qosReg && !req.Write && c.heldReq(req) {
-			continue
+	hit := openRow == req.loc.Row
+	if req.Write != c.writeMode {
+		if hit {
+			cd.hasHitOther = true
+			cd.sameRowCount++
 		}
-		b := c.bankIndex(req.loc)
-		cd := &c.cand[b]
-		openRow := c.dev.OpenRow(req.loc, now)
-		hit := openRow == req.loc.Row
-		if c.qosPrio {
-			if !c.reqPrio(req, now) {
-				// Not yet in the priority tier: record when aging will
-				// promote it, so the memoized scan is invalidated at
-				// exactly that cycle.
-				if cross := req.arrive + c.qosAging; cross < c.candAge {
-					c.candAge = cross
-				}
-			} else {
-				if hit {
-					cd.hasHitPrio = true
-				}
-				// The FCFS oldest-only rule applies per tier: the first
-				// priority-tier request of a bank claims its prio slot.
-				if c.cfg.Sched != FCFS ||
-					(cd.colPrio == nil && cd.actPrio == nil && cd.prePrio == nil) {
-					switch {
-					case hit:
-						if cd.colPrio == nil {
-							cd.colPrio = req
-						}
-					case openRow < 0:
-						if cd.actPrio == nil {
-							cd.actPrio = req
-						}
-					default:
-						if cd.prePrio == nil {
-							cd.prePrio = req
-						}
+		return
+	}
+	if c.qosPrio {
+		if !c.reqPrio(req, now) {
+			// Not yet in the priority tier: record when aging will
+			// promote it, so every bank is rebuilt at that cycle.
+			c.candAge = min(c.candAge, req.arrive+c.qosAging)
+		} else {
+			if hit {
+				cd.hasHitPrio = true
+			}
+			// The FCFS oldest-only rule applies per tier: the first
+			// priority-tier request of a bank claims its prio slot.
+			if c.cfg.Sched != FCFS ||
+				(cd.colPrio == nil && cd.actPrio == nil && cd.prePrio == nil) {
+				switch {
+				case hit:
+					if cd.colPrio == nil {
+						cd.colPrio = req
+					}
+				case openRow < 0:
+					if cd.actPrio == nil {
+						cd.actPrio = req
+					}
+				default:
+					if cd.prePrio == nil {
+						cd.prePrio = req
 					}
 				}
 			}
 		}
-		if c.cfg.Sched == FCFS && (cd.col != nil || cd.act != nil || cd.pre != nil) {
-			// Strict order: only the oldest request per bank is a
-			// candidate; younger row hits may not overtake it. Same-row
-			// counting below still needs every request.
-			if hit {
-				cd.hasHitActive = true
-				cd.sameRowCount++
-			}
-			continue
-		}
-		switch {
-		case hit:
-			if cd.col == nil {
-				cd.col = req
-			}
+	}
+	if c.cfg.Sched == FCFS && (cd.col != nil || cd.act != nil || cd.pre != nil) {
+		// Strict order: only the oldest request per bank is a
+		// candidate; younger row hits may not overtake it. Same-row
+		// counting still needs every request.
+		if hit {
 			cd.hasHitActive = true
 			cd.sameRowCount++
-		case openRow < 0:
-			if cd.act == nil {
-				cd.act = req
-			}
-		default:
-			if cd.pre == nil {
-				cd.pre = req
-			}
+		}
+		return
+	}
+	switch {
+	case hit:
+		if cd.col == nil {
+			cd.col = req
+		}
+		cd.hasHitActive = true
+		cd.sameRowCount++
+	case openRow < 0:
+		if cd.act == nil {
+			cd.act = req
+		}
+	default:
+		if cd.pre == nil {
+			cd.pre = req
 		}
 	}
-	for _, req := range other {
-		if c.qosReg && !req.Write && c.heldReq(req) {
-			continue
-		}
-		b := c.bankIndex(req.loc)
-		if c.dev.OpenRow(req.loc, now) == req.loc.Row {
-			c.cand[b].hasHitOther = true
-			c.cand[b].sameRowCount++
+}
+
+// retime asks the device when bank b's candidates may issue and what
+// binds the lead one, and caches the answers. They hold until the next
+// command issues (issue retimes what it moved) or the bank's slots change.
+// While an auto-precharge is pending the open row's candidates cannot
+// issue at all; what blocks them is still the timing the device reports.
+func (c *Controller) retime(b int) {
+	cd := &c.cand[b]
+	cd.ready, cd.readyPre, cd.blockedUntil, cd.wide = never, never, 0, 0
+	if cd.col == nil && cd.act == nil && cd.pre == nil {
+		return // no visible request (the normal slots take the oldest)
+	}
+
+	var scope dram.BlockScope
+	switch {
+	case cd.act != nil || cd.actPrio != nil:
+		cd.ready, scope = c.dev.Ready(b, dram.CmdACT)
+	case (cd.col != nil || cd.colPrio != nil) && c.writeMode:
+		cd.ready, scope = c.dev.Ready(b, dram.CmdWR)
+	case cd.col != nil || cd.colPrio != nil:
+		cd.ready, scope = c.dev.Ready(b, dram.CmdRD)
+	}
+	cd.blockedUntil = cd.ready
+	if cd.pre != nil || cd.prePrio != nil {
+		var scopePre dram.BlockScope
+		cd.readyPre, scopePre = c.dev.Ready(b, dram.CmdPRE)
+		if cd.col == nil && cd.act == nil {
+			cd.blockedUntil, scope = cd.readyPre, scopePre
 		}
 	}
+	if !c.cfg.FlatConstraints {
+		// The mark widens to the scope of the binding constraint.
+		switch scope {
+		case dram.ScopeGroup:
+			cd.wide = (1<<c.geo.Banks - 1) << (b / c.geo.Banks * c.geo.Banks)
+		case dram.ScopeRank:
+			per := c.geo.BanksPerRank()
+			cd.wide = (1<<per - 1) << (b / per * per)
+		}
+	}
+	if cd.apAt != 0 {
+		cd.ready, cd.readyPre = never, never
+	}
+	c.wake = min(c.wake, cd.ready, cd.readyPre)
 }
 
 // reqPrio reports whether req is in the priority tier: a real-time
@@ -198,178 +312,97 @@ func (c *Controller) reqPrio(req *Request, now int64) bool {
 	return c.cfg.QoS.SourceRT(req.src) || now-req.arrive >= c.qosAging
 }
 
-// issueNormal picks and issues at most one command from the scanned
-// candidates. With a QoS priority tier, the whole FR-FCFS ladder runs
-// over the priority-tier candidates first; the normal slots only get
-// the cycle when no priority command could issue.
+// issueNormal picks and issues at most one command from the candidates.
+// With a QoS priority tier, the whole FR-FCFS ladder runs over the
+// priority-tier candidates first; the normal slots only get the cycle
+// when no priority command could issue.
 //
-// When the memoized candidates are valid and a previous cycle proved no
-// candidate can legally issue before skipUntil, the passes are skipped:
-// they would evaluate CanIssue to false for every candidate and issue
-// nothing, exactly as the skip does. The bound is recomputed whenever
-// the passes run and issue nothing, and reset by every dirtyCand.
+// Before wake no candidate's cached ready time has come, so the passes
+// would issue nothing and are skipped. Passes that run and issue nothing
+// leave in wake the earliest ready time among the candidates they found
+// eligible; every retime lowers it again.
 func (c *Controller) issueNormal(now int64) {
-	if c.candValid && c.skipUntil > now {
+	if now < c.wake {
 		return
 	}
+	c.wake = never
 	if c.qosPrio && c.issuePasses(now, true) {
 		return
 	}
-	if c.issuePasses(now, false) {
-		return
-	}
-	if c.candValid {
-		c.skipUntil = c.nextIssueBound(now)
-	}
+	c.issuePasses(now, false)
 }
 
-// nextIssueBound returns the earliest future cycle at which some
-// candidate could legally issue, assuming no state change in between
-// (any state change calls dirtyCand, which resets the bound). It
-// mirrors issuePasses' eligibility guards exactly; candidates whose
-// command needs a prior state change (EarliestIssue ok == false) are
-// excluded, since that state change dirties the memo anyway. With no
-// eligible candidate the bound is MaxInt64: nothing can issue until a
-// dirtying event. Only called under the open-page policy (replayOK),
-// where no auto-precharge can be pending, so EarliestIssue cannot
-// observe an unapplied precharge.
-func (c *Controller) nextIssueBound(now int64) int64 {
-	bound := int64(math.MaxInt64)
-	consider := func(cmd dram.Command) {
-		if at, ok := c.dev.EarliestIssue(cmd, now); ok && at < bound {
-			bound = at
-		}
-	}
-	for tier := 0; tier < 2; tier++ {
-		prio := tier == 0
-		if prio && !c.qosPrio {
-			continue
-		}
-		for b := range c.cand {
-			cd := &c.cand[b]
-			col, act, pre, hitGuard := cd.col, cd.act, cd.pre, cd.hasHitActive
-			if prio {
-				col, act, pre, hitGuard = cd.colPrio, cd.actPrio, cd.prePrio, cd.hasHitPrio
-			}
-			if col != nil && !c.refPending[col.loc.Rank] {
-				consider(dram.Command{Kind: c.columnKind(col, cd), Loc: col.loc})
-			}
-			if act != nil && !c.refPending[act.loc.Rank] {
-				consider(dram.Command{Kind: dram.CmdACT, Loc: act.loc})
-			}
-			if pre != nil && !c.refPending[pre.loc.Rank] &&
-				!(hitGuard && c.cfg.Sched != FCFS) {
-				loc := pre.loc
-				if loc.Row = c.dev.OpenRow(pre.loc, now); loc.Row >= 0 {
-					consider(dram.Command{Kind: dram.CmdPRE, Loc: loc})
-				}
-			}
-		}
-	}
-	return bound
-}
-
-// issuePasses runs the three FR-FCFS passes (ready columns, activates,
-// precharges; oldest first within each) over one candidate tier and
-// reports whether a command was issued.
+// issuePasses picks, over one candidate tier, the oldest ready column
+// command, else the oldest ready activate, else the oldest ready
+// precharge (the lowest bank index on a tie), issues it and reports
+// whether there was one. A bank offers a column command or an activate,
+// never both, and cd.ready is the ready time of whichever it is.
+//
+// A precharge never closes a row that still has queued hits in the same
+// tier or above (first-ready semantics; strict FCFS closes regardless).
+// A priority-tier precharge ignores normal-tier hits — preserving the
+// row for them would invert the tiers — while a normal precharge
+// respects hits from both tiers. Hits waiting in the other direction do
+// not preserve the row: a deferred write must not starve a read.
 func (c *Controller) issuePasses(now int64, prio bool) bool {
-	// Pass 1: ready column commands, oldest first.
-	var best *Request
-	var bestKind dram.CommandKind
+	var col, act, pre *Request
 	for b := range c.cand {
 		cd := &c.cand[b]
-		req := cd.col
+		rc, ra, rp, hitGuard := cd.col, cd.act, cd.pre, cd.hasHitActive
 		if prio {
-			req = cd.colPrio
+			rc, ra, rp, hitGuard = cd.colPrio, cd.actPrio, cd.prePrio, cd.hasHitPrio
 		}
-		if req == nil || c.refPending[req.loc.Rank] {
-			continue
+		req := rc
+		if req == nil {
+			req = ra
 		}
-		kind := c.columnKind(req, cd)
-		if c.dev.CanIssue(dram.Command{Kind: kind, Loc: req.loc}, now) {
-			if best == nil || req.arrive < best.arrive {
-				best, bestKind = req, kind
+		if req != nil && !c.refPending[req.loc.Rank] {
+			switch {
+			case cd.ready > now:
+				c.wake = min(c.wake, cd.ready)
+			case req == rc:
+				col = older(col, req)
+			default:
+				act = older(act, req)
+			}
+		}
+		if rp != nil && !c.refPending[rp.loc.Rank] && !(hitGuard && c.cfg.Sched != FCFS) {
+			if cd.readyPre > now {
+				c.wake = min(c.wake, cd.readyPre)
+			} else {
+				pre = older(pre, rp)
 			}
 		}
 	}
-	if best != nil {
-		c.issueColumn(now, best, bestKind)
-		return true
+	switch {
+	case col != nil:
+		c.issueColumn(now, col, c.columnKind(col, &c.cand[col.bank].slots))
+	case act != nil:
+		c.issue(now, dram.Command{Kind: dram.CmdACT, Loc: act.loc}, act.bank)
+		act.ownAct += int64(c.tim.RCD)
+	case pre != nil:
+		loc := pre.loc
+		loc.Row = c.dev.OpenRow(pre.loc, now)
+		c.issue(now, dram.Command{Kind: dram.CmdPRE, Loc: loc}, pre.bank)
+		pre.ownPre += int64(c.tim.RP)
+	default:
+		return false
 	}
+	return true
+}
 
-	// Pass 2: activates, oldest first.
-	best = nil
-	for b := range c.cand {
-		req := c.cand[b].act
-		if prio {
-			req = c.cand[b].actPrio
-		}
-		if req == nil || c.refPending[req.loc.Rank] {
-			continue
-		}
-		if c.dev.CanIssue(dram.Command{Kind: dram.CmdACT, Loc: req.loc}, now) {
-			if best == nil || req.arrive < best.arrive {
-				best = req
-			}
-		}
+// older returns whichever of best and req arrived first: best on a tie,
+// req when there is no best yet.
+func older(best, req *Request) *Request {
+	if best == nil || req.arrive < best.arrive {
+		return req
 	}
-	if best != nil {
-		c.dev.Issue(dram.Command{Kind: dram.CmdACT, Loc: best.loc}, now)
-		best.ownAct += int64(c.tim.RCD)
-		c.issuedCycle = now
-		c.lastIssuedBank = c.bankIndex(best.loc)
-		c.dirtyCand()
-		return true
-	}
-
-	// Pass 3: precharges for row conflicts, oldest first — but never
-	// close a row that still has queued hits in the same tier or above
-	// (first-ready semantics; strict FCFS closes regardless). A
-	// priority-tier precharge ignores normal-tier hits — preserving the
-	// row for them would invert the tiers — while a normal precharge
-	// respects hits from both tiers. Hits waiting in the other
-	// direction do not preserve the row: a deferred write must not
-	// starve a read.
-	best = nil
-	for b := range c.cand {
-		cd := &c.cand[b]
-		req := cd.pre
-		hitGuard := cd.hasHitActive
-		if prio {
-			req = cd.prePrio
-			hitGuard = cd.hasHitPrio
-		}
-		if req == nil || c.refPending[req.loc.Rank] ||
-			(hitGuard && c.cfg.Sched != FCFS) {
-			continue
-		}
-		loc := req.loc
-		loc.Row = c.dev.OpenRow(req.loc, now)
-		if loc.Row < 0 {
-			continue // raced with an auto-precharge
-		}
-		if c.dev.CanIssue(dram.Command{Kind: dram.CmdPRE, Loc: loc}, now) {
-			if best == nil || req.arrive < best.arrive {
-				best = req
-			}
-		}
-	}
-	if best != nil {
-		loc := best.loc
-		loc.Row = c.dev.OpenRow(best.loc, now)
-		c.dev.Issue(dram.Command{Kind: dram.CmdPRE, Loc: loc}, now)
-		best.ownPre += int64(c.tim.RP)
-		c.issuedCycle = now
-		c.lastIssuedBank = c.bankIndex(best.loc)
-		c.dirtyCand()
-		return true
-	}
-	return false
+	return best
 }
 
 // columnKind selects the column command for req: with the closed-page
 // policy the row auto-precharges when no other queued request targets it.
-func (c *Controller) columnKind(req *Request, cd *bankCand) dram.CommandKind {
+func (c *Controller) columnKind(req *Request, cd *slots) dram.CommandKind {
 	auto := c.cfg.Policy == ClosedPage && cd.sameRowCount-1 < c.cfg.ClosedKeepOpen
 	switch {
 	case req.Write && auto:
@@ -384,11 +417,15 @@ func (c *Controller) columnKind(req *Request, cd *bankCand) dram.CommandKind {
 }
 
 func (c *Controller) issueColumn(now int64, req *Request, kind dram.CommandKind) {
-	c.dev.Issue(dram.Command{Kind: kind, Loc: req.loc}, now)
-	c.issuedCycle = now
-	c.lastIssuedBank = c.bankIndex(req.loc)
-	c.dirtyCand()
-	c.stats.BankAccesses[c.lastIssuedBank]++
+	c.issue(now, dram.Command{Kind: kind, Loc: req.loc}, req.bank)
+	cd := &c.cand[req.bank]
+	if kind.AutoPrecharge() {
+		// The row closes by itself as soon as a precharge would be legal.
+		cd.apAt, _ = c.dev.Ready(req.bank, dram.CmdPRE)
+		c.apNext = min(c.apNext, cd.apAt)
+	}
+	cd.queue.remove(req, inBank)
+	c.stats.BankAccesses[req.bank]++
 	c.classifyPage(req)
 	if c.qosReg && req.src >= 0 && req.src < len(c.qosUsed) {
 		// Column commands of both directions consume the source budget.
@@ -399,7 +436,7 @@ func (c *Controller) issueColumn(now int64, req *Request, kind dram.CommandKind)
 		c.busOwner = append(c.busOwner, busWindow{start, end, req.src})
 	}
 	if req.Write {
-		c.writeQ = removeReq(c.writeQ, req)
+		c.writeQ.remove(req, inQueue)
 		if c.wbuf[req.Addr] == req {
 			delete(c.wbuf, req.Addr)
 		}
@@ -410,7 +447,7 @@ func (c *Controller) issueColumn(now int64, req *Request, kind dram.CommandKind)
 		c.recycle(req)
 		return
 	}
-	c.readQ = removeReq(c.readQ, req)
+	c.readQ.remove(req, inQueue)
 	if c.qosReg && req.src >= 0 && req.src < len(c.readsBySrc) {
 		c.readsBySrc[req.src]--
 	}
@@ -429,61 +466,27 @@ func (c *Controller) issueColumn(now int64, req *Request, kind dram.CommandKind)
 // scope from transferring data, so the lost cycle belongs to them too.
 //
 // It is called lazily, from account, and only on cycles whose channel
-// state can actually consume the mask (bus idle, no refresh): on every
-// other cycle the mask is dead and computing it — including the
-// dev.Blocking scope queries — would be wasted work. Device state does
-// not change between schedule and account, so the lazy call sees
-// exactly what an eager one at the end of schedule would have seen.
+// state can actually consume the mask (bus idle, no refresh). On a cycle
+// that issued a command it judges the candidates that command was picked
+// from — the issued bank still shows its pre-issue lead candidate,
+// whose group or rank widening counts although the bank's own bit is
+// cleared — against the device state after the issue, which is what
+// issue's retime cached. This mix of before and after is pinned by the
+// golden outputs.
 func (c *Controller) markBlocked(now int64) {
 	c.blockedMask = 0
 	for b := range c.cand {
 		cd := &c.cand[b]
-		var req *Request
-		var kind dram.CommandKind
-		switch {
-		case cd.col != nil:
-			req = cd.col
-			kind = c.columnKind(req, cd)
-		case cd.act != nil:
-			req = cd.act
-			kind = dram.CmdACT
-		case cd.pre != nil:
-			req = cd.pre
-			kind = dram.CmdPRE
-		default:
+		if cd.col == nil && cd.act == nil && cd.pre == nil {
 			continue
 		}
 		c.blockedMask |= 1 << b
-		if c.cfg.FlatConstraints {
-			continue
-		}
-		loc := req.loc
-		if kind == dram.CmdPRE {
-			if open := c.dev.OpenRow(req.loc, now); open >= 0 {
-				loc.Row = open
-			}
-		}
-		switch c.dev.Blocking(dram.Command{Kind: kind, Loc: loc}, now) {
-		case dram.ScopeGroup:
-			c.blockedMask |= c.groupMask(req.loc)
-		case dram.ScopeRank:
-			c.blockedMask |= c.rankMask(req.loc.Rank)
+		if cd.blockedUntil > now {
+			c.blockedMask |= cd.wide
 		}
 	}
 	// The bank a command was issued to made progress this cycle.
 	if c.issuedCycle == now && c.lastIssuedBank >= 0 {
 		c.blockedMask &^= 1 << c.lastIssuedBank
 	}
-}
-
-// groupMask returns the bank bitmask of loc's whole bank group.
-func (c *Controller) groupMask(loc dram.Loc) uint64 {
-	base := uint((loc.Rank*c.geo.Groups + loc.Group) * c.geo.Banks)
-	return ((uint64(1) << c.geo.Banks) - 1) << base
-}
-
-// rankMask returns the bank bitmask of the whole rank.
-func (c *Controller) rankMask(rank int) uint64 {
-	per := uint(c.geo.BanksPerRank())
-	return ((uint64(1) << per) - 1) << (uint(rank) * per)
 }

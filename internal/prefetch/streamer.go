@@ -41,6 +41,7 @@ type Streamer struct {
 	cfg   Config
 	slots []stream
 	clock int64
+	out   []uint64 // Observe's result, reused by the next call
 
 	observed int64
 	issued   int64
@@ -48,7 +49,11 @@ type Streamer struct {
 
 // NewStreamer returns a streamer with the given configuration.
 func NewStreamer(cfg Config) *Streamer {
-	return &Streamer{cfg: cfg, slots: make([]stream, max(cfg.Streams, 1))}
+	return &Streamer{
+		cfg:   cfg,
+		slots: make([]stream, max(cfg.Streams, 1)),
+		out:   make([]uint64, 0, max(cfg.Degree, 0)),
+	}
 }
 
 // Observed returns how many demand accesses the streamer has seen.
@@ -119,7 +124,7 @@ func (s *Streamer) Observe(line uint64) []uint64 {
 // ahead of its head.
 func (s *Streamer) run(sl *stream) []uint64 {
 	target := next(sl.lastLine, sl.dir*s.cfg.Depth)
-	var out []uint64
+	out := s.out[:0]
 	cur := sl.ahead
 	// Never fall behind the head.
 	if (sl.dir > 0 && cur < sl.lastLine) || (sl.dir < 0 && cur > sl.lastLine) {
@@ -132,10 +137,11 @@ func (s *Streamer) run(sl *stream) []uint64 {
 			break
 		}
 	}
-	if len(out) > 0 {
-		sl.ahead = out[len(out)-1]
-		s.issued += int64(len(out))
+	if len(out) == 0 {
+		return nil
 	}
+	sl.ahead = out[len(out)-1]
+	s.issued += int64(len(out))
 	return out
 }
 

@@ -68,13 +68,29 @@ func TestMultipleConcurrentStreams(t *testing.T) {
 	// Interleave two ascending streams.
 	s.Observe(1000)
 	s.Observe(2000)
-	a := s.Observe(1001)
+	// A result is valid only until the next Observe: copy the first.
+	a := append([]uint64(nil), s.Observe(1001)...)
 	b := s.Observe(2001)
 	if len(a) == 0 || len(b) == 0 {
 		t.Fatalf("streams not both detected: %v %v", a, b)
 	}
 	if a[0] != 1002 || b[0] != 2002 {
 		t.Errorf("stream heads wrong: %v %v", a, b)
+	}
+}
+
+func TestStreamHitDoesNotAllocate(t *testing.T) {
+	s := NewStreamer(DefaultConfig())
+	line := uint64(1000)
+	s.Observe(line)
+	allocs := testing.AllocsPerRun(1000, func() {
+		line++
+		if got := s.Observe(line); len(got) == 0 {
+			t.Fatal("stream lost")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a stream hit allocates %v times, want 0", allocs)
 	}
 }
 
