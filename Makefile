@@ -23,10 +23,12 @@ test-short:
 	$(GO) test -short ./...
 
 # Short race pass over everything, plus the full fast-forward
-# equivalence tests so the sim hot loop is race-checked end to end.
+# equivalence tests — and the parked-retry oracles beneath them — so the
+# sim hot loop is race-checked end to end.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 -run 'Golden|FastForward' ./internal/sim/
+	$(GO) test -race -count=1 -run 'Repeat|Park' ./internal/prefetch/ ./internal/cache/ ./internal/cpu/
 
 cover:
 	$(GO) test -cover ./internal/...

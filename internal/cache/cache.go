@@ -103,11 +103,6 @@ type Cache struct {
 	setMask  uint64
 	clock    int64
 	stats    LevelStats
-
-	// epoch counts content changes (Insert, Invalidate). A probe
-	// outcome memoized at epoch E is still valid while the epoch is E:
-	// presence can only change through those two entry points.
-	epoch int64
 }
 
 // New returns a cache level; it panics on invalid configuration
@@ -218,7 +213,6 @@ func (c *Cache) Insert(addr uint64, dirty, prefetched bool) (Eviction, bool) {
 	set := c.set(addr)
 	enc := c.tag(addr)<<1 | tagValid
 	c.clock++
-	c.epoch++
 	for i := range set {
 		if set[i].enc == enc {
 			m := set[i].meta
@@ -296,7 +290,6 @@ func (c *Cache) warmAccess(addr uint64, write bool) (ev Eviction, evicted, hit b
 		}
 	}
 	c.clock++
-	c.epoch++
 	if v := set[victim]; v.enc&tagValid != 0 {
 		c.stats.Evictions++
 		evicted = true
@@ -318,7 +311,6 @@ func (c *Cache) warmAccess(addr uint64, write bool) (ev Eviction, evicted, hit b
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	set := c.set(addr)
 	enc := c.tag(addr)<<1 | tagValid
-	c.epoch++
 	for i := range set {
 		if set[i].enc == enc {
 			present, dirty = true, set[i].meta&metaDirty != 0

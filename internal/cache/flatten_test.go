@@ -35,14 +35,18 @@ func accessRef(h *Hierarchy, now int64, core int, addr uint64, write bool, w Wai
 // seeded RNG consumed one draw per call, so two hierarchies driven with
 // identical access sequences see identical back pressure.
 type flakyMem struct {
-	rng    *rand.Rand
-	reads  []fakeRead
-	writes []uint64
-	next   int
+	rng            *rand.Rand
+	reads          []fakeRead
+	refusedDemands int // demand (not prefetch) reads turned away
+	writes         []uint64
+	next           int
 }
 
 func (m *flakyMem) Read(now int64, addr uint64, src int, w Waiter) bool {
 	if m.rng.Intn(4) == 0 {
+		if e, ok := w.(*mshrEntry); ok && !e.prefetch {
+			m.refusedDemands++
+		}
 		return false
 	}
 	m.reads = append(m.reads, fakeRead{addr, now, src, w})

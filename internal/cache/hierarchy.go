@@ -21,6 +21,14 @@ type Waiter interface {
 	MemDone(doneCPU int64, queueFrac, regFrac float64)
 }
 
+// Sleeper is a core sleeping on an access the hierarchy refused for want
+// of an MSHR (see Park). Wake tells it that a retry might now be answered
+// differently. It is called from inside other cores' accesses and from
+// fills, so it may only leave a mark for the sleeper's own next cycle.
+type Sleeper interface {
+	Wake()
+}
+
 // MemPort is the hierarchy's view of the memory controller. Times are in
 // CPU cycles; the adapter owns the CPU-to-memory clock conversion.
 // src is the requesting core's index — the multi-tenant source identity
@@ -46,7 +54,7 @@ const (
 	// fires on completion.
 	Pending
 	// Retry means a structural resource (MSHR or controller queue) was
-	// exhausted; the caller must retry next cycle.
+	// exhausted; the caller must retry next cycle, or Park.
 	Retry
 )
 
@@ -148,33 +156,28 @@ type Hierarchy struct {
 
 	pendingWB []pendingWB // dirty lines waiting for controller queue space
 
-	hints []lineHint // per-core last-line/way hint (see lineHint)
+	park   []parkSlot // per core, see Park
+	parked int        // cores currently parked
+
+	hints []lineHint // per-core L1 way hint (see lineHint)
 
 	lineMask uint64
 	stats    HierStats
 }
 
-// lineHint memoizes the outcome of a core's most recent Access for the
-// line it touched. Two shapes matter on the hot path:
+// lineHint remembers where a core's most recent L1 hit landed: the next
+// access to the same line probes that way first and falls back to the
+// full scan when the tag no longer matches, so the hint is purely
+// advisory. The zero value is safe: line 0 / way 0 is validated by the
+// tag check like any other hint.
 //
-//   - way >= 0: the line hit L1 at that way. The next access to the
-//     same line probes it first and falls back to the full scan when
-//     the tag no longer matches, so the hint is purely advisory.
-//   - miss: the line missed all three levels. While no level's content
-//     has changed since (the epochs below match), the three probes
-//     would miss again, so a retried access advances the per-level
-//     statistics arithmetically without scanning a single tag way —
-//     byte-identical to re-probing. This is what makes the per-cycle
-//     retry pattern (a core re-issuing the same blocked access every
-//     cycle under MSHR or queue back pressure) cheap.
-//
-// The zero value is inert-but-safe: line 0 / way 0 is validated by the
-// tag check like any other hint, and miss is false.
+// There is no hint for the opposite shape, a miss at every level
+// re-presented every cycle under MSHR back pressure: a core in that
+// state sleeps instead (Park), and the few retries made awake take the
+// full probes.
 type lineHint struct {
-	line       uint64
-	way        int32
-	miss       bool
-	e1, e2, e3 int64 // l1[core], l2[core], llc epochs at miss time
+	line uint64
+	way  int32
 }
 
 // NewHierarchy builds the hierarchy over the given memory port.
@@ -188,10 +191,12 @@ func NewHierarchy(cfg HierConfig, mem MemPort) (*Hierarchy, error) {
 		mem:         mem,
 		mshr:        make(map[uint64]*mshrEntry),
 		perCoreUsed: make([]int, cfg.Cores),
+		park:        make([]parkSlot, cfg.Cores),
 		hints:       make([]lineHint, cfg.Cores),
 		lineMask:    ^uint64(cfg.L1.LineBytes - 1),
 	}
 	for i := 0; i < cfg.Cores; i++ {
+		h.park[i].at = -1
 		h.l1 = append(h.l1, New(cfg.L1))
 		h.l2 = append(h.l2, New(cfg.L2))
 		h.pf = append(h.pf, prefetch.NewStreamer(cfg.Prefetch))
@@ -335,8 +340,8 @@ func (h *Hierarchy) WarmLLC(op LLCOp) {
 // The L1→L2→LLC walk is flattened into this one frame: the probes are
 // hand-inlined copies of Cache.Lookup sharing a single tag computation
 // (legal because Validate requires one line size across levels), and a
-// per-core lineHint short-circuits the two hot shapes — a repeat L1 hit
-// and a retried full miss. Every statistic Lookup would have counted is
+// per-core lineHint short-circuits a repeat L1 hit. Every statistic
+// Lookup would have counted is
 // counted here, per attempt, in the same order; TestAccessMatchesReference
 // pins the equivalence against the composed per-level walk.
 func (h *Hierarchy) Access(now int64, core int, addr uint64, write bool, w Waiter) Outcome {
@@ -346,28 +351,13 @@ func (h *Hierarchy) Access(now int64, core int, addr uint64, write bool, w Waite
 	l2 := h.l2[core]
 	llc := h.llc
 
-	if ht.miss && ht.line == line &&
-		ht.e1 == l1.epoch && ht.e2 == l2.epoch && ht.e3 == llc.epoch {
-		// The previous access to this line missed every level, and no
-		// level's content has changed since: all three probes would
-		// miss again. Advance their statistics without scanning.
-		l1.stats.Accesses++
-		l1.stats.Misses++
-		l2.stats.Accesses++
-		l2.stats.Misses++
-		h.train(now, core, line)
-		llc.stats.Accesses++
-		llc.stats.Misses++
-		return h.missToMem(now, core, line, write, w)
-	}
-
 	// L1 probe (mirrors Cache.Lookup(line, true, write) — keep in sync).
 	l1.stats.Accesses++
 	tag := line >> l1.setShift
 	enc := tag<<1 | tagValid
 	s1 := l1.slots[(tag&l1.setMask)*uint64(l1.cfg.Ways):][:l1.cfg.Ways]
 	hitWay := -1
-	if ht.line == line && ht.way >= 0 && int(ht.way) < len(s1) {
+	if ht.line == line && int(ht.way) < len(s1) {
 		// A tag matches at most one way per set (Insert refreshes in
 		// place), so trusting the hinted way is exact, not heuristic.
 		if s1[ht.way].enc == enc {
@@ -445,8 +435,6 @@ func (h *Hierarchy) Access(now int64, core int, addr uint64, write bool, w Waite
 		}
 	}
 	llc.stats.Misses++
-	*ht = lineHint{line: line, way: -1, miss: true,
-		e1: l1.epoch, e2: l2.epoch, e3: llc.epoch}
 	return h.missToMem(now, core, line, write, w)
 }
 
@@ -462,8 +450,9 @@ func (h *Hierarchy) missToMem(now int64, core int, line uint64, write bool, w Wa
 		}
 		return Outcome{Status: Pending}
 	}
-	if len(h.mshr) >= h.cfg.MSHRs || h.perCoreUsed[core] >= h.cfg.PerCoreMSHRs {
+	if h.mshrFull(core) {
 		h.stats.Retries++
+		h.park[core].line, h.park[core].at = line, now
 		return Outcome{Status: Retry}
 	}
 	e := h.newEntry(line, core)
@@ -476,10 +465,87 @@ func (h *Hierarchy) missToMem(now int64, core int, line uint64, write bool, w Wa
 		h.stats.Retries++
 		return Outcome{Status: Retry}
 	}
-	h.mshr[line] = e
-	h.perCoreUsed[core]++
+	h.admit(e)
 	h.stats.DemandMissesToMem++
 	return Outcome{Status: Pending}
+}
+
+// mshrFull reports whether a new line fill for core would be refused:
+// the shared MSHRs or the core's own share of them are all in use.
+func (h *Hierarchy) mshrFull(core int) bool {
+	return len(h.mshr) >= h.cfg.MSHRs || h.perCoreUsed[core] >= h.cfg.PerCoreMSHRs
+}
+
+// admit records e, accepted by the memory port, as an in-flight fill.
+func (h *Hierarchy) admit(e *mshrEntry) {
+	h.mshr[e.addr] = e
+	h.perCoreUsed[e.core]++
+	if h.parked != 0 {
+		h.wakeLine(e.addr) // a retry would now merge into e
+	}
+}
+
+// parkSlot is one core's latest access refused for want of an MSHR, and
+// the core itself while it sleeps on it.
+type parkSlot struct {
+	line uint64
+	at   int64   // CPU cycle of the refusal, -1 before the first
+	s    Sleeper // non-nil while parked
+}
+
+// Park lets core sleep on the access to addr that Access refused at CPU
+// cycle now, instead of retrying it every cycle, and reports whether it
+// may: only a refusal for want of an MSHR qualifies (one by the memory
+// port keeps its per-cycle retry — the port is asked again each time),
+// and Park must follow that Access directly, before anything else
+// reaches the hierarchy. Until Unpark, every retry the core skips would
+// have missed all three levels, trained the prefetcher on the same line
+// and been refused again (Retried accounts them in closed form), unless
+// one of three things happens first, each of which calls s.Wake:
+//
+//   - a fill releases an MSHR and mshrFull(core) no longer holds (any
+//     fill for the shared limit, one of the core's own for its share;
+//     prefetch fills count — they have no waiter to wake the core);
+//   - the line is installed in the LLC: another core's dirty L2 victim;
+//   - the line gets an MSHR of another core's, so a retry would merge.
+//
+// The core's private levels need no watch: asleep, it installs nothing
+// but its own fills, and each of those releases one of its MSHRs.
+func (h *Hierarchy) Park(now int64, core int, addr uint64, s Sleeper) bool {
+	p := &h.park[core]
+	if p.at != now || p.line != addr&h.lineMask {
+		return false
+	}
+	p.s = s
+	h.parked++
+	return true
+}
+
+// Unpark ends core's Park.
+func (h *Hierarchy) Unpark(core int) {
+	h.park[core].s = nil
+	h.parked--
+}
+
+// Retried accounts n more retries of core's parked access exactly as n
+// refused Access calls would have: a miss at every level, one prefetcher
+// observation of the line, one retry.
+func (h *Hierarchy) Retried(core int, n int64) {
+	for _, c := range [...]*Cache{h.l1[core], h.l2[core], h.llc} {
+		c.stats.Accesses += n
+		c.stats.Misses += n
+	}
+	h.stats.Retries += n
+	h.pf[core].Repeat(h.park[core].line/uint64(h.cfg.L1.LineBytes), n)
+}
+
+// wakeLine wakes the cores parked on line.
+func (h *Hierarchy) wakeLine(line uint64) {
+	for i := range h.park {
+		if p := &h.park[i]; p.s != nil && p.line == line {
+			p.s.Wake()
+		}
+	}
 }
 
 // newEntry takes an MSHR entry from the pool (or allocates one) and
@@ -508,6 +574,13 @@ func (h *Hierarchy) putEntry(e *mshrEntry) {
 func (h *Hierarchy) fill(doneCPU int64, e *mshrEntry, queueFrac, regFrac float64) {
 	delete(h.mshr, e.addr)
 	h.perCoreUsed[e.core]--
+	if h.parked != 0 {
+		for i := range h.park {
+			if s := h.park[i].s; s != nil && !h.mshrFull(i) {
+				s.Wake()
+			}
+		}
+	}
 
 	h.insertLLC(doneCPU, e.core, e.addr, false, e.prefetch)
 	h.fillL2(doneCPU, e.core, e.addr, e.prefetch)
@@ -530,7 +603,7 @@ func (h *Hierarchy) Prefetch(now int64, core int, addr uint64) {
 	if _, ok := h.mshr[line]; ok {
 		return
 	}
-	if len(h.mshr) >= h.cfg.MSHRs || h.perCoreUsed[core] >= h.cfg.PerCoreMSHRs {
+	if h.mshrFull(core) {
 		h.stats.PrefetchDropped++
 		return
 	}
@@ -541,8 +614,7 @@ func (h *Hierarchy) Prefetch(now int64, core int, addr uint64) {
 		h.stats.PrefetchDropped++
 		return
 	}
-	h.mshr[line] = e
-	h.perCoreUsed[core]++
+	h.admit(e)
 	h.stats.PrefetchesToMem++
 }
 
@@ -583,6 +655,9 @@ func (h *Hierarchy) insertL2x(now int64, core int, line uint64, dirty, prefetche
 }
 
 func (h *Hierarchy) insertLLC(now int64, core int, line uint64, dirty, prefetched bool) {
+	if h.parked != 0 {
+		h.wakeLine(line) // a retry would now hit the LLC
+	}
 	if ev, ok := h.llc.Insert(line, dirty, prefetched); ok && ev.Dirty {
 		// LLC dirty eviction: becomes a DRAM write attributed to the
 		// evicting core.

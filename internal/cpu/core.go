@@ -18,14 +18,21 @@
 // The hot loop is allocation-free in steady state: load tickets are
 // reference-counted and pooled, and memory completions arrive through
 // the cache.Waiter interface (a pooled ticket is its own completion
-// waiter) instead of per-access closures. Three provably repetitive
-// states let the system replay stretches of cycles in closed form
-// instead of ticking them: a finished core (idle), an empty core inside
-// a branch-misprediction bubble (branch), and a core dispatching a pure
-// ALU run (base) — see NextEventCycle/FastForward. A core stalled on an
-// in-flight DRAM load can additionally go to sleep entirely and have
-// its stall cycles replayed when the completion wakes it — see
-// TrySleep/MemDone.
+// waiter) instead of per-access closures.
+//
+// Two mechanisms keep the system from ticking cycles that provably
+// repeat. A core that knows when its state ends reports it and has the
+// stretch replayed in closed form (NextEventCycle/FastForward): a
+// finished core (idle), an empty core inside a branch-misprediction
+// bubble (branch), a single-load window, a pure ALU run (base). A core
+// whose state ends only when the memory system says so goes to sleep
+// (TrySleep): blocked behind a load at the ROB head, dispatch inert, and
+// able to do nothing with memory but wait for in-flight loads and retry
+// one access that the hierarchy refused for want of an MSHR. It is woken
+// by a completion of its own (MemDone) or by the hierarchy when the
+// refused access could be answered differently (Parker), and the cycles
+// it slept — stalls and refused retries alike — are replayed when it
+// resumes (Resume/SyncSleep).
 package cpu
 
 import (
@@ -109,6 +116,19 @@ type Mem interface {
 	Access(now int64, core int, addr uint64, write bool, w cache.Waiter) cache.Outcome
 }
 
+// Parker is the part of a Mem that lets a core sleep on a refused access
+// instead of retrying it every cycle (cache.Hierarchy has it; a Mem
+// without it gets the per-cycle retry). Park reports whether the access
+// to addr the Mem refused at cycle now may be slept on, and if so
+// arranges for s.Wake when a retry could be answered differently;
+// Retried accounts n skipped retries of that access on the memory side;
+// Unpark ends the arrangement.
+type Parker interface {
+	Park(now int64, core int, addr uint64, s cache.Sleeper) bool
+	Retried(core int, n int64)
+	Unpark(core int)
+}
+
 // Config parameterizes a core.
 type Config struct {
 	Width         int // superscalar width (4)
@@ -163,7 +183,7 @@ func (tk *ticket) MemDone(doneCPU int64, queueFrac, regFrac float64) {
 	tk.done = doneCPU
 	tk.queueFrac = queueFrac
 	tk.regFrac = regFrac
-	tk.c.wake(doneCPU)
+	tk.c.Wake()
 }
 
 type robItem struct {
@@ -190,11 +210,36 @@ type Stats struct {
 	DramLoads   int64 // loads served by DRAM
 }
 
+// SleepStats says what the sleep mechanism (TrySleep) covered. It is a
+// diagnostic of the simulator, not of the simulated machine: the system
+// keeps it out of its Result.
+type SleepStats struct {
+	StallCycles  int64 // cycles slept with no access parked: pure DRAM stall
+	ParkedCycles int64 // cycles slept on a parked access: one skipped retry each
+	Retries      int64 // refused accesses the core made itself, awake
+	Parks        int64 // sleeps that parked an access
+	Wakes        int64 // resumptions from such a sleep
+	// SpuriousWakes counts the resumptions that changed nothing: the core
+	// retired nothing and started no access before it parked again.
+	SpuriousWakes int64
+}
+
+// Add accumulates o into s.
+func (s *SleepStats) Add(o SleepStats) {
+	s.StallCycles += o.StallCycles
+	s.ParkedCycles += o.ParkedCycles
+	s.Retries += o.Retries
+	s.Parks += o.Parks
+	s.Wakes += o.Wakes
+	s.SpuriousWakes += o.SpuriousWakes
+}
+
 // Core is one out-of-order core.
 type Core struct {
 	id   int
 	cfg  Config
 	mem  Mem
+	park Parker // mem's parking side, nil if it has none
 	src  Source
 	acct *cyclestack.Accountant
 
@@ -229,18 +274,24 @@ type Core struct {
 
 	tkFree []*ticket // ticket pool
 
-	// DRAM-stall sleep state: while asleep, the system stops ticking
+	// Sleep state (see TrySleep): while asleep, the system stops ticking
 	// the core and the first CPU cycle not yet simulated is sleepFrom.
-	// A memory completion only marks the core wakePending — the skipped
-	// stall cycles are replayed in closed form when the system resumes
-	// the core at the next CPU cycle it would tick (Resume), because
-	// completions fire mid-memory-cycle, before the sleeping core's
-	// remaining subcycles of that same memory cycle.
+	// Wake only marks the core wakePending — the skipped cycles are
+	// replayed in closed form when the system resumes the core at the
+	// next CPU cycle it would tick (Resume). parked says the sleep also
+	// skips the retries of an access the hierarchy refused.
 	asleep      bool
 	wakePending bool
+	parked      bool
 	sleepFrom   int64
 
+	// Spurious-wake detection: the work done (uops retired + memory
+	// accesses started) as of the last resumption from a parked sleep.
+	starts   int64
+	wokeWork int64
+
 	stats Stats
+	sleep SleepStats
 }
 
 // New returns a core. It panics on invalid configuration.
@@ -255,7 +306,10 @@ func New(id int, cfg Config, mem Mem, src Source) *Core {
 		src:  src,
 		acct: cyclestack.NewAccountant(),
 		rob:  make([]robItem, cfg.ROBSize+1),
+
+		wokeWork: -1,
 	}
+	c.park, _ = mem.(Parker)
 	if bs, ok := src.(BatchSource); ok {
 		c.bsrc = bs
 		c.batch = make([]Instr, batchLen)
@@ -265,6 +319,10 @@ func New(id int, cfg Config, mem Mem, src Source) *Core {
 
 // Stats returns the core's counters.
 func (c *Core) Stats() Stats { return c.stats }
+
+// SleepStats returns what the core's sleeps have covered so far (up to
+// the last SyncSleep, for a core still asleep).
+func (c *Core) SleepStats() SleepStats { return c.sleep }
 
 // Stack returns the core's cycle stack so far.
 func (c *Core) Stack() cyclestack.Stack { return c.acct.Stack() }
@@ -736,6 +794,7 @@ func (c *Core) startAccesses(now int64) {
 		case cache.Retry:
 			// Structural hazard: leave the op queued; later ops would
 			// hit the same hazard, so stop trying this cycle.
+			c.sleep.Retries++
 			return
 		case cache.Hit:
 			if tk != nil {
@@ -755,6 +814,7 @@ func (c *Core) startAccesses(now int64) {
 			}
 		}
 		started++
+		c.starts++
 		if op.dep != nil {
 			c.unref(op.dep)
 		}
@@ -767,7 +827,7 @@ func (c *Core) startAccesses(now int64) {
 // line arrived, the store's writeback obligation is met.
 func (c *Core) MemDone(doneCPU int64, queueFrac, regFrac float64) {
 	c.outStores--
-	c.wake(doneCPU)
+	c.Wake()
 }
 
 // addDramStall charges a DRAM load's head-of-ROB stall to the cycle
@@ -997,16 +1057,27 @@ func (c *Core) classify(now int64, retired int) {
 }
 
 // TrySleep puts the core to sleep after it simulated CPU cycle now, if
-// this cycle was a DRAM stall that provably repeats until a memory
-// completion arrives: the head-of-ROB load is in flight (started, no
-// completion yet), dispatch is inert on its own (the ROB is full with
-// buffered work, or the source is exhausted with nothing buffered) and
-// not inside a fetch bubble that would end by itself, and every queued
-// memory operation waits on an address dependency that is itself in
-// flight. Under those conditions every subsequent cycle repeats exactly
-// "stall++, total++" until some completion for this core fires, so the
-// system can stop ticking the core and wake replays the skipped cycles
-// in closed form. Reports whether the core went to sleep.
+// that cycle provably repeats until the memory system intervenes:
+//
+//   - the ROB head is a load that is in flight to DRAM (every cycle is
+//     "stall++, total++" on it) or has not started (every cycle is a
+//     dram-queue cycle), so nothing retires;
+//   - dispatch is inert on its own (the ROB is full with buffered work,
+//     or the source is exhausted with nothing buffered) and not inside a
+//     fetch bubble that would end by itself;
+//   - every queued memory operation up to the first one that can start
+//     waits on an address dependency that is itself in flight, and that
+//     first one, if there is one, was refused this very cycle for want
+//     of an MSHR and is now parked with the hierarchy (Parker.Park): it
+//     would be refused again every cycle, and a refusal ends the
+//     cycle's starts, so nothing behind it is reached.
+//
+// Only a completion for this core or the hierarchy's Wake can change
+// any of that, so the system stops ticking the core until one of them
+// has marked it, and Resume replays the skipped cycles in closed form.
+// An access the memory port refused is not parked: whether the
+// controller would take it is asked anew each cycle. Reports whether
+// the core went to sleep.
 func (c *Core) TrySleep(now int64) bool {
 	if c.asleep || c.items == 0 || c.fetchBlockedUntil > now+1 {
 		return false
@@ -1015,9 +1086,8 @@ func (c *Core) TrySleep(now int64) bool {
 	if head.kind != KindLoad {
 		return false
 	}
-	tk := head.tk
-	if !tk.started || tk.done >= 0 || tk.level != 0 {
-		return false
+	if tk := head.tk; tk.started && (tk.done >= 0 || tk.level != 0) {
+		return false // a hit, or a fill that has arrived: retires by itself
 	}
 	if c.pendingWork > 0 || c.pendingOp != nil {
 		if c.robFree() != 0 {
@@ -1026,58 +1096,104 @@ func (c *Core) TrySleep(now int64) bool {
 	} else if !c.srcDone {
 		return false // dispatch would consult the source
 	}
+	parked := false
 	for i := range c.startQ {
-		dep := c.startQ[i].dep
-		if dep == nil || dep.done >= 0 {
-			return false // could start (or become startable) on its own
+		op := &c.startQ[i]
+		if dep := op.dep; dep != nil {
+			if dep.done < 0 {
+				continue // address unknown until a completion arrives
+			}
+			if dep.done > now {
+				return false // becomes startable on its own
+			}
+		}
+		if c.park == nil || !c.park.Park(now, c.id, op.addr, c) {
+			return false // not tried this cycle, or the port refused it
+		}
+		parked = true
+		break
+	}
+	if parked {
+		c.sleep.Parks++
+		if c.wokeWork == c.stats.Retired+c.starts {
+			c.sleep.SpuriousWakes++
 		}
 	}
 	c.asleep = true
 	c.wakePending = false
+	c.parked = parked
 	c.sleepFrom = now + 1
 	return true
 }
 
-// Asleep reports whether the core is sleeping through a DRAM stall.
+// Asleep reports whether the core is sleeping (see TrySleep).
 func (c *Core) Asleep() bool { return c.asleep }
 
-// NeedsWake reports whether a memory completion has arrived for a
-// sleeping core, so the system must Resume it at the next CPU cycle it
-// would tick.
+// NeedsWake reports whether a sleeping core has been marked by Wake, so
+// the system must Resume it at the next CPU cycle it would tick.
 func (c *Core) NeedsWake() bool { return c.asleep && c.wakePending }
 
-// wake marks a sleeping core for resumption. It deliberately does not
-// end the sleep: the completion fires during the controller phase of
-// memory cycle m with a CPU-domain timestamp that precedes the core's
-// not-yet-simulated subcycles of that same memory cycle, all of which
-// are still stall cycles (the load retires no earlier than the next
-// subcycle). Resume replays them in closed form.
-func (c *Core) wake(int64) {
+// Wake marks a sleeping core for resumption; it implements
+// cache.Sleeper and is what the core's own completions call. It
+// deliberately does not end the sleep. A completion fires during the
+// controller phase of memory cycle m with a CPU-domain timestamp that
+// precedes the core's not-yet-simulated subcycles of that same memory
+// cycle, all of which still repeat (a load retires no earlier than the
+// next subcycle). The hierarchy's wake-ups fire either there, inside a
+// fill, or inside another core's access at CPU cycle t: after this
+// core's turn at t if that core has a higher index — t itself still
+// repeats — and before it otherwise. In every case the first cycle
+// that can differ is the next one the system would tick this core at,
+// which is where it calls Resume.
+func (c *Core) Wake() {
 	if c.asleep {
 		c.wakePending = true
 	}
 }
 
 // Resume ends a sleep at CPU cycle at (exclusive), replaying the
-// skipped cycles: each was a head-of-ROB DRAM stall, so the whole
-// stretch is stall += n on the head load and total += n —
-// bit-identical to ticking them (both counters are integers). at is
-// the first cycle the resumed per-cycle loop will simulate.
+// skipped cycles (see SyncSleep). at is the first cycle the resumed
+// per-cycle loop will simulate.
 func (c *Core) Resume(at int64) {
 	c.SyncSleep(at)
+	if c.parked {
+		c.park.Unpark(c.id)
+		c.parked = false
+		c.sleep.Wakes++
+		c.wokeWork = c.stats.Retired + c.starts
+	}
 	c.asleep = false
 	c.wakePending = false
 }
 
-// SyncSleep replays a sleeping core's skipped stall cycles up to CPU
-// cycle upto (exclusive) without waking it, so its cycle stack can be
-// read mid-sleep (sample cuts, early stops, final results).
+// SyncSleep replays a sleeping core's skipped cycles up to CPU cycle
+// upto (exclusive) without waking it, so its cycle stack and the
+// hierarchy's counters can be read mid-sleep (sample cuts, early stops,
+// final results). Each skipped cycle charged the head load — stall and
+// total, both integers, when it is in flight; one dram-queue cycle
+// when it has not started — and, with an access parked, made one more
+// refused retry of it.
 func (c *Core) SyncSleep(upto int64) {
 	if !c.asleep || upto <= c.sleepFrom {
 		return
 	}
-	tk := c.rob[c.head].tk
-	tk.stall += upto - c.sleepFrom
-	c.acct.AddTotal(upto - c.sleepFrom)
+	n := upto - c.sleepFrom
+	if tk := c.rob[c.head].tk; tk.started {
+		tk.stall += n
+		c.acct.AddTotal(n)
+	} else {
+		// dram-queue also receives the fractional splits of retired
+		// stalls (addDramStall), so n unit additions do not round like
+		// one addition of n: make them.
+		for i := int64(0); i < n; i++ {
+			c.acct.AddCycle(cyclestack.DramQueue)
+		}
+	}
+	if c.parked {
+		c.park.Retried(c.id, n)
+		c.sleep.ParkedCycles += n
+	} else {
+		c.sleep.StallCycles += n
+	}
 	c.sleepFrom = upto
 }

@@ -120,6 +120,62 @@ func (s *Streamer) Observe(line uint64) []uint64 {
 	return nil
 }
 
+// Repeat is n more Observe calls of the line the last Observe call was
+// given, in closed form: a core retrying one refused access observes the
+// same line every cycle. Such a repeat never returns candidates, so
+// there is nothing to hand back. After Observe(line) the scan can only
+// end one of two ways, each of which then repeats itself:
+//
+//   - the stream Observe advanced, confirmed or kept warm now sits on
+//     line with a direction, and every repeat is the keep-alive case on
+//     that slot: the clock moves n and the slot's lastUse follows it;
+//   - no slot matches. Observe left a tentative stream on line, which
+//     its own line does not continue (only line±1 would), so every
+//     repeat allocates one more tentative stream on line in the LRU
+//     slot — a modelling defect reproduced here, not fixed: see
+//     DESIGN.md. Every slot holds the same stream after len(slots)
+//     calls, the one with the oldest lastUse taking the new clock each
+//     time, so len(slots) further calls only add len(slots) to every
+//     lastUse: whole rotations are added at once and at most
+//     2·len(slots)-1 calls are made one by one.
+func (s *Streamer) Repeat(line uint64, n int64) {
+	if n <= 0 || !s.cfg.Enabled() {
+		return
+	}
+	for i := range s.slots {
+		sl := &s.slots[i]
+		if !sl.valid {
+			continue
+		}
+		switch {
+		case sl.dir != 0 && line == sl.lastLine:
+			s.clock += n
+			s.observed += n
+			sl.lastUse = s.clock
+			return
+		case sl.dir != 0 && line == next(sl.lastLine, sl.dir),
+			sl.dir == 0 && (line == sl.lastLine+1 || line == sl.lastLine-1):
+			panic("prefetch: Repeat of a line Observe was not just given")
+		}
+	}
+	size := int64(len(s.slots))
+	literal, turns := n, int64(0)
+	if n > size {
+		literal = size + (n-size)%size
+		turns = (n - size) / size
+	}
+	for ; literal > 0; literal-- {
+		s.Observe(line)
+	}
+	if add := turns * size; add > 0 {
+		s.clock += add
+		s.observed += add
+		for i := range s.slots {
+			s.slots[i].lastUse += add
+		}
+	}
+}
+
 // run emits up to Degree prefetches extending the stream to Depth lines
 // ahead of its head.
 func (s *Streamer) run(sl *stream) []uint64 {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -99,5 +100,49 @@ func TestOnSampleStreams(t *testing.T) {
 		if live[i] != s.End {
 			t.Errorf("sample %d: streamed End %d, result End %d", i, live[i], s.End)
 		}
+	}
+}
+
+// TestGoldenCancelMidPark cancels a run while cores sleep on parked
+// accesses: the partial result must replay every retry skipped up to the
+// cancellation, exactly as the per-cycle loop counted them. The context
+// is cancelled from the sample hook, so both loops see it at the same
+// poll (every 1024 memory cycles) and stop on the same cycle.
+func TestGoldenCancelMidPark(t *testing.T) {
+	cfg, mk := starvedConfig()
+	cfg.MaxMemCycles = 1 << 40
+	cfg.SampleInterval = 1_500
+	run := func(slow bool) (*Result, *System) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		c := cfg
+		c.OnSample = func(s stacks.Sample) {
+			if s.End >= 3_000 {
+				cancel()
+			}
+		}
+		sys, err := NewFromConfig(c, mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.slow = slow
+		res := sys.RunContext(ctx)
+		res.Cfg.OnSample = nil
+		return res, sys
+	}
+	fast, sys := run(false)
+	slow, _ := run(true)
+	if !fast.Cancelled || fast.MemCycles != 3_072 {
+		t.Fatalf("cancelled = %v after %d cycles, want the poll at 3072", fast.Cancelled, fast.MemCycles)
+	}
+	if !reflect.DeepEqual(fast, slow) {
+		t.Errorf("cancelled results differ:\n fast: %+v\n slow: %+v", fast.HierStats, slow.HierStats)
+	}
+	ss := sys.SleepStats()
+	if ss.Parks <= ss.Wakes {
+		t.Errorf("the run was not cancelled mid-park: %+v", ss)
+	}
+	if ss.ParkedCycles+ss.Retries != fast.HierStats.Retries {
+		t.Errorf("%d parked + %d literal retries, hierarchy counted %d", ss.ParkedCycles, ss.Retries, fast.HierStats.Retries)
 	}
 }

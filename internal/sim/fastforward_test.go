@@ -12,13 +12,15 @@ import (
 
 // goldenCompare runs the same configuration through the fast-forwarding
 // loop and the reference per-cycle loop and requires byte-identical
-// results: every stack, sample, histogram and statistic. mk must return a
-// fresh, identical source set on each call.
-func goldenCompare(t *testing.T, name string, cfg Config, mk func() []cpu.Source) {
+// results: every stack, sample, histogram and statistic, including the
+// private cache levels' counters, which Result does not carry. mk must
+// return a fresh, identical source set on each call. It returns what the
+// fast loop's cores slept through, so a suite can tell it was not vacuous.
+func goldenCompare(t *testing.T, name string, cfg Config, mk func() []cpu.Source) cpu.SleepStats {
 	t.Helper()
 
 	var fastSamples, slowSamples []stacks.Sample
-	run := func(slow bool, sink *[]stacks.Sample) *Result {
+	run := func(slow bool, sink *[]stacks.Sample) (*Result, *System) {
 		c := cfg
 		if c.OnSample != nil {
 			c.OnSample = func(s stacks.Sample) { *sink = append(*sink, s) }
@@ -32,17 +34,35 @@ func goldenCompare(t *testing.T, name string, cfg Config, mk func() []cpu.Source
 		// Function fields never compare equal; everything else must.
 		res.Cfg.OnSample = nil
 		res.Cfg.Trace = nil
-		return res
+		return res, sys
 	}
-	fast := run(false, &fastSamples)
-	slow := run(true, &slowSamples)
+	fast, fastSys := run(false, &fastSamples)
+	slow, slowSys := run(true, &slowSamples)
 
 	if !reflect.DeepEqual(fastSamples, slowSamples) {
 		t.Errorf("%s: published sample streams differ (fast %d, slow %d)",
 			name, len(fastSamples), len(slowSamples))
 	}
+	fh, sh := fastSys.Hierarchy(), slowSys.Hierarchy()
+	for c := 0; c < cfg.Cores; c++ {
+		if fh.L1Stats(c) != sh.L1Stats(c) || fh.L2Stats(c) != sh.L2Stats(c) {
+			t.Errorf("%s: core %d private cache stats differ:\n fast: %+v %+v\n slow: %+v %+v",
+				name, c, fh.L1Stats(c), fh.L2Stats(c), sh.L1Stats(c), sh.L2Stats(c))
+		}
+	}
+	// Every refused access is either made by an awake core or skipped by
+	// a parked one, in both loops (the reference loop never parks).
+	sleep := fastSys.SleepStats()
+	if sleep.ParkedCycles+sleep.Retries != fast.HierStats.Retries {
+		t.Errorf("%s: %d parked + %d literal retries, hierarchy counted %d",
+			name, sleep.ParkedCycles, sleep.Retries, fast.HierStats.Retries)
+	}
+	if ss := slowSys.SleepStats(); ss.ParkedCycles != 0 || ss.Retries != slow.HierStats.Retries {
+		t.Errorf("%s: reference loop: %d parked, %d literal retries, hierarchy counted %d",
+			name, ss.ParkedCycles, ss.Retries, slow.HierStats.Retries)
+	}
 	if reflect.DeepEqual(fast, slow) {
-		return
+		return sleep
 	}
 	ft, fv, sv := reflect.TypeOf(*fast), reflect.ValueOf(*fast), reflect.ValueOf(*slow)
 	for i := 0; i < ft.NumField(); i++ {
@@ -51,6 +71,7 @@ func goldenCompare(t *testing.T, name string, cfg Config, mk func() []cpu.Source
 				name, ft.Field(i).Name, fv.Field(i).Interface(), sv.Field(i).Interface())
 		}
 	}
+	return sleep
 }
 
 // cacheResident returns sources whose footprint fits in the caches: after

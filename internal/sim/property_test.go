@@ -9,6 +9,7 @@ import (
 	"dramstacks/internal/cpu"
 	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/memctrl"
+	"dramstacks/internal/prefetch"
 	"dramstacks/internal/qos"
 	"dramstacks/internal/stacks"
 	"dramstacks/internal/workload"
@@ -30,6 +31,8 @@ type randSpec struct {
 	branch    int
 	mispred   float64
 	ops       int64 // >0: finite workload, run to completion
+	storeFrac float64
+	shared    bool // every core walks the same addresses
 }
 
 // drawSpec samples one spec from the cross product the issue names —
@@ -128,6 +131,10 @@ func drawSpec(rng *rand.Rand, i int) randSpec {
 func (sp randSpec) sources() []cpu.Source {
 	var out []cpu.Source
 	for c := 0; c < sp.cores; c++ {
+		base := uint64(c) * (256 << 20)
+		if sp.shared {
+			base = 0
+		}
 		out = append(out, workload.MustSynthetic(workload.SyntheticConfig{
 			Pattern:        sp.pattern,
 			WorkPerOp:      sp.workPerOp,
@@ -137,7 +144,8 @@ func (sp randSpec) sources() []cpu.Source {
 			BranchEvery:    sp.branch,
 			MispredictRate: sp.mispred,
 			Ops:            sp.ops,
-			BaseAddr:       uint64(c) * (256 << 20),
+			StoreFrac:      sp.storeFrac,
+			BaseAddr:       base,
 			Seed:           sp.seed + int64(c),
 		}))
 	}
@@ -164,6 +172,11 @@ func TestGoldenRandomizedSpecs(t *testing.T) {
 	}
 }
 
+// hostileIntervals are primes well below MaxMemCycles: cuts land inside
+// idle skips, controller replay spans and core sleeps rather than on
+// their edges.
+var hostileIntervals = []int64{61, 127, 251, 509, 1021, 2039}
+
 // drawHostileSpec samples configurations built to break the batching
 // fast paths at their seams: op budgets that end a stream mid-batch or
 // leave a 1-instruction tail, branch cadences coprime to the batch
@@ -173,10 +186,6 @@ func drawHostileSpec(rng *rand.Rand, i int) randSpec {
 	// Around the 64-instruction batch: exact multiples, one-off
 	// stragglers, and streams shorter than a single batch.
 	hostileOps := []int64{1, 2, 63, 64, 65, 127, 128, 129, 191, 257, 321, 1025}
-	// Primes (and near-primes) well below MaxMemCycles: cuts land inside
-	// idle skips and controller replay spans rather than on their edges.
-	hostileIntervals := []int64{61, 127, 251, 509, 1021, 2039}
-
 	sp := randSpec{
 		seed:      rng.Int63n(1 << 30),
 		cores:     1 + rng.Intn(3),
@@ -236,6 +245,157 @@ func TestGoldenBatchHostileSpecs(t *testing.T) {
 		t.Run(sp.name, func(t *testing.T) {
 			goldenCompare(t, sp.name, sp.cfg, sp.sources)
 		})
+	}
+}
+
+// drawStarvedSpec samples the corner where cores sleep on refused
+// accesses (cpu.Core.TrySleep, cache.Hierarchy.Park): an MSHR file small
+// enough that most accesses are refused, on either limit; stores, so
+// RFOs, dirty evictions and the writeback backlog pass through parked
+// cores; caches small enough that lines move between levels while cores
+// sleep; and footprints the cores share, so one core's miss or dirty
+// victim lands on the line another is parked on. Budgets, prime sample
+// intervals and warm-up boundaries fall wherever they fall — with cores
+// parked most of the time, mostly mid-park.
+func drawStarvedSpec(rng *rand.Rand, i int) randSpec {
+	names := standard.Names()
+	stdName := names[rng.Intn(len(names))]
+	std := standard.MustLookup(stdName)
+
+	sp := randSpec{
+		seed:      rng.Int63n(1 << 30),
+		cores:     2 + rng.Intn(3),
+		pattern:   workload.Sequential,
+		footprint: []int{1 << 15, 1 << 18, 1 << 26}[rng.Intn(3)],
+		workPerOp: rng.Intn(13),
+		storeFrac: []float64{0, 0.2, 0.5}[rng.Intn(3)],
+		shared:    rng.Intn(3) != 0,
+	}
+	if rng.Intn(2) == 0 {
+		sp.pattern = workload.Random
+		sp.chains = 1 + rng.Intn(8)
+	}
+
+	cfg := DefaultFor(std, sp.cores)
+	cfg.Hier.PerCoreMSHRs = 1 + rng.Intn(4)
+	cfg.Hier.MSHRs = 2 + rng.Intn(7)
+	if all := sp.cores * cfg.Hier.PerCoreMSHRs; rng.Intn(2) == 0 && all > 2 {
+		cfg.Hier.MSHRs = 2 + rng.Intn(all-2) // below cores × per-core: the shared limit binds
+	}
+	if rng.Intn(2) == 0 {
+		// An LLC no larger than one private L2, under a footprint a few
+		// times that: most lines a core holds, dirty ones included, are in
+		// no other cache, so victims keep landing in the LLC.
+		cfg.Hier.L1.SizeBytes, cfg.Hier.L1.Ways = 1<<10, 2
+		cfg.Hier.L2.SizeBytes, cfg.Hier.L2.Ways = 4<<10, 4
+		cfg.Hier.LLC.SizeBytes, cfg.Hier.LLC.Ways = 4<<10, 4
+		sp.footprint = []int{1 << 13, 1 << 14, 1 << 15}[rng.Intn(3)]
+	}
+	if rng.Intn(3) == 0 {
+		cfg.Hier.Prefetch = prefetch.Config{}
+	}
+	if rng.Intn(2) == 0 {
+		cfg.Ctrl.Policy = memctrl.ClosedPage
+	}
+	if rng.Intn(4) == 0 {
+		// A read queue shorter than the MSHR file: the memory port refuses
+		// too, and those accesses must keep their per-cycle retry.
+		cfg.Ctrl.ReadQueueCap = 1 + rng.Intn(2)
+	}
+	cfg.MaxMemCycles = 5_000 + rng.Int63n(8_000)
+	if rng.Intn(2) == 0 {
+		cfg.SampleInterval = hostileIntervals[rng.Intn(len(hostileIntervals))]
+		if rng.Intn(2) == 0 {
+			cfg.OnSample = func(stacks.Sample) {} // replaced per run by goldenCompare
+		}
+	}
+	if rng.Intn(3) == 0 {
+		cfg.WarmupMemCycles = cfg.MaxMemCycles / int64(2+rng.Intn(3))
+	}
+	if rng.Intn(4) == 0 {
+		cfg.PrewarmOps = 1 << 10
+	}
+	if rng.Intn(4) == 0 {
+		sp.ops = 200 + rng.Int63n(800)
+		cfg.MaxMemCycles = 0
+	}
+	sp.cfg = cfg
+	sp.name = fmt.Sprintf("starved-%03d-%s-%dc-%s-st%v-mshr%d.%d", i, stdName, sp.cores,
+		sp.pattern, sp.storeFrac, cfg.Hier.PerCoreMSHRs, cfg.Hier.MSHRs)
+	if sp.shared {
+		sp.name += "-shared"
+	}
+	return sp
+}
+
+// TestGoldenParkedRetries points the two-loop oracle at parked retries:
+// the reference loop re-presents every refused access every cycle, the
+// event-wheel loop sleeps through them and replays them in closed form
+// when the hierarchy wakes the core, and every Result field, private
+// cache counter and sample stream must still be identical. The suite
+// must also actually park, wake and re-park, or it proves nothing. The
+// CI race job runs this under -race via the Golden pattern.
+func TestGoldenParkedRetries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("parked-retry golden specs skipped in -short")
+	}
+	rng := rand.New(rand.NewSource(0x9a12ced))
+	var total cpu.SleepStats
+	for i := 0; i < 120; i++ {
+		sp := drawStarvedSpec(rng, i)
+		t.Run(sp.name, func(t *testing.T) {
+			total.Add(goldenCompare(t, sp.name, sp.cfg, sp.sources))
+		})
+	}
+	t.Logf("suite total: %+v", total)
+	if total.ParkedCycles < 4*total.Retries || total.SpuriousWakes == 0 || total.StallCycles == 0 {
+		t.Errorf("the suite barely exercises parking: %+v", total)
+	}
+}
+
+// starvedConfig is one machine on which cores are parked nearly all the
+// time: two MSHRs each, three shared by three cores, every access a miss.
+func starvedConfig() (Config, func() []cpu.Source) {
+	cfg := Default(3)
+	cfg.Hier.PerCoreMSHRs = 2
+	cfg.Hier.MSHRs = 3
+	mk := func() []cpu.Source { return SyntheticSources(workload.Random, 3, 0.2) }
+	return cfg, mk
+}
+
+// TestGoldenParkCuts cuts a run where parking is most exposed: a prime
+// sample interval and a warm-up boundary that land while cores are parked
+// (each cut must replay the retries skipped so far without ending the
+// sleep), and a cycle budget that runs out mid-park. Both loops must
+// agree, and the cuts must really have fallen mid-park.
+func TestGoldenParkCuts(t *testing.T) {
+	cfg, mk := starvedConfig()
+	cfg.MaxMemCycles = 9_001
+	cfg.WarmupMemCycles = 2_003
+	cfg.SampleInterval = 61
+	cfg.OnSample = func(stacks.Sample) {} // replaced per run by goldenCompare
+	end := goldenCompare(t, "park cuts", cfg, mk)
+	if end.Parks <= end.Wakes {
+		t.Errorf("the budget did not end mid-park: %+v", end)
+	}
+
+	// The same run again, asking at every cut whether a core was parked.
+	var sys *System
+	cuts, midPark := 0, 0
+	cfg.OnSample = func(stacks.Sample) {
+		cuts++
+		if ss := sys.SleepStats(); ss.Parks > ss.Wakes {
+			midPark++
+		}
+	}
+	sys, err := NewFromConfig(cfg, mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.slow = false // also when the reference loop is the build's default
+	sys.Run()
+	if midPark < cuts/2 {
+		t.Errorf("%d of %d sample cuts fell mid-park, want most", midPark, cuts)
 	}
 }
 

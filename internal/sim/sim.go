@@ -404,6 +404,20 @@ func (s *System) Controller() *memctrl.Controller { return s.ctrls[0] }
 // Hierarchy exposes the cache hierarchy.
 func (s *System) Hierarchy() *cache.Hierarchy { return s.hier }
 
+// SleepStats says how much of the run so far the cores slept through
+// instead of being ticked, summed over cores: DRAM stalls, retries of
+// accesses parked on a full MSHR file, and how precisely the hierarchy
+// woke them. It is a diagnostic of the simulator and deliberately not
+// part of Result: nothing hashed or encoded depends on it.
+func (s *System) SleepStats() cpu.SleepStats {
+	s.syncSleepers()
+	var t cpu.SleepStats
+	for _, c := range s.cores {
+		t.Add(c.SleepStats())
+	}
+	return t
+}
+
 // Run simulates until the cycle budget is exhausted or every core's
 // stream has committed and the memory system has drained.
 func (s *System) Run() *Result { return s.RunContext(context.Background()) }
@@ -451,10 +465,9 @@ simLoop:
 			for c := 0; c < s.cfg.CPUMult; c++ {
 				cpuNow := m*int64(s.cfg.CPUMult) + int64(c)
 				for _, core := range s.cores {
-					// A core sleeping through a DRAM stall is not ticked;
-					// when a memory completion has arrived for it, the
-					// skipped stall cycles are replayed in closed form and
-					// it resumes here.
+					// A sleeping core is not ticked; once a completion or
+					// the hierarchy has marked it, the skipped cycles are
+					// replayed in closed form and it resumes here.
 					if core.Asleep() {
 						if !core.NeedsWake() {
 							continue
