@@ -24,11 +24,13 @@ test-short:
 
 # Short race pass over everything, plus the full fast-forward
 # equivalence tests — and the parked-retry oracles beneath them — so the
-# sim hot loop is race-checked end to end.
+# sim hot loop is race-checked end to end, and the warm differentials:
+# the sharded LLC replay has several goroutines write one slot array.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 -run 'Golden|FastForward' ./internal/sim/
 	$(GO) test -race -count=1 -run 'Repeat|Park' ./internal/prefetch/ ./internal/cache/ ./internal/cpu/
+	$(GO) test -race -count=1 -run 'Warm|Prewarm' ./internal/cache/ ./internal/sim/
 
 cover:
 	$(GO) test -cover ./internal/...

@@ -25,7 +25,8 @@ type Config struct {
 	SizeBytes int
 	// Ways is the set associativity.
 	Ways int
-	// LineBytes is the cache line size (64 in the paper).
+	// LineBytes is the cache line size (64 in the paper), a power of
+	// two of at least 2.
 	LineBytes int
 	// Latency is the load-to-use latency of a hit at this level, in CPU
 	// cycles, measured from the core (absolute, not additive).
@@ -38,6 +39,10 @@ func (c Config) Validate() error {
 	case c.SizeBytes <= 0 || c.Ways <= 0 || c.LineBytes <= 0:
 		return fmt.Errorf("cache %s: size/ways/line must be positive, got %d/%d/%d",
 			c.Name, c.SizeBytes, c.Ways, c.LineBytes)
+	case c.LineBytes < 2 || c.LineBytes&(c.LineBytes-1) != 0:
+		// Line addresses are formed by masking, and bit 0 of one is the
+		// dirty flag of a warm writeback (LLCOp).
+		return fmt.Errorf("cache %s: line size %d not a power of two of at least 2", c.Name, c.LineBytes)
 	case c.Latency < 1:
 		return fmt.Errorf("cache %s: latency must be at least 1, got %d", c.Name, c.Latency)
 	case c.SizeBytes%(c.Ways*c.LineBytes) != 0:
@@ -101,6 +106,7 @@ type Cache struct {
 	slots    []slot // sets × ways, flattened
 	setShift uint
 	setMask  uint64
+	wayKey   uint64 // power of two >= Ways: a warmStamp victim key is meta*wayKey + way
 	clock    int64
 	stats    LevelStats
 }
@@ -117,6 +123,7 @@ func New(cfg Config) *Cache {
 		slots:    make([]slot, sets*cfg.Ways),
 		setShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setMask:  uint64(sets - 1),
+		wayKey:   1 << bits.Len(uint(cfg.Ways-1)),
 	}
 }
 
@@ -227,7 +234,10 @@ func (c *Cache) Insert(addr uint64, dirty, prefetched bool) (Eviction, bool) {
 			return Eviction{}, false
 		}
 	}
-	// Same victim rule as warmAccess: see the invariant note there.
+	// First minimum of meta: an empty way is all zero and a valid way's
+	// metadata is at least 1<<metaUsedShift (the clock is incremented
+	// before every install), so empty ways sort first, lowest index
+	// first, without a validity branch. warmStamp picks the same way.
 	victim, min := 0, set[0].meta
 	for i := 1; i < len(set); i++ {
 		if m := set[i].meta; m < min {
@@ -256,54 +266,60 @@ func (c *Cache) Insert(addr uint64, dirty, prefetched bool) (Eviction, bool) {
 	return ev, had
 }
 
-// warmAccess is the functional-warm fast path: one set scan that either
-// refreshes a present line (exactly Touch's hit effects) or installs it
-// (exactly Insert's miss effects, eviction statistics included, with
-// dirty=write and prefetched=false). It compresses warm's Touch-miss +
-// Insert pairs into a single pass; the only internal difference is one
-// clock increment where the pair made two, which preserves every
-// recency ordering the LRU victim search can observe.
-func (c *Cache) warmAccess(addr uint64, write bool) (ev Eviction, evicted, hit bool) {
+// warmAccess is one functional-warm access: a present line is refreshed
+// (Touch's hit effects), an absent one installed over the LRU victim
+// (Insert's miss effects, eviction statistics included, with dirty=write
+// and prefetched=false). Only a dirty eviction matters to warming: wb is
+// then the evicted line's address with bit 0 set, a dirty LLCOp, and
+// otherwise 0. The clock ticks exactly once, hit or miss; WarmLLC derives
+// every stamp of a batch from that.
+func (c *Cache) warmAccess(addr uint64, write bool) (wb uint64, hit bool) {
+	c.clock++
+	return c.warmStamp(addr, write, c.clock, &c.stats)
+}
+
+// warmStamp is warmAccess with the recency stamp and the statistics
+// target supplied by the caller; it reads and writes addr's set only.
+//
+// One pass over the set compares tags, leaving early on a hit, and folds
+// each way's key meta*wayKey + way into a running minimum without a
+// data-dependent branch: on random streams the victim is unpredictable,
+// and Go compiles both `if k < best` and min() in this loop to a branch.
+// Two alternating accumulators halve the dependency chain. Valid ways
+// carry distinct used stamps and an empty way is all zero, so the minimum
+// key names the way a strict-< first-minimum scan of meta (Insert's)
+// picks: the least recently used, or while any is empty the lowest-index
+// empty one.
+func (c *Cache) warmStamp(addr uint64, write bool, stamp int64, st *LevelStats) (wb uint64, hit bool) {
 	set := c.set(addr)
 	enc := c.tag(addr)<<1 | tagValid
-	for i := range set {
-		if set[i].enc == enc {
-			c.clock++
-			nm := uint64(c.clock)<<metaUsedShift | set[i].meta&(metaDirty|metaPrefetched)
-			if write {
-				nm |= metaDirty
-			}
-			set[i].meta = nm
-			return Eviction{}, false, true
-		}
-	}
-	// Unconditional min-meta victim scan: an invalid slot's metadata is
-	// zero and a valid way's is at least 1<<metaUsedShift (the clock is
-	// pre-incremented before every install), so invalid ways sort first
-	// without a validity branch. Which of several invalid ways receives
-	// the line is unobservable — probes are position-independent and
-	// recency lives in the metadata, not the slot index.
-	victim, min := 0, set[0].meta
-	for i := 1; i < len(set); i++ {
-		if m := set[i].meta; m < min {
-			victim, min = i, m
-		}
-	}
-	c.clock++
-	if v := set[victim]; v.enc&tagValid != 0 {
-		c.stats.Evictions++
-		evicted = true
-		ev = Eviction{Addr: v.enc >> 1 << c.setShift, Dirty: v.meta&metaDirty != 0}
-		if v.meta&metaDirty != 0 {
-			c.stats.DirtyEvictions++
-		}
-	}
-	nm := uint64(c.clock) << metaUsedShift
+	nm := uint64(stamp) << metaUsedShift
 	if write {
 		nm |= metaDirty
 	}
-	set[victim] = slot{enc: enc, meta: nm}
-	return ev, evicted, false
+	key := c.wayKey
+	best, other := ^uint64(0), ^uint64(0)
+	for i := range set {
+		s := set[i]
+		if s.enc == enc {
+			set[i].meta = nm | s.meta&(metaDirty|metaPrefetched)
+			return 0, true
+		}
+		// lt is 1 exactly when the key is below other, which then takes it.
+		d, lt := bits.Sub64(s.meta*key+uint64(i), other, 0)
+		best, other = other+d&-lt, best
+	}
+	d, lt := bits.Sub64(other, best, 0)
+	v := &set[(best+d&-lt)&(key-1)]
+	if v.enc&tagValid != 0 {
+		st.Evictions++
+		if v.meta&metaDirty != 0 {
+			st.DirtyEvictions++
+			wb = v.enc>>1<<c.setShift | 1
+		}
+	}
+	*v = slot{enc: enc, meta: nm}
+	return wb, false
 }
 
 // Invalidate removes the line containing addr, reporting whether it was

@@ -17,6 +17,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.SizeBytes = 0 },
 		func(c *Config) { c.Ways = 0 },
 		func(c *Config) { c.LineBytes = 0 },
+		func(c *Config) { c.LineBytes, c.SizeBytes = 1, 16 },   // no bit for LLCOp's dirty flag
+		func(c *Config) { c.LineBytes, c.SizeBytes = 48, 768 }, // not a power of two
 		func(c *Config) { c.Latency = 0 },
 		func(c *Config) { c.SizeBytes = 1000 },       // not divisible
 		func(c *Config) { c.SizeBytes = 64 * 2 * 3 }, // 3 sets

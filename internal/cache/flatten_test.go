@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -187,8 +188,8 @@ func compareHier(t *testing.T, step int, flat, ref *Hierarchy) {
 	}
 }
 
-// warmRef is the composed Touch/Insert warm walk the fused Warm
-// replaces (the pair-per-level form it had before warmAccess).
+// warmRef is the composed Touch/Insert warm walk, one probe and one
+// install scan per level: the reference the fused Warm is held to.
 func warmRef(h *Hierarchy, core int, addr uint64, write bool) {
 	line := addr & h.lineMask
 	if h.l1[core].Touch(line, write) {
@@ -213,78 +214,125 @@ func warmRef(h *Hierarchy, core int, addr uint64, write bool) {
 	}
 }
 
+// sameLayout requires two caches to hold the same line with the same
+// flags in every way of every set, and the ways of each set in the same
+// recency order. The stamps themselves may differ: warmRef ticks the
+// clock twice for an install.
+func sameLayout(t *testing.T, what string, got, want *Cache) {
+	t.Helper()
+	const flags = metaDirty | metaPrefetched
+	ways := got.cfg.Ways
+	for i := range want.slots {
+		g, w := got.slots[i], want.slots[i]
+		if g.enc != w.enc || g.meta&flags != w.meta&flags {
+			t.Fatalf("%s set %d way %d: slot %#x/%#x, reference %#x/%#x",
+				what, i/ways, i%ways, g.enc, g.meta&flags, w.enc, w.meta&flags)
+		}
+		for j := i - i%ways; j < i; j++ {
+			if (g.meta < got.slots[j].meta) != (w.meta < want.slots[j].meta) {
+				t.Fatalf("%s set %d: ways %d and %d in the other recency order", what, i/ways, j, i%ways)
+			}
+		}
+	}
+}
+
 // TestWarmMatchesReference drives the fused Warm and the composed
 // reference walk with an identical randomized stream — dirty-eviction
-// cascades included — then requires identical cache content, dirtiness
-// and eviction statistics, and identical behavior of a demand-access
-// phase over the warmed state (which is sensitive to LRU order).
+// cascades included, and invalidations so that sets have holes — over
+// associativities with odd tails and way indexes wider than five bits.
+// It requires the same line in the same way of every set (an install
+// lands in the lowest-index empty way, else on the LRU one), the same
+// eviction statistics, and identical behavior of a demand-access phase
+// over the warmed state.
 func TestWarmMatchesReference(t *testing.T) {
-	const cores = 2
-	cfg := HierConfig{
-		Cores:        cores,
-		L1:           Config{Name: "L1", SizeBytes: 1 << 10, Ways: 2, LineBytes: 64, Latency: 4},
-		L2:           Config{Name: "L2", SizeBytes: 4 << 10, Ways: 4, LineBytes: 64, Latency: 14},
-		LLC:          Config{Name: "LLC", SizeBytes: 16 << 10, Ways: 4, LineBytes: 64, Latency: 44},
-		MSHRs:        8,
-		PerCoreMSHRs: 4,
-	}
-	memA := &flakyMem{rng: rand.New(rand.NewSource(9))}
-	memB := &flakyMem{rng: rand.New(rand.NewSource(9))}
-	fused := MustNewHierarchy(cfg, memA)
-	ref := MustNewHierarchy(cfg, memB)
+	for _, ways := range []int{1, 2, 3, 8, 11, 16, 32, 64} {
+		t.Run(fmt.Sprintf("%d-way", ways), func(t *testing.T) {
+			const cores = 2
+			cfg := HierConfig{
+				Cores:        cores,
+				L1:           Config{Name: "L1", SizeBytes: 4 * ways * 64, Ways: ways, LineBytes: 64, Latency: 4},
+				L2:           Config{Name: "L2", SizeBytes: 8 * ways * 64, Ways: ways, LineBytes: 64, Latency: 14},
+				LLC:          Config{Name: "LLC", SizeBytes: 32 * ways * 64, Ways: ways, LineBytes: 64, Latency: 44},
+				MSHRs:        8,
+				PerCoreMSHRs: 4,
+			}
+			memA := &flakyMem{rng: rand.New(rand.NewSource(9))}
+			memB := &flakyMem{rng: rand.New(rand.NewSource(9))}
+			fused := MustNewHierarchy(cfg, memA)
+			ref := MustNewHierarchy(cfg, memB)
+			levels := func(h *Hierarchy) []*Cache { return append(append([]*Cache{h.llc}, h.l1...), h.l2...) }
+			fusedLv, refLv := levels(fused), levels(ref)
 
-	drive := rand.New(rand.NewSource(0x9a12))
-	for step := 0; step < 30_000; step++ {
-		core := drive.Intn(cores)
-		line := uint64(drive.Intn(600)) * 64
-		write := drive.Intn(3) == 0 // plenty of dirty lines → cascades
-		fused.Warm(core, line, write)
-		warmRef(ref, core, line, write)
-	}
-	compareHier(t, 0, fused, ref)
-	for c := 0; c < cores; c++ {
-		for line := uint64(0); line < 600*64; line += 64 {
-			if fused.l1[c].Contains(line) != ref.l1[c].Contains(line) {
-				t.Fatalf("core %d line %#x: L1 presence diverged", c, line)
+			drive := rand.New(rand.NewSource(0x9a12))
+			pool := 80 * ways // lines: 2.5 LLCs
+			for step := 0; step < 30_000+400*ways; step++ {
+				core := drive.Intn(cores)
+				line := uint64(drive.Intn(pool)) * 64
+				write := drive.Intn(3) == 0 // plenty of dirty lines → cascades
+				fused.Warm(core, line, write)
+				warmRef(ref, core, line, write)
+				if step%5 == 0 {
+					// Punch a hole, in a burst now and then so that sets
+					// have several at once.
+					for n := 1 + step%25/20*ways; n > 0; n-- {
+						lv, gone := drive.Intn(len(refLv)), uint64(drive.Intn(pool))*64
+						fusedLv[lv].Invalidate(gone)
+						refLv[lv].Invalidate(gone)
+					}
+				}
 			}
-			if fused.l2[c].Contains(line) != ref.l2[c].Contains(line) {
-				t.Fatalf("core %d line %#x: L2 presence diverged", c, line)
+			compareHier(t, 0, fused, ref)
+			for i, c := range fusedLv {
+				sameLayout(t, fmt.Sprintf("level %d", i), c, refLv[i])
 			}
+			// A demand phase over the warmed state exposes any LRU-order or
+			// dirtiness divergence once more, through what a run observes.
+			for step := 0; step < 20_000; step++ {
+				now := int64(step)
+				core := drive.Intn(cores)
+				line := uint64(drive.Intn(pool)) * 64
+				write := drive.Intn(4) == 0
+				oA := fused.Access(now, core, line, write, nil)
+				oB := accessRef(ref, now, core, line, write, nil)
+				if oA != oB {
+					t.Fatalf("demand step %d: outcome mismatch: fused %+v ref %+v", step, oA, oB)
+				}
+				fused.Tick(now)
+				ref.Tick(now)
+				if drive.Intn(3) == 0 {
+					memA.deliverOldest(now)
+					memB.deliverOldest(now)
+				}
+			}
+			compareHier(t, -1, fused, ref)
+		})
+	}
+}
+
+// sameState requires two caches to be identical: every slot word, the
+// clock and the statistics.
+func sameState(t *testing.T, what string, got, want *Cache) {
+	t.Helper()
+	if got.clock != want.clock {
+		t.Fatalf("%s: clock %d, want %d", what, got.clock, want.clock)
+	}
+	if got.stats != want.stats {
+		t.Fatalf("%s: stats %+v, want %+v", what, got.stats, want.stats)
+	}
+	for i := range want.slots {
+		if got.slots[i] != want.slots[i] {
+			t.Fatalf("%s set %d way %d: slot %#x, want %#x",
+				what, i/want.cfg.Ways, i%want.cfg.Ways, got.slots[i], want.slots[i])
 		}
 	}
-	for line := uint64(0); line < 600*64; line += 64 {
-		if fused.llc.Contains(line) != ref.llc.Contains(line) {
-			t.Fatalf("line %#x: LLC presence diverged", line)
-		}
-	}
-	// A demand phase over the warmed state exposes any LRU-order or
-	// dirtiness divergence the presence check can't see.
-	for step := 0; step < 20_000; step++ {
-		now := int64(step)
-		core := drive.Intn(cores)
-		line := uint64(drive.Intn(600)) * 64
-		write := drive.Intn(4) == 0
-		oA := fused.Access(now, core, line, write, nil)
-		oB := accessRef(ref, now, core, line, write, nil)
-		if oA != oB {
-			t.Fatalf("demand step %d: outcome mismatch: fused %+v ref %+v", step, oA, oB)
-		}
-		fused.Tick(now)
-		ref.Tick(now)
-		if drive.Intn(3) == 0 {
-			memA.deliverOldest(now)
-			memB.deliverOldest(now)
-		}
-	}
-	compareHier(t, -1, fused, ref)
 }
 
 // TestWarmPrivateMatchesWarm drives two hierarchies with the same
 // round-robin warm stream: one through Warm directly, the other through
-// the recorded form — WarmPrivate per item with the LLC operations
-// replayed in the same global order via WarmLLC, the decomposition the
-// concurrent prewarm path uses. State must match exactly, including
-// dirty-writeback cascades and eviction statistics.
+// the recorded form — WarmPrivate per item, then the rounds' LLC
+// operations replayed in the same global order by one WarmLLC, the
+// decomposition the concurrent prewarm path uses. Every level must end
+// in the identical state: slots, clock, statistics.
 func TestWarmPrivateMatchesWarm(t *testing.T) {
 	const cores = 3
 	cfg := HierConfig{
@@ -299,46 +347,23 @@ func TestWarmPrivateMatchesWarm(t *testing.T) {
 	recorded := MustNewHierarchy(cfg, &flakyMem{rng: rand.New(rand.NewSource(9))})
 	drive := rand.New(rand.NewSource(41))
 
-	type item struct {
-		core  int
-		addr  uint64
-		write bool
-	}
 	var ops []LLCOp
 	for round := 0; round < 12_000; round++ {
 		// One item per core per round, like prewarm's round-robin.
-		items := make([]item, cores)
-		for c := range items {
-			items[c] = item{c, uint64(drive.Intn(500)) * 64, drive.Intn(3) == 0}
+		for c := 0; c < cores; c++ {
+			addr, write := uint64(drive.Intn(500))*64, drive.Intn(3) == 0
+			direct.Warm(c, addr, write)
+			ops = recorded.WarmPrivate(c, addr, write, ops)
 		}
-		for _, it := range items {
-			direct.Warm(it.core, it.addr, it.write)
-		}
-		// Recorded form: private phases first (per core), LLC replay in
-		// the same (item, core) order afterwards.
-		ops = ops[:0]
-		for _, it := range items {
-			ops = recorded.WarmPrivate(it.core, it.addr, it.write, ops)
-		}
-		for _, op := range ops {
-			recorded.WarmLLC(op)
-		}
-		if round%4000 == 0 {
-			compareHier(t, round, recorded, direct)
+		// Replay after a varying number of rounds, on 1 to 4 shards.
+		if round%7 == 0 || round == 11_999 {
+			recorded.WarmLLC(ops, 1+round%4)
+			ops = ops[:0]
+			sameState(t, "LLC", recorded.llc, direct.llc)
 		}
 	}
-	compareHier(t, -1, recorded, direct)
-	for line := uint64(0); line < 500*64; line += 64 {
-		for c := 0; c < cores; c++ {
-			if a, b := direct.l1[c].Contains(line), recorded.l1[c].Contains(line); a != b {
-				t.Fatalf("L1[%d] diverges on %#x: direct %v recorded %v", c, line, a, b)
-			}
-			if a, b := direct.l2[c].Contains(line), recorded.l2[c].Contains(line); a != b {
-				t.Fatalf("L2[%d] diverges on %#x: direct %v recorded %v", c, line, a, b)
-			}
-		}
-		if a, b := direct.llc.Contains(line), recorded.llc.Contains(line); a != b {
-			t.Fatalf("LLC diverges on %#x: direct %v recorded %v", line, a, b)
-		}
+	for c := 0; c < cores; c++ {
+		sameState(t, fmt.Sprintf("L1[%d]", c), recorded.l1[c], direct.l1[c])
+		sameState(t, fmt.Sprintf("L2[%d]", c), recorded.l2[c], direct.l2[c])
 	}
 }

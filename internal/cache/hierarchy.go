@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"dramstacks/internal/prefetch"
 )
@@ -255,81 +256,109 @@ func (h *Hierarchy) Tick(now int64) {
 
 // Warm performs a functional (timing-free) access, used to pre-warm the
 // caches into their steady state before measurement begins: lines are
-// installed and recency/dirtiness tracked, but no statistics are counted,
-// no prefetches are trained and dirty LLC evictions are dropped rather
-// than written to memory.
+// installed and recency/dirtiness tracked, no prefetches are trained and
+// dirty LLC evictions are dropped rather than written to memory. Warming
+// is not demand traffic, so Accesses, Hits and Misses stay 0; the lines
+// it pushes out are real evictions of the level's content, so Evictions
+// and DirtyEvictions count them at every level.
 //
-// Each level is driven through warmAccess, which fuses the older
-// Touch-miss + Insert pair into one set scan. The per-level operation
-// sequences are exactly the composed walk's — probe effects on a hit,
-// install effects on a miss, eviction cascade afterwards — only the
-// redundant second scan per level is gone; levels are independent
-// state, so running L1's install before L2's (rather than after, as
-// the pair-wise code did) reorders nothing observable. TestWarm-
-// MatchesReference pins the equivalence.
+// Two invariants carry the warm path: within a set, valid ways have
+// distinct used stamps and an empty way is all zero (the victim choice in
+// warmStamp), and a warm access ticks its level's clock exactly once,
+// hit or miss (the index-derived stamps in WarmLLC).
 func (h *Hierarchy) Warm(core int, addr uint64, write bool) {
 	line := addr & h.lineMask
 	l1, l2 := h.l1[core], h.l2[core]
-	ev1, hadEv1, hit := l1.warmAccess(line, write)
+	wb1, hit := l1.warmAccess(line, write)
 	if hit {
 		return
 	}
-	ev2, hadEv2, hit2 := l2.warmAccess(line, false)
+	wb2, hit2 := l2.warmAccess(line, false)
 	if !hit2 {
 		h.llc.warmAccess(line, false) // LLC eviction dropped: warmup
 	}
-	if hadEv2 && ev2.Dirty {
-		h.llc.warmAccess(ev2.Addr, true)
+	if wb2 != 0 {
+		h.llc.warmAccess(wb2, true)
 	}
-	if hadEv1 && ev1.Dirty {
-		if evB, hadB, hitB := l2.warmAccess(ev1.Addr, true); !hitB && hadB && evB.Dirty {
-			h.llc.warmAccess(evB.Addr, true) // eviction dropped
+	if wb1 != 0 {
+		if wb, _ := l2.warmAccess(wb1, true); wb != 0 {
+			h.llc.warmAccess(wb, true) // eviction dropped
 		}
 	}
 }
 
-// LLCOp is one shared-LLC operation a Warm call performs: a
-// touch-or-install of Line, dirty for eviction writebacks. Recording
-// these lets the private-level part of warming run per core while the
-// shared level is replayed later in the original global order.
-type LLCOp struct {
-	Line  uint64
-	Dirty bool
-}
+// LLCOp is one shared-LLC operation a Warm call performs, a
+// touch-or-install of a line: the line's address, with bit 0 set when
+// the operation is the writeback of a dirty private-level eviction.
+// (Validate keeps lines at least two bytes long; the set and tag shifts
+// drop the bit.) Recording these lets the private-level part of warming
+// run per core while the shared level is replayed later in the original
+// global order.
+type LLCOp uint64
 
 // WarmPrivate performs exactly the private-level (L1/L2) part of
-// Warm(core, addr, write) and appends the LLC operations Warm would
-// have performed — in Warm's order — to ops, which it returns. The
+// Warm(core, addr, write) and appends the LLC operations Warm performs,
+// at most three and in Warm's order, to ops, which it returns. The
 // private levels never observe the LLC, so for a fixed per-core access
 // stream the calls of different cores are independent: WarmPrivate for
 // every core followed by WarmLLC of the recorded operations in Warm's
 // global interleaving is state-identical to the same sequence of Warm
-// calls. Kept in lockstep with Warm above.
+// calls. Kept in lockstep with Warm above, which stays a walk of its own
+// because an L1 hit, all a cache-resident stream does, must cost one call.
 func (h *Hierarchy) WarmPrivate(core int, addr uint64, write bool, ops []LLCOp) []LLCOp {
 	line := addr & h.lineMask
 	l1, l2 := h.l1[core], h.l2[core]
-	ev1, hadEv1, hit := l1.warmAccess(line, write)
+	wb1, hit := l1.warmAccess(line, write)
 	if hit {
 		return ops
 	}
-	ev2, hadEv2, hit2 := l2.warmAccess(line, false)
+	wb2, hit2 := l2.warmAccess(line, false)
 	if !hit2 {
-		ops = append(ops, LLCOp{Line: line})
+		ops = append(ops, LLCOp(line))
 	}
-	if hadEv2 && ev2.Dirty {
-		ops = append(ops, LLCOp{Line: ev2.Addr, Dirty: true})
+	if wb2 != 0 {
+		ops = append(ops, LLCOp(wb2))
 	}
-	if hadEv1 && ev1.Dirty {
-		if evB, hadB, hitB := l2.warmAccess(ev1.Addr, true); !hitB && hadB && evB.Dirty {
-			ops = append(ops, LLCOp{Line: evB.Addr, Dirty: true})
+	if wb1 != 0 {
+		if wb, _ := l2.warmAccess(wb1, true); wb != 0 {
+			ops = append(ops, LLCOp(wb))
 		}
 	}
 	return ops
 }
 
-// WarmLLC replays one recorded LLC operation.
-func (h *Hierarchy) WarmLLC(op LLCOp) {
-	h.llc.warmAccess(op.Line, op.Dirty)
+// WarmLLC replays recorded LLC operations in slice order, split over up
+// to shards goroutines. Operation k of the batch carries stamp clock+k+1
+// whoever applies it, because every warm access ticks the clock once, and
+// operations on different sets commute; so each goroutine owns a
+// contiguous range of sets and applies, in order, the operations that
+// fall in it. The resulting state does not depend on shards.
+func (h *Hierarchy) WarmLLC(ops []LLCOp, shards int) {
+	c := h.llc
+	sets := c.cfg.Sets()
+	stats := make([]LevelStats, max(1, min(shards, sets)))
+	var wg sync.WaitGroup
+	for s := range stats {
+		lo, hi := uint64(s*sets/len(stats)), uint64((s+1)*sets/len(stats))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var st LevelStats // not stats[s]: neighbours would share a host line
+			shift, mask, first := c.setShift, c.setMask, c.clock+1
+			for k, op := range ops {
+				if set := uint64(op) >> shift & mask; lo <= set && set < hi {
+					c.warmStamp(uint64(op), op&1 != 0, first+int64(k), &st)
+				}
+			}
+			stats[s] = st
+		}()
+	}
+	wg.Wait()
+	for _, st := range stats {
+		c.stats.Evictions += st.Evictions
+		c.stats.DirtyEvictions += st.DirtyEvictions
+	}
+	c.clock += int64(len(ops))
 }
 
 // Access performs a demand load (write=false) or a store's

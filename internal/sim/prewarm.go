@@ -28,23 +28,31 @@ type warmFeed struct {
 	quota  int64 // PrewarmOps
 }
 
+// pending returns a batch feed's generated, unconsumed items, generating
+// more when there are none: a full batch, or within a batch of the quota
+// one item. Consuming k of them is f.pos += k. Empty means end of stream.
+func (f *warmFeed) pending() []cpu.Instr {
+	if f.pos >= f.n {
+		f.pos, f.n = 0, 0
+		if f.warmed+warmBatch <= f.quota {
+			f.n = f.bs.NextBatch(f.items)
+		} else if ins, ok := f.src.Next(); ok {
+			f.items[0], f.n = ins, 1
+		}
+	}
+	return f.items[f.pos:f.n]
+}
+
 func (f *warmFeed) next() (cpu.Instr, bool) {
 	if f.bs == nil {
 		return f.src.Next()
 	}
-	if f.pos >= f.n {
-		if f.warmed+warmBatch > f.quota {
-			return f.src.Next()
-		}
-		f.n = f.bs.NextBatch(f.items)
-		f.pos = 0
-		if f.n == 0 {
-			return cpu.Instr{}, false
-		}
+	items := f.pending()
+	if len(items) == 0 {
+		return cpu.Instr{}, false
 	}
-	ins := f.items[f.pos]
 	f.pos++
-	return ins, true
+	return items[0], true
 }
 
 // prewarm consumes the head of each stream functionally so the caches
@@ -119,91 +127,110 @@ func (s *System) prewarm(sources []cpu.Source) {
 }
 
 // warmChunk is the number of items each core advances per parallel
-// warming phase; it bounds the recorded-LLC-operation memory.
+// warming phase; it bounds the recorded-LLC-operation memory. A quarter of
+// it saves 1.5–3 MB a job and costs four times the barrier phases, about
+// 0.1 s of an 8-core set-up (doc/PERF.md, "Prewarm").
 const warmChunk = 1 << 14
 
-// prewarmParallel is prewarm for the all-batch-source case: the
-// private-level warm of every core runs in its own goroutine (disjoint
-// state: the core's caches, feed and RNG), recording the shared-LLC
-// operations each item emits; the LLC stream is then replayed serially
-// in exactly the order the round-robin loop performs it. Because every
-// active source consumes one item per round, an item's global position
-// is (item index, core index) — the replay merges the per-core records
-// by that key, so the final hierarchy state is identical to the serial
-// loop's. Work proceeds in fixed-size chunks to bound record memory;
-// cores remain item-aligned at chunk boundaries because a worker exits
-// a chunk early only when its feed is done for good.
+// warmRecord is what one core's private-level warm of a chunk leaves for
+// the shared level.
+type warmRecord struct {
+	ops  []cache.LLCOp // the LLC operations emitted, in the core's item order
+	cnt  []uint8       // how many of them each item of the chunk emitted (0–3)
+	done bool          // the feed ended or met its quota: no further chunks
+}
+
+// prewarmParallel is prewarm for the all-batch-source case. Each chunk
+// has three phases. Private: every core's L1/L2 warm runs in its own
+// goroutine (disjoint state: the core's caches, feed and RNG) and records
+// the shared-LLC operations each item emits. Merge: because every active
+// source consumes one item per round of the serial loop, an item's global
+// position is (item index, core index), so laying the records out by that
+// key gives the LLC's operation stream in exactly the serial order.
+// Replay: Hierarchy.WarmLLC applies that stream, sharded by set over the
+// available processors with position-derived recency stamps. The final
+// hierarchy state is identical to the serial loop's whatever GOMAXPROCS
+// is. Chunks bound the record memory; cores remain item-aligned at chunk
+// boundaries because a worker leaves a chunk early only when its feed is
+// done for good. Buffers are sized for one LLC operation per item, which
+// only store-heavy streams exceed.
 func (s *System) prewarmParallel(feeds []warmFeed) {
-	type record struct {
-		ops   []cache.LLCOp
-		items []int32 // item index of each recorded op, ascending
-		done  bool
+	recs := make([]warmRecord, len(feeds))
+	for i := range recs {
+		recs[i].ops = make([]cache.LLCOp, 0, warmChunk)
+		recs[i].cnt = make([]uint8, 0, warmChunk)
 	}
-	recs := make([]record, len(feeds))
-	cur := make([]int, len(feeds))
-	live := len(feeds)
+	merged := make([]cache.LLCOp, 0, len(feeds)*warmChunk)
+	cur := make([]int, len(feeds)) // merge position in each record's ops
+	shards := runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
-	for live > 0 {
+	for {
+		live := 0
 		for i := range feeds {
-			if recs[i].done {
+			r := &recs[i]
+			r.ops, r.cnt, cur[i] = r.ops[:0], r.cnt[:0], 0
+			if r.done {
 				continue
 			}
+			live++
 			wg.Add(1)
-			go func(i int) {
+			go func() {
 				defer wg.Done()
-				f, r := &feeds[i], &recs[i]
-				if r.ops == nil {
-					r.ops = make([]cache.LLCOp, 0, warmChunk)
-					r.items = make([]int32, 0, warmChunk)
-				}
-				r.ops, r.items = r.ops[:0], r.items[:0]
-				for j := int32(0); j < warmChunk; j++ {
-					if f.warmed >= f.quota {
-						r.done = true
-						return
-					}
-					ins, ok := f.next()
-					if !ok {
-						r.done = true
-						return
-					}
-					if ins.Kind != cpu.KindLoad && ins.Kind != cpu.KindStore {
-						continue
-					}
-					before := len(r.ops)
-					r.ops = s.hier.WarmPrivate(i, ins.Addr, ins.Kind == cpu.KindStore, r.ops)
-					for range r.ops[before:] {
-						r.items = append(r.items, j)
-					}
-					f.warmed++
-				}
-			}(i)
+				s.warmPrivateChunk(i, &feeds[i], r)
+			}()
+		}
+		if live == 0 {
+			return
 		}
 		wg.Wait()
-		for j := int32(0); j < warmChunk; j++ {
-			remaining := false
+
+		items := 0
+		for i := range recs {
+			items = max(items, len(recs[i].cnt))
+		}
+		merged = merged[:0]
+		for j := 0; j < items; j++ {
 			for i := range recs {
 				r := &recs[i]
-				c := cur[i]
-				for c < len(r.items) && r.items[c] == j {
-					s.hier.WarmLLC(r.ops[c])
-					c++
+				if j >= len(r.cnt) {
+					continue
 				}
-				cur[i] = c
-				if c < len(r.items) {
-					remaining = true
+				for n := r.cnt[j]; n > 0; n-- {
+					merged = append(merged, r.ops[cur[i]])
+					cur[i]++
 				}
 			}
-			if !remaining {
-				break
-			}
 		}
-		live = 0
-		for i := range recs {
-			cur[i] = 0
-			if !recs[i].done {
-				live++
-			}
+		s.hier.WarmLLC(merged, shards)
+	}
+}
+
+// warmPrivateChunk advances core's feed by up to warmChunk items through
+// the private levels, ranging over the feed's batches in place, and
+// records what they emit for the LLC in r, which arrives empty.
+func (s *System) warmPrivateChunk(core int, f *warmFeed, r *warmRecord) {
+	for len(r.cnt) < warmChunk {
+		if f.warmed >= f.quota {
+			r.done = true
+			return
 		}
+		// Every pending item is inside the quota (see pending); the chunk
+		// may end before they do.
+		items := f.pending()
+		if len(items) == 0 {
+			r.done = true
+			return
+		}
+		items = items[:min(len(items), warmChunk-len(r.cnt))]
+		for k := range items {
+			ins := &items[k]
+			n := len(r.ops)
+			if ins.Kind == cpu.KindLoad || ins.Kind == cpu.KindStore {
+				r.ops = s.hier.WarmPrivate(core, ins.Addr, ins.Kind == cpu.KindStore, r.ops)
+				f.warmed++
+			}
+			r.cnt = append(r.cnt, uint8(len(r.ops)-n))
+		}
+		f.pos += len(items)
 	}
 }
