@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-check bench-figs bench-ablations bench-go figs serve vet fuzz clean
+.PHONY: all build test test-short race cover bench bench-check bench-figs bench-ablations bench-go pairs figs serve vet fuzz clean
 
 # Port for `make serve` (override: make serve PORT=9000).
 PORT ?= 8080
@@ -29,7 +29,7 @@ test-short:
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 -run 'Golden|FastForward' ./internal/sim/
-	$(GO) test -race -count=1 -run 'Repeat|Park' ./internal/prefetch/ ./internal/cache/ ./internal/cpu/
+	$(GO) test -race -count=1 -run 'Repeat|Park|FastForward' ./internal/prefetch/ ./internal/cache/ ./internal/cpu/
 	$(GO) test -race -count=1 -run 'Warm|Prewarm' ./internal/cache/ ./internal/sim/
 
 cover:
@@ -61,6 +61,13 @@ bench-check:
 	$(GO) run ./cmd/benchdiff -threshold 0.10 -alloc-threshold 0.10 \
 		-case-threshold 'synth/*=0.10' -case-threshold 'qos/*=0.10' \
 		BENCH_9.json BENCH_PR.json
+
+# The repository benchmark, paired: N (default 10) alternating runs of
+# every workload on revision BASE (checked out into a git worktree) and on
+# this tree, then `benchmark/run.sh compare` — what a performance claim in
+# doc/PERF.md rests on. make pairs BASE=HEAD~1 [N=10]
+pairs:
+	bash tools/pairs.sh $(BASE) $(N)
 
 # The original go-test benchmarks (one per paper figure/table).
 bench-go:

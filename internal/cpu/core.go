@@ -24,15 +24,19 @@
 // repeat. A core that knows when its state ends reports it and has the
 // stretch replayed in closed form (NextEventCycle/FastForward): a
 // finished core (idle), an empty core inside a branch-misprediction
-// bubble (branch), a single-load window, a pure ALU run (base). A core
-// whose state ends only when the memory system says so goes to sleep
-// (TrySleep): blocked behind a load at the ROB head, dispatch inert, and
-// able to do nothing with memory but wait for in-flight loads and retry
-// one access that the hierarchy refused for want of an MSHR. It is woken
-// by a completion of its own (MemDone) or by the hierarchy when the
-// refused access could be answered differently (Parker), and the cycles
-// it slept — stalls and refused retries alike — are replayed when it
-// resumes (Resume/SyncSleep).
+// bubble (branch), a single-load window, an ALU dispatch streak (base).
+// And a core goes to sleep (TrySleep) — the system stops ticking it —
+// for one of three reasons. Two end only when the memory system says so:
+// blocked behind a load at the ROB head with dispatch inert, it can do
+// nothing with memory but wait for in-flight loads (a DRAM stall) and
+// retry one access that the hierarchy refused for want of an MSHR (a
+// parked retry); it is woken by a completion of its own (MemDone) or by
+// the hierarchy when the refused access could be answered differently
+// (Parker). The third ends by itself: a core coasting through an ALU
+// dispatch streak sleeps until the streak's last cycle, a deadline no
+// Wake moves. Either way the cycles it slept — stalls, refused retries
+// and streak cycles alike — are replayed when it resumes
+// (Resume/SyncSleep).
 package cpu
 
 import (
@@ -222,6 +226,8 @@ type SleepStats struct {
 	// SpuriousWakes counts the resumptions that changed nothing: the core
 	// retired nothing and started no access before it parked again.
 	SpuriousWakes int64
+	CoastCycles   int64 // cycles slept as an ALU dispatch streak (see streakLen)
+	Coasts        int64 // sleeps that were such a streak
 }
 
 // Add accumulates o into s.
@@ -232,6 +238,8 @@ func (s *SleepStats) Add(o SleepStats) {
 	s.Parks += o.Parks
 	s.Wakes += o.Wakes
 	s.SpuriousWakes += o.SpuriousWakes
+	s.CoastCycles += o.CoastCycles
+	s.Coasts += o.Coasts
 }
 
 // Core is one out-of-order core.
@@ -266,6 +274,10 @@ type Core struct {
 	pendingBuf  Instr
 	srcDone     bool
 
+	// windowed records that the last NextEventCycle sized its skip as a
+	// single-load window (windowLen) rather than a streak, for FastForward.
+	windowed bool
+
 	fetchBlockedUntil int64
 
 	loadHist  [32]*ticket
@@ -276,14 +288,17 @@ type Core struct {
 
 	// Sleep state (see TrySleep): while asleep, the system stops ticking
 	// the core and the first CPU cycle not yet simulated is sleepFrom.
-	// Wake only marks the core wakePending — the skipped cycles are
-	// replayed in closed form when the system resumes the core at the
-	// next CPU cycle it would tick (Resume). parked says the sleep also
-	// skips the retries of an access the hierarchy refused.
-	asleep      bool
-	wakePending bool
-	parked      bool
-	sleepFrom   int64
+	// It resumes the core (Resume, which replays the skipped cycles in
+	// closed form) at the first CPU cycle it would tick that is not
+	// before wakeAt: never for a sleep only the memory system ends, until
+	// Wake lowers it to 0; the streak's end for a coasting core, which
+	// ignores Wake; 0 while awake. parked says the sleep also skips the
+	// retries of an access the hierarchy refused.
+	asleep    bool
+	coasting  bool
+	parked    bool
+	sleepFrom int64
+	wakeAt    int64
 
 	// Spurious-wake detection: the work done (uops retired + memory
 	// accesses started) as of the last resumption from a parked sleep.
@@ -382,28 +397,54 @@ func (c *Core) unref(tk *ticket) {
 // streakLen returns how many cycles of an ALU dispatch streak start at
 // CPU cycle now, or 0. During a streak every cycle provably repeats the
 // same step — retire Width ready uops, dispatch one Width-uop ALU
-// chunk, attribute base — so FastForward can replay it in closed form:
+// chunk, attribute base — so it can be replayed in closed form
+// (replayStreak), by FastForward or as a sleep (TrySleep):
 //
-//   - every ROB item ahead of the retire head's reach is an ALU, branch
-//     or store chunk pushed before now, so its readyAt is at most now
+//   - the Width uops the retire head reaches each cycle are ALU, branch
+//     or store chunks pushed before now, so their readyAt is at most now
 //     and retirement never blocks (retire treats the three kinds
-//     identically); with occ >= Width, exactly Width uops retire per
-//     cycle;
-//   - pendingWork >= Width per remaining cycle keeps dispatch from
-//     consulting the source, and robFree >= Width keeps the push whole
-//     (occupancy is constant: Width in, Width out);
+//     identically): with occ >= Width that holds for the whole ROB when
+//     it holds no load, and otherwise for the a plain uops ahead of the
+//     first load, a/Width cycles' worth. Loads may ride along behind
+//     them, in flight or not: the head never reaches one, so no
+//     completion is read and no ticket is touched;
+//   - pendingWork >= Width per cycle keeps dispatch from consulting the
+//     source or reaching a memory operation; retirement has freed the
+//     Width slots the push needs even in a full ROB, and occupancy is
+//     constant (Width out, Width in);
 //   - an empty start queue means no memory access can begin, so no
-//     external state is touched (in-flight store RFOs only decrement
-//     outStores on completion, which no streak cycle reads).
+//     external state is touched (completions that arrive meanwhile only
+//     set a ticket's done or decrement outStores, which no streak cycle
+//     reads);
+//   - outside a fetch bubble, or dispatch would push nothing.
 //
-// A core whose ROB holds a load is handled by windowLen instead.
+// A core whose one load is about to retire is handled by windowLen.
 func (c *Core) streakLen(now int64) int64 {
-	if c.asleep || c.items == 0 || c.loads != 0 || len(c.startQ) != 0 ||
-		c.pendingWork < c.cfg.Width || c.fetchBlockedUntil > now ||
-		c.occ < c.cfg.Width || c.robFree() < c.cfg.Width {
+	w := c.cfg.Width
+	if c.asleep || len(c.startQ) != 0 || c.pendingWork < w ||
+		c.fetchBlockedUntil > now || c.occ < w {
 		return 0
 	}
-	return int64(c.pendingWork / c.cfg.Width)
+	k := c.pendingWork / w
+	if c.loads != 0 {
+		if a, _ := c.plainAhead(k * w); a/w < k {
+			k = a / w
+		}
+	}
+	return int64(k)
+}
+
+// plainAhead returns a, the plain uops between the retire head and the
+// first load in the ROB (which must hold one), and the load's index —
+// or, once a has reached limit, a and an index short of the load.
+func (c *Core) plainAhead(limit int) (a, idx int) {
+	for idx = c.head; a < limit && c.rob[idx].kind != KindLoad; {
+		a += c.rob[idx].count
+		if idx++; idx == len(c.rob) {
+			idx = 0
+		}
+	}
+	return a, idx
 }
 
 // windowLen returns how many cycles of a single-load window start at
@@ -421,9 +462,10 @@ func (c *Core) streakLen(now int64) int64 {
 //     when the source would be consulted (or a push would be partial),
 //     min(pendingWork, robFree)/Width cycles out;
 //   - a fetch bubble or provably inert dispatch (full ROB with work
-//     buffered, or an exhausted source) — no pushes: the window must
-//     end by the load's completion, before retirement would change
-//     what dispatch sees.
+//     buffered and the load at its head, so nothing retires to make
+//     room; or an exhausted source) — no pushes: the window must end by
+//     the load's completion, before retirement would change what
+//     dispatch sees.
 //
 // An empty start queue (kept empty by ALU-only dispatch) means no
 // memory access can begin, so no external state is touched.
@@ -431,12 +473,7 @@ func (c *Core) windowLen(now int64) int64 {
 	if c.asleep || c.loads != 1 || len(c.startQ) != 0 {
 		return 0
 	}
-	idx := c.head
-	a := 0
-	for c.rob[idx].kind != KindLoad {
-		a += c.rob[idx].count
-		idx = (idx + 1) % len(c.rob)
-	}
+	a, idx := c.plainAhead(math.MaxInt)
 	tk := c.rob[idx].tk
 	if !tk.started || tk.done < 0 {
 		return 0 // completion unknown: sleep handles in-flight DRAM
@@ -463,7 +500,7 @@ func (c *Core) windowLen(now int64) int64 {
 			avail = f
 		}
 		return int64(avail / w)
-	case c.robFree() == 0 && (c.pendingWork > 0 || c.pendingOp != nil || c.srcDone):
+	case c.robFree() == 0 && a == 0 && (c.pendingWork > 0 || c.pendingOp != nil || c.srcDone):
 		return tk.done - now
 	case c.srcDone && c.pendingWork == 0 && c.pendingOp == nil:
 		return tk.done - now
@@ -484,9 +521,9 @@ func (c *Core) windowLen(now int64) int64 {
 //   - a core whose ROB holds exactly one load with a known completion
 //     replays the whole drain/stall/retire window around it (see
 //     windowLen): now + windowLen;
-//   - a core in a pure ALU dispatch streak (see streakLen) repeats a
-//     retire-and-dispatch base cycle until the source must be
-//     consulted: now + streakLen.
+//   - a core in an ALU dispatch streak (see streakLen) repeats a
+//     retire-and-dispatch base cycle until the source must be consulted
+//     or the retire head reaches a load: now + streakLen.
 //
 // Everything else returns now (no skip): the core consumes its source,
 // starts memory accesses, or waits on in-flight memory whose completion
@@ -504,11 +541,12 @@ func (c *Core) NextEventCycle(now int64) int64 {
 		c.fetchBlockedUntil > now {
 		return c.fetchBlockedUntil
 	}
+	c.windowed = false
 	if c.loads == 1 {
 		if k := c.windowLen(now); k > 0 {
+			c.windowed = true
 			return now + k
 		}
-		return now
 	}
 	if k := c.streakLen(now); k > 0 {
 		return now + k
@@ -520,7 +558,8 @@ func (c *Core) NextEventCycle(now int64) int64 {
 // bit-identical to n CPUCycle calls in the steady state NextEventCycle
 // proved: idle cycles for a finished core, branch cycles inside a fetch
 // bubble, a replayed single-load window, or a replayed ALU dispatch
-// streak.
+// streak — the one NextEventCycle sized the skip by: with one load in the
+// ROB either can apply, and NextEventCycle recorded which (windowed).
 func (c *Core) FastForward(from, n int64) {
 	if c.Done() {
 		c.acct.AddCycles(cyclestack.Idle, n)
@@ -530,7 +569,7 @@ func (c *Core) FastForward(from, n int64) {
 		c.acct.AddCycles(cyclestack.Branch, n)
 		return
 	}
-	if c.loads == 1 {
+	if c.loads == 1 && c.windowed {
 		c.replayWindow(from, n)
 		return
 	}
@@ -588,12 +627,8 @@ func (c *Core) consume(k int64) {
 // survivor is first reachable at or after from+n — the same inertness
 // argument as replayStreak.
 func (c *Core) replayWindow(from, n int64) {
-	idx := c.head
-	a := int64(0)
-	for c.rob[idx].kind != KindLoad {
-		a += int64(c.rob[idx].count)
-		idx = (idx + 1) % len(c.rob)
-	}
+	ahead, idx := c.plainAhead(math.MaxInt)
+	a := int64(ahead)
 	tk := c.rob[idx].tk
 	if len(c.startQ) != 0 || !tk.started || tk.done < 0 {
 		panic("cpu: FastForward outside a provable steady state")
@@ -617,7 +652,7 @@ func (c *Core) replayWindow(from, n int64) {
 			panic("cpu: window replay outruns the buffered work")
 		}
 	default:
-		inert := (c.robFree() == 0 && (c.pendingWork > 0 || c.pendingOp != nil || c.srcDone)) ||
+		inert := (c.robFree() == 0 && a == 0 && (c.pendingWork > 0 || c.pendingOp != nil || c.srcDone)) ||
 			(c.srcDone && c.pendingWork == 0 && c.pendingOp == nil)
 		if !inert || tk.done < from+n {
 			panic("cpu: FastForward outside a provable steady state")
@@ -1057,11 +1092,15 @@ func (c *Core) classify(now int64, retired int) {
 }
 
 // TrySleep puts the core to sleep after it simulated CPU cycle now, if
-// that cycle provably repeats until the memory system intervenes:
+// the cycles that follow provably repeat. With plain uops at the ROB
+// head that is an ALU dispatch streak of at least two cycles (see
+// streakLen; one cycle is cheaper ticked): the core coasts until the
+// streak's last cycle has passed. With a load at the head, the cycle
+// repeats until the memory system intervenes:
 //
-//   - the ROB head is a load that is in flight to DRAM (every cycle is
-//     "stall++, total++" on it) or has not started (every cycle is a
-//     dram-queue cycle), so nothing retires;
+//   - the load is in flight to DRAM (every cycle is "stall++, total++"
+//     on it) or has not started (every cycle is a dram-queue cycle), so
+//     nothing retires;
 //   - dispatch is inert on its own (the ROB is full with buffered work,
 //     or the source is exhausted with nothing buffered) and not inside a
 //     fetch bubble that would end by itself;
@@ -1074,17 +1113,24 @@ func (c *Core) classify(now int64, retired int) {
 //
 // Only a completion for this core or the hierarchy's Wake can change
 // any of that, so the system stops ticking the core until one of them
-// has marked it, and Resume replays the skipped cycles in closed form.
-// An access the memory port refused is not parked: whether the
-// controller would take it is asked anew each cycle. Reports whether
-// the core went to sleep.
+// has marked it — or, coasting, until the deadline — and Resume replays
+// the skipped cycles in closed form. An access the memory port refused
+// is not parked: whether the controller would take it is asked anew
+// each cycle. Reports whether the core went to sleep.
 func (c *Core) TrySleep(now int64) bool {
 	if c.asleep || c.items == 0 || c.fetchBlockedUntil > now+1 {
 		return false
 	}
 	head := &c.rob[c.head]
 	if head.kind != KindLoad {
-		return false
+		k := c.streakLen(now + 1)
+		if k < 2 {
+			return false
+		}
+		c.sleep.Coasts++
+		c.asleep, c.coasting = true, true
+		c.sleepFrom, c.wakeAt = now+1, now+1+k
+		return true
 	}
 	if tk := head.tk; tk.started && (tk.done >= 0 || tk.level != 0) {
 		return false // a hit, or a fill that has arrived: retires by itself
@@ -1119,19 +1165,21 @@ func (c *Core) TrySleep(now int64) bool {
 			c.sleep.SpuriousWakes++
 		}
 	}
-	c.asleep = true
-	c.wakePending = false
-	c.parked = parked
-	c.sleepFrom = now + 1
+	c.asleep, c.coasting, c.parked = true, false, parked
+	c.sleepFrom, c.wakeAt = now+1, never
 	return true
 }
+
+// never is the wakeAt of a sleep that has no deadline.
+const never = math.MaxInt64
 
 // Asleep reports whether the core is sleeping (see TrySleep).
 func (c *Core) Asleep() bool { return c.asleep }
 
-// NeedsWake reports whether a sleeping core has been marked by Wake, so
-// the system must Resume it at the next CPU cycle it would tick.
-func (c *Core) NeedsWake() bool { return c.asleep && c.wakePending }
+// Due reports whether the system must simulate CPU cycle now on the
+// core: it is awake, or asleep and to be resumed first — Wake has marked
+// it, or it has coasted to its deadline.
+func (c *Core) Due(now int64) bool { return c.wakeAt <= now }
 
 // Wake marks a sleeping core for resumption; it implements
 // cache.Sleeper and is what the core's own completions call. It
@@ -1144,16 +1192,19 @@ func (c *Core) NeedsWake() bool { return c.asleep && c.wakePending }
 // core's turn at t if that core has a higher index — t itself still
 // repeats — and before it otherwise. In every case the first cycle
 // that can differ is the next one the system would tick this core at,
-// which is where it calls Resume.
+// which is where it calls Resume. A coasting core ignores Wake: nothing
+// of its is parked, and a completion for a load deeper in its ROB
+// changes nothing a streak cycle reads.
 func (c *Core) Wake() {
-	if c.asleep {
-		c.wakePending = true
+	if c.asleep && !c.coasting {
+		c.wakeAt = 0
 	}
 }
 
 // Resume ends a sleep at CPU cycle at (exclusive), replaying the
 // skipped cycles (see SyncSleep). at is the first cycle the resumed
-// per-cycle loop will simulate.
+// per-cycle loop will simulate; for a coasting core it is at most the
+// deadline (any prefix of a streak is a streak).
 func (c *Core) Resume(at int64) {
 	c.SyncSleep(at)
 	if c.parked {
@@ -1162,22 +1213,35 @@ func (c *Core) Resume(at int64) {
 		c.sleep.Wakes++
 		c.wokeWork = c.stats.Retired + c.starts
 	}
-	c.asleep = false
-	c.wakePending = false
+	c.asleep, c.wakeAt = false, 0
 }
 
 // SyncSleep replays a sleeping core's skipped cycles up to CPU cycle
 // upto (exclusive) without waking it, so its cycle stack and the
 // hierarchy's counters can be read mid-sleep (sample cuts, early stops,
-// final results). Each skipped cycle charged the head load — stall and
-// total, both integers, when it is in flight; one dram-queue cycle
-// when it has not started — and, with an access parked, made one more
-// refused retry of it.
+// final results). A coasting core replays that much of its streak, and
+// nothing past its deadline, where the streak ends. Otherwise each
+// skipped cycle charged the head load — stall and total, both integers,
+// when it is in flight; one dram-queue cycle when it has not started —
+// and, with an access parked, made one more refused retry of it.
 func (c *Core) SyncSleep(upto int64) {
-	if !c.asleep || upto <= c.sleepFrom {
+	if !c.asleep {
 		return
 	}
-	n := upto - c.sleepFrom
+	if c.coasting && upto > c.wakeAt {
+		upto = c.wakeAt
+	}
+	from := c.sleepFrom
+	n := upto - from
+	if n <= 0 {
+		return
+	}
+	c.sleepFrom = upto
+	if c.coasting {
+		c.replayStreak(from, n)
+		c.sleep.CoastCycles += n
+		return
+	}
 	if tk := c.rob[c.head].tk; tk.started {
 		tk.stall += n
 		c.acct.AddTotal(n)
@@ -1195,5 +1259,4 @@ func (c *Core) SyncSleep(upto int64) {
 	} else {
 		c.sleep.StallCycles += n
 	}
-	c.sleepFrom = upto
 }

@@ -1,0 +1,328 @@
+package cpu
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"dramstacks/internal/cache"
+)
+
+// levelMem is mshrMem with an answer at every level: by line address an
+// access hits the L1, the L2 or the LLC, or goes to DRAM — taking one of
+// the few fill slots for a latency the line chooses, or refused (and
+// parkable) when none is free.
+type levelMem struct{ mshrMem }
+
+func (m *levelMem) Access(now int64, core int, addr uint64, write bool, w cache.Waiter) cache.Outcome {
+	line := addr / 64
+	switch line % 9 {
+	case 0, 1, 2:
+		m.accesses++
+		return cache.Outcome{Status: cache.Hit, Latency: 4, Level: 1}
+	case 3:
+		m.accesses++
+		return cache.Outcome{Status: cache.Hit, Latency: 38, Level: 3}
+	}
+	m.latency = 30 + int64(line%13)*23
+	return m.mshrMem.Access(now, core, addr, write, w)
+}
+
+// batchSlice hands a sliceSource out through the BatchSource fast path.
+type batchSlice struct{ sliceSource }
+
+func (s *batchSlice) NextBatch(buf []Instr) int {
+	n := copy(buf, s.items[s.pos:])
+	s.pos += n
+	return n
+}
+
+// ffStream is a seeded stream over every item shape the replays have to
+// get right: plain runs shorter than, equal to and far longer than the
+// width and the ROB, loads (independent and chained), stores, branches
+// (some mispredicted), barrier stalls and pure compute.
+func ffStream(rng *rand.Rand, n int) []Instr {
+	works := []int{0, 1, 3, 4, 5, 139, 140, 141, 1000}
+	items := make([]Instr, n)
+	for i := range items {
+		ins := Instr{Work: works[rng.Intn(len(works))], Addr: uint64(rng.Intn(4096)) * 64}
+		switch p := rng.Intn(20); {
+		case p < 9:
+			ins.Kind = KindLoad
+			if rng.Intn(4) == 0 {
+				ins.LoadDep = 1 + rng.Intn(3)
+			}
+		case p < 13:
+			ins.Kind = KindStore
+		case p < 16:
+			ins.Kind = KindBranch
+			ins.Mispredict = rng.Intn(3) == 0
+		case p < 17:
+			ins = Instr{Kind: KindStall}
+		default:
+			ins.Kind = KindALU
+			ins.Work++ // an item has at least one uop
+		}
+		items[i] = ins
+	}
+	return items
+}
+
+// skipper drives a core every way sim.System does, picking among them at
+// random: the sprint's NextEventCycle / lazy FastForward / CPUCycle, the
+// saturated branch's CPUCycle / TrySleep / Due / Resume, and the
+// SyncSleep cuts a sample or an early stop makes.
+type skipper struct {
+	c    *Core
+	rng  *rand.Rand
+	from int64 // first cycle owed to FastForward
+	upto int64 // cycle the owed stretch is flushed at; 0: nothing owed
+
+	windows, streaks, coastCuts, wakesIgnored int
+}
+
+// step simulates cycle now and reports whether the core's state is that
+// of a ticked core after cycle now (nothing owed, any sleep synced).
+func (s *skipper) step(now int64) bool {
+	c := s.c
+	if s.upto > now {
+		return false
+	}
+	if s.upto != 0 {
+		c.FastForward(s.from, now-s.from)
+		s.upto = 0
+	}
+	if c.Asleep() && !c.Due(now) {
+		if c.coasting {
+			d := c.wakeAt
+			if c.Wake(); c.wakeAt != d {
+				panic("a coasting core honoured Wake")
+			}
+			s.wakesIgnored++
+		}
+		if s.rng.Intn(3) != 0 {
+			return false
+		}
+		if c.coasting {
+			s.coastCuts++
+		}
+		c.SyncSleep(now + 1)
+		return true
+	}
+	if c.Asleep() {
+		c.Resume(now)
+	}
+	if e := c.NextEventCycle(now); e > now && s.rng.Intn(2) == 0 {
+		if e == math.MaxInt64 {
+			e = now + 8 // a finished core idles forever
+		}
+		// Any prefix of a provable stretch is replayable: cut some short.
+		if s.rng.Intn(3) == 0 {
+			e = now + 1 + s.rng.Int63n(e-now)
+		}
+		switch {
+		case c.windowed:
+			s.windows++
+		case c.items > 0:
+			s.streaks++
+		}
+		s.from, s.upto = now, e
+		return false
+	}
+	c.CPUCycle(now)
+	c.TrySleep(now)
+	return true
+}
+
+// TestFastForwardMatchesTicking is the core-level differential for the
+// closed-form replays, which only whole-system goldens covered: twin
+// cores run one seeded stream over identical scripted memories; one is
+// ticked every cycle, the other skips whatever NextEventCycle allows and
+// is suspended and resumed as the system would — both mechanisms mixed,
+// with fills arriving (and Wake called) in the middle of skips. Cycle
+// stack, committed work, Done and ROB occupancy must agree at every
+// cycle the skipping twin is caught up at, and at random cuts through a
+// coast.
+func TestFastForwardMatchesTicking(t *testing.T) {
+	var total skipper
+	var sleeps SleepStats
+	for _, cfg := range []Config{DefaultConfig(), InOrderConfig()} {
+		for seed := int64(1); seed <= 24; seed++ {
+			name := fmt.Sprintf("w%d-seed%d", cfg.Width, seed)
+			items := ffStream(rand.New(rand.NewSource(seed)), 300)
+			mk := func() (*Core, *levelMem) {
+				mem := &levelMem{mshrMem{slots: 2 + int(seed%3), refusedAt: -1}}
+				var src Source = &sliceSource{items: items}
+				if seed%2 == 0 {
+					src = &batchSlice{sliceSource{items: items}}
+				}
+				return New(0, cfg, mem, src), mem
+			}
+			ticked, memT := mk()
+			skipped, memS := mk()
+			s := &skipper{c: skipped, rng: rand.New(rand.NewSource(seed * 7919))}
+
+			var now int64
+			for ; !(ticked.Done() && s.upto == 0) && now < 1_000_000; now++ {
+				ticked.CPUCycle(now)
+				memT.deliver(now)
+				caughtUp := s.step(now)
+				memS.deliver(now)
+				if !caughtUp {
+					continue
+				}
+				if ticked.Stack() != skipped.Stack() || ticked.Stats() != skipped.Stats() ||
+					ticked.Done() != skipped.Done() || ticked.occ != skipped.occ ||
+					ticked.loads != skipped.loads || ticked.pendingWork != skipped.pendingWork {
+					t.Fatalf("%s: cycle %d (asleep %v, coasting %v):\n ticked  %+v %+v occ %d loads %d work %d\n skipped %+v %+v occ %d loads %d work %d",
+						name, now, skipped.asleep, skipped.coasting,
+						ticked.Stats(), ticked.Stack(), ticked.occ, ticked.loads, ticked.pendingWork,
+						skipped.Stats(), skipped.Stack(), skipped.occ, skipped.loads, skipped.pendingWork)
+				}
+			}
+			if !ticked.Done() || !skipped.Done() {
+				t.Fatalf("%s: after %d cycles: ticked done %v, skipped done %v", name, now, ticked.Done(), skipped.Done())
+			}
+			if memT.accesses != memS.accesses || memT.refused != memS.refused {
+				t.Errorf("%s: memory saw %d accesses (%d refused) ticking, %d (%d) skipping",
+					name, memT.accesses, memT.refused, memS.accesses, memS.refused)
+			}
+			if lit := ticked.SleepStats(); lit.CoastCycles != 0 || lit.StallCycles != 0 || lit.ParkedCycles != 0 {
+				t.Errorf("%s: ticked core slept: %+v", name, lit)
+			}
+			total.windows += s.windows
+			total.streaks += s.streaks
+			total.coastCuts += s.coastCuts
+			total.wakesIgnored += s.wakesIgnored
+			sleeps.Add(skipped.SleepStats())
+		}
+	}
+	t.Logf("FastForward over %d windows and %d streaks, %d cuts through a coast, %d ignored wakes; %+v",
+		total.windows, total.streaks, total.coastCuts, total.wakesIgnored, sleeps)
+	if total.windows == 0 || total.streaks == 0 || total.coastCuts == 0 || total.wakesIgnored == 0 ||
+		sleeps.Coasts == 0 || sleeps.CoastCycles < 2*sleeps.Coasts || sleeps.StallCycles == 0 || sleeps.Parks == 0 {
+		t.Errorf("the streams barely exercise the replays")
+	}
+}
+
+// handCore returns a 2-wide core with a 16-entry ROB set by hand to the
+// start of cycle 100: ahead ready plain uops, a load in flight to DRAM,
+// behind more plain uops, work buffered uops ahead of a buffered load.
+func handCore(ahead, behind, work int) (*Core, *scriptMem) {
+	mem := &scriptMem{outcome: cache.Outcome{Status: cache.Pending}, latency: 50}
+	c := New(0, Config{Width: 2, ROBSize: 16, BranchPenalty: 8, StartsPerCycle: 1}, mem, &sliceSource{})
+	c.push(robItem{kind: KindALU, count: ahead, readyAt: 100})
+	if behind > 0 {
+		tk := c.newTicket()
+		tk.started = true
+		c.push(robItem{kind: KindLoad, count: 1, tk: tk})
+		c.push(robItem{kind: KindALU, count: behind, readyAt: 100})
+	}
+	c.pendingWork = work
+	c.pendingBuf = Instr{Kind: KindLoad, Addr: 64}
+	c.pendingOp = &c.pendingBuf
+	return c, mem
+}
+
+// TestCoastGuards takes streakLen's guards one at a time. Each case is a
+// hand-built state in which streakLen (and so TrySleep) must stop at
+// want cycles, and shows why: replaying one cycle more as a streak does
+// not do what ticking it does — it panics, or leaves another core.
+func TestCoastGuards(t *testing.T) {
+	const now = 100
+	cases := []struct {
+		name                string
+		ahead, behind, work int
+		set                 func(*Core)
+		want                int64
+	}{
+		// pendingWork >= Width a cycle: the source or a memory op would be reached.
+		{name: "pending-work", ahead: 8, behind: 7, work: 5, want: 2},
+		// a/Width: retire would reach the load.
+		{name: "plain-ahead", ahead: 6, behind: 9, work: 10, want: 3},
+		{name: "plain-ahead-load-last", ahead: 15, behind: 0, work: 100,
+			set: func(c *Core) {
+				tk := c.newTicket()
+				c.push(robItem{kind: KindLoad, count: 1, tk: tk})
+				tk.started = true
+			}, want: 7},
+		// occ >= Width: fewer uops would retire.
+		{name: "occupancy", ahead: 1, behind: 0, work: 10, want: 0},
+		// An empty start queue: an access would start.
+		{name: "start-queue", ahead: 6, behind: 9, work: 10,
+			set: func(c *Core) { c.startQ = append(c.startQ, memOp{addr: 128, write: true}) }, want: 0},
+		// Outside a fetch bubble: dispatch would push nothing.
+		{name: "fetch-bubble", ahead: 6, behind: 9, work: 10,
+			set: func(c *Core) { c.fetchBlockedUntil = now + 5 }, want: 0},
+	}
+	same := func(a, b *Core, ma, mb *scriptMem) bool {
+		return a.Stats() == b.Stats() && a.Stack() == b.Stack() && a.occ == b.occ && a.loads == b.loads &&
+			a.pendingWork == b.pendingWork && len(a.startQ) == len(b.startQ) && len(ma.started) == len(mb.started)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func() (*Core, *scriptMem) {
+				c, m := handCore(tc.ahead, tc.behind, tc.work)
+				if tc.set != nil {
+					tc.set(c)
+				}
+				return c, m
+			}
+			// replayed reports whether n streak cycles from now equal n ticks.
+			replayed := func(n int64) (ok bool) {
+				ticked, mt := mk()
+				for i := int64(0); i < n; i++ {
+					ticked.CPUCycle(now + i)
+				}
+				streak, ms := mk()
+				defer func() {
+					if recover() != nil {
+						ok = false
+					}
+				}()
+				streak.replayStreak(now, n)
+				return same(ticked, streak, mt, ms)
+			}
+			c, _ := mk()
+			if got := c.streakLen(now); got != tc.want {
+				t.Errorf("streakLen = %d, want %d", got, tc.want)
+			}
+			for n := int64(1); n <= tc.want; n++ {
+				if !replayed(n) {
+					t.Errorf("%d streak cycles differ from %d ticks", n, n)
+				}
+			}
+			if replayed(tc.want + 1) {
+				t.Errorf("cycle %d still replays as a streak: the case does not need its guard", tc.want+1)
+			}
+			if slept := c.TrySleep(now - 1); slept != (tc.want >= 2) || slept && (!c.coasting || c.wakeAt != now+tc.want) {
+				t.Errorf("TrySleep = %v (coasting %v until %d), streak is %d cycles", slept, c.coasting, c.wakeAt, tc.want)
+			}
+		})
+	}
+
+	// A sync past the deadline replays the streak and no further; the core
+	// resumes at the deadline exactly like a ticked one.
+	t.Run("sync-past-deadline", func(t *testing.T) {
+		ticked, _ := handCore(6, 9, 10)
+		coast, _ := handCore(6, 9, 10)
+		if !coast.TrySleep(now-1) || coast.Due(now+2) || !coast.Due(now+3) {
+			t.Fatalf("no coast to cycle %d: asleep %v until %d", now+3, coast.asleep, coast.wakeAt)
+		}
+		coast.SyncSleep(now + 10)
+		coast.SyncSleep(now + 11)
+		coast.Resume(now + 3)
+		for i := int64(0); i < 6; i++ {
+			ticked.CPUCycle(now + i)
+			if i >= 3 {
+				coast.CPUCycle(now + i)
+			}
+		}
+		if ss := coast.SleepStats(); ss.CoastCycles != 3 || ss.Coasts != 1 ||
+			ticked.Stats() != coast.Stats() || ticked.Stack() != coast.Stack() || ticked.occ != coast.occ {
+			t.Errorf("sync past the deadline: %+v\n ticked %+v %+v occ %d\n coast  %+v %+v occ %d", ss,
+				ticked.Stats(), ticked.Stack(), ticked.occ, coast.Stats(), coast.Stack(), coast.occ)
+		}
+	})
+}

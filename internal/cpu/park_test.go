@@ -107,7 +107,7 @@ func TestParkSleepMatchesTicking(t *testing.T) {
 		ticked.CPUCycle(now)
 		memT.deliver(now)
 
-		if sleeper.Asleep() && sleeper.NeedsWake() {
+		if sleeper.Asleep() && sleeper.Due(now) {
 			sleeper.Resume(now)
 		}
 		if !sleeper.Asleep() {

@@ -146,3 +146,43 @@ func TestGoldenCancelMidPark(t *testing.T) {
 		t.Errorf("%d parked + %d literal retries, hierarchy counted %d", ss.ParkedCycles, ss.Retries, fast.HierStats.Retries)
 	}
 }
+
+// TestGoldenCancelMidCoast cancels a run while cores coast through ALU
+// dispatch streaks: the partial result must hold exactly the prefix of
+// each streak that had elapsed at the cancellation, as the per-cycle
+// loop ticked it. Cancelled from the sample hook like
+// TestGoldenCancelMidPark, so both loops stop on the same cycle.
+func TestGoldenCancelMidCoast(t *testing.T) {
+	cfg := Default(8)
+	cfg.MaxMemCycles = 1 << 40
+	cfg.SampleInterval = 1_500
+	run := func(slow bool) (*Result, *System) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		c := cfg
+		c.OnSample = func(s stacks.Sample) {
+			if s.End >= 3_000 {
+				cancel()
+			}
+		}
+		sys, err := NewFromConfig(c, SyntheticSources(workload.Sequential, 8, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.slow = slow
+		res := sys.RunContext(ctx)
+		res.Cfg.OnSample = nil
+		return res, sys
+	}
+	fast, sys := run(false)
+	slow, _ := run(true)
+	if !fast.Cancelled || fast.MemCycles != 3_072 {
+		t.Fatalf("cancelled = %v after %d cycles, want the poll at 3072", fast.Cancelled, fast.MemCycles)
+	}
+	if !reflect.DeepEqual(fast, slow) {
+		t.Errorf("cancelled results differ:\n fast: %+v\n slow: %+v", fast.CycleStacks, slow.CycleStacks)
+	}
+	if n := coasting(sys, fast.MemCycles*int64(cfg.CPUMult)); n == 0 {
+		t.Errorf("the run was not cancelled mid-coast: %+v", sys.SleepStats())
+	}
+}

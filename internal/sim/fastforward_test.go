@@ -61,6 +61,15 @@ func goldenCompare(t *testing.T, name string, cfg Config, mk func() []cpu.Source
 		t.Errorf("%s: reference loop: %d parked, %d literal retries, hierarchy counted %d",
 			name, ss.ParkedCycles, ss.Retries, slow.HierStats.Retries)
 	}
+	// The reference loop never coasts, and no loop sleeps through more
+	// core cycles than it simulated.
+	slept := func(ss cpu.SleepStats) int64 { return ss.StallCycles + ss.ParkedCycles + ss.CoastCycles }
+	if ss := slowSys.SleepStats(); slept(ss) != 0 || ss.Coasts != 0 {
+		t.Errorf("%s: reference loop slept: %+v", name, ss)
+	}
+	if cycles := fast.MemCycles * int64(cfg.CPUMult) * int64(cfg.Cores); slept(sleep) > cycles {
+		t.Errorf("%s: slept through %d of %d core cycles: %+v", name, slept(sleep), cycles, sleep)
+	}
 	if reflect.DeepEqual(fast, slow) {
 		return sleep
 	}

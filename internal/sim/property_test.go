@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -399,6 +400,115 @@ func TestGoldenParkCuts(t *testing.T) {
 	}
 }
 
+// coastSources returns one stream per core built from base — a DRAM-sized
+// footprint with enough plain work between memory operations that a
+// saturated core's steady cycle is "retire Width, dispatch Width".
+func coastSources(cores int, base func() workload.SyntheticConfig, edit func(*workload.SyntheticConfig)) func() []cpu.Source {
+	return func() []cpu.Source {
+		var out []cpu.Source
+		for i := 0; i < cores; i++ {
+			wc := base()
+			if edit != nil {
+				edit(&wc)
+			}
+			wc.BaseAddr = uint64(i)*(256<<20) + uint64(i)*8192
+			wc.Seed = int64(i + 1)
+			out = append(out, workload.MustSynthetic(wc))
+		}
+		return out
+	}
+}
+
+// coasting counts the cores that are asleep at CPU cycle now with a
+// deadline ahead of them: not due now, due eventually — which a core
+// asleep on the memory system never is until it is due at once.
+func coasting(s *System, now int64) int {
+	n := 0
+	for _, c := range s.cores {
+		if c.Asleep() && !c.Due(now) && c.Due(math.MaxInt64-1) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestGoldenCoastCuts cuts runs where coasting is most exposed: streams
+// whose cores spend most awake cycles inside ALU dispatch streaks, with
+// sample intervals of 1, 7 and 97 memory cycles and a prime warm-up
+// boundary landing inside streaks (each cut must replay the elapsed
+// prefix without ending the sleep) and a budget that runs out mid-streak
+// — on the default and the in-order core, with stores, with mispredicted
+// branches, on HBM2's pseudo-channels and on two channels. Both loops
+// must agree, every shape must really coast, and cuts and the budget
+// must really have fallen mid-coast.
+func TestGoldenCoastCuts(t *testing.T) {
+	seq, strided, hog := workload.DefaultSequential, workload.DefaultStrided, workload.DefaultBWHog
+	shapes := []struct {
+		name     string
+		std      string
+		interval int64
+		base     func() workload.SyntheticConfig
+		edit     func(*workload.SyntheticConfig)
+		cfg      func(*Config)
+	}{
+		{name: "seq-si1", interval: 1, base: seq},
+		{name: "seq-si7", interval: 7, base: seq},
+		{name: "seq-si97", interval: 97, base: seq},
+		{name: "strided-si7", interval: 7, base: strided},
+		{name: "bwhog-work24-si97", interval: 97, base: hog, edit: func(wc *workload.SyntheticConfig) { wc.WorkPerOp = 24 }},
+		{name: "inorder-si7", interval: 7, base: seq, cfg: func(c *Config) { c.Core = cpu.InOrderConfig() }},
+		{name: "stores-si7", interval: 7, base: seq, edit: func(wc *workload.SyntheticConfig) { wc.StoreFrac = 0.2 }},
+		{name: "mispredicts-si1", interval: 1, base: seq, edit: func(wc *workload.SyntheticConfig) {
+			wc.BranchEvery, wc.MispredictRate = 3, 0.3
+		}},
+		{name: "hbm2-si7", std: "hbm2-2000", interval: 7, base: seq, edit: func(wc *workload.SyntheticConfig) { wc.StoreFrac = 0.2 }},
+		{name: "two-channels-si97", interval: 97, base: seq, cfg: func(c *Config) { c.Channels = 2 }},
+	}
+	cutsMidCoast, endsMidCoast := 0, 0
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			const cores = 8 // enough sequential streams to saturate the channel
+			cfg := Default(cores)
+			if sh.std != "" {
+				cfg = DefaultFor(standard.MustLookup(sh.std), cores)
+			}
+			if sh.cfg != nil {
+				sh.cfg(&cfg)
+			}
+			cfg.MaxMemCycles = 5_003
+			cfg.WarmupMemCycles = 1_009
+			cfg.SampleInterval = sh.interval
+			cfg.OnSample = func(stacks.Sample) {} // replaced per run by goldenCompare
+			mk := coastSources(cores, sh.base, sh.edit)
+			if ss := goldenCompare(t, sh.name, cfg, mk); ss.Coasts == 0 || ss.CoastCycles < 3*ss.Coasts {
+				t.Errorf("the shape barely coasts: %+v", ss)
+			}
+
+			// The same run again, asking at every cut and at the end whether
+			// a core was coasting.
+			var sys *System
+			cfg.OnSample = func(smp stacks.Sample) {
+				if coasting(sys, smp.End*int64(cfg.CPUMult)) > 0 {
+					cutsMidCoast++
+				}
+			}
+			sys, err := NewFromConfig(cfg, mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.slow = false // also when the reference loop is the build's default
+			res := sys.Run()
+			if coasting(sys, res.MemCycles*int64(cfg.CPUMult)) > 0 {
+				endsMidCoast++
+			}
+		})
+	}
+	t.Logf("%d sample cuts and %d of %d budgets fell mid-coast", cutsMidCoast, endsMidCoast, len(shapes))
+	if cutsMidCoast < 1_000 || endsMidCoast == 0 {
+		t.Errorf("%d sample cuts and %d budgets fell mid-coast, want many and some", cutsMidCoast, endsMidCoast)
+	}
+}
+
 // TestSampleIntervalInvariance pins the sampler-cut behavior at
 // fast-forward boundaries: cutting through-time samples is observation,
 // so the simulated outcome — every Result field except the sample
@@ -412,8 +522,16 @@ func TestSampleIntervalInvariance(t *testing.T) {
 		t.Skip("sample-interval invariance skipped in -short")
 	}
 	rng := rand.New(rand.NewSource(0x5a41e))
-	for i := 0; i < 10; i++ {
-		sp := drawSpec(rng, i)
+	for i := 0; i <= 10; i++ {
+		// Ten drawn specs, then one shape the draw cannot produce (it
+		// stops at 60 uops an op): saturating streams that coast through
+		// 140-uop runs, so cuts land inside streaks.
+		sp := randSpec{name: "010-coasting", cfg: Default(4), seed: 1, cores: 4,
+			pattern: workload.Sequential, footprint: 1 << 26, workPerOp: 140}
+		sp.cfg.MaxMemCycles = 7_001
+		if i < 10 {
+			sp = drawSpec(rng, i)
+		}
 		sp.cfg.OnSample = nil
 		run := func(interval int64) *Result {
 			c := sp.cfg

@@ -406,9 +406,10 @@ func (s *System) Hierarchy() *cache.Hierarchy { return s.hier }
 
 // SleepStats says how much of the run so far the cores slept through
 // instead of being ticked, summed over cores: DRAM stalls, retries of
-// accesses parked on a full MSHR file, and how precisely the hierarchy
-// woke them. It is a diagnostic of the simulator and deliberately not
-// part of Result: nothing hashed or encoded depends on it.
+// accesses parked on a full MSHR file (and how precisely the hierarchy
+// woke them), and ALU dispatch streaks coasted through. It is a
+// diagnostic of the simulator and deliberately not part of Result:
+// nothing hashed or encoded depends on it.
 func (s *System) SleepStats() cpu.SleepStats {
 	s.syncSleepers()
 	var t cpu.SleepStats
@@ -459,19 +460,22 @@ simLoop:
 			s.sprint()
 		} else {
 			m := s.memCycle
-			// Sleep is only reachable with a demand miss in flight, so
-			// TrySleep is skipped entirely on miss-free cycles.
+			// The sleeps the memory system ends are only reachable with a
+			// demand miss in flight, and a miss-free system is a write
+			// drain or a refresh away from the sprint, which replays
+			// streaks itself: TrySleep is skipped on miss-free cycles.
 			canSleep := s.hier.OutstandingMisses() > 0
 			for c := 0; c < s.cfg.CPUMult; c++ {
 				cpuNow := m*int64(s.cfg.CPUMult) + int64(c)
 				for _, core := range s.cores {
 					// A sleeping core is not ticked; once a completion or
-					// the hierarchy has marked it, the skipped cycles are
-					// replayed in closed form and it resumes here.
+					// the hierarchy has marked it, or the streak it coasts
+					// through has ended, the skipped cycles are replayed in
+					// closed form and it resumes here.
+					if !core.Due(cpuNow) {
+						continue
+					}
 					if core.Asleep() {
-						if !core.NeedsWake() {
-							continue
-						}
 						core.Resume(cpuNow)
 					}
 					core.CPUCycle(cpuNow)
@@ -593,7 +597,8 @@ func (s *System) catchUpAll(target int64) {
 // no core is sleeping. Controllers with queued or in-flight requests
 // always have their next event at the very next cycle, so a far
 // earliest event implies an empty memory system, which in turn implies
-// no outstanding misses and no sleeping core to resume.
+// no outstanding misses and no core asleep on one; a core still
+// coasting keeps the per-cycle loop until its deadline, a few cycles.
 func (s *System) sprintable() bool {
 	if s.wheel.Earliest() <= s.memCycle+1 {
 		return false
