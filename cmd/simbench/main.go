@@ -104,8 +104,8 @@ func runSynth(spec exp.SynthSpec) (int64, error) {
 // runMixed simulates a heterogeneous multicore: half the cores run a
 // compute-heavy stream, half a branchy mispredicting one, and all of
 // them touch a DRAM-sized footprint so the channel sees real traffic.
-// The per-core event scheduling has to juggle cores whose next events
-// land on different cycles — the adversarial case for the sprint loop.
+// The event loop has to juggle cores whose deadlines land on different
+// cycles — the adversarial case for its CPU phase.
 func runMixed(cores int, budget int64) (int64, error) {
 	var sources []cpu.Source
 	for i := 0; i < cores; i++ {
@@ -217,8 +217,8 @@ func cases() []benchCase {
 				Budget: 100_000, Prewarm: 1 << 20})
 		}},
 		// Mixed compute + branch multicore with DRAM traffic: cores with
-		// unaligned next-event cycles, the adversarial case for the
-		// per-core sprint scheduling.
+		// unaligned deadlines, the adversarial case for the event
+		// loop's CPU phase.
 		{"mixed/compute-branch-4c", true, func() (int64, error) {
 			return runMixed(4, 100_000)
 		}},

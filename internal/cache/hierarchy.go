@@ -233,6 +233,10 @@ func (h *Hierarchy) OutstandingMisses() int { return len(h.mshr) }
 // Pending reports whether fills or writebacks are still in flight.
 func (h *Hierarchy) Pending() bool { return len(h.mshr) > 0 || len(h.pendingWB) > 0 }
 
+// Backlogged reports whether Tick has a writeback to retry; while it has
+// none, skipping its calls changes nothing.
+func (h *Hierarchy) Backlogged() bool { return len(h.pendingWB) > 0 }
+
 // pendingWB is one dirty line waiting for controller queue space, with
 // the core whose eviction produced it (the writeback's QoS source).
 type pendingWB struct {
@@ -241,8 +245,14 @@ type pendingWB struct {
 }
 
 // Tick retries writebacks that previously hit controller back pressure.
-// Call once per CPU cycle (cheap when the backlog is empty).
+// Call once per CPU cycle (inlined, so free when the backlog is empty).
 func (h *Hierarchy) Tick(now int64) {
+	if h.Backlogged() {
+		h.retryWritebacks(now)
+	}
+}
+
+func (h *Hierarchy) retryWritebacks(now int64) {
 	for len(h.pendingWB) > 0 {
 		if !h.mem.Write(now, h.pendingWB[0].addr, h.pendingWB[0].src) {
 			return

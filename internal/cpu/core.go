@@ -20,23 +20,19 @@
 // the cache.Waiter interface (a pooled ticket is its own completion
 // waiter) instead of per-access closures.
 //
-// Two mechanisms keep the system from ticking cycles that provably
-// repeat. A core that knows when its state ends reports it and has the
-// stretch replayed in closed form (NextEventCycle/FastForward): a
-// finished core (idle), an empty core inside a branch-misprediction
-// bubble (branch), a single-load window, an ALU dispatch streak (base).
-// And a core goes to sleep (TrySleep) — the system stops ticking it —
-// for one of three reasons. Two end only when the memory system says so:
-// blocked behind a load at the ROB head with dispatch inert, it can do
-// nothing with memory but wait for in-flight loads (a DRAM stall) and
-// retry one access that the hierarchy refused for want of an MSHR (a
-// parked retry); it is woken by a completion of its own (MemDone) or by
-// the hierarchy when the refused access could be answered differently
-// (Parker). The third ends by itself: a core coasting through an ALU
-// dispatch streak sleeps until the streak's last cycle, a deadline no
-// Wake moves. Either way the cycles it slept — stalls, refused retries
-// and streak cycles alike — are replayed when it resumes
-// (Resume/SyncSleep).
+// A core whose coming cycles provably repeat is suspended: the system
+// stops ticking it (TrySleep) and the cycles it slept are replayed in
+// closed form when it resumes or is read (Resume/SyncSleep). Four of the
+// reasons carry their own deadline, which no Wake moves: a finished core
+// (idle, forever), an empty core inside a branch-misprediction bubble
+// (branch), a single-load window, an ALU dispatch streak (base) — the
+// states NextEventCycle sizes and FastForward replays. The other two end
+// only when the memory system says so: blocked behind a load at the ROB
+// head with dispatch inert, the core can do nothing with memory but wait
+// for in-flight loads (a DRAM stall) and retry one access that the
+// hierarchy refused for want of an MSHR (a parked retry); it is woken by
+// a completion of its own (MemDone) or by the hierarchy when the refused
+// access could be answered differently (Parker).
 package cpu
 
 import (
@@ -214,33 +210,66 @@ type Stats struct {
 	DramLoads   int64 // loads served by DRAM
 }
 
-// SleepStats says what the sleep mechanism (TrySleep) covered. It is a
-// diagnostic of the simulator, not of the simulated machine: the system
-// keeps it out of its Result.
+// SleepStats says how the core's cycles were simulated: Ticks of them by
+// a real CPUCycle, the rest replayed in closed form, split by the reason
+// the core was suspended for (see TrySleep). It is a diagnostic of the
+// simulator, not of the simulated machine: the system keeps it out of
+// its Result.
 type SleepStats struct {
+	Ticks        int64 // CPUCycle calls
 	StallCycles  int64 // cycles slept with no access parked: pure DRAM stall
 	ParkedCycles int64 // cycles slept on a parked access: one skipped retry each
-	Retries      int64 // refused accesses the core made itself, awake
+	IdleCycles   int64 // cycles slept finished
+	BubbleCycles int64 // cycles slept empty inside a fetch bubble
+	WindowCycles int64 // cycles slept as a single-load window (see windowLen)
+	CoastCycles  int64 // cycles slept as an ALU dispatch streak (see streakLen)
+	Sleeps       int64 // sleeps, of any reason
+	Coasts       int64 // sleeps that were an ALU dispatch streak
 	Parks        int64 // sleeps that parked an access
 	Wakes        int64 // resumptions from such a sleep
 	// SpuriousWakes counts the resumptions that changed nothing: the core
 	// retired nothing and started no access before it parked again.
 	SpuriousWakes int64
-	CoastCycles   int64 // cycles slept as an ALU dispatch streak (see streakLen)
-	Coasts        int64 // sleeps that were such a streak
+	Retries       int64 // refused accesses the core made itself, awake
+}
+
+// Slept returns the cycles replayed in closed form, over all reasons.
+func (s SleepStats) Slept() int64 {
+	return s.StallCycles + s.ParkedCycles + s.IdleCycles + s.BubbleCycles + s.WindowCycles + s.CoastCycles
 }
 
 // Add accumulates o into s.
 func (s *SleepStats) Add(o SleepStats) {
+	s.Ticks += o.Ticks
 	s.StallCycles += o.StallCycles
 	s.ParkedCycles += o.ParkedCycles
-	s.Retries += o.Retries
+	s.IdleCycles += o.IdleCycles
+	s.BubbleCycles += o.BubbleCycles
+	s.WindowCycles += o.WindowCycles
+	s.CoastCycles += o.CoastCycles
+	s.Sleeps += o.Sleeps
+	s.Coasts += o.Coasts
 	s.Parks += o.Parks
 	s.Wakes += o.Wakes
 	s.SpuriousWakes += o.SpuriousWakes
-	s.CoastCycles += o.CoastCycles
-	s.Coasts += o.Coasts
+	s.Retries += o.Retries
 }
+
+// reason says why a core is suspended. The last four carry a deadline.
+type reason uint8
+
+const (
+	awake   reason = iota
+	stalled        // nothing to do but wait for in-flight loads: until Wake
+	parked         // stalled, and skipping the retries of a refused access: until Wake
+	idle           // finished: forever
+	bubble         // empty inside a fetch bubble: until it ends
+	window         // a single-load window (windowLen)
+	streak         // an ALU dispatch streak (streakLen)
+)
+
+// never is the deadline of a sleep that has none.
+const never = math.MaxInt64
 
 // Core is one out-of-order core.
 type Core struct {
@@ -274,10 +303,6 @@ type Core struct {
 	pendingBuf  Instr
 	srcDone     bool
 
-	// windowed records that the last NextEventCycle sized its skip as a
-	// single-load window (windowLen) rather than a streak, for FastForward.
-	windowed bool
-
 	fetchBlockedUntil int64
 
 	loadHist  [32]*ticket
@@ -286,17 +311,14 @@ type Core struct {
 
 	tkFree []*ticket // ticket pool
 
-	// Sleep state (see TrySleep): while asleep, the system stops ticking
-	// the core and the first CPU cycle not yet simulated is sleepFrom.
-	// It resumes the core (Resume, which replays the skipped cycles in
-	// closed form) at the first CPU cycle it would tick that is not
-	// before wakeAt: never for a sleep only the memory system ends, until
-	// Wake lowers it to 0; the streak's end for a coasting core, which
-	// ignores Wake; 0 while awake. parked says the sleep also skips the
-	// retries of an access the hierarchy refused.
-	asleep    bool
-	coasting  bool
-	parked    bool
+	// why is the reason the core is suspended, awake if it is not:
+	// NextEventCycle records the four that carry a deadline, TrySleep the
+	// two the memory system ends. While suspended the system does not tick
+	// the core; sleepFrom is the first CPU cycle not yet simulated or
+	// replayed, and the system resumes the core at the first cycle it
+	// would tick that is not before wakeAt — the deadline, or never for a
+	// stalled or parked core until Wake lowers it to 0; 0 while awake.
+	why       reason
 	sleepFrom int64
 	wakeAt    int64
 
@@ -398,7 +420,7 @@ func (c *Core) unref(tk *ticket) {
 // CPU cycle now, or 0. During a streak every cycle provably repeats the
 // same step — retire Width ready uops, dispatch one Width-uop ALU
 // chunk, attribute base — so it can be replayed in closed form
-// (replayStreak), by FastForward or as a sleep (TrySleep):
+// (replayStreak):
 //
 //   - the Width uops the retire head reaches each cycle are ALU, branch
 //     or store chunks pushed before now, so their readyAt is at most now
@@ -421,7 +443,7 @@ func (c *Core) unref(tk *ticket) {
 // A core whose one load is about to retire is handled by windowLen.
 func (c *Core) streakLen(now int64) int64 {
 	w := c.cfg.Width
-	if c.asleep || len(c.startQ) != 0 || c.pendingWork < w ||
+	if len(c.startQ) != 0 || c.pendingWork < w ||
 		c.fetchBlockedUntil > now || c.occ < w {
 		return 0
 	}
@@ -470,7 +492,7 @@ func (c *Core) plainAhead(limit int) (a, idx int) {
 // An empty start queue (kept empty by ALU-only dispatch) means no
 // memory access can begin, so no external state is touched.
 func (c *Core) windowLen(now int64) int64 {
-	if c.asleep || c.loads != 1 || len(c.startQ) != 0 {
+	if c.loads != 1 || len(c.startQ) != 0 {
 		return 0
 	}
 	a, idx := c.plainAhead(math.MaxInt)
@@ -510,11 +532,12 @@ func (c *Core) windowLen(now int64) int64 {
 }
 
 // NextEventCycle returns the first CPU cycle at or after now at which
-// the core might do anything other than repeat its current steady-state
-// cycle, assuming no external event (memory completion) arrives in
-// between. Four states are provably repetitive:
+// the core, ticked through cycle now-1, might do anything other than
+// repeat its current steady-state cycle, whatever the memory system
+// does meanwhile, and records the reason in why. Four states are
+// provably repetitive:
 //
-//   - a finished core (Done) idles forever: math.MaxInt64;
+//   - a finished core (Done) idles forever: never (math.MaxInt64);
 //   - an empty core inside a branch-misprediction fetch bubble with no
 //     memory operations outstanding repeats a pure branch-penalty cycle
 //     until the bubble ends: fetchBlockedUntil;
@@ -525,55 +548,88 @@ func (c *Core) windowLen(now int64) int64 {
 //     retire-and-dispatch base cycle until the source must be consulted
 //     or the retire head reaches a load: now + streakLen.
 //
-// Everything else returns now (no skip): the core consumes its source,
-// starts memory accesses, or waits on in-flight memory whose completion
-// time this side does not know. FastForward may only cover cycles
-// strictly before the returned cycle.
+// Everything else returns now and leaves the core awake: it consumes its
+// source, starts memory accesses, or waits on in-flight memory whose
+// completion time this side does not know. FastForward may only cover
+// cycles strictly before the returned cycle.
 func (c *Core) NextEventCycle(now int64) int64 {
-	if c.asleep {
-		return now
-	}
+	c.why = awake
 	if c.Done() {
-		return math.MaxInt64
+		c.why = idle
+		return never
 	}
 	if c.items == 0 && len(c.startQ) == 0 && c.outStores == 0 &&
 		c.pendingWork == 0 && c.pendingOp == nil && !c.srcDone &&
 		c.fetchBlockedUntil > now {
+		c.why = bubble
 		return c.fetchBlockedUntil
 	}
-	c.windowed = false
 	if c.loads == 1 {
 		if k := c.windowLen(now); k > 0 {
-			c.windowed = true
+			c.why = window
 			return now + k
 		}
 	}
 	if k := c.streakLen(now); k > 0 {
+		c.why = streak
 		return now + k
 	}
 	return now
 }
 
 // FastForward charges the n CPU cycles starting at from in closed form,
-// bit-identical to n CPUCycle calls in the steady state NextEventCycle
-// proved: idle cycles for a finished core, branch cycles inside a fetch
-// bubble, a replayed single-load window, or a replayed ALU dispatch
-// streak — the one NextEventCycle sized the skip by: with one load in the
-// ROB either can apply, and NextEventCycle recorded which (windowed).
+// bit-identical to n CPUCycle calls in the steady state the last
+// NextEventCycle (or TrySleep) proved, and by the reason it recorded
+// rather than by the state at from: the n cycles may be any part of the
+// stretch, and a streak's remainder, say, can look like a window once a
+// fill has arrived.
 func (c *Core) FastForward(from, n int64) {
-	if c.Done() {
+	switch c.why {
+	case idle:
 		c.acct.AddCycles(cyclestack.Idle, n)
-		return
-	}
-	if c.items == 0 {
+		c.sleep.IdleCycles += n
+	case bubble:
 		c.acct.AddCycles(cyclestack.Branch, n)
+		c.sleep.BubbleCycles += n
+	case window:
+		// Past the load's retirement the window's tail is Width out,
+		// Width in: a streak.
+		if c.loads == 1 {
+			c.replayWindow(from, n)
+		} else {
+			c.replayStreak(from, n)
+		}
+		c.sleep.WindowCycles += n
+	case streak:
+		c.replayStreak(from, n)
+		c.sleep.CoastCycles += n
+	case stalled:
+		c.replayStall(n)
+		c.sleep.StallCycles += n
+	case parked:
+		c.replayStall(n)
+		c.park.Retried(c.id, n)
+		c.sleep.ParkedCycles += n
+	default:
+		panic("cpu: FastForward outside a provable steady state")
+	}
+}
+
+// replayStall replays n cycles stalled behind the load at the ROB head:
+// each charged it stall and total, both integers, when it is in flight,
+// and was one dram-queue cycle when it has not started.
+func (c *Core) replayStall(n int64) {
+	if tk := c.rob[c.head].tk; tk.started {
+		tk.stall += n
+		c.acct.AddTotal(n)
 		return
 	}
-	if c.loads == 1 && c.windowed {
-		c.replayWindow(from, n)
-		return
+	// dram-queue also receives the fractional splits of retired stalls
+	// (addDramStall), so n unit additions do not round like one addition
+	// of n: make them.
+	for i := int64(0); i < n; i++ {
+		c.acct.AddCycle(cyclestack.DramQueue)
 	}
-	c.replayStreak(from, n)
 }
 
 // consume retires k plain uops FIFO from the ROB head, the ring-level
@@ -799,6 +855,7 @@ func (c *Core) replayStreak(from, n int64) {
 // CPUCycle advances the core by one CPU cycle: retire, dispatch, start
 // eligible memory accesses, then attribute the cycle.
 func (c *Core) CPUCycle(now int64) {
+	c.sleep.Ticks++
 	if c.Done() {
 		c.acct.AddCycle(cyclestack.Idle)
 		return
@@ -1091,12 +1148,10 @@ func (c *Core) classify(now int64, retired int) {
 	}
 }
 
-// TrySleep puts the core to sleep after it simulated CPU cycle now, if
-// the cycles that follow provably repeat. With plain uops at the ROB
-// head that is an ALU dispatch streak of at least two cycles (see
-// streakLen; one cycle is cheaper ticked): the core coasts until the
-// streak's last cycle has passed. With a load at the head, the cycle
-// repeats until the memory system intervenes:
+// TrySleep suspends the core after it simulated CPU cycle now, if the
+// cycles that follow provably repeat. If NextEventCycle says for how
+// long, that is the deadline. Otherwise, with a load at the ROB head, the
+// cycle repeats until the memory system intervenes:
 //
 //   - the load is in flight to DRAM (every cycle is "stall++, total++"
 //     on it) or has not started (every cycle is a dram-queue cycle), so
@@ -1112,25 +1167,24 @@ func (c *Core) classify(now int64, retired int) {
 //     cycle's starts, so nothing behind it is reached.
 //
 // Only a completion for this core or the hierarchy's Wake can change
-// any of that, so the system stops ticking the core until one of them
-// has marked it — or, coasting, until the deadline — and Resume replays
-// the skipped cycles in closed form. An access the memory port refused
-// is not parked: whether the controller would take it is asked anew
-// each cycle. Reports whether the core went to sleep.
+// any of that. An access the memory port refused is not parked: whether
+// the controller would take it is asked anew each cycle. Reports whether
+// the core went to sleep.
 func (c *Core) TrySleep(now int64) bool {
-	if c.asleep || c.items == 0 || c.fetchBlockedUntil > now+1 {
+	if e := c.NextEventCycle(now + 1); e > now+1 {
+		c.sleep.Sleeps++
+		if c.why == streak {
+			c.sleep.Coasts++
+		}
+		c.sleepFrom, c.wakeAt = now+1, e
+		return true
+	}
+	if c.items == 0 || c.fetchBlockedUntil > now+1 {
 		return false
 	}
 	head := &c.rob[c.head]
 	if head.kind != KindLoad {
-		k := c.streakLen(now + 1)
-		if k < 2 {
-			return false
-		}
-		c.sleep.Coasts++
-		c.asleep, c.coasting = true, true
-		c.sleepFrom, c.wakeAt = now+1, now+1+k
-		return true
+		return false
 	}
 	if tk := head.tk; tk.started && (tk.done >= 0 || tk.level != 0) {
 		return false // a hit, or a fill that has arrived: retires by itself
@@ -1142,7 +1196,7 @@ func (c *Core) TrySleep(now int64) bool {
 	} else if !c.srcDone {
 		return false // dispatch would consult the source
 	}
-	parked := false
+	why := stalled
 	for i := range c.startQ {
 		op := &c.startQ[i]
 		if dep := op.dep; dep != nil {
@@ -1156,32 +1210,31 @@ func (c *Core) TrySleep(now int64) bool {
 		if c.park == nil || !c.park.Park(now, c.id, op.addr, c) {
 			return false // not tried this cycle, or the port refused it
 		}
-		parked = true
-		break
-	}
-	if parked {
+		why = parked
 		c.sleep.Parks++
 		if c.wokeWork == c.stats.Retired+c.starts {
 			c.sleep.SpuriousWakes++
 		}
+		break
 	}
-	c.asleep, c.coasting, c.parked = true, false, parked
-	c.sleepFrom, c.wakeAt = now+1, never
+	c.sleep.Sleeps++
+	c.why, c.sleepFrom, c.wakeAt = why, now+1, never
 	return true
 }
 
-// never is the wakeAt of a sleep that has no deadline.
-const never = math.MaxInt64
+// Asleep reports whether the core is suspended (see TrySleep).
+func (c *Core) Asleep() bool { return c.why != awake }
 
-// Asleep reports whether the core is sleeping (see TrySleep).
-func (c *Core) Asleep() bool { return c.asleep }
+// WakeAt returns the first CPU cycle the system must simulate on the
+// core: 0 if it is awake or Wake has marked it, else its deadline —
+// math.MaxInt64 if only the memory system can set one, or nothing.
+func (c *Core) WakeAt() int64 { return c.wakeAt }
 
 // Due reports whether the system must simulate CPU cycle now on the
-// core: it is awake, or asleep and to be resumed first — Wake has marked
-// it, or it has coasted to its deadline.
+// core, resuming it first if it is asleep.
 func (c *Core) Due(now int64) bool { return c.wakeAt <= now }
 
-// Wake marks a sleeping core for resumption; it implements
+// Wake marks a stalled or parked core for resumption; it implements
 // cache.Sleeper and is what the core's own completions call. It
 // deliberately does not end the sleep. A completion fires during the
 // controller phase of memory cycle m with a CPU-domain timestamp that
@@ -1192,71 +1245,44 @@ func (c *Core) Due(now int64) bool { return c.wakeAt <= now }
 // core's turn at t if that core has a higher index — t itself still
 // repeats — and before it otherwise. In every case the first cycle
 // that can differ is the next one the system would tick this core at,
-// which is where it calls Resume. A coasting core ignores Wake: nothing
-// of its is parked, and a completion for a load deeper in its ROB
-// changes nothing a streak cycle reads.
+// which is where it calls Resume. A core asleep to a deadline ignores
+// Wake: nothing of its is parked, and a completion — a fill for a load
+// deeper in its ROB, a store's ownership — changes nothing a cycle
+// before the deadline reads.
 func (c *Core) Wake() {
-	if c.asleep && !c.coasting {
+	if c.why == stalled || c.why == parked {
 		c.wakeAt = 0
 	}
 }
 
 // Resume ends a sleep at CPU cycle at (exclusive), replaying the
-// skipped cycles (see SyncSleep). at is the first cycle the resumed
-// per-cycle loop will simulate; for a coasting core it is at most the
-// deadline (any prefix of a streak is a streak).
+// skipped cycles (see SyncSleep). at is the first cycle the system will
+// tick the core at again; with a deadline it is at most the deadline
+// (any prefix of a provable stretch is one).
 func (c *Core) Resume(at int64) {
 	c.SyncSleep(at)
-	if c.parked {
+	if c.why == parked {
 		c.park.Unpark(c.id)
-		c.parked = false
 		c.sleep.Wakes++
 		c.wokeWork = c.stats.Retired + c.starts
 	}
-	c.asleep, c.wakeAt = false, 0
+	c.why, c.wakeAt = awake, 0
 }
 
 // SyncSleep replays a sleeping core's skipped cycles up to CPU cycle
 // upto (exclusive) without waking it, so its cycle stack and the
 // hierarchy's counters can be read mid-sleep (sample cuts, early stops,
-// final results). A coasting core replays that much of its streak, and
-// nothing past its deadline, where the streak ends. Otherwise each
-// skipped cycle charged the head load — stall and total, both integers,
-// when it is in flight; one dram-queue cycle when it has not started —
-// and, with an access parked, made one more refused retry of it.
+// final results): that much of its stretch (FastForward), and nothing
+// past a deadline.
 func (c *Core) SyncSleep(upto int64) {
-	if !c.asleep {
+	if c.why == awake {
 		return
 	}
-	if c.coasting && upto > c.wakeAt {
+	if c.why >= idle && upto > c.wakeAt {
 		upto = c.wakeAt
 	}
-	from := c.sleepFrom
-	n := upto - from
-	if n <= 0 {
-		return
-	}
-	c.sleepFrom = upto
-	if c.coasting {
-		c.replayStreak(from, n)
-		c.sleep.CoastCycles += n
-		return
-	}
-	if tk := c.rob[c.head].tk; tk.started {
-		tk.stall += n
-		c.acct.AddTotal(n)
-	} else {
-		// dram-queue also receives the fractional splits of retired
-		// stalls (addDramStall), so n unit additions do not round like
-		// one addition of n: make them.
-		for i := int64(0); i < n; i++ {
-			c.acct.AddCycle(cyclestack.DramQueue)
-		}
-	}
-	if c.parked {
-		c.park.Retried(c.id, n)
-		c.sleep.ParkedCycles += n
-	} else {
-		c.sleep.StallCycles += n
+	if from := c.sleepFrom; upto > from {
+		c.sleepFrom = upto
+		c.FastForward(from, upto-from)
 	}
 }

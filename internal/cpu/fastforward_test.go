@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -69,43 +68,69 @@ func ffStream(rng *rand.Rand, n int) []Instr {
 	return items
 }
 
-// skipper drives a core every way sim.System does, picking among them at
-// random: the sprint's NextEventCycle / lazy FastForward / CPUCycle, the
-// saturated branch's CPUCycle / TrySleep / Due / Resume, and the
-// SyncSleep cuts a sample or an early stop makes.
+// skipper drives a core the way sim.System does — Due / Resume /
+// CPUCycle / TrySleep, with the SyncSleep cuts a sample or an early stop
+// makes falling at random inside its sleeps — or, when direct is set, the
+// way the benchmark's FastForward driver does: NextEventCycle, FastForward
+// over the stretch or a prefix of it, CPUCycle, and no sleeping.
 type skipper struct {
-	c    *Core
-	rng  *rand.Rand
-	from int64 // first cycle owed to FastForward
-	upto int64 // cycle the owed stretch is flushed at; 0: nothing owed
+	c      *Core
+	rng    *rand.Rand
+	direct bool
+	from   int64 // direct: first cycle owed to FastForward
+	upto   int64 // direct: cycle the owed stretch is flushed at; 0: nothing owed
 
-	windows, streaks, coastCuts, wakesIgnored int
+	cuts int // cuts inside the current sleep so far
+
+	stretches    [streak + 1]int // direct: stretches replayed, by reason
+	cutsIn       [streak + 1]int // cuts that fell mid-sleep, by reason
+	twiceCut     int             // window sleeps cut a second time
+	wakesIgnored int
 }
 
 // step simulates cycle now and reports whether the core's state is that
 // of a ticked core after cycle now (nothing owed, any sleep synced).
 func (s *skipper) step(now int64) bool {
 	c := s.c
-	if s.upto > now {
-		return false
-	}
-	if s.upto != 0 {
-		c.FastForward(s.from, now-s.from)
-		s.upto = 0
+	if s.direct {
+		if s.upto > now {
+			return false
+		}
+		if s.upto != 0 {
+			c.FastForward(s.from, now-s.from)
+			s.upto = 0
+		}
+		if e := c.NextEventCycle(now); e > now && s.rng.Intn(2) == 0 {
+			if e == never {
+				e = now + 8 // a finished core idles forever
+			}
+			// Any prefix of a provable stretch is replayable: cut some short.
+			if s.rng.Intn(3) == 0 {
+				e = now + 1 + s.rng.Int63n(e-now)
+			}
+			s.stretches[c.why]++
+			s.from, s.upto = now, e
+			return false
+		}
+		c.CPUCycle(now)
+		return true
 	}
 	if c.Asleep() && !c.Due(now) {
-		if c.coasting {
+		if c.why >= idle {
 			d := c.wakeAt
 			if c.Wake(); c.wakeAt != d {
-				panic("a coasting core honoured Wake")
+				panic("a core asleep to a deadline honoured Wake")
 			}
 			s.wakesIgnored++
 		}
 		if s.rng.Intn(3) != 0 {
 			return false
 		}
-		if c.coasting {
-			s.coastCuts++
+		// A later cut of the same sleep replays from where this one stops,
+		// by the reason recorded when the sleep began.
+		s.cutsIn[c.why]++
+		if s.cuts++; s.cuts == 2 && c.why == window {
+			s.twiceCut++
 		}
 		c.SyncSleep(now + 1)
 		return true
@@ -113,39 +138,24 @@ func (s *skipper) step(now int64) bool {
 	if c.Asleep() {
 		c.Resume(now)
 	}
-	if e := c.NextEventCycle(now); e > now && s.rng.Intn(2) == 0 {
-		if e == math.MaxInt64 {
-			e = now + 8 // a finished core idles forever
-		}
-		// Any prefix of a provable stretch is replayable: cut some short.
-		if s.rng.Intn(3) == 0 {
-			e = now + 1 + s.rng.Int63n(e-now)
-		}
-		switch {
-		case c.windowed:
-			s.windows++
-		case c.items > 0:
-			s.streaks++
-		}
-		s.from, s.upto = now, e
-		return false
-	}
+	s.cuts = 0
 	c.CPUCycle(now)
 	c.TrySleep(now)
 	return true
 }
 
 // TestFastForwardMatchesTicking is the core-level differential for the
-// closed-form replays, which only whole-system goldens covered: twin
-// cores run one seeded stream over identical scripted memories; one is
-// ticked every cycle, the other skips whatever NextEventCycle allows and
-// is suspended and resumed as the system would — both mechanisms mixed,
-// with fills arriving (and Wake called) in the middle of skips. Cycle
-// stack, committed work, Done and ROB occupancy must agree at every
-// cycle the skipping twin is caught up at, and at random cuts through a
-// coast.
+// closed-form replays, which only whole-system goldens covered: three
+// cores run one seeded stream over identical scripted memories. One is
+// ticked every cycle; one is suspended and resumed as the system does it,
+// with fills arriving (and Wake called) in the middle of its sleeps and
+// cuts falling anywhere in them, twice in one window included, through
+// the idle tail of a finished core; one skips whatever NextEventCycle
+// allows, as the benchmark's driver does. Cycle stack, committed work,
+// Done and ROB occupancy must agree at every cycle a skipping core is
+// caught up at.
 func TestFastForwardMatchesTicking(t *testing.T) {
-	var total skipper
+	var slept, direct skipper
 	var sleeps SleepStats
 	for _, cfg := range []Config{DefaultConfig(), InOrderConfig()} {
 		for seed := int64(1); seed <= 24; seed++ {
@@ -160,48 +170,76 @@ func TestFastForwardMatchesTicking(t *testing.T) {
 				return New(0, cfg, mem, src), mem
 			}
 			ticked, memT := mk()
-			skipped, memS := mk()
-			s := &skipper{c: skipped, rng: rand.New(rand.NewSource(seed * 7919))}
+			twins := [2]*skipper{
+				{rng: rand.New(rand.NewSource(seed * 7919))},
+				{rng: rand.New(rand.NewSource(seed * 7907)), direct: true},
+			}
+			var mems [2]*levelMem
+			for i, s := range twins {
+				s.c, mems[i] = mk()
+			}
 
+			// tail cycles past the end: a finished core sleeps forever.
 			var now int64
-			for ; !(ticked.Done() && s.upto == 0) && now < 1_000_000; now++ {
+			for tail := 40; tail > 0 && now < 1_000_000; now++ {
+				if ticked.Done() {
+					tail--
+				}
 				ticked.CPUCycle(now)
 				memT.deliver(now)
-				caughtUp := s.step(now)
-				memS.deliver(now)
-				if !caughtUp {
-					continue
+				for i, s := range twins {
+					caughtUp := s.step(now)
+					mems[i].deliver(now)
+					if !caughtUp {
+						continue
+					}
+					c := s.c
+					if ticked.Stack() != c.Stack() || ticked.Stats() != c.Stats() ||
+						ticked.Done() != c.Done() || ticked.occ != c.occ ||
+						ticked.loads != c.loads || ticked.pendingWork != c.pendingWork {
+						t.Fatalf("%s: cycle %d (direct %v, suspended for reason %d):\n ticked  %+v %+v occ %d loads %d work %d\n skipped %+v %+v occ %d loads %d work %d",
+							name, now, s.direct, c.why,
+							ticked.Stats(), ticked.Stack(), ticked.occ, ticked.loads, ticked.pendingWork,
+							c.Stats(), c.Stack(), c.occ, c.loads, c.pendingWork)
+					}
 				}
-				if ticked.Stack() != skipped.Stack() || ticked.Stats() != skipped.Stats() ||
-					ticked.Done() != skipped.Done() || ticked.occ != skipped.occ ||
-					ticked.loads != skipped.loads || ticked.pendingWork != skipped.pendingWork {
-					t.Fatalf("%s: cycle %d (asleep %v, coasting %v):\n ticked  %+v %+v occ %d loads %d work %d\n skipped %+v %+v occ %d loads %d work %d",
-						name, now, skipped.asleep, skipped.coasting,
-						ticked.Stats(), ticked.Stack(), ticked.occ, ticked.loads, ticked.pendingWork,
-						skipped.Stats(), skipped.Stack(), skipped.occ, skipped.loads, skipped.pendingWork)
+			}
+			for i, s := range twins {
+				if !ticked.Done() || !s.c.Done() {
+					t.Fatalf("%s: after %d cycles: ticked done %v, skipped (direct %v) done %v", name, now, ticked.Done(), s.direct, s.c.Done())
+				}
+				if memT.accesses != mems[i].accesses || memT.refused != mems[i].refused {
+					t.Errorf("%s: memory saw %d accesses (%d refused) ticking, %d (%d) skipping (direct %v)",
+						name, memT.accesses, memT.refused, mems[i].accesses, mems[i].refused, s.direct)
 				}
 			}
-			if !ticked.Done() || !skipped.Done() {
-				t.Fatalf("%s: after %d cycles: ticked done %v, skipped done %v", name, now, ticked.Done(), skipped.Done())
-			}
-			if memT.accesses != memS.accesses || memT.refused != memS.refused {
-				t.Errorf("%s: memory saw %d accesses (%d refused) ticking, %d (%d) skipping",
-					name, memT.accesses, memT.refused, memS.accesses, memS.refused)
-			}
-			if lit := ticked.SleepStats(); lit.CoastCycles != 0 || lit.StallCycles != 0 || lit.ParkedCycles != 0 {
+			if lit := ticked.SleepStats(); lit.Slept() != 0 || lit.Ticks != now {
 				t.Errorf("%s: ticked core slept: %+v", name, lit)
 			}
-			total.windows += s.windows
-			total.streaks += s.streaks
-			total.coastCuts += s.coastCuts
-			total.wakesIgnored += s.wakesIgnored
-			sleeps.Add(skipped.SleepStats())
+			// Ticked or slept through, every cycle once — up to the last cut.
+			c := twins[0].c
+			c.SyncSleep(now)
+			if ss := c.SleepStats(); ss.Ticks+ss.Slept() != now || ticked.Stack() != c.Stack() {
+				t.Errorf("%s: %d ticks + %d slept cycles in %d: %+v", name, ss.Ticks, ss.Slept(), now, ss)
+			}
+			sleeps.Add(c.SleepStats())
+			for r := range slept.cutsIn {
+				slept.cutsIn[r] += twins[0].cutsIn[r]
+				direct.stretches[r] += twins[1].stretches[r]
+			}
+			slept.twiceCut += twins[0].twiceCut
+			slept.wakesIgnored += twins[0].wakesIgnored
 		}
 	}
-	t.Logf("FastForward over %d windows and %d streaks, %d cuts through a coast, %d ignored wakes; %+v",
-		total.windows, total.streaks, total.coastCuts, total.wakesIgnored, sleeps)
-	if total.windows == 0 || total.streaks == 0 || total.coastCuts == 0 || total.wakesIgnored == 0 ||
-		sleeps.Coasts == 0 || sleeps.CoastCycles < 2*sleeps.Coasts || sleeps.StallCycles == 0 || sleeps.Parks == 0 {
+	t.Logf("cuts by reason %v (%d windows cut twice), %d ignored wakes, direct stretches by reason %v; %+v",
+		slept.cutsIn, slept.twiceCut, slept.wakesIgnored, direct.stretches, sleeps)
+	for r := stalled; r <= streak; r++ {
+		if slept.cutsIn[r] == 0 || r >= idle && direct.stretches[r] == 0 {
+			t.Errorf("reason %d: %d cuts mid-sleep, %d direct stretches", r, slept.cutsIn[r], direct.stretches[r])
+		}
+	}
+	if slept.twiceCut == 0 || slept.wakesIgnored == 0 || sleeps.Coasts == 0 || sleeps.CoastCycles < 2*sleeps.Coasts ||
+		sleeps.StallCycles == 0 || sleeps.Parks == 0 || sleeps.WindowCycles == 0 || sleeps.BubbleCycles == 0 || sleeps.IdleCycles == 0 {
 		t.Errorf("the streams barely exercise the replays")
 	}
 }
@@ -296,8 +334,11 @@ func TestCoastGuards(t *testing.T) {
 			if replayed(tc.want + 1) {
 				t.Errorf("cycle %d still replays as a streak: the case does not need its guard", tc.want+1)
 			}
-			if slept := c.TrySleep(now - 1); slept != (tc.want >= 2) || slept && (!c.coasting || c.wakeAt != now+tc.want) {
-				t.Errorf("TrySleep = %v (coasting %v until %d), streak is %d cycles", slept, c.coasting, c.wakeAt, tc.want)
+			// TrySleep has one rule for every reason, NextEventCycle's, so a
+			// one-cycle streak is slept through too; asking for two was a
+			// cost choice of the saturated branch, not a correctness one.
+			if slept := c.TrySleep(now - 1); slept != (tc.want >= 1) || slept && (c.why != streak || c.wakeAt != now+tc.want) {
+				t.Errorf("TrySleep = %v (reason %d until %d), streak is %d cycles", slept, c.why, c.wakeAt, tc.want)
 			}
 		})
 	}
@@ -308,7 +349,7 @@ func TestCoastGuards(t *testing.T) {
 		ticked, _ := handCore(6, 9, 10)
 		coast, _ := handCore(6, 9, 10)
 		if !coast.TrySleep(now-1) || coast.Due(now+2) || !coast.Due(now+3) {
-			t.Fatalf("no coast to cycle %d: asleep %v until %d", now+3, coast.asleep, coast.wakeAt)
+			t.Fatalf("no coast to cycle %d: asleep %v until %d", now+3, coast.Asleep(), coast.wakeAt)
 		}
 		coast.SyncSleep(now + 10)
 		coast.SyncSleep(now + 11)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dramstacks/internal/cpu"
 	"dramstacks/internal/stacks"
 	"dramstacks/internal/workload"
 )
@@ -103,38 +104,41 @@ func TestOnSampleStreams(t *testing.T) {
 	}
 }
 
-// TestGoldenCancelMidPark cancels a run while cores sleep on parked
-// accesses: the partial result must replay every retry skipped up to the
-// cancellation, exactly as the per-cycle loop counted them. The context
-// is cancelled from the sample hook, so both loops see it at the same
-// poll (every 1024 memory cycles) and stop on the same cycle.
-func TestGoldenCancelMidPark(t *testing.T) {
-	cfg, mk := starvedConfig()
+// runCancelled runs cfg with a 1<<40 budget on one loop and cancels it
+// from the sample hook once 3000 memory cycles have been sampled, so both
+// loops see the cancellation at the same poll (every 1024 memory cycles)
+// and must stop on the same cycle, 3072.
+func runCancelled(t *testing.T, cfg Config, mk func() []cpu.Source, slow bool) (*Result, *System) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	cfg.MaxMemCycles = 1 << 40
 	cfg.SampleInterval = 1_500
-	run := func(slow bool) (*Result, *System) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		c := cfg
-		c.OnSample = func(s stacks.Sample) {
-			if s.End >= 3_000 {
-				cancel()
-			}
+	cfg.OnSample = func(s stacks.Sample) {
+		if s.End >= 3_000 {
+			cancel()
 		}
-		sys, err := NewFromConfig(c, mk())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.slow = slow
-		res := sys.RunContext(ctx)
-		res.Cfg.OnSample = nil
-		return res, sys
 	}
-	fast, sys := run(false)
-	slow, _ := run(true)
-	if !fast.Cancelled || fast.MemCycles != 3_072 {
-		t.Fatalf("cancelled = %v after %d cycles, want the poll at 3072", fast.Cancelled, fast.MemCycles)
+	sys, err := NewFromConfig(cfg, mk())
+	if err != nil {
+		t.Fatal(err)
 	}
+	sys.slow = slow
+	res := sys.RunContext(ctx)
+	res.Cfg.OnSample = nil
+	if !res.Cancelled || res.MemCycles != 3_072 {
+		t.Fatalf("slow %v: cancelled = %v after %d cycles, want the poll at 3072", slow, res.Cancelled, res.MemCycles)
+	}
+	return res, sys
+}
+
+// TestGoldenCancelMidPark cancels a run while cores sleep on parked
+// accesses: the partial result must replay every retry skipped up to the
+// cancellation, exactly as the per-cycle loop counted them.
+func TestGoldenCancelMidPark(t *testing.T) {
+	cfg, mk := starvedConfig()
+	fast, sys := runCancelled(t, cfg, mk, false)
+	slow, _ := runCancelled(t, cfg, mk, true)
 	if !reflect.DeepEqual(fast, slow) {
 		t.Errorf("cancelled results differ:\n fast: %+v\n slow: %+v", fast.HierStats, slow.HierStats)
 	}
@@ -150,39 +154,36 @@ func TestGoldenCancelMidPark(t *testing.T) {
 // TestGoldenCancelMidCoast cancels a run while cores coast through ALU
 // dispatch streaks: the partial result must hold exactly the prefix of
 // each streak that had elapsed at the cancellation, as the per-cycle
-// loop ticked it. Cancelled from the sample hook like
-// TestGoldenCancelMidPark, so both loops stop on the same cycle.
+// loop ticked it.
 func TestGoldenCancelMidCoast(t *testing.T) {
 	cfg := Default(8)
-	cfg.MaxMemCycles = 1 << 40
-	cfg.SampleInterval = 1_500
-	run := func(slow bool) (*Result, *System) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		c := cfg
-		c.OnSample = func(s stacks.Sample) {
-			if s.End >= 3_000 {
-				cancel()
-			}
-		}
-		sys, err := NewFromConfig(c, SyntheticSources(workload.Sequential, 8, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.slow = slow
-		res := sys.RunContext(ctx)
-		res.Cfg.OnSample = nil
-		return res, sys
-	}
-	fast, sys := run(false)
-	slow, _ := run(true)
-	if !fast.Cancelled || fast.MemCycles != 3_072 {
-		t.Fatalf("cancelled = %v after %d cycles, want the poll at 3072", fast.Cancelled, fast.MemCycles)
-	}
+	mk := func() []cpu.Source { return SyntheticSources(workload.Sequential, 8, 0) }
+	fast, sys := runCancelled(t, cfg, mk, false)
+	slow, _ := runCancelled(t, cfg, mk, true)
 	if !reflect.DeepEqual(fast, slow) {
 		t.Errorf("cancelled results differ:\n fast: %+v\n slow: %+v", fast.CycleStacks, slow.CycleStacks)
 	}
 	if n := coasting(sys, fast.MemCycles*int64(cfg.CPUMult)); n == 0 {
 		t.Errorf("the run was not cancelled mid-coast: %+v", sys.SleepStats())
+	}
+}
+
+// TestGoldenCancelIdleMemory cancels a run whose memory system idles:
+// the cores are cache resident and asleep most of the time, so the event
+// loop's memory cycle moves from one wheel event to the next — sample
+// cuts and refresh deadlines, which share few multiples with 1024. The
+// poll is one of those events itself, or the run would overshoot the
+// cancellation by up to lcm(tREFI, 1024) cycles.
+func TestGoldenCancelIdleMemory(t *testing.T) {
+	cfg := Default(4)
+	cfg.PrewarmOps = 1 << 12
+	mk := cacheResident(4, 60, 0, 0)
+	fast, sys := runCancelled(t, cfg, mk, false)
+	slow, _ := runCancelled(t, cfg, mk, true)
+	if !reflect.DeepEqual(fast, slow) {
+		t.Errorf("cancelled results differ:\n fast: %+v\n slow: %+v", fast.CycleStacks, slow.CycleStacks)
+	}
+	if ss := sys.SleepStats(); fast.CtrlStats.EnqueuedReads != 0 || ss.WindowCycles < 10*ss.Ticks {
+		t.Errorf("the memory system was not idle with the cores asleep: %d reads, %+v", fast.CtrlStats.EnqueuedReads, ss)
 	}
 }

@@ -61,14 +61,15 @@ func goldenCompare(t *testing.T, name string, cfg Config, mk func() []cpu.Source
 		t.Errorf("%s: reference loop: %d parked, %d literal retries, hierarchy counted %d",
 			name, ss.ParkedCycles, ss.Retries, slow.HierStats.Retries)
 	}
-	// The reference loop never coasts, and no loop sleeps through more
-	// core cycles than it simulated.
-	slept := func(ss cpu.SleepStats) int64 { return ss.StallCycles + ss.ParkedCycles + ss.CoastCycles }
-	if ss := slowSys.SleepStats(); slept(ss) != 0 || ss.Coasts != 0 {
-		t.Errorf("%s: reference loop slept: %+v", name, ss)
+	// Every core cycle of the event loop is either ticked or slept
+	// through, for one reason; the reference loop ticks them all.
+	cycles := fast.MemCycles * int64(cfg.CPUMult) * int64(cfg.Cores)
+	if sleep.Ticks+sleep.Slept() != cycles {
+		t.Errorf("%s: %d ticks + %d slept cycles, the run has %d core cycles: %+v",
+			name, sleep.Ticks, sleep.Slept(), cycles, sleep)
 	}
-	if cycles := fast.MemCycles * int64(cfg.CPUMult) * int64(cfg.Cores); slept(sleep) > cycles {
-		t.Errorf("%s: slept through %d of %d core cycles: %+v", name, slept(sleep), cycles, sleep)
+	if ss := slowSys.SleepStats(); ss.Ticks != cycles || ss.Slept() != 0 || ss.Sleeps != 0 {
+		t.Errorf("%s: reference loop slept, or ticked other than %d core cycles: %+v", name, cycles, ss)
 	}
 	if reflect.DeepEqual(fast, slow) {
 		return sleep

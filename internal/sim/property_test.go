@@ -408,11 +408,11 @@ func coastSources(cores int, base func() workload.SyntheticConfig, edit func(*wo
 		var out []cpu.Source
 		for i := 0; i < cores; i++ {
 			wc := base()
+			wc.BaseAddr = uint64(i)*(256<<20) + uint64(i)*8192
+			wc.Seed = int64(i + 1)
 			if edit != nil {
 				edit(&wc)
 			}
-			wc.BaseAddr = uint64(i)*(256<<20) + uint64(i)*8192
-			wc.Seed = int64(i + 1)
 			out = append(out, workload.MustSynthetic(wc))
 		}
 		return out
@@ -421,7 +421,8 @@ func coastSources(cores int, base func() workload.SyntheticConfig, edit func(*wo
 
 // coasting counts the cores that are asleep at CPU cycle now with a
 // deadline ahead of them: not due now, due eventually — which a core
-// asleep on the memory system never is until it is due at once.
+// asleep on the memory system never is until it is due at once, and a
+// finished one never.
 func coasting(s *System, now int64) int {
 	n := 0
 	for _, c := range s.cores {
@@ -432,17 +433,44 @@ func coasting(s *System, now int64) int {
 	return n
 }
 
-// TestGoldenCoastCuts cuts runs where coasting is most exposed: streams
-// whose cores spend most awake cycles inside ALU dispatch streaks, with
-// sample intervals of 1, 7 and 97 memory cycles and a prime warm-up
-// boundary landing inside streaks (each cut must replay the elapsed
-// prefix without ending the sleep) and a budget that runs out mid-streak
-// — on the default and the in-order core, with stores, with mispredicted
-// branches, on HBM2's pseudo-channels and on two channels. Both loops
-// must agree, every shape must really coast, and cuts and the budget
-// must really have fallen mid-coast.
+// midWindow counts the cores that are asleep inside a single-load window
+// at CPU cycle now: asleep to a deadline still ahead, and replaying one
+// more cycle — one more cut, legal anywhere in a sleep — lands in
+// WindowCycles.
+func midWindow(s *System, now int64) int {
+	n := 0
+	for _, c := range s.cores {
+		if !c.Asleep() || c.Due(now) {
+			continue
+		}
+		before := c.SleepStats().WindowCycles
+		c.SyncSleep(now + 1)
+		if c.SleepStats().WindowCycles > before {
+			n++
+		}
+	}
+	return n
+}
+
+// TestGoldenCoastCuts cuts runs where sleeping to a deadline is most
+// exposed, with sample intervals of 1, 7 and 97 memory cycles and a prime
+// warm-up boundary landing inside the sleeps (each cut must replay the
+// elapsed prefix, by the reason the sleep began for, without ending it)
+// and a budget that runs out inside one. The saturating shapes spend most
+// awake cycles inside ALU dispatch streaks — on the default and the
+// in-order core, with stores, with mispredicted branches, on HBM2's
+// pseudo-channels and on two channels; the cache-resident ones sleep
+// through single-load windows, fetch bubbles and, once their streams have
+// ended, forever. Both loops must agree, every shape must really sleep
+// the way it is meant to, and cuts and the budget must really have fallen
+// mid-sleep.
 func TestGoldenCoastCuts(t *testing.T) {
 	seq, strided, hog := workload.DefaultSequential, workload.DefaultStrided, workload.DefaultBWHog
+	// The benchmark's lowutil-4c geometry.
+	resident := func() workload.SyntheticConfig {
+		return workload.SyntheticConfig{Pattern: workload.Sequential, WorkPerOp: 60, FootprintBytes: 1 << 14, StrideBytes: 64}
+	}
+	prewarm := func(c *Config) { c.PrewarmOps = 1 << 12 }
 	shapes := []struct {
 		name     string
 		std      string
@@ -450,6 +478,9 @@ func TestGoldenCoastCuts(t *testing.T) {
 		base     func() workload.SyntheticConfig
 		edit     func(*workload.SyntheticConfig)
 		cfg      func(*Config)
+		// windows marks a cache-resident shape: it must sleep through
+		// windows, not streaks. ends: its streams do, before the budget.
+		windows, ends bool
 	}{
 		{name: "seq-si1", interval: 1, base: seq},
 		{name: "seq-si7", interval: 7, base: seq},
@@ -463,6 +494,16 @@ func TestGoldenCoastCuts(t *testing.T) {
 		}},
 		{name: "hbm2-si7", std: "hbm2-2000", interval: 7, base: seq, edit: func(wc *workload.SyntheticConfig) { wc.StoreFrac = 0.2 }},
 		{name: "two-channels-si97", interval: 97, base: seq, cfg: func(c *Config) { c.Channels = 2 }},
+		{name: "resident-si1", interval: 1, base: resident, cfg: prewarm, windows: true},
+		{name: "resident-si7", interval: 7, base: resident, cfg: prewarm, windows: true},
+		{name: "resident-si97", interval: 97, base: resident, cfg: prewarm, windows: true},
+		{name: "resident-mispredicts-si7", interval: 7, base: resident, cfg: prewarm, windows: true,
+			edit: func(wc *workload.SyntheticConfig) { wc.BranchEvery, wc.MispredictRate = 3, 0.3 }},
+		{name: "resident-inorder-si7", interval: 7, base: resident, windows: true,
+			cfg: func(c *Config) { c.Core, c.PrewarmOps = cpu.InOrderConfig(), 1<<12 }},
+		{name: "resident-finite-si7", interval: 7, base: resident, cfg: prewarm, windows: true, ends: true,
+			// 1<<12 operations prewarm; the rest end core by core.
+			edit: func(wc *workload.SyntheticConfig) { wc.Ops = 1<<12 + 100*wc.Seed }},
 	}
 	cutsMidCoast, endsMidCoast := 0, 0
 	for _, sh := range shapes {
@@ -480,16 +521,31 @@ func TestGoldenCoastCuts(t *testing.T) {
 			cfg.SampleInterval = sh.interval
 			cfg.OnSample = func(stacks.Sample) {} // replaced per run by goldenCompare
 			mk := coastSources(cores, sh.base, sh.edit)
-			if ss := goldenCompare(t, sh.name, cfg, mk); ss.Coasts == 0 || ss.CoastCycles < 3*ss.Coasts {
-				t.Errorf("the shape barely coasts: %+v", ss)
+			ss := goldenCompare(t, sh.name, cfg, mk)
+			switch {
+			case !sh.windows:
+				if ss.Coasts == 0 || ss.CoastCycles < 3*ss.Coasts {
+					t.Errorf("the shape barely coasts: %+v", ss)
+				}
+			case ss.WindowCycles == 0 || ss.Slept() < 5*ss.Ticks || sh.ends != (ss.IdleCycles > 0) ||
+				sh.edit != nil && !sh.ends && ss.BubbleCycles == 0:
+				t.Errorf("the shape barely sleeps, or not through windows, bubbles or its end: %+v", ss)
 			}
 
 			// The same run again, asking at every cut and at the end whether
-			// a core was coasting.
+			// a core was coasting, or inside a window.
 			var sys *System
+			mid := coasting
+			if sh.windows {
+				mid = midWindow
+			}
+			cutsMid, endsMid := 0, 0
 			cfg.OnSample = func(smp stacks.Sample) {
-				if coasting(sys, smp.End*int64(cfg.CPUMult)) > 0 {
-					cutsMidCoast++
+				// The last sample is cut when the budget runs out.
+				endsMid = 0
+				if mid(sys, smp.End*int64(cfg.CPUMult)) > 0 {
+					cutsMid++
+					endsMid = 1
 				}
 			}
 			sys, err := NewFromConfig(cfg, mk())
@@ -497,13 +553,17 @@ func TestGoldenCoastCuts(t *testing.T) {
 				t.Fatal(err)
 			}
 			sys.slow = false // also when the reference loop is the build's default
-			res := sys.Run()
-			if coasting(sys, res.MemCycles*int64(cfg.CPUMult)) > 0 {
-				endsMidCoast++
+			sys.Run()
+			switch {
+			case !sh.windows:
+				cutsMidCoast += cutsMid
+				endsMidCoast += endsMid
+			case cutsMid == 0 || endsMid == 0 && !sh.ends:
+				t.Errorf("%d sample cuts and %d budgets fell mid-window", cutsMid, endsMid)
 			}
 		})
 	}
-	t.Logf("%d sample cuts and %d of %d budgets fell mid-coast", cutsMidCoast, endsMidCoast, len(shapes))
+	t.Logf("%d sample cuts and %d budgets of the saturating shapes fell mid-coast", cutsMidCoast, endsMidCoast)
 	if cutsMidCoast < 1_000 || endsMidCoast == 0 {
 		t.Errorf("%d sample cuts and %d budgets fell mid-coast, want many and some", cutsMidCoast, endsMidCoast)
 	}

@@ -199,27 +199,22 @@ type System struct {
 
 	memCycle int64
 
-	// Idle-cycle fast-forwarding state (unused when slow is set).
-	// Controllers are ticked lazily: ctrlTicked is the last memory cycle
-	// each controller has simulated, ctrlNext the next cycle it must
-	// simulate for real (everything in between is provably idle and is
-	// replayed in closed form by catchUpCtrl). slow selects the
-	// per-cycle reference loop (the -tags=slowtick default).
+	// Controllers are ticked lazily by the event loop: ctrlTicked is the
+	// last memory cycle each controller has simulated, ctrlNext the next
+	// cycle it must simulate for real (everything in between is provably
+	// quiet and is replayed in closed form by catchUpCtrl). slow selects
+	// the per-cycle reference loop instead (the -tags=slowtick default),
+	// which uses none of this.
 	ctrlTicked []int64
 	ctrlNext   []int64
 	slow       bool
 
-	// Sprint scratch (see sprint): per-core next-event cycle and the
-	// first CPU cycle each core has not yet simulated or replayed.
-	coreNext []int64
-	coreFrom []int64
-
-	// wheel is the event scheduler of the fast loop: controller actors
-	// (IDs 0..channels-1) carry each controller's next real tick cycle
-	// (including its refresh deadline when idle), and one actor each for
-	// the budget, warmup and sampler boundaries. The main loop pops due
-	// controllers per cycle and jumps straight to wheel.Earliest() when
-	// every core and the cache hierarchy are provably inert.
+	// wheel holds what bounds a CPU phase of the event loop: controller
+	// actors (IDs 0..channels-1) carry each controller's next real tick
+	// cycle (its refresh deadline when idle), and one actor each stands
+	// for the budget, warm-up, sampler and cancellation-poll boundaries.
+	// Cores are not in it: they sleep to CPU-cycle deadlines the phase
+	// itself jumps between (see cpuPhase).
 	wheel *sched.Wheel
 
 	// readDone is the single pre-bound read-completion callback shared
@@ -227,10 +222,8 @@ type System struct {
 	// Request.Meta), so enqueuing allocates no closures.
 	readDone func(*memctrl.Request, int64)
 
-	// memActive flags that a request reached a memory controller since
-	// it was last cleared; the sprint loop uses it to detect that the
-	// memory system woke up and per-cycle controller phases are needed
-	// again.
+	// memActive flags that a request reached a memory controller during
+	// the current CPU phase, which therefore ends with this memory cycle.
 	memActive bool
 
 	observers []Observer
@@ -313,8 +306,6 @@ func newSystem(cfg Config, sources []cpu.Source) (*System, error) {
 	s.slow = SlowTick
 	s.ctrlTicked = make([]int64, channels)
 	s.ctrlNext = make([]int64, channels)
-	s.coreNext = make([]int64, cfg.Cores)
-	s.coreFrom = make([]int64, cfg.Cores)
 	s.wheel = sched.New()
 	for ch := range s.ctrlTicked {
 		s.ctrlTicked[ch] = -1
@@ -346,9 +337,12 @@ func newSystem(cfg Config, sources []cpu.Source) (*System, error) {
 }
 
 // Boundary actor IDs in the event wheel (after the controller actors).
+// They only bound the CPU phase; the bookkeeping after each controller
+// phase observes their cycles.
 func (s *System) budgetActor() int  { return s.channels }
 func (s *System) warmupActor() int  { return s.channels + 1 }
 func (s *System) samplerActor() int { return s.channels + 2 }
+func (s *System) pollActor() int    { return s.channels + 3 }
 
 // memPort adapts the memory controller to the cache hierarchy's CPU-cycle
 // view of time.
@@ -404,12 +398,10 @@ func (s *System) Controller() *memctrl.Controller { return s.ctrls[0] }
 // Hierarchy exposes the cache hierarchy.
 func (s *System) Hierarchy() *cache.Hierarchy { return s.hier }
 
-// SleepStats says how much of the run so far the cores slept through
-// instead of being ticked, summed over cores: DRAM stalls, retries of
-// accesses parked on a full MSHR file (and how precisely the hierarchy
-// woke them), and ALU dispatch streaks coasted through. It is a
-// diagnostic of the simulator and deliberately not part of Result:
-// nothing hashed or encoded depends on it.
+// SleepStats says how the cores' cycles of the run so far were
+// simulated, summed over cores (see cpu.SleepStats). It is a diagnostic
+// of the simulator and deliberately not part of Result: nothing hashed or
+// encoded depends on it.
 func (s *System) SleepStats() cpu.SleepStats {
 	s.syncSleepers()
 	var t cpu.SleepStats
@@ -429,63 +421,36 @@ func (s *System) Run() *Result { return s.RunContext(context.Background()) }
 const cancelCheckMask = 1<<10 - 1
 
 // SlowTick, when true, makes systems created afterwards use the reference
-// per-cycle loop instead of idle-cycle fast-forwarding. It defaults to
-// false; building with -tags=slowtick flips the default. Both loops
-// produce byte-identical results — the slow loop exists as the golden
-// reference for the equivalence tests and for debugging.
+// per-cycle loop instead of the event loop. It defaults to false;
+// building with -tags=slowtick flips the default. Both loops produce
+// byte-identical results — the slow loop exists as the golden reference
+// for the equivalence tests and for debugging.
 var SlowTick = defaultSlowTick
 
-// RunContext simulates like Run but additionally polls ctx every few
+// RunContext simulates like Run but additionally polls ctx every 1024
 // memory cycles. When ctx is cancelled the run stops promptly and
 // returns the partial result accumulated so far (with Cancelled set);
 // warmup subtraction and through-time sampling behave exactly as on a
 // normal early stop, so the partial stacks remain internally consistent.
 //
-// The loop fast-forwards across provably idle cycles instead of ticking
-// every component every DRAM cycle (see doc/PERF.md): idle memory
-// controllers are ticked lazily and their idle gaps replayed in closed
-// form, and when additionally every core is in a provably repetitive
-// state with nothing in flight, whole memory cycles are skipped in bulk.
-// Every stack, sample and statistic stays byte-identical to the
-// reference per-cycle loop (build with -tags=slowtick, or set SlowTick,
-// to run it).
+// Each iteration is a CPU phase (cpuPhase: one memory cycle, or as many
+// as precede the wheel's next event), the controller phase of the last
+// memory cycle it covered, and the boundary bookkeeping (see
+// doc/PERF.md). Every stack, sample and statistic is byte-identical to
+// the reference per-cycle loop (build with -tags=slowtick, or set
+// SlowTick, to run it).
 func (s *System) RunContext(ctx context.Context) *Result {
 	if s.slow {
 		return s.runSlow(ctx)
 	}
 	done := ctx.Done()
-simLoop:
+	if done != nil {
+		// The poll is a boundary like the others, so that a CPU phase
+		// cannot carry the run across it.
+		s.wheel.Schedule(s.pollActor(), (s.memCycle|cancelCheckMask)+1)
+	}
 	for {
-		if s.sprintable() {
-			s.sprint()
-		} else {
-			m := s.memCycle
-			// The sleeps the memory system ends are only reachable with a
-			// demand miss in flight, and a miss-free system is a write
-			// drain or a refresh away from the sprint, which replays
-			// streaks itself: TrySleep is skipped on miss-free cycles.
-			canSleep := s.hier.OutstandingMisses() > 0
-			for c := 0; c < s.cfg.CPUMult; c++ {
-				cpuNow := m*int64(s.cfg.CPUMult) + int64(c)
-				for _, core := range s.cores {
-					// A sleeping core is not ticked; once a completion or
-					// the hierarchy has marked it, or the streak it coasts
-					// through has ended, the skipped cycles are replayed in
-					// closed form and it resumes here.
-					if !core.Due(cpuNow) {
-						continue
-					}
-					if core.Asleep() {
-						core.Resume(cpuNow)
-					}
-					core.CPUCycle(cpuNow)
-					if canSleep {
-						core.TrySleep(cpuNow)
-					}
-				}
-				s.hier.Tick(cpuNow)
-			}
-		}
+		s.cpuPhase()
 		m := s.memCycle
 		s.wheel.Advance(m)
 		for mask := s.wheel.PopDue(); mask != 0; {
@@ -494,52 +459,36 @@ simLoop:
 			if a < s.channels {
 				s.catchUpCtrl(a, m)
 			}
-			// Boundary actors (budget/warmup/sampler) are pure jump
-			// clamps; the bookkeeping below observes their cycles.
 		}
 		s.memCycle++
 
-		// Post-cycle bookkeeping; repeats after a bulk skip so every
-		// boundary (warmup, sample cut, budget) is observed at exactly
-		// the cycle the per-cycle loop would observe it.
-		for {
-			if s.cfg.WarmupMemCycles > 0 && !s.warmed && s.memCycle >= s.cfg.WarmupMemCycles {
-				s.catchUpAll(s.memCycle - 1)
-				s.snapWarm()
-				s.wheel.Cancel(s.warmupActor())
+		if s.cfg.WarmupMemCycles > 0 && !s.warmed && s.memCycle >= s.cfg.WarmupMemCycles {
+			s.catchUpAll(s.memCycle - 1)
+			s.snapWarm()
+			s.wheel.Cancel(s.warmupActor())
+		}
+		if s.cfg.SampleInterval > 0 && s.memCycle-s.nextCut >= s.cfg.SampleInterval {
+			s.catchUpAll(s.memCycle - 1)
+			s.cutCycleSample()
+			s.publishSamples()
+			s.wheel.Schedule(s.samplerActor(), s.nextCut+s.cfg.SampleInterval)
+		}
+		if s.cfg.MaxMemCycles > 0 && s.memCycle >= s.cfg.MaxMemCycles {
+			break
+		}
+		if done != nil && s.memCycle&cancelCheckMask == 0 {
+			select {
+			case <-done:
+				s.cancelled = true
+			default:
 			}
-			if s.cfg.SampleInterval > 0 && s.memCycle-s.nextCut >= s.cfg.SampleInterval {
-				s.catchUpAll(s.memCycle - 1)
-				s.cutCycleSample()
-				s.publishSamples()
-				s.wheel.Schedule(s.samplerActor(), s.nextCut+s.cfg.SampleInterval)
-			}
-			if s.cfg.MaxMemCycles > 0 && s.memCycle >= s.cfg.MaxMemCycles {
-				break simLoop
-			}
-			if done != nil && s.memCycle&cancelCheckMask == 0 {
-				select {
-				case <-done:
-					s.cancelled = true
-				default:
-				}
-				if s.cancelled {
-					break simLoop
-				}
-			}
-			if s.done() {
-				break simLoop
-			}
-			skip := s.skipWindow()
-			if skip <= s.memCycle {
+			if s.cancelled {
 				break
 			}
-			from := s.memCycle * int64(s.cfg.CPUMult)
-			n := (skip - s.memCycle) * int64(s.cfg.CPUMult)
-			for _, core := range s.cores {
-				core.FastForward(from, n)
-			}
-			s.memCycle = skip
+			s.wheel.Schedule(s.pollActor(), s.memCycle+cancelCheckMask+1)
+		}
+		if s.done() {
+			break
 		}
 	}
 	s.catchUpAll(s.memCycle - 1)
@@ -550,6 +499,78 @@ simLoop:
 	s.publishSamples()
 	s.notifyDone()
 	return s.result()
+}
+
+// cpuPhase simulates the cores and the cache hierarchy from the first
+// CPU cycle of memory cycle s.memCycle through the memory cycle before
+// the wheel's next event — the current one, when a controller is busy —
+// and leaves s.memCycle at the last memory cycle it covered, whose
+// controller phase the caller runs next. No controller has anything to
+// do in the cycles before that one, so no completion arrives meanwhile.
+//
+// Only due cores are ticked, each going back to sleep as soon as it can
+// (cpu.Core.TrySleep), and while the hierarchy has no writeback to retry
+// the phase jumps straight to the earliest deadline. The jump is
+// CPU-cycle granular on purpose: cache-resident cores wake nearly once
+// per memory cycle, and visiting every memory cycle they wake in costs a
+// fifth of the throughput there (doc/PERF.md, "One loop").
+func (s *System) cpuPhase() {
+	mult := int64(s.cfg.CPUMult)
+	cpu := s.memCycle * mult
+	cycleEnd := cpu + mult // first CPU cycle past memory cycle s.memCycle
+	end := cycleEnd        // first CPU cycle past the phase
+	if e := s.wheel.Earliest() * mult; e > end {
+		end = e
+	}
+	s.memActive = false
+	for {
+		if !s.hier.Backlogged() {
+			next := int64(math.MaxInt64)
+			for _, core := range s.cores {
+				if w := core.WakeAt(); w < next {
+					next = w
+				}
+			}
+			if next == math.MaxInt64 {
+				// Every core has finished or waits for a controller, so
+				// the reference loop stops, or has a completion to deliver,
+				// at the end of this memory cycle: the one just ticked —
+				// not the next, if that tick was its last subcycle — or
+				// the one the phase began in, which must run regardless.
+				end = cycleEnd
+			}
+			if next > cpu {
+				cpu = next
+			}
+		}
+		if cpu >= end {
+			break
+		}
+		for cpu >= cycleEnd {
+			// memPort stamps enqueues with s.memCycle. (Counting up beats
+			// dividing: cores wake a few memory cycles apart.)
+			s.memCycle++
+			cycleEnd += mult
+		}
+		for _, core := range s.cores {
+			if !core.Due(cpu) {
+				continue
+			}
+			if core.Asleep() {
+				core.Resume(cpu)
+			}
+			core.CPUCycle(cpu)
+			core.TrySleep(cpu)
+		}
+		s.hier.Tick(cpu)
+		cpu++
+		if s.memActive {
+			end = cycleEnd // the controllers run every cycle again
+		}
+	}
+	if end > cycleEnd {
+		s.memCycle = end/mult - 1 // a jump ended the phase
+	}
 }
 
 // catchUpCtrl brings controller ch up to date through memory cycle
@@ -590,208 +611,10 @@ func (s *System) catchUpAll(target int64) {
 	}
 }
 
-// sprintable reports whether the CPU side can run in the sprint loop:
-// every memory controller is provably idle until after the next memory
-// cycle (the wheel's earliest event — controller work, refresh deadline
-// or a warmup/sample/budget boundary — is at least two cycles out) and
-// no core is sleeping. Controllers with queued or in-flight requests
-// always have their next event at the very next cycle, so a far
-// earliest event implies an empty memory system, which in turn implies
-// no outstanding misses and no core asleep on one; a core still
-// coasting keeps the per-cycle loop until its deadline, a few cycles.
-func (s *System) sprintable() bool {
-	if s.wheel.Earliest() <= s.memCycle+1 {
-		return false
-	}
-	for _, core := range s.cores {
-		if core.Asleep() {
-			return false
-		}
-	}
-	return true
-}
-
-// sprint simulates CPU subcycles in a tight loop while the memory
-// system is empty: no controller phases, no sleep checks, no per-cycle
-// bookkeeping — just core cycles, cache ticks and closed-form
-// fast-forwarding at CPU-cycle granularity. It runs until the wheel's
-// next event is due, or until a core request reaches a controller
-// (memActive), and returns with s.memCycle at the last cycle whose
-// subcycles were simulated; the caller proceeds with that cycle's
-// controller phase and bookkeeping. Everything it does is byte-
-// identical to the per-cycle loop: skipped cycles satisfy the cores'
-// NextEventCycle contracts, and the memory cycles it covers have empty
-// controller phases by the wheel invariant.
-func (s *System) sprint() {
-	limit := s.wheel.Earliest() - 1 // cycles m..limit have empty ctrl phases
-	mult := int64(s.cfg.CPUMult)
-	cpu := s.memCycle * mult
-	end := (limit + 1) * mult // first CPU cycle past the sprintable range
-	// Stale activity from before this sprint is already handled:
-	// sprintable proved every controller idle. Only a wake-up during
-	// the sprint matters below.
-	s.memActive = false
-	nxt, from := s.coreNext, s.coreFrom
-	for i, core := range s.cores {
-		nxt[i] = core.NextEventCycle(cpu)
-		from[i] = cpu
-	}
-	for {
-		// Earliest cycle any core must simulate for real. Cores are
-		// independent between memory interactions, so each one is ticked
-		// only on its own event cycles; the provably repetitive stretch
-		// since from[i] is replayed in closed form right before, and a
-		// core with no due event just accrues owed cycles.
-		e := int64(math.MaxInt64)
-		for _, t := range nxt {
-			if t < e {
-				e = t
-			}
-		}
-		if e == math.MaxInt64 && !s.hier.Pending() {
-			// Every core has committed its stream (NextEventCycle is
-			// MaxInt64 only for a Done core) with nothing left in the
-			// memory system: the reference loop exits at the next
-			// memory-cycle boundary, not at the next wheel event, so
-			// finish this memory cycle and let the caller's done() check
-			// end the run on exactly the same cycle.
-			b := (cpu + mult - 1) / mult * mult
-			for i, core := range s.cores {
-				if d := b - from[i]; d > 0 {
-					core.FastForward(from[i], d)
-				}
-			}
-			s.memCycle = b/mult - 1
-			return
-		}
-		if e > cpu {
-			j := e
-			if j > end {
-				j = end
-			}
-			if s.hier.Pending() {
-				// A writeback backlog still needs its per-cycle retry;
-				// core cycles stay owed.
-				for cpu < j && !s.memActive {
-					s.memCycle = cpu / mult
-					s.hier.Tick(cpu)
-					cpu++
-				}
-			} else {
-				cpu = j
-			}
-		}
-		if !s.memActive {
-			if cpu >= end {
-				for i, core := range s.cores {
-					if d := end - from[i]; d > 0 {
-						core.FastForward(from[i], d)
-					}
-				}
-				s.memCycle = limit
-				return
-			}
-			if e <= cpu {
-				// Real cycle for the due cores: memPort timestamps
-				// enqueues with s.memCycle, so keep it current.
-				s.memCycle = cpu / mult
-				for i, core := range s.cores {
-					if nxt[i] > cpu {
-						continue
-					}
-					if d := cpu - from[i]; d > 0 {
-						core.FastForward(from[i], d)
-					}
-					core.CPUCycle(cpu)
-					from[i] = cpu + 1
-					nxt[i] = core.NextEventCycle(cpu + 1)
-				}
-				s.hier.Tick(cpu)
-				cpu++
-			}
-		}
-		if s.memActive {
-			// A request reached a controller: replay every core's owed
-			// cycles and finish this memory cycle's remaining subcycles,
-			// so the caller can run its controller phase exactly like
-			// the per-cycle loop.
-			for i, core := range s.cores {
-				if d := cpu - from[i]; d > 0 {
-					core.FastForward(from[i], d)
-				}
-			}
-			for cpu%mult != 0 {
-				for _, core := range s.cores {
-					core.CPUCycle(cpu)
-				}
-				s.hier.Tick(cpu)
-				cpu++
-			}
-			s.memActive = false
-			return
-		}
-	}
-}
-
-// skipWindow returns the first memory cycle at or after the current one
-// that must be simulated cycle by cycle. A return greater than
-// s.memCycle means every cycle in between is provably inert on all
-// sides: every channel is idle (no queued, in-flight or refresh-pending
-// work), the cache hierarchy has nothing in flight, and every core is in
-// a provably repetitive state — those cycles are charged in closed form
-// and skipped. The window is clamped to the next warmup, sample, budget
-// and core-resume boundary so bookkeeping fires on exactly the same
-// cycles as the per-cycle loop.
-func (s *System) skipWindow() int64 {
-	// Ordered cheapest-reject first: on a busy memory system the first
-	// channel check exits, keeping the fast loop's per-cycle overhead
-	// near zero when there is nothing to skip.
-	m := s.memCycle
-	limit := int64(0)
-	for ch := range s.ctrls {
-		next := s.ctrlNext[ch]
-		if next <= m {
-			return m
-		}
-		if limit == 0 || next < limit {
-			limit = next
-		}
-	}
-	mult := int64(s.cfg.CPUMult)
-	cpuNow := m * mult
-	for _, core := range s.cores {
-		e := core.NextEventCycle(cpuNow)
-		if e <= cpuNow {
-			return m
-		}
-		if mem := e / mult; mem < limit {
-			limit = mem
-		}
-	}
-	if s.hier.Pending() {
-		return m
-	}
-	if s.cfg.MaxMemCycles > 0 && s.cfg.MaxMemCycles < limit {
-		limit = s.cfg.MaxMemCycles
-	}
-	if s.cfg.WarmupMemCycles > 0 && !s.warmed && s.cfg.WarmupMemCycles < limit {
-		limit = s.cfg.WarmupMemCycles
-	}
-	if s.cfg.SampleInterval > 0 {
-		if b := s.nextCut + s.cfg.SampleInterval; b < limit {
-			limit = b
-		}
-	}
-	if limit < m {
-		return m
-	}
-	return limit
-}
-
 // runSlow is the reference per-cycle loop: every component ticks on
 // every DRAM cycle, exactly as the seed implementation did. It is the
 // default under -tags=slowtick and the baseline the golden-equivalence
-// tests compare the fast-forwarding loop against.
+// tests compare the event loop against.
 func (s *System) runSlow(ctx context.Context) *Result {
 	done := ctx.Done()
 	for {
@@ -912,9 +735,9 @@ func (s *System) aggregateCycleStack() cyclestack.Stack {
 	return agg
 }
 
-// syncSleepers replays sleeping cores' skipped stall cycles up to the
-// current simulation time, so cycle stacks can be read mid-sleep. A
-// no-op for awake cores.
+// syncSleepers replays sleeping cores' skipped cycles up to the current
+// simulation time, so cycle stacks can be read mid-sleep. A no-op for
+// awake cores.
 func (s *System) syncSleepers() {
 	upto := s.memCycle * int64(s.cfg.CPUMult)
 	for _, c := range s.cores {

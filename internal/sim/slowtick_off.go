@@ -2,6 +2,6 @@
 
 package sim
 
-// defaultSlowTick selects the fast-forwarding loop by default; build with
+// defaultSlowTick selects the event loop by default; build with
 // -tags=slowtick to default to the reference per-cycle loop instead.
 const defaultSlowTick = false
