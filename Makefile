@@ -26,11 +26,15 @@ test-short:
 # equivalence tests — and the parked-retry oracles beneath them — so the
 # sim hot loop is race-checked end to end, and the warm differentials:
 # the sharded LLC replay has several goroutines write one slot array.
+# The GAP path in full too — the generator oracles, the barrier sources,
+# and the graph cache that concurrent jobs share.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 -run 'Golden|FastForward' ./internal/sim/
 	$(GO) test -race -count=1 -run 'Repeat|Park|FastForward' ./internal/prefetch/ ./internal/cache/ ./internal/cpu/
 	$(GO) test -race -count=1 -run 'Warm|Prewarm' ./internal/cache/ ./internal/sim/
+	$(GO) test -race -count=1 ./internal/graph/ ./internal/gap/
+	$(GO) test -race -count=1 -run 'BuildGraph' ./internal/exp/
 
 cover:
 	$(GO) test -cover ./internal/...

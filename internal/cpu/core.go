@@ -26,13 +26,16 @@
 // reasons carry their own deadline, which no Wake moves: a finished core
 // (idle, forever), an empty core inside a branch-misprediction bubble
 // (branch), a single-load window, an ALU dispatch streak (base) — the
-// states NextEventCycle sizes and FastForward replays. The other two end
-// only when the memory system says so: blocked behind a load at the ROB
+// states NextEventCycle sizes and FastForward replays. The other three
+// end only when someone else says so. Blocked behind a load at the ROB
 // head with dispatch inert, the core can do nothing with memory but wait
 // for in-flight loads (a DRAM stall) and retry one access that the
 // hierarchy refused for want of an MSHR (a parked retry); it is woken by
 // a completion of its own (MemDone) or by the hierarchy when the refused
-// access could be answered differently (Parker).
+// access could be answered differently (Parker). Empty at a barrier its
+// source has promised to announce the end of (BarrierSource), it can only
+// idle; it is woken by the source, from inside the poll of the core that
+// arrives last.
 package cpu
 
 import (
@@ -58,7 +61,9 @@ const (
 	KindBranch
 	// KindStall means the source has no work this cycle (e.g. the thread
 	// waits at a barrier): the core dispatches nothing and polls the
-	// source again next cycle. The stalled time shows up as the cycle
+	// source again next cycle — or, if the source is a BarrierSource and
+	// the core has nothing else to do, sleeps until the source wakes it,
+	// which is the same thing. The stalled time shows up as the cycle
 	// stack's idle component, as in the paper's Fig. 7 bfs dip.
 	KindStall
 )
@@ -103,6 +108,21 @@ type Source interface {
 type BatchSource interface {
 	Source
 	NextBatch(buf []Instr) int
+}
+
+// BarrierSource is an optional promise a Source makes about its
+// KindStall: once Next has returned one, every further Next returns
+// KindStall again, with no side effect, until the source has called the
+// wake function it was given — which it does from inside the Next of
+// another core's source, the one that opens the next phase or ends the
+// streams. A core with nothing else to do may then stop polling
+// (TrySleep); the poll it makes when woken is the first that can be
+// answered differently. Calling wake for a core that is not waiting, or
+// more often than needed, is harmless. A BatchSource cannot make the
+// promise: its items do not depend on when it is polled.
+type BarrierSource interface {
+	Source
+	OnRelease(wake func())
 }
 
 // batchLen is the core's pull-buffer size: big enough to amortize the
@@ -216,17 +236,18 @@ type Stats struct {
 // simulator, not of the simulated machine: the system keeps it out of
 // its Result.
 type SleepStats struct {
-	Ticks        int64 // CPUCycle calls
-	StallCycles  int64 // cycles slept with no access parked: pure DRAM stall
-	ParkedCycles int64 // cycles slept on a parked access: one skipped retry each
-	IdleCycles   int64 // cycles slept finished
-	BubbleCycles int64 // cycles slept empty inside a fetch bubble
-	WindowCycles int64 // cycles slept as a single-load window (see windowLen)
-	CoastCycles  int64 // cycles slept as an ALU dispatch streak (see streakLen)
-	Sleeps       int64 // sleeps, of any reason
-	Coasts       int64 // sleeps that were an ALU dispatch streak
-	Parks        int64 // sleeps that parked an access
-	Wakes        int64 // resumptions from such a sleep
+	Ticks         int64 // CPUCycle calls
+	StallCycles   int64 // cycles slept with no access parked: pure DRAM stall
+	ParkedCycles  int64 // cycles slept on a parked access: one skipped retry each
+	BarrierCycles int64 // cycles slept empty at a barrier: one skipped poll each
+	IdleCycles    int64 // cycles slept finished
+	BubbleCycles  int64 // cycles slept empty inside a fetch bubble
+	WindowCycles  int64 // cycles slept as a single-load window (see windowLen)
+	CoastCycles   int64 // cycles slept as an ALU dispatch streak (see streakLen)
+	Sleeps        int64 // sleeps, of any reason
+	Coasts        int64 // sleeps that were an ALU dispatch streak
+	Parks         int64 // sleeps that parked an access
+	Wakes         int64 // resumptions from such a sleep
 	// SpuriousWakes counts the resumptions that changed nothing: the core
 	// retired nothing and started no access before it parked again.
 	SpuriousWakes int64
@@ -235,7 +256,7 @@ type SleepStats struct {
 
 // Slept returns the cycles replayed in closed form, over all reasons.
 func (s SleepStats) Slept() int64 {
-	return s.StallCycles + s.ParkedCycles + s.IdleCycles + s.BubbleCycles + s.WindowCycles + s.CoastCycles
+	return s.StallCycles + s.ParkedCycles + s.BarrierCycles + s.IdleCycles + s.BubbleCycles + s.WindowCycles + s.CoastCycles
 }
 
 // Add accumulates o into s.
@@ -243,6 +264,7 @@ func (s *SleepStats) Add(o SleepStats) {
 	s.Ticks += o.Ticks
 	s.StallCycles += o.StallCycles
 	s.ParkedCycles += o.ParkedCycles
+	s.BarrierCycles += o.BarrierCycles
 	s.IdleCycles += o.IdleCycles
 	s.BubbleCycles += o.BubbleCycles
 	s.WindowCycles += o.WindowCycles
@@ -262,6 +284,7 @@ const (
 	awake   reason = iota
 	stalled        // nothing to do but wait for in-flight loads: until Wake
 	parked         // stalled, and skipping the retries of a refused access: until Wake
+	barrier        // empty, its BarrierSource stalling: until Wake
 	idle           // finished: forever
 	bubble         // empty inside a fetch bubble: until it ends
 	window         // a single-load window (windowLen)
@@ -303,6 +326,11 @@ type Core struct {
 	pendingBuf  Instr
 	srcDone     bool
 
+	// Barrier sleep: whether src is a BarrierSource, and the last CPU
+	// cycle in which a poll of it returned KindStall.
+	promised  bool
+	stalledAt int64
+
 	fetchBlockedUntil int64
 
 	loadHist  [32]*ticket
@@ -313,11 +341,12 @@ type Core struct {
 
 	// why is the reason the core is suspended, awake if it is not:
 	// NextEventCycle records the four that carry a deadline, TrySleep the
-	// two the memory system ends. While suspended the system does not tick
-	// the core; sleepFrom is the first CPU cycle not yet simulated or
+	// three that Wake ends. While suspended the system does not tick the
+	// core; sleepFrom is the first CPU cycle not yet simulated or
 	// replayed, and the system resumes the core at the first cycle it
 	// would tick that is not before wakeAt — the deadline, or never for a
-	// stalled or parked core until Wake lowers it to 0; 0 while awake.
+	// stalled, parked or barrier sleeper until Wake lowers it to 0; 0
+	// while awake.
 	why       reason
 	sleepFrom int64
 	wakeAt    int64
@@ -344,12 +373,16 @@ func New(id int, cfg Config, mem Mem, src Source) *Core {
 		acct: cyclestack.NewAccountant(),
 		rob:  make([]robItem, cfg.ROBSize+1),
 
-		wokeWork: -1,
+		stalledAt: -1,
+		wokeWork:  -1,
 	}
 	c.park, _ = mem.(Parker)
 	if bs, ok := src.(BatchSource); ok {
 		c.bsrc = bs
 		c.batch = make([]Instr, batchLen)
+	} else if bar, ok := src.(BarrierSource); ok {
+		c.promised = true
+		bar.OnRelease(c.Wake)
 	}
 	return c
 }
@@ -610,6 +643,9 @@ func (c *Core) FastForward(from, n int64) {
 		c.replayStall(n)
 		c.park.Retried(c.id, n)
 		c.sleep.ParkedCycles += n
+	case barrier:
+		c.acct.AddCycles(cyclestack.Idle, n)
+		c.sleep.BarrierCycles += n
 	default:
 		panic("cpu: FastForward outside a provable steady state")
 	}
@@ -1003,6 +1039,7 @@ func (c *Core) dispatch(now int64) {
 				return
 			}
 			if ins.Kind == KindStall {
+				c.stalledAt = now
 				return // barrier: no dispatch this cycle
 			}
 			c.pendingWork = ins.Work
@@ -1150,8 +1187,9 @@ func (c *Core) classify(now int64, retired int) {
 
 // TrySleep suspends the core after it simulated CPU cycle now, if the
 // cycles that follow provably repeat. If NextEventCycle says for how
-// long, that is the deadline. Otherwise, with a load at the ROB head, the
-// cycle repeats until the memory system intervenes:
+// long, that is the deadline. Otherwise an empty core whose BarrierSource
+// stalled it idles until the source calls Wake, and with a load at the
+// ROB head the cycle repeats until the memory system intervenes:
 //
 //   - the load is in flight to DRAM (every cycle is "stall++, total++"
 //     on it) or has not started (every cycle is a dram-queue cycle), so
@@ -1179,7 +1217,20 @@ func (c *Core) TrySleep(now int64) bool {
 		c.sleepFrom, c.wakeAt = now+1, e
 		return true
 	}
-	if c.items == 0 || c.fetchBlockedUntil > now+1 {
+	if c.items == 0 {
+		// Empty, and this cycle's poll stalled — so it was made: nothing
+		// is buffered and no fetch bubble is open. If the source has
+		// promised to stall every poll until it calls Wake and no access
+		// waits to start (a retired store's, say), each coming cycle
+		// retires nothing, polls in vain, starts nothing and is idle.
+		if !c.promised || c.stalledAt != now || len(c.startQ) != 0 {
+			return false
+		}
+		c.sleep.Sleeps++
+		c.why, c.sleepFrom, c.wakeAt = barrier, now+1, never
+		return true
+	}
+	if c.fetchBlockedUntil > now+1 {
 		return false
 	}
 	head := &c.rob[c.head]
@@ -1234,23 +1285,24 @@ func (c *Core) WakeAt() int64 { return c.wakeAt }
 // core, resuming it first if it is asleep.
 func (c *Core) Due(now int64) bool { return c.wakeAt <= now }
 
-// Wake marks a stalled or parked core for resumption; it implements
-// cache.Sleeper and is what the core's own completions call. It
-// deliberately does not end the sleep. A completion fires during the
-// controller phase of memory cycle m with a CPU-domain timestamp that
-// precedes the core's not-yet-simulated subcycles of that same memory
-// cycle, all of which still repeat (a load retires no earlier than the
-// next subcycle). The hierarchy's wake-ups fire either there, inside a
-// fill, or inside another core's access at CPU cycle t: after this
-// core's turn at t if that core has a higher index — t itself still
-// repeats — and before it otherwise. In every case the first cycle
+// Wake marks a stalled, parked or barrier sleeper for resumption; it
+// implements cache.Sleeper and is what the core's own completions and
+// its BarrierSource call. It deliberately does not end the sleep. A
+// completion fires during the controller phase of memory cycle m with a
+// CPU-domain timestamp that precedes the core's not-yet-simulated
+// subcycles of that same memory cycle, all of which still repeat (a load
+// retires no earlier than the next subcycle). The hierarchy's wake-ups
+// fire either there, inside a fill, or inside another core's access at
+// CPU cycle t, and a barrier's release inside another core's poll at t:
+// after this core's turn at t if that core has a higher index — t itself
+// still repeats — and before it otherwise. In every case the first cycle
 // that can differ is the next one the system would tick this core at,
 // which is where it calls Resume. A core asleep to a deadline ignores
 // Wake: nothing of its is parked, and a completion — a fill for a load
 // deeper in its ROB, a store's ownership — changes nothing a cycle
 // before the deadline reads.
 func (c *Core) Wake() {
-	if c.why == stalled || c.why == parked {
+	if c.why == stalled || c.why == parked || c.why == barrier {
 		c.wakeAt = 0
 	}
 }

@@ -37,6 +37,49 @@ func (s *batchSlice) NextBatch(buf []Instr) int {
 	return n
 }
 
+// barrierSlice is a sliceSource that makes BarrierSource's promise: a
+// KindStall item opens a barrier episode instead of stalling one poll.
+// The poll that reaches it and every poll after it stall until the test,
+// standing in for the other core whose poll would open the next phase,
+// releases the episode: turn is called before and after the core's turn
+// in every cycle, and an episode that has lasted its length ends on the
+// side its position in the stream picks — before, the core is due in that
+// same cycle; after, in the next.
+type barrierSlice struct {
+	sliceSource
+	wake    func()
+	now     int64 // the cycle turn was last called for
+	waiting bool
+	until   int64
+	after   bool
+}
+
+func (s *barrierSlice) OnRelease(wake func()) { s.wake = wake }
+
+func (s *barrierSlice) Next() (Instr, bool) {
+	if s.waiting {
+		return Instr{Kind: KindStall}, true
+	}
+	ins, ok := s.sliceSource.Next()
+	if ok && ins.Kind == KindStall {
+		// Long enough, some of them, for the ROB to drain and a store's
+		// fill to land mid-sleep.
+		s.waiting, s.until, s.after = true, s.now+1+int64(s.pos*37%400), s.pos%2 == 0
+	}
+	return ins, ok
+}
+
+func (s *barrierSlice) turn(now int64, after bool) {
+	if s == nil {
+		return
+	}
+	s.now = now
+	if s.waiting && now >= s.until && after == s.after {
+		s.waiting = false
+		s.wake()
+	}
+}
+
 // ffStream is a seeded stream over every item shape the replays have to
 // get right: plain runs shorter than, equal to and far longer than the
 // width and the ROB, loads (independent and chained), stores, branches
@@ -75,6 +118,7 @@ func ffStream(rng *rand.Rand, n int) []Instr {
 // over the stretch or a prefix of it, CPUCycle, and no sleeping.
 type skipper struct {
 	c      *Core
+	bar    *barrierSlice // c's source, if it is one
 	rng    *rand.Rand
 	direct bool
 	from   int64 // direct: first cycle owed to FastForward
@@ -86,6 +130,8 @@ type skipper struct {
 	cutsIn       [streak + 1]int // cuts that fell mid-sleep, by reason
 	twiceCut     int             // window sleeps cut a second time
 	wakesIgnored int
+	releases     [2]int // barrier sleeps the source ended, before / after the core's turn
+	spurious     int    // barrier sleeps something else ended: a store's fill
 }
 
 // step simulates cycle now and reports whether the core's state is that
@@ -136,6 +182,15 @@ func (s *skipper) step(now int64) bool {
 		return true
 	}
 	if c.Asleep() {
+		switch {
+		case c.why != barrier:
+		case s.bar.waiting:
+			s.spurious++
+		case s.bar.after:
+			s.releases[1]++
+		default:
+			s.releases[0]++
+		}
 		c.Resume(now)
 	}
 	s.cuts = 0
@@ -151,7 +206,9 @@ func (s *skipper) step(now int64) bool {
 // with fills arriving (and Wake called) in the middle of its sleeps and
 // cuts falling anywhere in them, twice in one window included, through
 // the idle tail of a finished core; one skips whatever NextEventCycle
-// allows, as the benchmark's driver does. Cycle stack, committed work,
+// allows, as the benchmark's driver does. Every other stream's stalls are
+// barrier episodes (barrierSlice), which the second core sleeps through
+// and the other two poll through. Cycle stack, committed work,
 // Done and ROB occupancy must agree at every cycle a skipping core is
 // caught up at.
 func TestFastForwardMatchesTicking(t *testing.T) {
@@ -161,22 +218,22 @@ func TestFastForwardMatchesTicking(t *testing.T) {
 		for seed := int64(1); seed <= 24; seed++ {
 			name := fmt.Sprintf("w%d-seed%d", cfg.Width, seed)
 			items := ffStream(rand.New(rand.NewSource(seed)), 300)
-			mk := func() (*Core, *levelMem) {
+			mk := func() (*Core, *levelMem, *barrierSlice) {
 				mem := &levelMem{mshrMem{slots: 2 + int(seed%3), refusedAt: -1}}
-				var src Source = &sliceSource{items: items}
 				if seed%2 == 0 {
-					src = &batchSlice{sliceSource{items: items}}
+					return New(0, cfg, mem, &batchSlice{sliceSource{items: items}}), mem, nil
 				}
-				return New(0, cfg, mem, src), mem
+				bar := &barrierSlice{sliceSource: sliceSource{items: items}}
+				return New(0, cfg, mem, bar), mem, bar
 			}
-			ticked, memT := mk()
+			ticked, memT, barT := mk()
 			twins := [2]*skipper{
 				{rng: rand.New(rand.NewSource(seed * 7919))},
 				{rng: rand.New(rand.NewSource(seed * 7907)), direct: true},
 			}
 			var mems [2]*levelMem
 			for i, s := range twins {
-				s.c, mems[i] = mk()
+				s.c, mems[i], s.bar = mk()
 			}
 
 			// tail cycles past the end: a finished core sleeps forever.
@@ -185,10 +242,14 @@ func TestFastForwardMatchesTicking(t *testing.T) {
 				if ticked.Done() {
 					tail--
 				}
+				barT.turn(now, false)
 				ticked.CPUCycle(now)
+				barT.turn(now, true)
 				memT.deliver(now)
 				for i, s := range twins {
+					s.bar.turn(now, false)
 					caughtUp := s.step(now)
+					s.bar.turn(now, true)
 					mems[i].deliver(now)
 					if !caughtUp {
 						continue
@@ -229,17 +290,21 @@ func TestFastForwardMatchesTicking(t *testing.T) {
 			}
 			slept.twiceCut += twins[0].twiceCut
 			slept.wakesIgnored += twins[0].wakesIgnored
+			slept.releases[0] += twins[0].releases[0]
+			slept.releases[1] += twins[0].releases[1]
+			slept.spurious += twins[0].spurious
 		}
 	}
-	t.Logf("cuts by reason %v (%d windows cut twice), %d ignored wakes, direct stretches by reason %v; %+v",
-		slept.cutsIn, slept.twiceCut, slept.wakesIgnored, direct.stretches, sleeps)
+	t.Logf("cuts by reason %v (%d windows cut twice), %d ignored wakes, barriers released %v before / after the turn and %d woken by a fill, direct stretches by reason %v; %+v",
+		slept.cutsIn, slept.twiceCut, slept.wakesIgnored, slept.releases, slept.spurious, direct.stretches, sleeps)
 	for r := stalled; r <= streak; r++ {
 		if slept.cutsIn[r] == 0 || r >= idle && direct.stretches[r] == 0 {
 			t.Errorf("reason %d: %d cuts mid-sleep, %d direct stretches", r, slept.cutsIn[r], direct.stretches[r])
 		}
 	}
 	if slept.twiceCut == 0 || slept.wakesIgnored == 0 || sleeps.Coasts == 0 || sleeps.CoastCycles < 2*sleeps.Coasts ||
-		sleeps.StallCycles == 0 || sleeps.Parks == 0 || sleeps.WindowCycles == 0 || sleeps.BubbleCycles == 0 || sleeps.IdleCycles == 0 {
+		sleeps.StallCycles == 0 || sleeps.Parks == 0 || sleeps.WindowCycles == 0 || sleeps.BubbleCycles == 0 || sleeps.IdleCycles == 0 ||
+		sleeps.BarrierCycles == 0 || slept.releases[0] == 0 || slept.releases[1] == 0 || slept.spurious == 0 {
 		t.Errorf("the streams barely exercise the replays")
 	}
 }

@@ -134,25 +134,46 @@ func DefaultGap(bench string, cores int) GapSpec {
 // graphCache shares generated, kernel-prepared graphs across
 // experiments (generation dominates setup time at scale 17). Prepared
 // graphs are read-only afterwards, so concurrent experiments may share
-// them.
+// them. graphMu guards the map only: an entry generates its graph once,
+// on first call, so a job whose graph is cached never waits for another
+// key's generation.
 var (
 	graphMu    sync.Mutex
-	graphCache = map[string]*graph.Graph{}
+	graphCache = map[graphKey]func() (*graph.Graph, error){}
 )
 
+// graphKey is what tells two prepared graphs apart: the generator's
+// arguments and what gap.Prepare does for the kernel (gap.Variant).
+type graphKey struct {
+	scale, degree int
+	seed          int64
+	variant       string
+}
+
 func buildGraph(spec GapSpec) (*graph.Graph, error) {
-	key := fmt.Sprintf("%d/%d/%d/%s", spec.Scale, spec.Degree, spec.Seed, spec.Bench)
-	graphMu.Lock()
-	defer graphMu.Unlock()
-	if g, ok := graphCache[key]; ok {
-		return g, nil
-	}
-	g := graph.Kronecker(spec.Scale, spec.Degree, spec.Seed)
-	if err := gap.Prepare(spec.Bench, g); err != nil {
+	variant, err := gap.Variant(spec.Bench)
+	if err != nil {
 		return nil, err
 	}
-	graphCache[key] = g
-	return g, nil
+	if err := graph.CheckKronecker(spec.Scale, spec.Degree); err != nil {
+		return nil, err
+	}
+	key := graphKey{spec.Scale, spec.Degree, spec.Seed, variant}
+	bench := spec.Bench // the entry outlives the call: keep spec.Trace out of it
+	graphMu.Lock()
+	build := graphCache[key]
+	if build == nil {
+		build = sync.OnceValues(func() (*graph.Graph, error) {
+			g := graph.Kronecker(key.scale, key.degree, key.seed)
+			if err := gap.Prepare(bench, g); err != nil {
+				return nil, err
+			}
+			return g, nil
+		})
+		graphCache[key] = build
+	}
+	graphMu.Unlock()
+	return build()
 }
 
 // RunGap runs one GAP benchmark experiment.

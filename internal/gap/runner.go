@@ -16,7 +16,8 @@
 // relaxation rounds). A core that reaches a barrier early emits stall
 // items (cpu.KindStall) until the others catch up, which the cycle
 // stacks report as idle time — the paper's Fig. 7 shows exactly this for
-// the low-parallelism phase of bfs.
+// the low-parallelism phase of bfs. The sources are cpu.BarrierSources:
+// the last arrival wakes the others, so a core need not poll meanwhile.
 package gap
 
 import (
@@ -52,6 +53,7 @@ type Runner struct {
 	bufs    [][]cpu.Instr
 	pos     []int
 	barrier []bool
+	wake    []func() // per core, nil unless its consumer asked (OnRelease)
 	waiting int
 	done    bool
 	phases  int
@@ -68,6 +70,7 @@ func NewRunner(k Kernel, cores int) (*Runner, error) {
 		bufs:    make([][]cpu.Instr, cores),
 		pos:     make([]int, cores),
 		barrier: make([]bool, cores),
+		wake:    make([]func(), cores),
 	}
 	if !k.NextPhase() {
 		r.done = true
@@ -105,6 +108,23 @@ type coreSource struct {
 
 var stall = cpu.Instr{Kind: cpu.KindStall}
 
+// OnRelease implements cpu.BarrierSource. The promise holds because a
+// core at the barrier has drained its buffer and Next then only reads
+// the runner's state until release changes it.
+func (s *coreSource) OnRelease(wake func()) { s.r.wake[s.core] = wake }
+
+// release ends the barrier: the next phase is open, or the kernel is
+// over. The caller is the last arrival; waking it too is harmless.
+func (r *Runner) release() {
+	for i := range r.barrier {
+		r.barrier[i] = false
+		if r.wake[i] != nil {
+			r.wake[i]()
+		}
+	}
+	r.waiting = 0
+}
+
 // Next implements cpu.Source.
 func (s *coreSource) Next() (cpu.Instr, bool) {
 	r := s.r
@@ -136,15 +156,12 @@ func (s *coreSource) Next() (cpu.Instr, bool) {
 		}
 		// At the barrier: last arrival opens the next phase.
 		if r.waiting == r.cores {
-			if !r.k.NextPhase() {
+			if r.k.NextPhase() {
+				r.phases++
+			} else {
 				r.done = true
-				return cpu.Instr{}, false
 			}
-			r.phases++
-			for i := range r.barrier {
-				r.barrier[i] = false
-			}
-			r.waiting = 0
+			r.release()
 			continue
 		}
 		return stall, true

@@ -25,21 +25,35 @@ func PickSource(g *graph.Graph) int32 {
 	return 0
 }
 
+// Variant names the form of the graph the named kernel runs on: "" for
+// the graph as generated (bfs, pr, cc, bc), else the kernel Prepare
+// changes it for. Kernels of one variant can share one prepared graph.
+func Variant(name string) (string, error) {
+	switch name {
+	case "sssp", "tc":
+		return name, nil
+	case "bfs", "pr", "cc", "bc":
+		return "", nil
+	}
+	return "", fmt.Errorf("gap: unknown benchmark %q (have %v)", name, Benchmarks())
+}
+
 // Prepare mutates g as the named kernel requires: uniform weights for
 // sssp, a deduplicated sorted-adjacency simple graph for tc. Call it
 // once per graph before Build; it is idempotent but not safe to run
 // concurrently with kernels reading the graph.
 func Prepare(name string, g *graph.Graph) error {
-	switch name {
+	v, err := Variant(name)
+	if err != nil {
+		return err
+	}
+	switch v {
 	case "sssp":
 		if g.Weights == nil {
 			g.AddUniformWeights(64, 7)
 		}
 	case "tc":
 		g.Dedup()
-	case "bfs", "pr", "cc", "bc":
-	default:
-		return fmt.Errorf("gap: unknown benchmark %q (have %v)", name, Benchmarks())
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -134,31 +135,59 @@ func Uniform(n, degree int, seed int64) *Graph {
 // and edgeFactor × 2^scale edges, using the Graph500/GAP parameters
 // (A, B, C) = (0.57, 0.19, 0.19), symmetrized. The skewed degree
 // distribution is what gives graph workloads their irregularity.
+//
+// It panics unless CheckKronecker(scale, edgeFactor) is nil.
 func Kronecker(scale, edgeFactor int, seed int64) *Graph {
-	rng := rand.New(rand.NewSource(seed))
+	if err := CheckKronecker(scale, edgeFactor); err != nil {
+		panic(err)
+	}
+	return kronecker(scale, edgeFactor, rand.NewSource(seed))
+}
+
+// CheckKronecker reports why Kronecker cannot generate a graph of the
+// given scale and edge factor: vertex ids are int32, and a graph has at
+// least one vertex bit and one edge per vertex.
+func CheckKronecker(scale, edgeFactor int) error {
+	if scale < 1 || scale > 30 {
+		return fmt.Errorf("graph: Kronecker scale must be in 1..30, got %d", scale)
+	}
+	if edgeFactor < 1 {
+		return fmt.Errorf("graph: Kronecker edge factor must be positive, got %d", edgeFactor)
+	}
+	return nil
+}
+
+// kronecker is Kronecker over a given draw stream. Every bit of every
+// endpoint is one uniform variate r in [0,1) put in a quadrant: r < A
+// sets nothing, r < A+B the bit of v, r < A+B+C the bit of u, the rest
+// both. The variates are those of rand.New(src).Float64() —
+// float64(Int63())/2^63, redrawn when that rounds to 1 — but the
+// conversion is monotonic, so the raw draw is compared with the smallest
+// integer that converts to each bound (cutPoint) instead: no conversion,
+// no divide, and no four-way branch for a predictor to guess.
+func kronecker(scale, edgeFactor int, src rand.Source) *Graph {
 	n := 1 << scale
 	const a, b, c = 0.57, 0.19, 0.19
-	edges := make([][2]int32, 0, n*edgeFactor)
-	for i := 0; i < n*edgeFactor; i++ {
-		var u, v int32
+	q := rmatCuts{cutPoint(a), cutPoint(a + b), cutPoint(a + b + c)}
+	redraw := cutPoint(1)
+	mask := uint64(n - 1)
+	edges := make([][2]int32, n*edgeFactor)
+	for i := range edges {
+		var nu, nv uint64 // the complements of u and v, see quadrant
 		for bit := 0; bit < scale; bit++ {
-			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left: no bits set
-			case r < a+b:
-				v |= 1 << bit
-			case r < a+b+c:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
+			x := uint64(src.Int63())
+			for x >= redraw {
+				x = uint64(src.Int63())
 			}
+			bu, bv := q.quadrant(x)
+			nu |= bu << bit
+			nv |= bv << bit
 		}
-		edges = append(edges, [2]int32{u, v})
+		edges[i] = [2]int32{int32(^nu & mask), int32(^nv & mask)}
 	}
-	// Permute vertex labels so degree does not correlate with index.
-	perm := rng.Perm(n)
+	// Permute vertex labels so degree does not correlate with index. Perm
+	// draws from the same source, where the edges left it.
+	perm := rand.New(src).Perm(n)
 	for i := range edges {
 		edges[i][0] = int32(perm[edges[i][0]])
 		edges[i][1] = int32(perm[edges[i][1]])
@@ -168,6 +197,35 @@ func Kronecker(scale, edgeFactor int, seed int64) *Graph {
 		panic(err)
 	}
 	return g
+}
+
+// cutPoint returns the smallest 63-bit draw x whose uniform variate
+// float64(x)/2^63 is at least p, for p in (0,1]: a draw's variate is
+// below p exactly when the draw is below cutPoint(p). cutPoint(1) is the
+// first draw Float64 rejects.
+func cutPoint(p float64) uint64 {
+	lo, hi := int64(0), int64(math.MaxInt64) // float64(hi)/2^63 is 1
+	for lo < hi {
+		if mid := lo + (hi-lo)/2; float64(mid)/(1<<63) >= p {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return uint64(lo)
+}
+
+// rmatCuts are the cut points of the three quadrant bounds A, A+B and
+// A+B+C.
+type rmatCuts struct{ a, ab, abc uint64 }
+
+// quadrant classifies one accepted draw, returning the complements of
+// the bits it gives u and v. Draw and cuts are below 2^63, so the top
+// bit of draw - cut is the borrow: the draw is below the cut. u's bit is
+// set from A+B up, v's in the second and fourth quadrants — after an odd
+// number of cuts.
+func (q rmatCuts) quadrant(x uint64) (nu, nv uint64) {
+	return (x - q.ab) >> 63, ((x - q.a) ^ (x - q.ab) ^ (x - q.abc)) >> 63
 }
 
 // AddUniformWeights attaches uniformly random integer weights in

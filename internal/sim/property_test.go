@@ -433,23 +433,29 @@ func coasting(s *System, now int64) int {
 	return n
 }
 
-// midWindow counts the cores that are asleep inside a single-load window
-// at CPU cycle now: asleep to a deadline still ahead, and replaying one
-// more cycle — one more cut, legal anywhere in a sleep — lands in
-// WindowCycles.
-func midWindow(s *System, now int64) int {
+// midSleep counts the cores that are asleep at CPU cycle now and not due,
+// in the kind of sleep whose cycles slept picks out of the statistics:
+// replaying one more cycle lands there. That is one more cut — legal
+// anywhere in a sleep to a deadline, and in any sleep once the run is over.
+func midSleep(s *System, now int64, slept func(cpu.SleepStats) int64) int {
 	n := 0
 	for _, c := range s.cores {
 		if !c.Asleep() || c.Due(now) {
 			continue
 		}
-		before := c.SleepStats().WindowCycles
+		before := slept(c.SleepStats())
 		c.SyncSleep(now + 1)
-		if c.SleepStats().WindowCycles > before {
+		if slept(c.SleepStats()) > before {
 			n++
 		}
 	}
 	return n
+}
+
+// midWindow counts the cores that are asleep inside a single-load window
+// at CPU cycle now.
+func midWindow(s *System, now int64) int {
+	return midSleep(s, now, func(ss cpu.SleepStats) int64 { return ss.WindowCycles })
 }
 
 // TestGoldenCoastCuts cuts runs where sleeping to a deadline is most

@@ -532,9 +532,10 @@ func (s *System) cpuPhase() {
 				}
 			}
 			if next == math.MaxInt64 {
-				// Every core has finished or waits for a controller, so
-				// the reference loop stops, or has a completion to deliver,
-				// at the end of this memory cycle: the one just ticked —
+				// Every core has finished, waits for a controller, or
+				// waits at a barrier for one that does, so the reference
+				// loop stops, or has a completion to deliver, at the
+				// end of this memory cycle: the one just ticked —
 				// not the next, if that tick was its last subcycle — or
 				// the one the phase began in, which must run regardless.
 				end = cycleEnd
