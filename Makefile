@@ -27,7 +27,9 @@ test-short:
 # sim hot loop is race-checked end to end, and the warm differentials:
 # the sharded LLC replay has several goroutines write one slot array.
 # The GAP path in full too — the generator oracles, the barrier sources,
-# and the graph cache that concurrent jobs share.
+# and the graph cache that concurrent jobs share. The arena differentials
+# in full: a reused arena must never show in a result. The last line runs
+# the arena benchmark once, so that it cannot rot.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 -run 'Golden|FastForward' ./internal/sim/
@@ -35,6 +37,8 @@ race:
 	$(GO) test -race -count=1 -run 'Warm|Prewarm' ./internal/cache/ ./internal/sim/
 	$(GO) test -race -count=1 ./internal/graph/ ./internal/gap/
 	$(GO) test -race -count=1 -run 'BuildGraph' ./internal/exp/
+	$(GO) test -race -count=1 -run 'Arena' ./internal/cache/ ./internal/sim/ ./internal/exp/ ./internal/service/
+	$(GO) test -run '^$$' -bench RunSpecArena -benchtime 1x ./internal/exp/
 
 cover:
 	$(GO) test -cover ./internal/...

@@ -113,14 +113,17 @@ type Cache struct {
 
 // New returns a cache level; it panics on invalid configuration
 // (a construction-time programming error).
-func New(cfg Config) *Cache {
+func New(cfg Config) *Cache { return newCache(cfg, nil) }
+
+// newCache is New with the slot array taken from a (nil: allocated).
+func newCache(cfg Config, a *Arena) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	sets := cfg.Sets()
 	return &Cache{
 		cfg:      cfg,
-		slots:    make([]slot, sets*cfg.Ways),
+		slots:    a.slots(sets * cfg.Ways),
 		setShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setMask:  uint64(sets - 1),
 		wayKey:   1 << bits.Len(uint(cfg.Ways-1)),

@@ -183,12 +183,19 @@ type lineHint struct {
 
 // NewHierarchy builds the hierarchy over the given memory port.
 func NewHierarchy(cfg HierConfig, mem MemPort) (*Hierarchy, error) {
+	return NewHierarchyIn(nil, cfg, mem)
+}
+
+// NewHierarchyIn is NewHierarchy with every level's slot array taken from
+// a, which must have been Reset since the hierarchy it last served was in
+// use. A nil arena allocates, exactly as NewHierarchy does.
+func NewHierarchyIn(a *Arena, cfg HierConfig, mem MemPort) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	h := &Hierarchy{
 		cfg:         cfg,
-		llc:         New(cfg.LLC),
+		llc:         newCache(cfg.LLC, a),
 		mem:         mem,
 		mshr:        make(map[uint64]*mshrEntry),
 		perCoreUsed: make([]int, cfg.Cores),
@@ -198,8 +205,8 @@ func NewHierarchy(cfg HierConfig, mem MemPort) (*Hierarchy, error) {
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		h.park[i].at = -1
-		h.l1 = append(h.l1, New(cfg.L1))
-		h.l2 = append(h.l2, New(cfg.L2))
+		h.l1 = append(h.l1, newCache(cfg.L1, a))
+		h.l2 = append(h.l2, newCache(cfg.L2, a))
 		h.pf = append(h.pf, prefetch.NewStreamer(cfg.Prefetch))
 	}
 	return h, nil

@@ -12,7 +12,6 @@ import (
 	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/extrapolate"
 	"dramstacks/internal/gap"
-	"dramstacks/internal/graph"
 	"dramstacks/internal/memctrl"
 	"dramstacks/internal/sim"
 	"dramstacks/internal/stacks"
@@ -129,51 +128,6 @@ func DefaultGap(bench string, cores int) GapSpec {
 		spec.Policy = memctrl.OpenPage
 	}
 	return spec
-}
-
-// graphCache shares generated, kernel-prepared graphs across
-// experiments (generation dominates setup time at scale 17). Prepared
-// graphs are read-only afterwards, so concurrent experiments may share
-// them. graphMu guards the map only: an entry generates its graph once,
-// on first call, so a job whose graph is cached never waits for another
-// key's generation.
-var (
-	graphMu    sync.Mutex
-	graphCache = map[graphKey]func() (*graph.Graph, error){}
-)
-
-// graphKey is what tells two prepared graphs apart: the generator's
-// arguments and what gap.Prepare does for the kernel (gap.Variant).
-type graphKey struct {
-	scale, degree int
-	seed          int64
-	variant       string
-}
-
-func buildGraph(spec GapSpec) (*graph.Graph, error) {
-	variant, err := gap.Variant(spec.Bench)
-	if err != nil {
-		return nil, err
-	}
-	if err := graph.CheckKronecker(spec.Scale, spec.Degree); err != nil {
-		return nil, err
-	}
-	key := graphKey{spec.Scale, spec.Degree, spec.Seed, variant}
-	bench := spec.Bench // the entry outlives the call: keep spec.Trace out of it
-	graphMu.Lock()
-	build := graphCache[key]
-	if build == nil {
-		build = sync.OnceValues(func() (*graph.Graph, error) {
-			g := graph.Kronecker(key.scale, key.degree, key.seed)
-			if err := gap.Prepare(bench, g); err != nil {
-				return nil, err
-			}
-			return g, nil
-		})
-		graphCache[key] = build
-	}
-	graphMu.Unlock()
-	return build()
 }
 
 // RunGap runs one GAP benchmark experiment.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"runtime"
 	"sort"
 	"strconv"
@@ -60,6 +61,9 @@ type Runner struct {
 	opt    SweepOptions
 	points []Point
 
+	// run is RunSpec; a test substitutes a simulation that panics.
+	run func(context.Context, Spec, RunOptions) (*sim.Result, error)
+
 	mu      sync.Mutex
 	cancels []context.CancelFunc // nil until Run wires the contexts
 	pre     map[int]bool         // CancelPoint calls that beat Run
@@ -77,6 +81,7 @@ func NewRunner(sw Sweep, opt SweepOptions) (*Runner, error) {
 	return &Runner{
 		opt:     opt,
 		points:  points,
+		run:     RunSpec,
 		cancels: make([]context.CancelFunc, len(points)),
 		pre:     make(map[int]bool),
 	}, nil
@@ -147,6 +152,10 @@ func (r *Runner) Run(ctx context.Context) (*SweepResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// The worker's machines, one after another, are built on one
+			// arena: a point does not allocate the cache arrays the last
+			// one is done with.
+			arena := new(sim.Arena)
 			for i := range idx {
 				pr := PointResult{Point: r.points[i]}
 				if err := runCtx.Err(); err != nil {
@@ -154,7 +163,14 @@ func (r *Runner) Run(ctx context.Context) (*SweepResult, error) {
 					// before this point started: skip it.
 					pr.Err = err
 				} else {
-					pr.Res, pr.Err = RunSpec(ctxs[i], r.points[i].Spec, RunOptions{})
+					pr.Res, pr.Err = RunRecovered(func() (*sim.Result, error) {
+						return r.run(ctxs[i], r.points[i].Spec, RunOptions{Arena: arena})
+					})
+					var pe *PanicError
+					if errors.As(pr.Err, &pe) {
+						slog.Error("sweep point panicked", "point", pr.Point.Label(), "panic", pe.Value, "stack", string(pe.Stack))
+						arena = new(sim.Arena) // its tenant died mid-use
+					}
 				}
 				r.cancels[i]() // release the point context
 				doneMu.Lock()

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"runtime/debug"
 	"strings"
 
 	"dramstacks/internal/cpu"
@@ -347,6 +348,10 @@ type RunOptions struct {
 	// OnSample, if non-nil, receives each through-time sample as soon as
 	// it is cut (requires Spec.Sample > 0).
 	OnSample func(s stacks.Sample)
+	// Arena, if non-nil, is the caller's sim.Arena: the machine is built
+	// on what the caller's previous run left in it (see sim.WithArena for
+	// the rule of ownership). The result is the same with or without one.
+	Arena *sim.Arena
 }
 
 // RunSpec normalizes and validates the spec, assembles the machine and
@@ -427,7 +432,7 @@ func RunSpec(ctx context.Context, spec Spec, opt RunOptions) (*sim.Result, error
 		sources = runner.Sources()
 	}
 
-	opts := []sim.Option{sim.WithConfig(cfg), sim.WithSources(sources...)}
+	opts := []sim.Option{sim.WithConfig(cfg), sim.WithSources(sources...), sim.WithArena(opt.Arena)}
 	if opt.OnSample != nil {
 		opts = append(opts, sim.WithSampleFunc(opt.OnSample))
 	}
@@ -440,6 +445,28 @@ func RunSpec(ctx context.Context, spec Spec, opt RunOptions) (*sim.Result, error
 		return nil, fmt.Errorf("exp: DRAM timing violation: %v", res.Violations[0])
 	}
 	return res, nil
+}
+
+// PanicError is a panic inside a simulation, one of the simulator's
+// invariants failing, as RunRecovered reports it.
+type PanicError struct {
+	Value any    // what was passed to panic
+	Stack []byte // the panicking goroutine's stack, for the log
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("exp: simulation panicked: %v", e.Value) }
+
+// RunRecovered calls run, a RunSpec call, and returns a panic inside it
+// as a *PanicError: a pool worker fails the one point and lives on. The
+// sim.Arena the run was given is then in an unknown state, and its owner
+// must drop it.
+func RunRecovered(run func() (*sim.Result, error)) (res *sim.Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = nil, &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return run()
 }
 
 // tenantSources builds the QoS tenant streams ("latcrit" / "bwhog") for

@@ -21,6 +21,7 @@ type Metrics struct {
 	JobsFailed    atomic.Int64
 	JobsCancelled atomic.Int64
 	JobsRejected  atomic.Int64 // queue-full 429s
+	JobsPanicked  atomic.Int64 // failed jobs whose simulation panicked
 
 	CacheHits   atomic.Int64
 	CacheMisses atomic.Int64
@@ -30,6 +31,11 @@ type Metrics struct {
 	SweepPoints     atomic.Int64 // expanded points across all sweeps
 
 	WorkersBusy atomic.Int64
+
+	// What the workers' sim.Arenas hold and have saved, summed over the
+	// workers; each publishes its own change after a job.
+	ArenaBytes  atomic.Int64
+	ArenaReuses atomic.Int64
 
 	SimMemCycles atomic.Int64 // total simulated memory cycles
 
@@ -90,6 +96,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
 
 	counter("dramstacksd_jobs_submitted_total", "Accepted job submissions (cache hits included).", m.JobsSubmitted.Load())
 	counter("dramstacksd_jobs_rejected_total", "Submissions rejected with 429 because the queue was full.", m.JobsRejected.Load())
+	counter("dramstacksd_jobs_panicked_total", "Failed jobs whose simulation panicked; the worker survived.", m.JobsPanicked.Load())
 	gauge("dramstacksd_jobs_queued", "Jobs waiting in the FIFO queue.", int64(g.Queued))
 	gauge("dramstacksd_jobs_running", "Jobs currently simulating.", int64(g.Running))
 	gauge("dramstacksd_queue_capacity", "FIFO queue capacity.", int64(g.QueueCap))
@@ -105,6 +112,9 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
 
 	gauge("dramstacksd_workers", "Size of the worker pool.", int64(g.Workers))
 	gauge("dramstacksd_workers_busy", "Workers currently running a job.", m.WorkersBusy.Load())
+
+	gauge("dramstacksd_arena_bytes", "Cache arrays and prewarm buffers the workers keep between jobs.", m.ArenaBytes.Load())
+	counter("dramstacksd_arena_reuses_total", "Cache arrays a job took over from its worker's previous job instead of allocating.", m.ArenaReuses.Load())
 
 	counter("dramstacksd_sim_mem_cycles_total", "Total simulated memory cycles across all jobs.", m.SimMemCycles.Load())
 

@@ -52,7 +52,7 @@ func TestGoldenBarrierSources(t *testing.T) {
 			var sys *System
 			var midBarrier []int64
 			prev := make([]cpu.SleepStats, cores)
-			cfg.OnSample = func(smp stacks.Sample) {
+			sys, err := newObserved(cfg, mk(), func(smp stacks.Sample) {
 				for i, c := range sys.cores {
 					ss := c.SleepStats()
 					if c.Asleep() && !c.Due(smp.End*mult) && ss.Ticks == prev[i].Ticks && ss.BarrierCycles > prev[i].BarrierCycles {
@@ -60,8 +60,7 @@ func TestGoldenBarrierSources(t *testing.T) {
 					}
 					prev[i] = ss
 				}
-			}
-			sys, err := NewFromConfig(cfg, mk())
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,15 +90,14 @@ func TestGoldenBarrierSources(t *testing.T) {
 			}
 			cfg = Default(cores)
 			cfg.SampleInterval = 97
-			check(name+"/whole", goldenCompare(t, name+"/whole", cfg, mk))
+			check(name+"/whole", goldenCompare(t, name+"/whole", cfg, false, mk))
 			for _, si := range []int64{1, 7, 97} {
 				cfg := Default(cores)
 				cfg.MaxMemCycles = budget
 				cfg.WarmupMemCycles = 211
 				cfg.SampleInterval = si
-				cfg.OnSample = func(stacks.Sample) {} // replaced per run by goldenCompare
 				row := fmt.Sprintf("%s/cut-%d-si%d", name, budget, si)
-				check(row, goldenCompare(t, row, cfg, mk))
+				check(row, goldenCompare(t, row, cfg, true, mk))
 			}
 		}
 	}

@@ -88,14 +88,14 @@ func TestOnSampleStreams(t *testing.T) {
 	cfg.MaxMemCycles = 50_000
 	cfg.SampleInterval = 10_000
 	var live []int64
-	cfg.OnSample = func(s stacks.Sample) { live = append(live, s.End) }
-	sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 1, 0))
+	sys, err := newObserved(cfg, SyntheticSources(workload.Sequential, 1, 0),
+		func(s stacks.Sample) { live = append(live, s.End) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := sys.Run()
 	if len(live) != len(res.BWSamples) {
-		t.Fatalf("OnSample saw %d samples, result has %d", len(live), len(res.BWSamples))
+		t.Fatalf("the sample hook saw %d samples, result has %d", len(live), len(res.BWSamples))
 	}
 	for i, s := range res.BWSamples {
 		if live[i] != s.End {
@@ -108,24 +108,22 @@ func TestOnSampleStreams(t *testing.T) {
 // from the sample hook once 3000 memory cycles have been sampled, so both
 // loops see the cancellation at the same poll (every 1024 memory cycles)
 // and must stop on the same cycle, 3072.
-func runCancelled(t *testing.T, cfg Config, mk func() []cpu.Source, slow bool) (*Result, *System) {
+func runCancelled(t *testing.T, cfg Config, mk func() []cpu.Source, slow bool, opts ...Option) (*Result, *System) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg.MaxMemCycles = 1 << 40
 	cfg.SampleInterval = 1_500
-	cfg.OnSample = func(s stacks.Sample) {
+	sys, err := newObserved(cfg, mk(), func(s stacks.Sample) {
 		if s.End >= 3_000 {
 			cancel()
 		}
-	}
-	sys, err := NewFromConfig(cfg, mk())
+	}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.slow = slow
 	res := sys.RunContext(ctx)
-	res.Cfg.OnSample = nil
 	if !res.Cancelled || res.MemCycles != 3_072 {
 		t.Fatalf("slow %v: cancelled = %v after %d cycles, want the poll at 3072", slow, res.Cancelled, res.MemCycles)
 	}

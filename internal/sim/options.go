@@ -60,6 +60,7 @@ type builder struct {
 	sources   []cpu.Source
 	observers []Observer
 	mutators  []func(*Config)
+	arena     *Arena
 }
 
 // Option configures a System assembled by New.
@@ -215,7 +216,7 @@ func New(std standard.Standard, opts ...Option) (*System, error) {
 	if len(b.sources) == 0 {
 		return nil, fmt.Errorf("sim: New requires WithSources")
 	}
-	s, err := newSystem(cfg, b.sources)
+	s, err := newSystem(cfg, b.sources, b.arena)
 	if err != nil {
 		return nil, err
 	}

@@ -140,6 +140,43 @@ type warmRecord struct {
 	done bool          // the feed ended or met its quota: no further chunks
 }
 
+// warmBuffers is prewarmParallel's scratch, about 2.2 MB for eight cores.
+// The zero value is ready and sizes itself on use; a System built on an
+// Arena uses the arena's, and so finds its predecessor's.
+type warmBuffers struct {
+	recs   []warmRecord
+	merged []cache.LLCOp
+}
+
+// size readies b for cores feeds: a record each, with empty buffers and
+// done unset, and a merge buffer for a chunk of them all.
+func (b *warmBuffers) size(cores int) {
+	if len(b.recs) < cores {
+		grown := make([]warmRecord, cores)
+		copy(grown, b.recs)
+		b.recs = grown
+	}
+	for i := range b.recs[:cores] {
+		r := &b.recs[i]
+		if r.ops == nil {
+			r.ops = make([]cache.LLCOp, 0, warmChunk)
+			r.cnt = make([]uint8, 0, warmChunk)
+		}
+		r.done = false
+	}
+	if cap(b.merged) < cores*warmChunk {
+		b.merged = make([]cache.LLCOp, 0, cores*warmChunk)
+	}
+}
+
+func (b *warmBuffers) bytes() int64 {
+	n := int64(cap(b.merged)) * 8
+	for i := range b.recs {
+		n += int64(cap(b.recs[i].ops))*8 + int64(cap(b.recs[i].cnt))
+	}
+	return n
+}
+
 // prewarmParallel is prewarm for the all-batch-source case. Each chunk
 // has three phases. Private: every core's L1/L2 warm runs in its own
 // goroutine (disjoint state: the core's caches, feed and RNG) and records
@@ -155,12 +192,12 @@ type warmRecord struct {
 // done for good. Buffers are sized for one LLC operation per item, which
 // only store-heavy streams exceed.
 func (s *System) prewarmParallel(feeds []warmFeed) {
-	recs := make([]warmRecord, len(feeds))
-	for i := range recs {
-		recs[i].ops = make([]cache.LLCOp, 0, warmChunk)
-		recs[i].cnt = make([]uint8, 0, warmChunk)
+	buf := new(warmBuffers)
+	if s.arena != nil {
+		buf = &s.arena.warm
 	}
-	merged := make([]cache.LLCOp, 0, len(feeds)*warmChunk)
+	buf.size(len(feeds))
+	recs, merged := buf.recs[:len(feeds)], buf.merged
 	cur := make([]int, len(feeds)) // merge position in each record's ops
 	shards := runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
@@ -201,6 +238,7 @@ func (s *System) prewarmParallel(feeds []warmFeed) {
 				}
 			}
 		}
+		buf.merged = merged // it may have grown
 		s.hier.WarmLLC(merged, shards)
 	}
 }

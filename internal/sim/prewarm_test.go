@@ -105,7 +105,6 @@ func TestPrewarmParallelMatchesSerial(t *testing.T) {
 					warmed.l2 = append(warmed.l2, sys.hier.L2Stats(c))
 				}
 				res := sys.Run()
-				res.Cfg.OnSample = nil
 				res.Cfg.Trace = nil
 				return warmed, res
 			}

@@ -22,6 +22,7 @@ import (
 type randSpec struct {
 	name    string
 	cfg     Config
+	live    bool  // the runs have a sample subscriber
 	seed    int64 // per-spec workload seed
 	cores   int
 	pattern workload.Pattern
@@ -80,9 +81,7 @@ func drawSpec(rng *rand.Rand, i int) randSpec {
 	}
 	if rng.Intn(2) == 0 {
 		cfg.SampleInterval = cfg.MaxMemCycles / int64(3+rng.Intn(5))
-		if rng.Intn(2) == 0 {
-			cfg.OnSample = func(stacks.Sample) {} // replaced per run by goldenCompare
-		}
+		sp.live = rng.Intn(2) == 0
 	}
 	if rng.Intn(4) == 0 {
 		cfg.PrewarmOps = 1 << 12
@@ -127,6 +126,12 @@ func drawSpec(rng *rand.Rand, i int) randSpec {
 	return sp
 }
 
+// newObserved is NewFromConfig with a live sample subscriber, and any
+// further options.
+func newObserved(cfg Config, srcs []cpu.Source, fn func(stacks.Sample), opts ...Option) (*System, error) {
+	return New(standard.Default(), append(opts, WithConfig(cfg), WithSources(srcs...), WithSampleFunc(fn))...)
+}
+
 // sources builds a fresh, identical source set for the spec; every
 // call returns streams with the same seeds, as goldenCompare requires.
 func (sp randSpec) sources() []cpu.Source {
@@ -168,7 +173,7 @@ func TestGoldenRandomizedSpecs(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		sp := drawSpec(rng, i)
 		t.Run(sp.name, func(t *testing.T) {
-			goldenCompare(t, sp.name, sp.cfg, sp.sources)
+			goldenCompare(t, sp.name, sp.cfg, sp.live, sp.sources)
 		})
 	}
 }
@@ -244,7 +249,7 @@ func TestGoldenBatchHostileSpecs(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		sp := drawHostileSpec(rng, i)
 		t.Run(sp.name, func(t *testing.T) {
-			goldenCompare(t, sp.name, sp.cfg, sp.sources)
+			goldenCompare(t, sp.name, sp.cfg, sp.live, sp.sources)
 		})
 	}
 }
@@ -306,9 +311,7 @@ func drawStarvedSpec(rng *rand.Rand, i int) randSpec {
 	cfg.MaxMemCycles = 5_000 + rng.Int63n(8_000)
 	if rng.Intn(2) == 0 {
 		cfg.SampleInterval = hostileIntervals[rng.Intn(len(hostileIntervals))]
-		if rng.Intn(2) == 0 {
-			cfg.OnSample = func(stacks.Sample) {} // replaced per run by goldenCompare
-		}
+		sp.live = rng.Intn(2) == 0
 	}
 	if rng.Intn(3) == 0 {
 		cfg.WarmupMemCycles = cfg.MaxMemCycles / int64(2+rng.Intn(3))
@@ -345,7 +348,7 @@ func TestGoldenParkedRetries(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		sp := drawStarvedSpec(rng, i)
 		t.Run(sp.name, func(t *testing.T) {
-			total.Add(goldenCompare(t, sp.name, sp.cfg, sp.sources))
+			total.Add(goldenCompare(t, sp.name, sp.cfg, sp.live, sp.sources))
 		})
 	}
 	t.Logf("suite total: %+v", total)
@@ -374,8 +377,7 @@ func TestGoldenParkCuts(t *testing.T) {
 	cfg.MaxMemCycles = 9_001
 	cfg.WarmupMemCycles = 2_003
 	cfg.SampleInterval = 61
-	cfg.OnSample = func(stacks.Sample) {} // replaced per run by goldenCompare
-	end := goldenCompare(t, "park cuts", cfg, mk)
+	end := goldenCompare(t, "park cuts", cfg, true, mk)
 	if end.Parks <= end.Wakes {
 		t.Errorf("the budget did not end mid-park: %+v", end)
 	}
@@ -383,13 +385,12 @@ func TestGoldenParkCuts(t *testing.T) {
 	// The same run again, asking at every cut whether a core was parked.
 	var sys *System
 	cuts, midPark := 0, 0
-	cfg.OnSample = func(stacks.Sample) {
+	sys, err := newObserved(cfg, mk(), func(stacks.Sample) {
 		cuts++
 		if ss := sys.SleepStats(); ss.Parks > ss.Wakes {
 			midPark++
 		}
-	}
-	sys, err := NewFromConfig(cfg, mk())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,9 +526,8 @@ func TestGoldenCoastCuts(t *testing.T) {
 			cfg.MaxMemCycles = 5_003
 			cfg.WarmupMemCycles = 1_009
 			cfg.SampleInterval = sh.interval
-			cfg.OnSample = func(stacks.Sample) {} // replaced per run by goldenCompare
 			mk := coastSources(cores, sh.base, sh.edit)
-			ss := goldenCompare(t, sh.name, cfg, mk)
+			ss := goldenCompare(t, sh.name, cfg, true, mk)
 			switch {
 			case !sh.windows:
 				if ss.Coasts == 0 || ss.CoastCycles < 3*ss.Coasts {
@@ -546,15 +546,14 @@ func TestGoldenCoastCuts(t *testing.T) {
 				mid = midWindow
 			}
 			cutsMid, endsMid := 0, 0
-			cfg.OnSample = func(smp stacks.Sample) {
+			sys, err := newObserved(cfg, mk(), func(smp stacks.Sample) {
 				// The last sample is cut when the budget runs out.
 				endsMid = 0
 				if mid(sys, smp.End*int64(cfg.CPUMult)) > 0 {
 					cutsMid++
 					endsMid = 1
 				}
-			}
-			sys, err := NewFromConfig(cfg, mk())
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -598,7 +597,6 @@ func TestSampleIntervalInvariance(t *testing.T) {
 		if i < 10 {
 			sp = drawSpec(rng, i)
 		}
-		sp.cfg.OnSample = nil
 		run := func(interval int64) *Result {
 			c := sp.cfg
 			c.SampleInterval = interval

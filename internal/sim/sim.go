@@ -100,14 +100,6 @@ type Config struct {
 	// Trace, if non-nil, receives every issued DRAM command (e.g. a
 	// trace.Recorder hook for offline stack construction).
 	Trace func(cycle int64, cmd dram.Command)
-	// OnSample, if non-nil, receives each through-time sample (aggregated
-	// over all channels) as soon as it is cut, so long-running consumers
-	// (e.g. the dramstacksd service) can stream progress while the
-	// simulation is still executing. Requires SampleInterval > 0.
-	//
-	// Deprecated: attach an Observer (WithObserver / WithSampleFunc)
-	// instead; OnSample remains as a shim for existing callers.
-	OnSample func(s stacks.Sample)
 }
 
 // Default returns the paper's machine configuration for the given core
@@ -231,7 +223,7 @@ type System struct {
 	cycleSamples []cyclestack.Stack
 	lastCycle    cyclestack.Stack
 	nextCut      int64
-	published    int // per-channel samples already delivered to OnSample
+	published    int // per-channel samples already delivered to the observers
 	cancelled    bool
 
 	warmBW     []stacks.BandwidthStack
@@ -239,6 +231,11 @@ type System struct {
 	warmSrcBW  [][]stacks.SourceStack
 	warmSrcLat [][]stacks.LatencyStack
 	warmed     bool
+
+	// arena, when the System was built on one (WithArena), lent it the
+	// hierarchy's slot arrays under tenancy gen; see checkTenancy.
+	arena *Arena
+	gen   uint64
 }
 
 // NewFromConfig assembles a system from a fully built Config running
@@ -249,11 +246,12 @@ type System struct {
 // spec-driven callers that already hold a Config, New(standard,
 // WithConfig(cfg), WithSources(...)).
 func NewFromConfig(cfg Config, sources []cpu.Source) (*System, error) {
-	return newSystem(cfg, sources)
+	return newSystem(cfg, sources, nil)
 }
 
-// newSystem assembles a system; New and NewFromConfig front it.
-func newSystem(cfg Config, sources []cpu.Source) (*System, error) {
+// newSystem assembles a system, on arena when that is not nil; New and
+// NewFromConfig front it.
+func newSystem(cfg Config, sources []cpu.Source, arena *Arena) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -323,7 +321,11 @@ func newSystem(cfg Config, sources []cpu.Source) (*System, error) {
 	s.readDone = func(r *memctrl.Request, at int64) {
 		r.Meta.(cache.Waiter).MemDone(at*int64(s.cfg.CPUMult), r.QueueFraction(), r.RegFraction())
 	}
-	s.hier, err = cache.NewHierarchy(cfg.Hier, (*memPort)(s))
+	var slots *cache.Arena
+	if arena != nil {
+		s.arena, s.gen, slots = arena, arena.issue(), &arena.slots
+	}
+	s.hier, err = cache.NewHierarchyIn(slots, cfg.Hier, (*memPort)(s))
 	if err != nil {
 		return nil, err
 	}
@@ -440,6 +442,7 @@ var SlowTick = defaultSlowTick
 // the reference per-cycle loop (build with -tags=slowtick, or set
 // SlowTick, to run it).
 func (s *System) RunContext(ctx context.Context) *Result {
+	s.checkTenancy()
 	if s.slow {
 		return s.runSlow(ctx)
 	}
@@ -499,6 +502,15 @@ func (s *System) RunContext(ctx context.Context) *Result {
 	s.publishSamples()
 	s.notifyDone()
 	return s.result()
+}
+
+// checkTenancy panics when the System's arena has since been issued to
+// another System: the slot arrays the hierarchy walks are that one's now,
+// and running would corrupt both silently.
+func (s *System) checkTenancy() {
+	if s.arena != nil && s.arena.gen != s.gen {
+		panic("sim: RunContext on a System whose arena has been issued to a later one")
+	}
 }
 
 // cpuPhase simulates the cores and the cache hierarchy from the first
@@ -666,11 +678,10 @@ func (s *System) runSlow(ctx context.Context) *Result {
 }
 
 // publishSamples delivers any newly cut per-channel samples to the
-// observers (and the deprecated OnSample hook), aggregated across
-// channels (all channels sample on the same cycle grid, so index i
-// lines up), then reports progress to the observers.
+// observers, aggregated across channels (all channels sample on the same
+// cycle grid, so index i lines up), then reports progress to them.
 func (s *System) publishSamples() {
-	if s.cfg.OnSample == nil && len(s.observers) == 0 {
+	if len(s.observers) == 0 {
 		return
 	}
 	n := len(s.ctrls[0].Samples())
@@ -686,9 +697,6 @@ func (s *System) publishSamples() {
 			sc := ctrl.Samples()[i]
 			merged.BW.Add(sc.BW)
 			merged.Lat.Add(sc.Lat)
-		}
-		if s.cfg.OnSample != nil {
-			s.cfg.OnSample(merged)
 		}
 		for _, o := range s.observers {
 			o.Sample(merged)
