@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-check bench-figs bench-ablations bench-go pairs figs serve vet fuzz clean
+.PHONY: all build test test-short race cover bench bench-ablations bench-go pairs figs serve vet fuzz clean
 
 # Port for `make serve` (override: make serve PORT=9000).
 PORT ?= 8080
@@ -43,32 +43,13 @@ race:
 cover:
 	$(GO) test -cover ./internal/...
 
-# One benchmark per paper figure (reduced scale; see cmd/paperfigs for
-# the full-scale sweep).
-bench-figs:
-	$(GO) test -run xxx -bench Fig -benchtime 1x .
-
 bench-ablations:
 	$(GO) test -run xxx -bench Ablation -benchtime 1x .
 
-# Reproducible harness (cmd/simbench): regenerates the committed
-# baseline the CI perf gate compares against. See doc/PERF.md for the
-# update policy before committing a new BENCH_9.json. (BENCH_3.json and
-# BENCH_7.json are kept as historical baselines: pre-event-wheel and
-# pre-batching respectively.)
+# The repository benchmark (benchmark/README.md): every workload for 15 s,
+# each record checked against benchmark/golden.json.
 bench:
-	$(GO) run ./cmd/simbench -count 3 -benchtime 1x -out BENCH_9.json
-
-# Compare a fresh measurement against the committed baseline the way CI
-# does (exit 1 on a >10% geomean throughput regression, a >10% geomean
-# allocs_per_op regression, or a >10% per-case regression in any
-# saturated synth/* or qos/* scenario — the hot paths this repo
-# optimizes must not regress individually behind a green geomean).
-bench-check:
-	$(GO) run ./cmd/simbench -count 3 -benchtime 1x -out BENCH_PR.json
-	$(GO) run ./cmd/benchdiff -threshold 0.10 -alloc-threshold 0.10 \
-		-case-threshold 'synth/*=0.10' -case-threshold 'qos/*=0.10' \
-		BENCH_9.json BENCH_PR.json
+	bash benchmark/run.sh
 
 # The repository benchmark, paired: N (default 10) alternating runs of
 # every workload on revision BASE (checked out into a git worktree) and on
@@ -77,7 +58,7 @@ bench-check:
 pairs:
 	bash tools/pairs.sh $(BASE) $(N)
 
-# The original go-test benchmarks (one per paper figure/table).
+# The go-test benchmarks: component micro-benchmarks and ablations.
 bench-go:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 1x . | tee bench_output.txt
 
@@ -111,4 +92,4 @@ figs:
 	$(GO) run ./cmd/paperfigs -fig all -out results
 
 clean:
-	rm -rf results bench_output.txt test_output.txt dramstacksd dramvet BENCH_PR.json
+	rm -rf results bench_output.txt test_output.txt dramstacksd dramvet

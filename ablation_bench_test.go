@@ -12,6 +12,7 @@ import (
 	"dramstacks/internal/cache"
 	"dramstacks/internal/cpu"
 	"dramstacks/internal/dram"
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/memctrl"
 	"dramstacks/internal/prefetch"
 	"dramstacks/internal/sim"
@@ -19,11 +20,13 @@ import (
 	"dramstacks/internal/workload"
 )
 
+const benchSynthBudget = int64(200_000)
+
 func runCfg(b *testing.B, cfg sim.Config, pat workload.Pattern, stores float64) *sim.Result {
 	b.Helper()
 	var res *sim.Result
 	for i := 0; i < b.N; i++ {
-		sys, err := sim.NewFromConfig(cfg, sim.SyntheticSources(pat, cfg.Cores, stores))
+		sys, err := sim.New(standard.Default(), sim.WithConfig(cfg), sim.WithSources(sim.SyntheticSources(pat, cfg.Cores, stores)...))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,7 +286,7 @@ func BenchmarkStream(b *testing.B) {
 				cfg := sim.Default(4)
 				cfg.MaxMemCycles = benchSynthBudget
 				cfg.PrewarmOps = 1 << 19
-				sys, err := sim.NewFromConfig(cfg, workload.StreamSources(kind, 4))
+				sys, err := sim.New(standard.Default(), sim.WithConfig(cfg), sim.WithSources(workload.StreamSources(kind, 4)...))
 				if err != nil {
 					b.Fatal(err)
 				}

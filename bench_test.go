@@ -1,265 +1,16 @@
-// Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation. The interesting output is the custom metrics (GB/s,
-// latency-ns, error percentages), which mirror what the corresponding
-// figure plots; reduced cycle budgets and graph scales keep a full
-// -bench=. run in minutes. cmd/paperfigs runs the same experiments at
-// full scale.
+// Component micro-benchmarks: the DRAM device, the memory controller and
+// the bandwidth accountant, each in isolation. The paper's figures are
+// cmd/paperfigs -fig N; whole-simulation timing is benchmark/.
 package dramstacks
 
 import (
-	"fmt"
 	"testing"
 
 	"dramstacks/internal/addrmap"
 	"dramstacks/internal/dram"
-	"dramstacks/internal/exp"
-	"dramstacks/internal/extrapolate"
 	"dramstacks/internal/memctrl"
-	"dramstacks/internal/sim"
 	"dramstacks/internal/stacks"
-	"dramstacks/internal/workload"
 )
-
-const (
-	benchSynthBudget = int64(200_000)
-	benchGapBudget   = int64(400_000)
-	benchGapScale    = 15
-)
-
-func reportBW(b *testing.B, res *sim.Result) {
-	b.Helper()
-	g := res.BWGBps()
-	b.ReportMetric(res.AchievedGBps(), "GB/s")
-	b.ReportMetric(g[stacks.BWConstraints], "GB/s-constraints")
-	b.ReportMetric(g[stacks.BWBankIdle], "GB/s-bankidle")
-	b.ReportMetric(g[stacks.BWIdle], "GB/s-idle")
-	b.ReportMetric(res.Lat.AvgTotalNS(res.Cfg.Geom), "lat-ns")
-	b.ReportMetric(res.LatNS()[stacks.LatQueue], "lat-ns-queue")
-}
-
-func runSynthBench(b *testing.B, spec exp.SynthSpec) {
-	b.Helper()
-	var res *sim.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = exp.RunSynth(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportBW(b, res)
-}
-
-// BenchmarkFig2_ReadOnlyScaling regenerates Fig. 2: bandwidth and
-// latency stacks for the read-only sequential and random patterns on
-// 1 to 8 cores.
-func BenchmarkFig2_ReadOnlyScaling(b *testing.B) {
-	for _, pat := range []workload.Pattern{workload.Sequential, workload.Random} {
-		for _, cores := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s-%dc", pat, cores), func(b *testing.B) {
-				runSynthBench(b, exp.SynthSpec{
-					Pattern: pat, Cores: cores,
-					Budget: benchSynthBudget, Prewarm: 1 << 20,
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkFig3_StoreFraction regenerates Fig. 3: the store-fraction
-// sweep on one core.
-func BenchmarkFig3_StoreFraction(b *testing.B) {
-	for _, pat := range []workload.Pattern{workload.Sequential, workload.Random} {
-		for _, w := range []float64{0, 0.1, 0.2, 0.5} {
-			b.Run(fmt.Sprintf("%s-w%d", pat, int(w*100)), func(b *testing.B) {
-				runSynthBench(b, exp.SynthSpec{
-					Pattern: pat, Cores: 1, StoreFrac: w,
-					Budget: benchSynthBudget, Prewarm: 1 << 20,
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkFig4_PagePolicy regenerates Fig. 4: open versus closed page
-// policy on two cores.
-func BenchmarkFig4_PagePolicy(b *testing.B) {
-	for _, pat := range []workload.Pattern{workload.Sequential, workload.Random} {
-		for _, pol := range []memctrl.PagePolicy{memctrl.OpenPage, memctrl.ClosedPage} {
-			b.Run(fmt.Sprintf("%s-%s", pat, pol), func(b *testing.B) {
-				runSynthBench(b, exp.SynthSpec{
-					Pattern: pat, Cores: 2, Policy: pol,
-					Budget: benchSynthBudget, Prewarm: 1 << 20,
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkFig5_AddressDecode covers Fig. 5 (the indexing schemes): the
-// decode/encode hot path of both mappings.
-func BenchmarkFig5_AddressDecode(b *testing.B) {
-	geo, _ := dram.DDR4_2400()
-	for _, m := range []addrmap.Mapper{
-		addrmap.MustDefault(geo, 1),
-		addrmap.MustInterleaved(geo, 1),
-	} {
-		b.Run(m.Name(), func(b *testing.B) {
-			var sink int
-			for i := 0; i < b.N; i++ {
-				loc := m.Decode(uint64(i) * 64)
-				sink += loc.Bank
-			}
-			_ = sink
-		})
-	}
-}
-
-// BenchmarkFig6_BankIndexing regenerates Fig. 6: default versus
-// cache-line-interleaved indexing on the two bank-conflict cases.
-func BenchmarkFig6_BankIndexing(b *testing.B) {
-	for _, m := range []sim.Mapping{sim.MapDefault, sim.MapInterleaved} {
-		b.Run("seq-w50-1c-open-"+m.String(), func(b *testing.B) {
-			runSynthBench(b, exp.SynthSpec{
-				Pattern: workload.Sequential, Cores: 1, StoreFrac: 0.5, Map: m,
-				Budget: benchSynthBudget, Prewarm: 1 << 20,
-			})
-		})
-	}
-	for _, m := range []sim.Mapping{sim.MapDefault, sim.MapInterleaved} {
-		b.Run("seq-w0-2c-closed-"+m.String(), func(b *testing.B) {
-			runSynthBench(b, exp.SynthSpec{
-				Pattern: workload.Sequential, Cores: 2, Policy: memctrl.ClosedPage, Map: m,
-				Budget: benchSynthBudget, Prewarm: 1 << 20,
-			})
-		})
-	}
-}
-
-// BenchmarkFig7_BfsThroughTime regenerates Fig. 7: through-time cycle,
-// bandwidth and latency stacks for bfs on 8 cores.
-func BenchmarkFig7_BfsThroughTime(b *testing.B) {
-	var res *sim.Result
-	for i := 0; i < b.N; i++ {
-		spec := exp.DefaultGap("bfs", 8)
-		spec.Scale = benchGapScale
-		spec.Budget = benchGapBudget
-		spec.Sample = benchGapBudget / 16
-		var err error
-		res, err = exp.RunGap(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportBW(b, res)
-	b.ReportMetric(float64(len(res.BWSamples)), "samples")
-	// Phase behavior: report the spread of through-time bandwidth.
-	lo, hi := 1e18, 0.0
-	for _, s := range res.BWSamples {
-		v := s.BW.AchievedGBps(res.Cfg.Geom)
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	b.ReportMetric(lo, "GB/s-min-phase")
-	b.ReportMetric(hi, "GB/s-max-phase")
-}
-
-// BenchmarkFig8_GapVariants regenerates Fig. 8: the latency stacks of
-// bfs (def / interleaved / 128-entry write queue) and tc (def /
-// interleaved).
-func BenchmarkFig8_GapVariants(b *testing.B) {
-	variants := []struct {
-		name string
-		spec func() exp.GapSpec
-	}{
-		{"bfs-8c-def", func() exp.GapSpec { return exp.DefaultGap("bfs", 8) }},
-		{"bfs-8c-int", func() exp.GapSpec {
-			s := exp.DefaultGap("bfs", 8)
-			s.Map = sim.MapInterleaved
-			return s
-		}},
-		{"bfs-8c-wq128", func() exp.GapSpec {
-			s := exp.DefaultGap("bfs", 8)
-			s.WriteQueue = 128
-			return s
-		}},
-		{"tc-1c-def", func() exp.GapSpec {
-			s := exp.DefaultGap("tc", 1)
-			s.Policy = memctrl.ClosedPage
-			return s
-		}},
-		{"tc-1c-int", func() exp.GapSpec {
-			s := exp.DefaultGap("tc", 1)
-			s.Policy = memctrl.ClosedPage
-			s.Map = sim.MapInterleaved
-			return s
-		}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			var res *sim.Result
-			for i := 0; i < b.N; i++ {
-				spec := v.spec()
-				spec.Scale = benchGapScale
-				spec.Budget = benchGapBudget
-				var err error
-				res, err = exp.RunGap(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			l := res.LatNS()
-			b.ReportMetric(res.Lat.AvgTotalNS(res.Cfg.Geom), "lat-ns")
-			b.ReportMetric(l[stacks.LatQueue], "lat-ns-queue")
-			b.ReportMetric(l[stacks.LatWriteBurst], "lat-ns-writeburst")
-			b.ReportMetric(l[stacks.LatPreAct], "lat-ns-actpre")
-		})
-	}
-}
-
-// BenchmarkFig9_Extrapolation regenerates Fig. 9: measured 8-core
-// bandwidth versus the naive and stack-based extrapolations from the
-// 1-core run, for every GAP benchmark.
-func BenchmarkFig9_Extrapolation(b *testing.B) {
-	for _, bench := range []string{"bc", "bfs", "cc", "pr", "sssp", "tc"} {
-		b.Run(bench, func(b *testing.B) {
-			var p extrapolate.Prediction
-			for i := 0; i < b.N; i++ {
-				one := exp.DefaultGap(bench, 1)
-				one.Scale = benchGapScale
-				one.Budget = benchGapBudget * 4
-				one.Sample = benchGapBudget / 8
-				r1, err := exp.RunGap(one)
-				if err != nil {
-					b.Fatal(err)
-				}
-				eight := exp.DefaultGap(bench, 8)
-				eight.Scale = benchGapScale
-				eight.Budget = benchGapBudget
-				r8, err := exp.RunGap(eight)
-				if err != nil {
-					b.Fatal(err)
-				}
-				geo := r1.Cfg.Geom
-				p = extrapolate.Prediction{
-					Name:     bench,
-					Measured: r8.AchievedGBps(),
-					Naive:    extrapolate.NaiveSamples(r1.BWSamples, 8, geo),
-					Stack:    extrapolate.StackSamples(r1.BWSamples, 8, geo),
-				}
-			}
-			b.ReportMetric(p.Measured, "GB/s-measured")
-			b.ReportMetric(p.Naive, "GB/s-naive")
-			b.ReportMetric(p.Stack, "GB/s-stack")
-			b.ReportMetric(100*p.NaiveErr(), "%err-naive")
-			b.ReportMetric(100*p.StackErr(), "%err-stack")
-		})
-	}
-}
 
 // BenchmarkDeviceIssue measures the DRAM device hot path (legality check
 // plus issue) in isolation.

@@ -8,8 +8,10 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,6 +38,36 @@ func main() {
 	}
 }
 
+// output is one file under -out: its name and what fills it.
+type output struct {
+	name   string
+	render func(io.Writer) error
+}
+
+// writeFile creates path and has render fill it; a write the disk refuses
+// is returned, whichever of render, the flush or the close meets it.
+func writeFile(path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	return renderInto(f, render)
+}
+
+// renderInto is writeFile on an open file. Writes render leaves unchecked
+// fail the flush: a bufio.Writer keeps its first error.
+func renderInto(f io.WriteCloser, render func(io.Writer) error) error {
+	w := bufio.NewWriter(f)
+	err := render(w)
+	if err == nil {
+		err = w.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 func run(fig string, budget, gapBudget int64, out string) error {
 	if out != "" {
 		if err := os.MkdirAll(out, 0o755); err != nil {
@@ -48,13 +80,13 @@ func run(fig string, budget, gapBudget int64, out string) error {
 	section := func(title string) {
 		fmt.Printf("\n===== %s =====\n", title)
 	}
-	writeSVG := func(name string, render func(w *os.File) error) error {
-		f, err := os.Create(filepath.Join(out, name))
-		if err != nil {
-			return err
+	write := func(files ...output) error {
+		for _, f := range files {
+			if err := writeFile(filepath.Join(out, f.name), f.render); err != nil {
+				return err
+			}
 		}
-		defer f.Close()
-		return render(f)
+		return nil
 	}
 	chartRows := func(name string, rows []exp.Row) error {
 		labels, bw, lat := exp.Stacks(rows)
@@ -64,44 +96,26 @@ func run(fig string, budget, gapBudget int64, out string) error {
 		if out == "" {
 			return nil
 		}
-		if err := writeSVG(name+"_bw.svg", func(f *os.File) error {
-			return viz.BandwidthSVG(f, labels, bw, geo)
-		}); err != nil {
-			return err
-		}
-		if err := writeSVG(name+"_lat.svg", func(f *os.File) error {
-			return viz.LatencySVG(f, labels, lat, geo)
-		}); err != nil {
-			return err
-		}
-		jf, err := os.Create(filepath.Join(out, name+".json"))
-		if err != nil {
-			return err
-		}
-		if err := exp.WriteRowsJSON(jf, rows); err != nil {
-			jf.Close()
-			return err
-		}
-		jf.Close()
-		f, err := os.Create(filepath.Join(out, name+".csv"))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		fmt.Fprint(f, "label,achieved_gbs")
-		for c := 0; c < len(bw[0].Cycles); c++ {
-			fmt.Fprintf(f, ",bw_%d", c)
-		}
-		fmt.Fprintln(f)
-		for i := range rows {
-			g := bw[i].GBps(geo)
-			fmt.Fprintf(f, "%s,%.4f", strings.ReplaceAll(labels[i], ",", " "), bw[i].AchievedGBps(geo))
-			for _, v := range g {
-				fmt.Fprintf(f, ",%.4f", v)
-			}
-			fmt.Fprintln(f)
-		}
-		return nil
+		return write(
+			output{name + "_bw.svg", func(w io.Writer) error { return viz.BandwidthSVG(w, labels, bw, geo) }},
+			output{name + "_lat.svg", func(w io.Writer) error { return viz.LatencySVG(w, labels, lat, geo) }},
+			output{name + ".json", func(w io.Writer) error { return exp.WriteRowsJSON(w, rows) }},
+			output{name + ".csv", func(w io.Writer) error {
+				fmt.Fprint(w, "label,achieved_gbs")
+				for c := 0; c < len(bw[0].Cycles); c++ {
+					fmt.Fprintf(w, ",bw_%d", c)
+				}
+				fmt.Fprintln(w)
+				for i := range rows {
+					g := bw[i].GBps(geo)
+					fmt.Fprintf(w, "%s,%.4f", strings.ReplaceAll(labels[i], ",", " "), bw[i].AchievedGBps(geo))
+					for _, v := range g {
+						fmt.Fprintf(w, ",%.4f", v)
+					}
+					fmt.Fprintln(w)
+				}
+				return nil
+			}})
 	}
 
 	start := time.Now()
@@ -159,32 +173,16 @@ func run(fig string, budget, gapBudget int64, out string) error {
 		fmt.Printf("bfs 8c: %.2f GB/s over %.3f ms (%d samples)\n",
 			res.AchievedGBps(), res.RuntimeMS(), len(res.BWSamples))
 		if out != "" {
-			f, err := os.Create(filepath.Join(out, "fig7_bw_lat.csv"))
-			if err != nil {
-				return err
-			}
-			if err := viz.SamplesCSV(f, res.BWSamples, geo); err != nil {
-				f.Close()
-				return err
-			}
-			f.Close()
-			f, err = os.Create(filepath.Join(out, "fig7_cycles.csv"))
-			if err != nil {
-				return err
-			}
-			if err := viz.CycleSamplesCSV(f, res.CycleSamples, res.Cfg.SampleInterval, geo); err != nil {
-				f.Close()
-				return err
-			}
-			f.Close()
-			if err := writeSVG("fig7_bw.svg", func(f *os.File) error {
-				return viz.ThroughTimeSVG(f, res.BWSamples, geo)
-			}); err != nil {
-				return err
-			}
-			if err := writeSVG("fig7_cycles.svg", func(f *os.File) error {
-				return viz.CycleSamplesSVG(f, res.CycleSamples, res.Cfg.SampleInterval, geo)
-			}); err != nil {
+			if err := write(
+				output{"fig7_bw_lat.csv", func(w io.Writer) error { return viz.SamplesCSV(w, res.BWSamples, geo) }},
+				output{"fig7_cycles.csv", func(w io.Writer) error {
+					return viz.CycleSamplesCSV(w, res.CycleSamples, res.Cfg.SampleInterval, geo)
+				}},
+				output{"fig7_bw.svg", func(w io.Writer) error { return viz.ThroughTimeSVG(w, res.BWSamples, geo) }},
+				output{"fig7_cycles.svg", func(w io.Writer) error {
+					return viz.CycleSamplesSVG(w, res.CycleSamples, res.Cfg.SampleInterval, geo)
+				}},
+			); err != nil {
 				return err
 			}
 		}
@@ -200,9 +198,9 @@ func run(fig string, budget, gapBudget int64, out string) error {
 		labels, _, lat := exp.Stacks(rows)
 		viz.LatencyChart(os.Stdout, labels, lat, geo)
 		if out != "" {
-			if err := writeSVG("fig8_lat.svg", func(f *os.File) error {
-				return viz.LatencySVG(f, labels, lat, geo)
-			}); err != nil {
+			if err := write(output{"fig8_lat.svg", func(w io.Writer) error {
+				return viz.LatencySVG(w, labels, lat, geo)
+			}}); err != nil {
 				return err
 			}
 		}
@@ -226,16 +224,16 @@ func run(fig string, budget, gapBudget int64, out string) error {
 		fmt.Printf("mean error: naive %.1f%%, stack-based %.1f%% (paper: 27%% vs 8%%)\n",
 			100*nv, 100*st)
 		if out != "" {
-			f, err := os.Create(filepath.Join(out, "fig9.csv"))
-			if err != nil {
+			if err := write(output{"fig9.csv", func(w io.Writer) error {
+				fmt.Fprintln(w, "bench,measured_8c,naive,stack,naive_err,stack_err")
+				for _, p := range preds {
+					fmt.Fprintf(w, "%s,%.4f,%.4f,%.4f,%.4f,%.4f\n",
+						p.Name, p.Measured, p.Naive, p.Stack, p.NaiveErr(), p.StackErr())
+				}
+				return nil
+			}}); err != nil {
 				return err
 			}
-			fmt.Fprintln(f, "bench,measured_8c,naive,stack,naive_err,stack_err")
-			for _, p := range preds {
-				fmt.Fprintf(f, "%s,%.4f,%.4f,%.4f,%.4f,%.4f\n",
-					p.Name, p.Measured, p.Naive, p.Stack, p.NaiveErr(), p.StackErr())
-			}
-			f.Close()
 		}
 	}
 	fmt.Printf("\ndone in %.1fs\n", time.Since(start).Seconds())

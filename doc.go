@@ -6,11 +6,10 @@
 // contribution — bandwidth stacks, latency stacks and the stack-based
 // bandwidth extrapolation method.
 //
-// Start with examples/quickstart, or run the paper's evaluation with
-// cmd/paperfigs. The benchmark harness in bench_test.go regenerates the
-// data behind every figure:
+// Start with examples/quickstart, or regenerate the data behind every
+// figure of the paper's evaluation:
 //
-//	go test -bench=Fig -benchmem
+//	go run ./cmd/paperfigs -fig all -out results
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured comparison.

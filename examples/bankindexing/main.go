@@ -17,11 +17,8 @@ import (
 
 	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/exp"
-	"dramstacks/internal/memctrl"
-	"dramstacks/internal/sim"
 	"dramstacks/internal/stacks"
 	"dramstacks/internal/viz"
-	"dramstacks/internal/workload"
 )
 
 func main() {
@@ -34,22 +31,13 @@ func main() {
 	// The paper's first conflict case: a sequential stream with 50%
 	// stores. The write-back stream trails the read stream by exactly
 	// the LLC capacity, landing in the same banks on different rows.
-	var rows []exp.Row
-	for _, m := range []sim.Mapping{sim.MapDefault, sim.MapInterleaved} {
-		res, err := exp.RunSynth(exp.SynthSpec{
-			Pattern:   workload.Sequential,
-			Cores:     1,
-			StoreFrac: 0.5,
-			Map:       m,
-			Policy:    memctrl.OpenPage,
-			Budget:    300_000,
-			Prewarm:   1 << 20,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		rows = append(rows, exp.Row{Label: "seq w50 1c " + m.String(), Res: res})
+	// That case, under the default and the interleaved indexing, is the
+	// first two rows of the figure.
+	rows, err := exp.Fig6(300_000)
+	if err != nil {
+		log.Fatal(err)
 	}
+	rows = rows[:2]
 
 	labels, bw, lat := exp.Stacks(rows)
 	geo := rows[0].Res.Cfg.Geom

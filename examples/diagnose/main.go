@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -14,18 +15,15 @@ import (
 	"dramstacks/internal/sim"
 	"dramstacks/internal/stacks"
 	"dramstacks/internal/viz"
-	"dramstacks/internal/workload"
 )
 
-func run(m sim.Mapping) *sim.Result {
-	res, err := exp.RunSynth(exp.SynthSpec{
-		Pattern:   workload.Sequential,
-		Cores:     1,
-		StoreFrac: 0.5, // the paper's bank-conflict case (Fig. 6, left)
-		Map:       m,
-		Budget:    300_000,
-		Prewarm:   1 << 20,
-	})
+func run(mapping string) *sim.Result {
+	res, err := exp.RunSpec(context.Background(), exp.Spec{
+		Workload: "seq",
+		Stores:   0.5, // the paper's bank-conflict case (Fig. 6, left)
+		Mapping:  mapping,
+		Budget:   300_000,
+	}, exp.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,7 +32,7 @@ func run(m sim.Mapping) *sim.Result {
 
 func main() {
 	fmt.Println("step 1: run the workload (sequential stream, 50% stores, 1 core)")
-	before := run(sim.MapDefault)
+	before := run("def")
 	geo := before.Cfg.Geom
 	viz.BandwidthChart(os.Stdout, []string{"before"}, []stacks.BandwidthStack{before.BW}, geo)
 
@@ -60,7 +58,7 @@ func main() {
 	}
 
 	fmt.Println("\nstep 3: apply the remedy (cache-line-interleaved indexing, Fig. 5b)")
-	after := run(sim.MapInterleaved)
+	after := run("int")
 	viz.BandwidthChart(os.Stdout, []string{"after"}, []stacks.BandwidthStack{after.BW}, geo)
 
 	fmt.Printf("\nresult: %.2f -> %.2f GB/s (%.0f%%), read latency %.1f -> %.1f ns\n",

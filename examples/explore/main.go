@@ -6,16 +6,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"sort"
 
 	"dramstacks/internal/exp"
-	"dramstacks/internal/memctrl"
-	"dramstacks/internal/sim"
 	"dramstacks/internal/stacks"
-	"dramstacks/internal/workload"
 )
 
 func main() {
@@ -24,51 +22,38 @@ func main() {
 	cores := flag.Int("cores", 1, "cores")
 	flag.Parse()
 
-	pat := map[string]workload.Pattern{
-		"seq": workload.Sequential, "random": workload.Random, "strided": workload.Strided,
-	}[*pattern]
-
-	type point struct {
-		policy memctrl.PagePolicy
-		m      sim.Mapping
-	}
-	var points []point
-	for _, pol := range []memctrl.PagePolicy{memctrl.OpenPage, memctrl.ClosedPage} {
-		for _, m := range []sim.Mapping{sim.MapDefault, sim.MapInterleaved, sim.MapXOR} {
-			points = append(points, point{pol, m})
-		}
-	}
-
 	type outcome struct {
-		point
-		gbps  float64
-		latNS float64
-		hint  string
+		policy, m string
+		gbps      float64
+		latNS     float64
+		hint      string
 	}
 	var results []outcome
-	for _, p := range points {
-		res, err := exp.RunSynth(exp.SynthSpec{
-			Pattern: pat, Cores: *cores, StoreFrac: *stores,
-			Map: p.m, Policy: p.policy,
-			Budget: 250_000, Prewarm: 1 << 20,
-		})
-		if err != nil {
-			log.Fatal(err)
+	for _, policy := range []string{"open", "closed"} {
+		for _, m := range []string{"def", "int", "xor"} {
+			res, err := exp.RunSpec(context.Background(), exp.Spec{
+				Workload: *pattern, Cores: *cores, Stores: *stores,
+				Mapping: m, Policy: policy, Budget: 250_000,
+			}, exp.RunOptions{})
+			if err != nil {
+				log.Fatal(err)
+			}
+			hint := "-"
+			if advice := stacks.Diagnose(res.BW, res.Lat, res.Cfg.Geom); len(advice) > 0 {
+				hint = advice[0].Component
+			}
+			results = append(results, outcome{
+				policy: policy,
+				m:      m,
+				gbps:   res.AchievedGBps(),
+				latNS:  res.Lat.AvgTotalNS(res.Cfg.Geom),
+				hint:   hint,
+			})
 		}
-		hint := "-"
-		if advice := stacks.Diagnose(res.BW, res.Lat, res.Cfg.Geom); len(advice) > 0 {
-			hint = advice[0].Component
-		}
-		results = append(results, outcome{
-			point: p,
-			gbps:  res.AchievedGBps(),
-			latNS: res.Lat.AvgTotalNS(res.Cfg.Geom),
-			hint:  hint,
-		})
 	}
 
 	sort.Slice(results, func(i, j int) bool { return results[i].gbps > results[j].gbps })
-	fmt.Printf("design space for %s (stores %.0f%%, %d core(s)):\n\n", pat, *stores*100, *cores)
+	fmt.Printf("design space for %s (stores %.0f%%, %d core(s)):\n\n", *pattern, *stores*100, *cores)
 	fmt.Printf("%-8s %-5s %10s %10s   %s\n", "policy", "map", "GB/s", "lat-ns", "top bottleneck")
 	for _, r := range results {
 		fmt.Printf("%-8s %-5s %10.2f %10.1f   %s\n",

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -22,11 +23,9 @@ func main() {
 	flag.Parse()
 
 	// 8-core run with through-time sampling.
-	spec := exp.DefaultGap(*bench, 8)
-	spec.Scale = *scale
-	spec.Budget = 600_000
-	spec.Sample = 20_000
-	r8, err := exp.RunGap(spec)
+	r8, err := exp.RunSpec(context.Background(), exp.Spec{
+		Workload: *bench, Cores: 8, Scale: *scale, Budget: 600_000, Sample: 20_000,
+	}, exp.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,20 +43,13 @@ func main() {
 		[]stacks.LatencyStack{r8.Lat}, geo)
 
 	// 1-core run, then extrapolate to 8 cores (Fig. 9).
-	one := exp.DefaultGap(*bench, 1)
-	one.Scale = *scale
-	one.Budget = 2_400_000
-	one.Sample = 50_000
-	r1, err := exp.RunGap(one)
+	r1, err := exp.RunSpec(context.Background(), exp.Spec{
+		Workload: *bench, Cores: 1, Scale: *scale, Budget: 2_400_000, Sample: 50_000,
+	}, exp.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	p := extrapolate.Prediction{
-		Name:     *bench,
-		Measured: r8.AchievedGBps(),
-		Naive:    extrapolate.NaiveSamples(r1.BWSamples, 8, geo),
-		Stack:    extrapolate.StackSamples(r1.BWSamples, 8, geo),
-	}
+	p := extrapolate.Predict(*bench, r1.BWSamples, 8, geo, r8.AchievedGBps())
 	fmt.Printf("\nextrapolating 1c (%.2f GB/s) to 8 cores:\n", r1.AchievedGBps())
 	fmt.Printf("  measured    %6.2f GB/s\n", p.Measured)
 	fmt.Printf("  naive       %6.2f GB/s (%.0f%% error)\n", p.Naive, 100*p.NaiveErr())

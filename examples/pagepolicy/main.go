@@ -12,30 +12,13 @@ import (
 	"os"
 
 	"dramstacks/internal/exp"
-	"dramstacks/internal/memctrl"
 	"dramstacks/internal/viz"
-	"dramstacks/internal/workload"
 )
 
 func main() {
-	var rows []exp.Row
-	for _, pat := range []workload.Pattern{workload.Sequential, workload.Random} {
-		for _, pol := range []memctrl.PagePolicy{memctrl.OpenPage, memctrl.ClosedPage} {
-			res, err := exp.RunSynth(exp.SynthSpec{
-				Pattern: pat,
-				Cores:   2,
-				Policy:  pol,
-				Budget:  300_000,
-				Prewarm: 1 << 20,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			rows = append(rows, exp.Row{
-				Label: fmt.Sprintf("%s %s", pat, pol),
-				Res:   res,
-			})
-		}
+	rows, err := exp.Fig4(300_000)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	labels, bw, lat := exp.Stacks(rows)

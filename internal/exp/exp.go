@@ -1,21 +1,19 @@
-// Package exp defines the paper's experiments (every figure of the
-// evaluation) on top of the simulator, shared by cmd/paperfigs, the
-// benchmark harness in the repository root, and the examples.
+// Package exp is the experiment layer on top of the simulator: the
+// portable Spec and the one path that runs it (RunSpec), sweeps of specs
+// and the Runner pool that executes them, and the paper's figures, each
+// an ordered list of labelled specs on that pool. cmd/dramstacks,
+// cmd/paperfigs, the dramstacksd service, benchmark/ and the examples
+// all run their simulations through it.
 package exp
 
 import (
+	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
-	"dramstacks/internal/dram"
-	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/extrapolate"
 	"dramstacks/internal/gap"
-	"dramstacks/internal/memctrl"
 	"dramstacks/internal/sim"
 	"dramstacks/internal/stacks"
-	"dramstacks/internal/workload"
 )
 
 // Row is one labeled experiment result (one bar group in a figure).
@@ -24,167 +22,32 @@ type Row struct {
 	Res   *sim.Result
 }
 
-// SynthSpec describes a synthetic-stream experiment.
-type SynthSpec struct {
-	Pattern   workload.Pattern
-	Cores     int
-	Channels  int // memory channels (0 = 1)
-	StoreFrac float64
-	Map       sim.Mapping
-	Policy    memctrl.PagePolicy
-	Budget    int64 // memory cycles
-	Prewarm   int64 // functional warmup memory ops per core
-	Sample    int64 // through-time sample interval (0 = off)
-	// Trace, if non-nil, receives every DRAM command.
-	Trace func(cycle int64, cmd dram.Command)
+// labelled is one bar group of a figure: a spec under the label the paper
+// gives it.
+type labelled struct {
+	label string
+	spec  Spec
 }
 
-// RunSynth runs one synthetic experiment.
-func RunSynth(spec SynthSpec) (*sim.Result, error) {
-	sys, err := sim.New(standard.Default(),
-		sim.WithSources(sim.SyntheticSources(spec.Pattern, spec.Cores, spec.StoreFrac)...),
-		sim.WithChannels(spec.Channels),
-		sim.WithMapping(spec.Map),
-		sim.WithCtrl(func(c *memctrl.Config) { c.Policy = spec.Policy }),
-		sim.WithMaxMemCycles(spec.Budget),
-		sim.WithPrewarmOps(spec.Prewarm),
-		sim.WithSampleInterval(spec.Sample),
-		sim.WithTrace(spec.Trace))
-	if err != nil {
-		return nil, err
-	}
-	res := sys.Run()
-	if len(res.Violations) > 0 {
-		return nil, fmt.Errorf("exp: DRAM timing violation: %v", res.Violations[0])
-	}
-	return res, nil
-}
-
-// StreamSpec describes a STREAM kernel experiment.
-type StreamSpec struct {
-	Kind     workload.StreamKind
-	Cores    int
-	Channels int
-	Map      sim.Mapping
-	Policy   memctrl.PagePolicy
-	Budget   int64
-	Prewarm  int64
-	Sample   int64
-}
-
-// RunStream runs one STREAM kernel experiment.
-func RunStream(spec StreamSpec) (*sim.Result, error) {
-	sys, err := sim.New(standard.Default(),
-		sim.WithSources(workload.StreamSources(spec.Kind, spec.Cores)...),
-		sim.WithChannels(spec.Channels),
-		sim.WithMapping(spec.Map),
-		sim.WithCtrl(func(c *memctrl.Config) { c.Policy = spec.Policy }),
-		sim.WithMaxMemCycles(spec.Budget),
-		sim.WithPrewarmOps(spec.Prewarm),
-		sim.WithSampleInterval(spec.Sample))
-	if err != nil {
-		return nil, err
-	}
-	res := sys.Run()
-	if len(res.Violations) > 0 {
-		return nil, fmt.Errorf("exp: DRAM timing violation: %v", res.Violations[0])
-	}
-	return res, nil
-}
-
-// GapSpec describes a GAP benchmark experiment.
-type GapSpec struct {
-	Bench  string
-	Cores  int
-	Scale  int // Kronecker scale (2^Scale vertices)
-	Degree int // edges per vertex before symmetrization
-	Seed   int64
-	Map    sim.Mapping
-	Policy memctrl.PagePolicy
-	// WriteQueue overrides the write buffer capacity when positive
-	// (the paper's wq128 variant).
-	WriteQueue int
-	Budget     int64
-	Sample     int64
-	// Trace, if non-nil, receives every DRAM command.
-	Trace func(cycle int64, cmd dram.Command)
-}
-
-// DefaultGap returns the benchmark at the scale used by the paper-figure
-// harness: a Kronecker graph whose CSR comfortably exceeds the 11 MB LLC.
-// The paper runs GAP with the closed page policy (better for the
-// irregular kernels), except tc, which favors open.
-func DefaultGap(bench string, cores int) GapSpec {
-	spec := GapSpec{
-		Bench:  bench,
-		Cores:  cores,
-		Scale:  17,
-		Degree: 16,
-		Seed:   42,
-		Policy: memctrl.ClosedPage,
-		Budget: 1_500_000,
-	}
-	if bench == "tc" {
-		spec.Policy = memctrl.OpenPage
-	}
-	return spec
-}
-
-// RunGap runs one GAP benchmark experiment.
-func RunGap(spec GapSpec) (*sim.Result, error) {
-	g, err := buildGraph(spec)
-	if err != nil {
-		return nil, err
-	}
-	runner, _, err := gap.Build(spec.Bench, g, spec.Cores)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := sim.New(standard.Default(),
-		sim.WithSources(runner.Sources()...),
-		sim.WithMapping(spec.Map),
-		sim.WithCtrl(func(c *memctrl.Config) {
-			c.Policy = spec.Policy
-			if spec.WriteQueue > 0 {
-				c.WriteQueueCap = spec.WriteQueue
-				c.WriteHi = spec.WriteQueue * 3 / 4
-				c.WriteLo = spec.WriteQueue / 4
-			}
-		}),
-		sim.WithMaxMemCycles(spec.Budget),
-		sim.WithSampleInterval(spec.Sample),
-		sim.WithTrace(spec.Trace))
-	if err != nil {
-		return nil, err
-	}
-	res := sys.Run()
-	if len(res.Violations) > 0 {
-		return nil, fmt.Errorf("exp: DRAM timing violation: %v", res.Violations[0])
-	}
-	return res, nil
-}
-
-// runRows runs n labeled experiments concurrently (bounded by the CPU
-// count; each simulation is single-threaded) and returns them in order.
-func runRows(n int, run func(i int) (Row, error)) ([]Row, error) {
-	rows := make([]Row, n)
-	errs := make([]error, n)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			rows[i], errs[i] = run(i)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+// runFigure runs a figure's specs on the Runner pool and returns one row
+// per spec, in list order.
+func runFigure(specs []labelled) ([]Row, error) {
+	points := make([]Point, len(specs))
+	for i, s := range specs {
+		n := s.spec.Normalized()
+		hash, err := n.Hash()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("exp: figure row %s: %w", s.label, err)
 		}
+		points[i] = Point{Index: i, Spec: n, Hash: hash}
+	}
+	res, err := newRunner(points, SweepOptions{}).Run(context.TODO())
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Row, len(specs))
+	for i, pr := range res.Points {
+		rows[i] = Row{specs[i].label, pr.Res}
 	}
 	return rows, nil
 }
@@ -192,65 +55,42 @@ func runRows(n int, run func(i int) (Row, error)) ([]Row, error) {
 // Fig2 reproduces the read-only core-count sweep: sequential and random,
 // 1 to 8 cores (paper Fig. 2).
 func Fig2(budget int64) ([]Row, error) {
-	type cfg struct {
-		pat   workload.Pattern
-		cores int
-	}
-	var cfgs []cfg
-	for _, pat := range []workload.Pattern{workload.Sequential, workload.Random} {
+	var specs []labelled
+	for _, w := range []string{"seq", "random"} {
 		for _, cores := range []int{1, 2, 4, 8} {
-			cfgs = append(cfgs, cfg{pat, cores})
+			spec := Spec{Workload: w, Cores: cores, Budget: budget}
+			specs = append(specs, labelled{spec.Label(), spec})
 		}
 	}
-	return runRows(len(cfgs), func(i int) (Row, error) {
-		c := cfgs[i]
-		res, err := RunSynth(SynthSpec{
-			Pattern: c.pat, Cores: c.cores, Budget: budget, Prewarm: 1 << 20,
-		})
-		return Row{fmt.Sprintf("%s %dc", c.pat, c.cores), res}, err
-	})
+	return runFigure(specs)
 }
 
 // Fig3 reproduces the store-fraction sweep on one core (paper Fig. 3).
 func Fig3(budget int64) ([]Row, error) {
-	type cfg struct {
-		pat workload.Pattern
-		w   float64
-	}
-	var cfgs []cfg
-	for _, pat := range []workload.Pattern{workload.Sequential, workload.Random} {
-		for _, w := range []float64{0, 0.1, 0.2, 0.5} {
-			cfgs = append(cfgs, cfg{pat, w})
+	var specs []labelled
+	for _, w := range []string{"seq", "random"} {
+		for _, pct := range []int{0, 10, 20, 50} {
+			specs = append(specs, labelled{
+				fmt.Sprintf("%s w%d", synthPattern(w), pct),
+				Spec{Workload: w, Stores: float64(pct) / 100, Budget: budget},
+			})
 		}
 	}
-	return runRows(len(cfgs), func(i int) (Row, error) {
-		c := cfgs[i]
-		res, err := RunSynth(SynthSpec{
-			Pattern: c.pat, Cores: 1, StoreFrac: c.w, Budget: budget, Prewarm: 1 << 20,
-		})
-		return Row{fmt.Sprintf("%s w%d", c.pat, int(c.w*100)), res}, err
-	})
+	return runFigure(specs)
 }
 
 // Fig4 reproduces the page-policy comparison on two cores (paper Fig. 4).
 func Fig4(budget int64) ([]Row, error) {
-	type cfg struct {
-		pat workload.Pattern
-		pol memctrl.PagePolicy
-	}
-	var cfgs []cfg
-	for _, pat := range []workload.Pattern{workload.Sequential, workload.Random} {
-		for _, pol := range []memctrl.PagePolicy{memctrl.OpenPage, memctrl.ClosedPage} {
-			cfgs = append(cfgs, cfg{pat, pol})
+	var specs []labelled
+	for _, w := range []string{"seq", "random"} {
+		for _, pol := range []string{"open", "closed"} {
+			specs = append(specs, labelled{
+				fmt.Sprintf("%s %s", synthPattern(w), pol),
+				Spec{Workload: w, Cores: 2, Policy: pol, Budget: budget},
+			})
 		}
 	}
-	return runRows(len(cfgs), func(i int) (Row, error) {
-		c := cfgs[i]
-		res, err := RunSynth(SynthSpec{
-			Pattern: c.pat, Cores: 2, Policy: c.pol, Budget: budget, Prewarm: 1 << 20,
-		})
-		return Row{fmt.Sprintf("%s %s", c.pat, c.pol), res}, err
-	})
+	return runFigure(specs)
 }
 
 // Fig6 reproduces the bank-indexing comparison for the two conflict
@@ -258,72 +98,76 @@ func Fig4(budget int64) ([]Row, error) {
 // pages), and the read-only sequential pattern on two cores with closed
 // pages.
 func Fig6(budget int64) ([]Row, error) {
-	specs := []struct {
-		label string
-		spec  SynthSpec
-	}{
-		{"seq w50 1c open def", SynthSpec{Pattern: workload.Sequential, Cores: 1, StoreFrac: 0.5, Map: sim.MapDefault, Budget: budget, Prewarm: 1 << 20}},
-		{"seq w50 1c open int", SynthSpec{Pattern: workload.Sequential, Cores: 1, StoreFrac: 0.5, Map: sim.MapInterleaved, Budget: budget, Prewarm: 1 << 20}},
-		{"seq w0 2c closed def", SynthSpec{Pattern: workload.Sequential, Cores: 2, Policy: memctrl.ClosedPage, Map: sim.MapDefault, Budget: budget, Prewarm: 1 << 20}},
-		{"seq w0 2c closed int", SynthSpec{Pattern: workload.Sequential, Cores: 2, Policy: memctrl.ClosedPage, Map: sim.MapInterleaved, Budget: budget, Prewarm: 1 << 20}},
-	}
-	return runRows(len(specs), func(i int) (Row, error) {
-		res, err := RunSynth(specs[i].spec)
-		return Row{specs[i].label, res}, err
+	return runFigure([]labelled{
+		{"seq w50 1c open def", Spec{Workload: "seq", Stores: 0.5, Mapping: "def", Budget: budget}},
+		{"seq w50 1c open int", Spec{Workload: "seq", Stores: 0.5, Mapping: "int", Budget: budget}},
+		{"seq w0 2c closed def", Spec{Workload: "seq", Cores: 2, Policy: "closed", Mapping: "def", Budget: budget}},
+		{"seq w0 2c closed int", Spec{Workload: "seq", Cores: 2, Policy: "closed", Mapping: "int", Budget: budget}},
 	})
+}
+
+// fig7Specs is bfs on 8 cores, sampled through time.
+func fig7Specs(budget, sampleInterval int64) []labelled {
+	return []labelled{{"bfs 8c", Spec{Workload: "bfs", Cores: 8, Budget: budget, Sample: sampleInterval}}}
 }
 
 // Fig7 reproduces the through-time cycle / bandwidth / latency stacks
 // for bfs on 8 cores (paper Fig. 7). The result carries BWSamples and
 // CycleSamples.
 func Fig7(budget, sampleInterval int64) (*sim.Result, error) {
-	spec := DefaultGap("bfs", 8)
-	spec.Budget = budget
-	spec.Sample = sampleInterval
-	return RunGap(spec)
+	rows, err := runFigure(fig7Specs(budget, sampleInterval))
+	if err != nil {
+		return nil, err
+	}
+	return rows[0].Res, nil
 }
 
-// Fig8 reproduces the latency-stack variants (paper Fig. 8): bfs on 8
-// cores with the default mapping, cache-line interleaving, and a
-// 128-entry write queue; tc on one core with default and interleaved
-// mapping.
+// fig8Specs is bfs on 8 cores with the default mapping, cache-line
+// interleaving, and a 128-entry write queue; tc on one core with default
+// and interleaved mapping, under the closed policy of the paper's Fig. 8
+// tc case rather than the kernel's default.
+func fig8Specs(budget int64) []labelled {
+	return []labelled{
+		{"bfs 8c def", Spec{Workload: "bfs", Cores: 8, Budget: budget}},
+		{"bfs 8c int", Spec{Workload: "bfs", Cores: 8, Mapping: "int", Budget: budget}},
+		{"bfs 8c wq128", Spec{Workload: "bfs", Cores: 8, WriteQueue: 128, Budget: budget}},
+		{"tc 1c def", Spec{Workload: "tc", Policy: "closed", Mapping: "def", Budget: budget}},
+		{"tc 1c int", Spec{Workload: "tc", Policy: "closed", Mapping: "int", Budget: budget}},
+	}
+}
+
+// Fig8 reproduces the latency-stack variants (paper Fig. 8).
 func Fig8(budget int64) ([]Row, error) {
-	variants := []struct {
-		label string
-		mod   func(*GapSpec)
-	}{
-		{"bfs 8c def", func(*GapSpec) {}},
-		{"bfs 8c int", func(s *GapSpec) { s.Map = sim.MapInterleaved }},
-		{"bfs 8c wq128", func(s *GapSpec) { s.WriteQueue = 128 }},
+	return runFigure(fig8Specs(budget))
+}
+
+// fig9Specs is, for each GAP benchmark, the sampled 1-core run and then
+// the 8-core run it is to predict.
+func fig9Specs(budget, sampleInterval int64) []labelled {
+	var specs []labelled
+	for _, bench := range gap.Benchmarks() {
+		specs = append(specs,
+			// One core needs longer to cover the kernel's phases.
+			labelled{bench, Spec{Workload: bench, Cores: 1, Budget: budget * 4, Sample: sampleInterval}},
+			labelled{bench, Spec{Workload: bench, Cores: 8, Budget: budget}})
 	}
-	type job struct {
-		label string
-		spec  GapSpec
+	return specs
+}
+
+// fig9 runs a fig9Specs list and predicts each 8-core bandwidth from the
+// 1-core through-time samples before it.
+func fig9(specs []labelled) ([]extrapolate.Prediction, error) {
+	rows, err := runFigure(specs)
+	if err != nil {
+		return nil, err
 	}
-	var jobs []job
-	for _, v := range variants {
-		spec := DefaultGap("bfs", 8)
-		spec.Budget = budget
-		v.mod(&spec)
-		jobs = append(jobs, job{v.label, spec})
+	var preds []extrapolate.Prediction
+	for i := 0; i < len(rows); i += 2 {
+		r1, r8 := rows[i].Res, rows[i+1].Res
+		preds = append(preds, extrapolate.Predict(
+			rows[i].Label, r1.BWSamples, 8, r1.Cfg.Geom, r8.AchievedGBps()))
 	}
-	for _, m := range []sim.Mapping{sim.MapDefault, sim.MapInterleaved} {
-		spec := DefaultGap("tc", 1)
-		spec.Budget = budget
-		spec.Map = m
-		spec.Policy = memctrl.ClosedPage // the paper's Fig. 8 tc case
-		jobs = append(jobs, job{fmt.Sprintf("tc 1c %s", m), spec})
-	}
-	// Prepare shared graphs before the parallel fan-out.
-	for _, j := range jobs {
-		if _, err := buildGraph(j.spec); err != nil {
-			return nil, err
-		}
-	}
-	return runRows(len(jobs), func(i int) (Row, error) {
-		res, err := RunGap(jobs[i].spec)
-		return Row{jobs[i].label, res}, err
-	})
+	return preds, nil
 }
 
 // Fig9 reproduces the bandwidth extrapolation study (paper Fig. 9):
@@ -331,35 +175,7 @@ func Fig8(budget int64) ([]Row, error) {
 // predict the 8-core value from the 1-core through-time samples with the
 // naive and the stack-based method.
 func Fig9(budget, sampleInterval int64) ([]extrapolate.Prediction, error) {
-	benches := gap.Benchmarks()
-	rows, err := runRows(2*len(benches), func(i int) (Row, error) {
-		bench := benches[i/2]
-		spec := DefaultGap(bench, 1)
-		spec.Budget = budget * 4 // one core needs longer to cover phases
-		spec.Sample = sampleInterval
-		if i%2 == 1 {
-			spec = DefaultGap(bench, 8)
-			spec.Budget = budget
-		}
-		res, err := RunGap(spec)
-		return Row{bench, res}, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	var preds []extrapolate.Prediction
-	for i, bench := range benches {
-		r1 := rows[2*i].Res
-		r8 := rows[2*i+1].Res
-		geo := r1.Cfg.Geom
-		preds = append(preds, extrapolate.Prediction{
-			Name:     bench,
-			Measured: r8.AchievedGBps(),
-			Naive:    extrapolate.NaiveSamples(r1.BWSamples, 8, geo),
-			Stack:    extrapolate.StackSamples(r1.BWSamples, 8, geo),
-		})
-	}
-	return preds, nil
+	return fig9(fig9Specs(budget, sampleInterval))
 }
 
 // Stacks extracts the bandwidth and latency stacks of rows for plotting.

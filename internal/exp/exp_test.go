@@ -1,23 +1,41 @@
 package exp
 
 import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"strings"
 	"testing"
 
-	"dramstacks/internal/extrapolate"
 	"dramstacks/internal/gap"
-	"dramstacks/internal/memctrl"
-	"dramstacks/internal/workload"
+	"dramstacks/internal/sim"
 )
 
-func TestRunSynthBasics(t *testing.T) {
-	res, err := RunSynth(SynthSpec{
-		Pattern: workload.Sequential, Cores: 1, Budget: 60_000,
-	})
+// runSpec is RunSpec for a test that wants the result or nothing.
+func runSpec(t *testing.T, spec Spec) *sim.Result {
+	t.Helper()
+	res, err := RunSpec(context.Background(), spec, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+// rowsHash is the sha256 of the rows as cmd/paperfigs writes them.
+func rowsHash(t *testing.T, rows []Row) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := WriteRowsJSON(&b, rows); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+func TestRunSynthBasics(t *testing.T) {
+	res := runSpec(t, Spec{Workload: "seq", Budget: 60_000})
 	if res.AchievedGBps() <= 0 {
 		t.Error("no bandwidth achieved")
 	}
@@ -36,6 +54,11 @@ func TestFig2Structure(t *testing.T) {
 	}
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d, want 8", len(rows))
+	}
+	// Recorded at commit 11baf19, before the figures became spec lists on
+	// the Runner.
+	if got, want := rowsHash(t, rows), "bb84593f711c7250bbdf9a80519f7745cabcd1bb1d703056e11dc88862842b05"; got != want {
+		t.Errorf("fig2.json hashes to %s, want %s", got, want)
 	}
 	labels, bw, lat := Stacks(rows)
 	if labels[0] != "sequential 1c" || labels[7] != "random 8c" {
@@ -62,91 +85,59 @@ func TestFig2Structure(t *testing.T) {
 }
 
 func TestRunGapVariantsAndSamples(t *testing.T) {
-	spec := DefaultGap("bfs", 2)
-	spec.Scale = 12
-	spec.Budget = 120_000
-	spec.Sample = 20_000
-	res, err := RunGap(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := Spec{Workload: "bfs", Cores: 2, Scale: 12, Budget: 120_000, Sample: 20_000}
+	res := runSpec(t, spec)
 	if len(res.BWSamples) == 0 || len(res.CycleSamples) == 0 {
 		t.Error("through-time samples missing")
 	}
 	if res.CtrlStats.IssuedReads == 0 {
 		t.Error("bfs generated no DRAM reads")
 	}
-	// Write-queue override is applied.
+	// The write-queue override moves the capacity and both watermarks.
 	spec.WriteQueue = 128
-	if _, err := RunGap(spec); err != nil {
-		t.Fatalf("wq128 variant: %v", err)
-	}
-	// Unknown benchmark reports a helpful error.
-	bad := spec
-	bad.Bench = "nope"
-	if _, err := RunGap(bad); err == nil {
-		t.Error("unknown benchmark accepted")
+	wq := runSpec(t, spec).Cfg.Ctrl
+	if wq.WriteQueueCap != 128 || wq.WriteHi != 96 || wq.WriteLo != 32 {
+		t.Errorf("wq128 variant ran with capacity %d, watermarks %d/%d", wq.WriteQueueCap, wq.WriteHi, wq.WriteLo)
 	}
 }
 
-func TestDefaultGapPolicies(t *testing.T) {
-	if DefaultGap("bfs", 8).Policy != memctrl.ClosedPage {
-		t.Error("bfs should default to the closed page policy")
+// shrink runs a figure's own spec list on a graph small enough for test
+// time.
+func shrink(specs []labelled, scale int) []labelled {
+	for i := range specs {
+		specs[i].spec.Scale = scale
 	}
-	if DefaultGap("tc", 1).Policy != memctrl.OpenPage {
-		t.Error("tc should default to the open page policy (paper §VIII)")
-	}
+	return specs
 }
 
 func TestFig9SmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extrapolation sweep skipped in -short")
 	}
-	// Shrink the study so it runs in test time: patch specs via the
-	// building blocks instead of Fig9 itself.
-	var preds []struct {
-		bench                  string
-		measured, naive, stack float64
+	preds, err := fig9(shrink(fig9Specs(150_000, 50_000), 13))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, bench := range gap.Benchmarks() {
-		one := DefaultGap(bench, 1)
-		one.Scale = 13
-		one.Budget = 600_000
-		one.Sample = 50_000
-		r1, err := RunGap(one)
-		if err != nil {
-			t.Fatalf("%s 1c: %v", bench, err)
-		}
-		eight := DefaultGap(bench, 8)
-		eight.Scale = 13
-		eight.Budget = 200_000
-		r8, err := RunGap(eight)
-		if err != nil {
-			t.Fatalf("%s 8c: %v", bench, err)
-		}
-		geo := r1.Cfg.Geom
-		p := struct {
-			bench                  string
-			measured, naive, stack float64
-		}{bench, r8.AchievedGBps(), 0, 0}
-		p.naive = extrapolate.NaiveSamples(r1.BWSamples, 8, geo)
-		p.stack = extrapolate.StackSamples(r1.BWSamples, 8, geo)
-		preds = append(preds, p)
+	if len(preds) != len(gap.Benchmarks()) {
+		t.Fatalf("%d predictions for %d benchmarks", len(preds), len(gap.Benchmarks()))
 	}
-	for _, p := range preds {
-		if p.measured <= 0 {
-			t.Errorf("%s: measured 8c bandwidth is zero", p.bench)
+	for i, p := range preds {
+		if p.Name != gap.Benchmarks()[i] {
+			t.Errorf("prediction %d is for %s, want %s", i, p.Name, gap.Benchmarks()[i])
 		}
-		if p.naive <= 0 || p.stack <= 0 {
-			t.Errorf("%s: predictions missing: naive %v stack %v", p.bench, p.naive, p.stack)
+		if p.Measured <= 0 {
+			t.Errorf("%s: measured 8c bandwidth is zero", p.Name)
 		}
-		if p.stack > 19.3 || p.naive > 19.3 {
-			t.Errorf("%s: prediction exceeds peak: naive %v stack %v", p.bench, p.naive, p.stack)
+		if p.Naive <= 0 || p.Stack <= 0 {
+			t.Errorf("%s: predictions missing: naive %v stack %v", p.Name, p.Naive, p.Stack)
+		}
+		if p.Stack > 19.3 || p.Naive > 19.3 {
+			t.Errorf("%s: prediction exceeds peak: naive %v stack %v", p.Name, p.Naive, p.Stack)
 		}
 		// The stack method never predicts above naive: overheads only
 		// shrink the achievable share.
-		if p.stack > p.naive+1e-9 {
-			t.Errorf("%s: stack %v above naive %v", p.bench, p.stack, p.naive)
+		if p.Stack > p.Naive+1e-9 {
+			t.Errorf("%s: stack %v above naive %v", p.Name, p.Stack, p.Naive)
 		}
 	}
 }
@@ -155,22 +146,28 @@ func TestFigFunctionsSmallBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure sweeps skipped in -short")
 	}
+	// The hashes were recorded at commit 11baf19, before the figures became
+	// spec lists on the Runner.
 	figs := []struct {
 		name string
-		run  func() (int, error)
+		run  func(int64) ([]Row, error)
 		want int
+		hash string
 	}{
-		{"fig3", func() (int, error) { rows, err := Fig3(50_000); return len(rows), err }, 8},
-		{"fig4", func() (int, error) { rows, err := Fig4(50_000); return len(rows), err }, 4},
-		{"fig6", func() (int, error) { rows, err := Fig6(50_000); return len(rows), err }, 4},
+		{"fig3", Fig3, 8, "b355326867c2ca8625c1aaec75cdbb5316bef52e2d9bc64f4a05194535e86892"},
+		{"fig4", Fig4, 4, "6a7e32b75f31c76be6d34d1613d5e09d899e3e5593aee04f41f24fb25ea26905"},
+		{"fig6", Fig6, 4, "eeadb3e635701030eb48ab3cc8b96daf4b795382b5b31759dbc81027ae5c378e"},
 	}
 	for _, f := range figs {
-		n, err := f.run()
+		rows, err := f.run(50_000)
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
-		if n != f.want {
-			t.Errorf("%s rows = %d, want %d", f.name, n, f.want)
+		if len(rows) != f.want {
+			t.Errorf("%s rows = %d, want %d", f.name, len(rows), f.want)
+		}
+		if got := rowsHash(t, rows); got != f.hash {
+			t.Errorf("%s.json hashes to %s, want %s", f.name, got, f.hash)
 		}
 	}
 }
@@ -179,47 +176,57 @@ func TestFig7And8SmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure sweeps skipped in -short")
 	}
-	// Shrink via the same code path paperfigs uses, but at test scale:
-	// override the default spec through RunGap directly for fig-7-like
-	// sampling, then check Fig8's row structure via its variants at the
-	// default scale constants (budget-capped).
-	spec := DefaultGap("bfs", 4)
-	spec.Scale = 12
-	spec.Budget = 100_000
-	spec.Sample = 10_000
-	res, err := RunGap(spec)
+	rows, err := runFigure(shrink(fig7Specs(100_000, 10_000), 12))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rows[0].Res
 	if len(res.BWSamples) < 3 {
-		t.Errorf("fig7-style sampling produced %d samples", len(res.BWSamples))
+		t.Errorf("fig7 sampling produced %d samples", len(res.BWSamples))
 	}
 	for _, s := range res.BWSamples {
 		if err := s.BW.CheckSum(); err != nil {
 			t.Error(err)
 		}
 	}
-}
 
-func TestSynthSpecChannels(t *testing.T) {
-	res, err := RunSynth(SynthSpec{
-		Pattern: workload.Sequential, Cores: 2, Channels: 2, Budget: 40_000,
-	})
+	rows, err = runFigure(shrink(fig8Specs(60_000), 12))
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := []string{"bfs 8c def", "bfs 8c int", "bfs 8c wq128", "tc 1c def", "tc 1c int"}
+	if len(rows) != len(want) {
+		t.Fatalf("fig8 has %d rows, want %d", len(rows), len(want))
+	}
+	for i, r := range rows {
+		if r.Label != want[i] {
+			t.Errorf("fig8 row %d is %q, want %q", i, r.Label, want[i])
+		}
+		if r.Res.Lat.Reads == 0 {
+			t.Errorf("%s: no reads", r.Label)
+		}
+		// The paper's Fig. 8 tc case is closed-page, not tc's default.
+		if r.Res.Cfg.Ctrl.Policy.String() != "closed" {
+			t.Errorf("%s ran under the %s page policy", r.Label, r.Res.Cfg.Ctrl.Policy)
+		}
+	}
+	if got := rows[2].Res.Cfg.Ctrl.WriteQueueCap; got != 128 {
+		t.Errorf("%s ran with a %d-entry write queue", rows[2].Label, got)
+	}
+	if rows[1].Res.Cfg.Map != sim.MapInterleaved || rows[4].Res.Cfg.Map != sim.MapInterleaved {
+		t.Error("the int rows did not run with cache-line interleaving")
+	}
+}
+
+func TestSynthSpecChannels(t *testing.T) {
+	res := runSpec(t, Spec{Workload: "seq", Cores: 2, Channels: 2, Budget: 40_000})
 	if res.Channels != 2 || len(res.PerChannelBW) != 2 {
 		t.Errorf("channels = %d / %d per-channel stacks", res.Channels, len(res.PerChannelBW))
 	}
 }
 
 func TestRunStream(t *testing.T) {
-	res, err := RunStream(StreamSpec{
-		Kind: workload.StreamTriad, Cores: 2, Budget: 50_000, Prewarm: 1 << 18,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSpec(t, Spec{Workload: "triad", Cores: 2, Budget: 50_000})
 	if res.AchievedGBps() <= 0 {
 		t.Error("stream achieved nothing")
 	}
@@ -229,10 +236,7 @@ func TestRunStream(t *testing.T) {
 }
 
 func TestWriteRowsJSON(t *testing.T) {
-	res, err := RunSynth(SynthSpec{Pattern: workload.Sequential, Cores: 1, Budget: 30_000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSpec(t, Spec{Workload: "seq", Budget: 30_000})
 	var b strings.Builder
 	if err := WriteRowsJSON(&b, []Row{{"seq 1c", res}}); err != nil {
 		t.Fatal(err)

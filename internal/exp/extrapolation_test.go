@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dramstacks/internal/extrapolate"
-	"dramstacks/internal/workload"
 )
 
 // TestExtrapolationFactorSweep validates the stack-based method beyond
@@ -17,13 +16,7 @@ func TestExtrapolationFactorSweep(t *testing.T) {
 	}
 	budget := int64(250_000)
 	run := func(cores int) ( /*measured*/ float64, []float64) {
-		res, err := RunSynth(SynthSpec{
-			Pattern: workload.Random, Cores: cores,
-			Budget: budget, Prewarm: 1 << 19, Sample: budget / 8,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runSpec(t, Spec{Workload: "random", Cores: cores, Budget: budget, Sample: budget / 8})
 		var preds []float64
 		geo := res.Cfg.Geom
 		for _, f := range []float64{2, 4} {
@@ -69,20 +62,8 @@ func TestNaiveVsStackOnSaturatingWorkload(t *testing.T) {
 		t.Skip("extrapolation test skipped in -short")
 	}
 	budget := int64(250_000)
-	one, err := RunSynth(SynthSpec{
-		Pattern: workload.Sequential, Cores: 1,
-		Budget: budget, Prewarm: 1 << 20, Sample: budget / 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eight, err := RunSynth(SynthSpec{
-		Pattern: workload.Sequential, Cores: 8,
-		Budget: budget, Prewarm: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := runSpec(t, Spec{Workload: "seq", Budget: budget, Sample: budget / 8})
+	eight := runSpec(t, Spec{Workload: "seq", Cores: 8, Budget: budget})
 	geo := one.Cfg.Geom
 	naive := extrapolate.NaiveSamples(one.BWSamples, 8, geo)
 	stack := extrapolate.StackSamples(one.BWSamples, 8, geo)

@@ -20,12 +20,18 @@ const graphCacheBudget = 512 << 20
 // read-only afterwards, so concurrent experiments may share them.
 var graphs = newGraphLRU(graphCacheBudget)
 
-// graphKey is what tells two prepared graphs apart: the generator's
-// arguments and what gap.Prepare does for the kernel (gap.Variant).
+// Every experiment's graph is a Kronecker graph of this edge factor and
+// seed; only the scale is the spec's to choose.
+const (
+	graphDegree = 16 // edges per vertex before symmetrization
+	graphSeed   = 42
+)
+
+// graphKey is what tells two prepared graphs apart: the generator's one
+// free argument and what gap.Prepare does for the kernel (gap.Variant).
 type graphKey struct {
-	scale, degree int
-	seed          int64
-	variant       string
+	scale   int
+	variant string
 }
 
 // graphLRU keeps the most recently used graphs whose bytes fit a budget.
@@ -60,7 +66,7 @@ func (c *graphLRU) get(key graphKey, bench string) (*graph.Graph, error) {
 		c.ll.MoveToFront(el)
 	} else {
 		el = c.ll.PushFront(&graphEntry{key: key, build: sync.OnceValues(func() (*graph.Graph, error) {
-			g := graph.Kronecker(key.scale, key.degree, key.seed)
+			g := graph.Kronecker(key.scale, graphDegree, graphSeed)
 			if err := gap.Prepare(bench, g); err != nil {
 				return nil, err
 			}
@@ -108,15 +114,15 @@ func graphBytes(g *graph.Graph) int64 {
 	return 8*int64(len(g.Offsets)) + 4*int64(len(g.Neighbors)) + 4*int64(len(g.Weights))
 }
 
-func buildGraph(spec GapSpec) (*graph.Graph, error) {
-	variant, err := gap.Variant(spec.Bench)
+// buildGraph returns the scale's graph prepared for the bench kernel,
+// shared with every other experiment that asks for the same.
+func buildGraph(bench string, scale int) (*graph.Graph, error) {
+	variant, err := gap.Variant(bench)
 	if err != nil {
 		return nil, err
 	}
-	if err := graph.CheckKronecker(spec.Scale, spec.Degree); err != nil {
+	if err := graph.CheckKronecker(scale, graphDegree); err != nil {
 		return nil, err
 	}
-	// The entry outlives the call: only the kernel's name goes into it,
-	// not spec.Trace.
-	return graphs.get(graphKey{spec.Scale, spec.Degree, spec.Seed, variant}, spec.Bench)
+	return graphs.get(graphKey{scale, variant}, bench)
 }

@@ -42,30 +42,24 @@ func TestBuildGraphSharesAcrossKernels(t *testing.T) {
 	if n := cachedGraphs(scale); n != 1 {
 		t.Errorf("bfs and pr at one scale and seed cached %d graphs, want 1", n)
 	}
-	spec := DefaultGap("bfs", 2)
-	spec.Scale = scale
-	bfs, err := buildGraph(spec)
+	bfs, err := buildGraph("bfs", scale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bench := range []string{"pr", "cc", "bc"} {
-		spec.Bench = bench
-		if g, err := buildGraph(spec); err != nil || g != bfs {
+		if g, err := buildGraph(bench, scale); err != nil || g != bfs {
 			t.Errorf("%s does not share bfs's graph (%p, %p, %v)", bench, g, bfs, err)
 		}
 	}
 	for _, bench := range []string{"sssp", "tc"} {
-		spec.Bench = bench
-		if g, err := buildGraph(spec); err != nil || g == bfs {
+		if g, err := buildGraph(bench, scale); err != nil || g == bfs {
 			t.Errorf("%s shares the graph bfs reads, though Prepare changes it (%v)", bench, err)
 		}
 	}
-	spec.Bench = "nosuch"
-	if _, err := buildGraph(spec); err == nil {
+	if _, err := buildGraph("nosuch", scale); err == nil {
 		t.Error("unknown kernel accepted")
 	}
-	spec.Bench, spec.Scale = "bfs", 31
-	if _, err := buildGraph(spec); err == nil {
+	if _, err := buildGraph("bfs", 31); err == nil {
 		t.Error("scale 31 accepted")
 	}
 }
@@ -74,25 +68,22 @@ func TestBuildGraphSharesAcrossKernels(t *testing.T) {
 // another key is being generated: the map lock is not held across
 // generation, so the cached one is returned before the other is done.
 func TestBuildGraphCachedKeyDoesNotWait(t *testing.T) {
-	small := DefaultGap("bfs", 1)
-	small.Scale = 5
-	cached, err := buildGraph(small)
+	cached, err := buildGraph("bfs", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := DefaultGap("bfs", 1)
-	big.Scale, big.Seed = 16, 977 // ≈ 0.1 s of generation, far more under -race
+	const big = 16 // a scale no other test uses: ≈ 0.1 s of generation, far more under -race
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := buildGraph(big); err != nil {
+		if _, err := buildGraph("bfs", big); err != nil {
 			t.Error(err)
 		}
 	}()
-	for cachedGraphs(big.Scale) == 0 { // big's entry is inserted before it generates
+	for cachedGraphs(big) == 0 { // big's entry is inserted before it generates
 		runtime.Gosched()
 	}
-	g, err := buildGraph(small)
+	g, err := buildGraph("bfs", 5)
 	if err != nil || g != cached {
 		t.Fatalf("cached graph not returned: %p, want %p (%v)", g, cached, err)
 	}
@@ -112,8 +103,8 @@ func TestBuildGraphCachedKeyDoesNotWait(t *testing.T) {
 // equal one. A graph larger than the whole budget is served and not kept,
 // and costs the others nothing.
 func TestBuildGraphCacheIsBounded(t *testing.T) {
-	key := func(scale int) graphKey { return graphKey{scale: scale, degree: 4, seed: 3} }
-	size := func(scale int) int64 { return graphBytes(graph.Kronecker(scale, 4, 3)) }
+	key := func(scale int) graphKey { return graphKey{scale: scale} }
+	size := func(scale int) int64 { return graphBytes(graph.Kronecker(scale, graphDegree, graphSeed)) }
 	c := newGraphLRU(size(8) + size(9) + size(10))
 	held := func() (scales []int) { // most recently used first
 		c.mu.Lock()

@@ -53,7 +53,7 @@ type SweepResult struct {
 	Points []PointResult
 }
 
-// Runner executes an expanded sweep on a bounded worker pool. Each
+// Runner executes a list of points on a bounded worker pool. Each
 // point runs under its own context: CancelPoint stops one point,
 // cancelling the Run context stops them all, and SweepOptions.KeepGoing
 // picks the on-error policy.
@@ -78,13 +78,19 @@ func NewRunner(sw Sweep, opt SweepOptions) (*Runner, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("exp: sweep expands to no points")
 	}
+	return newRunner(points, opt), nil
+}
+
+// newRunner prepares a runner for points, which are run and reported in
+// the order given: a sweep's expansion, or a figure's explicit list.
+func newRunner(points []Point, opt SweepOptions) *Runner {
 	return &Runner{
 		opt:     opt,
 		points:  points,
 		run:     RunSpec,
 		cancels: make([]context.CancelFunc, len(points)),
 		pre:     make(map[int]bool),
-	}, nil
+	}
 }
 
 // Points returns the expanded points in their deterministic order.

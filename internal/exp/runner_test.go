@@ -3,7 +3,9 @@ package exp
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -141,6 +143,47 @@ func TestRunSweepKeepGoingWithCancelledPoint(t *testing.T) {
 	for _, i := range []int{0, 2} {
 		if res.Points[i].Err != nil || res.Points[i].Res == nil || res.Points[i].Res.Cancelled {
 			t.Errorf("point %d should have completed (err=%v)", i, res.Points[i].Err)
+		}
+	}
+}
+
+// TestRunnerPointListFailsFast hands the Runner an explicit point list, as
+// a figure does: results come back in list order, and a failing point
+// cancels the one already running and skips the ones not yet started —
+// the test ends only if it does.
+func TestRunnerPointListFailsFast(t *testing.T) {
+	specs := []Spec{
+		{Workload: "seq,random", Cores: 2, Budget: 4_000_000_000},
+		{Workload: "nope"}, // RunSpec rejects it
+		{Workload: "seq,random", Cores: 2, Budget: 4_000_000_001},
+		{Workload: "random", Budget: 10_000},
+	}
+	points := make([]Point, len(specs))
+	for i, s := range specs {
+		points[i] = Point{Index: i, Spec: s.Normalized()}
+	}
+	res, err := newRunner(points, SweepOptions{Workers: 2}).Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "unknown workload") {
+		t.Fatalf("the list's error is %v, want the failing point's", err)
+	}
+	if len(res.Points) != len(points) {
+		t.Fatalf("%d results for %d points", len(res.Points), len(points))
+	}
+	for i, pr := range res.Points {
+		if pr.Point.Index != i || pr.Point.Spec != points[i].Spec {
+			t.Errorf("result %d is point %d (%s)", i, pr.Point.Index, pr.Point.Label())
+		}
+		switch {
+		case i == 1:
+			if pr.Err == nil || pr.Res != nil {
+				t.Errorf("the failing point has result %v, error %v", pr.Res, pr.Err)
+			}
+		case pr.Res == nil:
+			if !errors.Is(pr.Err, context.Canceled) {
+				t.Errorf("point %d was skipped with %v", i, pr.Err)
+			}
+		case !pr.Res.Cancelled:
+			t.Errorf("point %d ran to completion after the failure", i)
 		}
 	}
 }

@@ -357,9 +357,9 @@ type RunOptions struct {
 // RunSpec normalizes and validates the spec, assembles the machine and
 // runs it under ctx. Cancelling ctx stops the simulation promptly; the
 // partial result is returned with Cancelled set rather than an error.
-// This is the single spec→simulation path shared by cmd/dramstacks and
-// the dramstacksd service, so their results are byte-identical for
-// identical specs.
+// This is the single spec→simulation path, shared by cmd/dramstacks, the
+// dramstacksd service and the paper's figures, so their results are
+// byte-identical for identical specs.
 func RunSpec(ctx context.Context, spec Spec, opt RunOptions) (*sim.Result, error) {
 	n := spec.Normalized()
 	if err := n.Validate(); err != nil {
@@ -414,9 +414,7 @@ func RunSpec(ctx context.Context, spec Spec, opt RunOptions) (*sim.Result, error
 		cfg.PrewarmOps = 1 << 20
 		sources = workload.StreamSources(streamKind(n.Workload), n.Cores)
 	default: // GAP kernel
-		gs := DefaultGap(n.Workload, n.Cores)
-		gs.Scale = n.Scale
-		g, err := buildGraph(gs)
+		g, err := buildGraph(n.Workload, n.Scale)
 		if err != nil {
 			return nil, err
 		}

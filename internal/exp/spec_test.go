@@ -122,32 +122,6 @@ func TestSpecValidateRejects(t *testing.T) {
 	}
 }
 
-// TestRunSpecMatchesRunSynth checks the shared spec path reproduces the
-// figure harness path exactly for a synthetic workload.
-func TestRunSpecMatchesRunSynth(t *testing.T) {
-	spec := Spec{Workload: "seq", Cores: 2, Budget: 20_000}
-	got, err := RunSpec(context.Background(), spec, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunSynth(SynthSpec{
-		Pattern: synthPattern("seq"), Cores: 2, Channels: 1,
-		Budget: 20_000, Prewarm: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MemCycles != want.MemCycles {
-		t.Errorf("MemCycles %d != %d", got.MemCycles, want.MemCycles)
-	}
-	if got.BW != want.BW {
-		t.Errorf("bandwidth stacks differ:\n got %+v\nwant %+v", got.BW, want.BW)
-	}
-	if got.CtrlStats != want.CtrlStats {
-		t.Errorf("controller stats differ")
-	}
-}
-
 // TestRunSpecMix smoke-tests the mix path through the shared spec layer.
 func TestRunSpecMix(t *testing.T) {
 	res, err := RunSpec(context.Background(), Spec{Workload: "seq,random", Cores: 2, Budget: 10_000}, RunOptions{})

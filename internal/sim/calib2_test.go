@@ -33,7 +33,7 @@ func runSyn2(t *testing.T, pat workload.Pattern, cores int, storeFrac float64,
 	cfg.MaxMemCycles = budget
 	cfg.PrewarmOps = 1 << 20
 	sources := SyntheticSources(pat, cores, storeFrac)
-	sys, err := NewFromConfig(cfg, sources)
+	sys, err := newSystem(cfg, sources, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func runSynthetic(t *testing.T, pat workload.Pattern, cores int, storeFrac float
 		wc.Seed = int64(i + 1)
 		sources = append(sources, workload.MustSynthetic(wc))
 	}
-	sys, err := NewFromConfig(cfg, sources)
+	sys, err := newSystem(cfg, sources, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

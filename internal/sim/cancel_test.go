@@ -21,7 +21,7 @@ func TestRunContextCancel(t *testing.T) {
 	cfg.MaxMemCycles = 1 << 40 // would take hours; cancellation must cut it short
 	cfg.WarmupMemCycles = 5_000
 	cfg.SampleInterval = 10_000
-	sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 1, 0))
+	sys, err := newSystem(cfg, SyntheticSources(workload.Sequential, 1, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestRunContextCancel(t *testing.T) {
 func TestRunContextCompletesOnBudget(t *testing.T) {
 	cfg := Default(1)
 	cfg.MaxMemCycles = 20_000
-	sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 1, 0))
+	sys, err := newSystem(cfg, SyntheticSources(workload.Sequential, 1, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

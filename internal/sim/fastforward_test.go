@@ -40,7 +40,7 @@ func goldenCompare(t *testing.T, name string, cfg Config, live bool, mk func() [
 		checkIdentities(t, name, sys, res, func() int64 {
 			c := cfg
 			c.MaxMemCycles += 50_000
-			longer, err := NewFromConfig(c, mk())
+			longer, err := newSystem(c, mk(), nil)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

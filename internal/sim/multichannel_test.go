@@ -18,7 +18,7 @@ func TestTwoChannelsDoubleSequentialBandwidth(t *testing.T) {
 		cfg.Channels = channels
 		cfg.MaxMemCycles = 200_000
 		cfg.PrewarmOps = 1 << 20
-		sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 8, 0))
+		sys, err := newSystem(cfg, SyntheticSources(workload.Sequential, 8, 0), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestMultiChannelSamplesAggregate(t *testing.T) {
 	cfg.Channels = 2
 	cfg.MaxMemCycles = 60_000
 	cfg.SampleInterval = 20_000
-	sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 2, 0))
+	sys, err := newSystem(cfg, SyntheticSources(workload.Sequential, 2, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

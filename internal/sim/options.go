@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"dramstacks/internal/cache"
 	"dramstacks/internal/cpu"
 	"dramstacks/internal/dram"
 	"dramstacks/internal/dram/standard"
@@ -67,8 +66,7 @@ type builder struct {
 type Option func(*builder)
 
 // WithSources sets the per-core instruction sources. The number of
-// sources determines the core count (unless overridden by WithCores or
-// WithConfig).
+// sources determines the core count (unless overridden by WithConfig).
 func WithSources(srcs ...cpu.Source) Option {
 	return func(b *builder) { b.sources = srcs }
 }
@@ -78,17 +76,6 @@ func WithSources(srcs ...cpu.Source) Option {
 // assemble a Config elsewhere; later options still apply on top.
 func WithConfig(cfg Config) Option {
 	return func(b *builder) { b.cfg, b.cfgSet = cfg, true }
-}
-
-// WithCores sets the core count, resizing the cache hierarchy to match.
-// The source count must still match at New time.
-func WithCores(n int) Option {
-	return func(b *builder) {
-		b.mutators = append(b.mutators, func(c *Config) {
-			c.Cores = n
-			c.Hier = cache.DefaultHierConfig(n)
-		})
-	}
 }
 
 // WithChannels sets the number of memory channels.
@@ -113,14 +100,6 @@ func WithMaxMemCycles(n int64) Option {
 	}
 }
 
-// WithWarmupMemCycles excludes the first n memory cycles from the
-// reported stacks.
-func WithWarmupMemCycles(n int64) Option {
-	return func(b *builder) {
-		b.mutators = append(b.mutators, func(c *Config) { c.WarmupMemCycles = n })
-	}
-}
-
 // WithSampleInterval cuts through-time samples every n memory cycles
 // (0 disables).
 func WithSampleInterval(n int64) Option {
@@ -137,24 +116,10 @@ func WithPrewarmOps(n int64) Option {
 	}
 }
 
-// WithVerify enables or disables the independent DRAM timing verifier.
-func WithVerify(v bool) Option {
-	return func(b *builder) {
-		b.mutators = append(b.mutators, func(c *Config) { c.Verify = v })
-	}
-}
-
 // WithTrace streams every issued DRAM command to fn.
 func WithTrace(fn func(cycle int64, cmd dram.Command)) Option {
 	return func(b *builder) {
 		b.mutators = append(b.mutators, func(c *Config) { c.Trace = fn })
-	}
-}
-
-// WithCore replaces the core configuration.
-func WithCore(cc cpu.Config) Option {
-	return func(b *builder) {
-		b.mutators = append(b.mutators, func(c *Config) { c.Core = cc })
 	}
 }
 

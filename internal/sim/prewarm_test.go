@@ -95,7 +95,7 @@ func TestPrewarmParallelMatchesSerial(t *testing.T) {
 				cfg.MaxMemCycles = 20_000
 				cfg.SampleInterval = 3_000
 				cfg.PrewarmOps = sh.ops
-				sys, err := NewFromConfig(cfg, prewarmSources(sh.cores, sh.stores, sh.bounded, wrap))
+				sys, err := newSystem(cfg, prewarmSources(sh.cores, sh.stores, sh.bounded, wrap), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,7 +142,7 @@ func TestPrewarmQuotaExactWithBatching(t *testing.T) {
 		cfg := DefaultFor(standard.Default(), 1)
 		cfg.MaxMemCycles = 100
 		cfg.PrewarmOps = quota
-		sys, err := NewFromConfig(cfg, srcs)
+		sys, err := newSystem(cfg, srcs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

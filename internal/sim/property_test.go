@@ -126,7 +126,7 @@ func drawSpec(rng *rand.Rand, i int) randSpec {
 	return sp
 }
 
-// newObserved is NewFromConfig with a live sample subscriber, and any
+// newObserved is newSystem with a live sample subscriber, and any
 // further options.
 func newObserved(cfg Config, srcs []cpu.Source, fn func(stacks.Sample), opts ...Option) (*System, error) {
 	return New(standard.Default(), append(opts, WithConfig(cfg), WithSources(srcs...), WithSampleFunc(fn))...)
@@ -600,7 +600,7 @@ func TestSampleIntervalInvariance(t *testing.T) {
 		run := func(interval int64) *Result {
 			c := sp.cfg
 			c.SampleInterval = interval
-			sys, err := NewFromConfig(c, sp.sources())
+			sys, err := newSystem(c, sp.sources(), nil)
 			if err != nil {
 				t.Fatalf("%s: %v", sp.name, err)
 			}

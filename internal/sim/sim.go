@@ -238,19 +238,9 @@ type System struct {
 	gen   uint64
 }
 
-// NewFromConfig assembles a system from a fully built Config running
-// the given per-core instruction sources (len(sources) must equal
-// cfg.Cores).
-//
-// Deprecated: use New(standard, WithSources(...), ...) — or, for
-// spec-driven callers that already hold a Config, New(standard,
-// WithConfig(cfg), WithSources(...)).
-func NewFromConfig(cfg Config, sources []cpu.Source) (*System, error) {
-	return newSystem(cfg, sources, nil)
-}
-
-// newSystem assembles a system, on arena when that is not nil; New and
-// NewFromConfig front it.
+// newSystem assembles a system from a fully built Config running the given
+// per-core instruction sources (len(sources) must equal cfg.Cores), on arena
+// when that is not nil; New fronts it.
 func newSystem(cfg Config, sources []cpu.Source, arena *Arena) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -25,7 +25,7 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
-	if _, err := NewFromConfig(Default(2), []cpu.Source{&workload.Slice{}}); err == nil {
+	if _, err := newSystem(Default(2), []cpu.Source{&workload.Slice{}}, nil); err == nil {
 		t.Error("source count mismatch accepted")
 	}
 }
@@ -35,7 +35,7 @@ func TestFiniteWorkloadRunsToCompletion(t *testing.T) {
 	cfg.MaxMemCycles = 0 // run until done
 	wc := workload.DefaultSequential()
 	wc.Ops = 2000
-	sys, err := NewFromConfig(cfg, []cpu.Source{workload.MustSynthetic(wc)})
+	sys, err := newSystem(cfg, []cpu.Source{workload.MustSynthetic(wc)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestThroughTimeSamplesCoverRun(t *testing.T) {
 	cfg.MaxMemCycles = 100_000
 	cfg.SampleInterval = 20_000
 	wc := workload.DefaultSequential()
-	sys, err := NewFromConfig(cfg, []cpu.Source{workload.MustSynthetic(wc)})
+	sys, err := newSystem(cfg, []cpu.Source{workload.MustSynthetic(wc)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestWarmupExcludedFromStacks(t *testing.T) {
 	cfg := Default(1)
 	cfg.MaxMemCycles = 60_000
 	cfg.WarmupMemCycles = 20_000
-	sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 1, 0))
+	sys, err := newSystem(cfg, SyntheticSources(workload.Sequential, 1, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestPrewarmFillsCaches(t *testing.T) {
 	cfg := Default(1)
 	cfg.MaxMemCycles = 50_000
 	cfg.PrewarmOps = 1 << 19
-	sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 1, 0.5))
+	sys, err := newSystem(cfg, SyntheticSources(workload.Sequential, 1, 0.5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestEveryStandardRunsVerified(t *testing.T) {
 			if !cfg.Verify {
 				t.Fatal("DefaultFor disabled the verifier")
 			}
-			sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 2, 0.2))
+			sys, err := newSystem(cfg, SyntheticSources(workload.Sequential, 2, 0.2), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func TestRegistryDDR4MatchesSeedConfig(t *testing.T) {
 		cfg.MaxMemCycles = 40_000
 		cfg.SampleInterval = 10_000
 		cfg.PrewarmOps = 1 << 18
-		sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 2, 0.2))
+		sys, err := newSystem(cfg, SyntheticSources(workload.Sequential, 2, 0.2), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestHBMPseudoChannels(t *testing.T) {
 	if cfg.SubChannels != 2 {
 		t.Fatalf("SubChannels = %d, want 2", cfg.SubChannels)
 	}
-	sys, err := NewFromConfig(cfg, SyntheticSources(workload.Sequential, 4, 0))
+	sys, err := newSystem(cfg, SyntheticSources(workload.Sequential, 4, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

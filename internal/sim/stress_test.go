@@ -40,7 +40,7 @@ func TestBankHammerStress(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		sources = append(sources, &bankHammer{lcg: uint64(i + 1)})
 	}
-	sys, err := NewFromConfig(cfg, sources)
+	sys, err := newSystem(cfg, sources, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestTinyQueuesNoDeadlock(t *testing.T) {
 	cfg.Ctrl.WriteLo = 1
 	cfg.MaxMemCycles = 80_000
 	cfg.PrewarmOps = 1 << 19 // dirty working set: evictions write back
-	sys, err := NewFromConfig(cfg, SyntheticSources(workload.Random, 4, 0.3))
+	sys, err := newSystem(cfg, SyntheticSources(workload.Random, 4, 0.3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSingleLineHammer(t *testing.T) {
 	src := func() cpu.Source {
 		return &workload.Slice{Instrs: repeatLoad(0x1000, 5000)}
 	}
-	sys, err := NewFromConfig(cfg, []cpu.Source{src(), src()})
+	sys, err := newSystem(cfg, []cpu.Source{src(), src()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestStreamTriadShape(t *testing.T) {
 	cfg := Default(4)
 	cfg.MaxMemCycles = 150_000
 	cfg.PrewarmOps = 1 << 19
-	sys, err := NewFromConfig(cfg, workload.StreamSources(workload.StreamTriad, 4))
+	sys, err := newSystem(cfg, workload.StreamSources(workload.StreamTriad, 4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestInterferenceShowsInVictimCycleStack(t *testing.T) {
 	queueShare := func(sources []cpu.Source) float64 {
 		cfg := Default(len(sources))
 		cfg.MaxMemCycles = 150_000
-		sys, err := NewFromConfig(cfg, sources)
+		sys, err := newSystem(cfg, sources, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
