@@ -29,7 +29,8 @@ test-short:
 # The GAP path in full too — the generator oracles, the barrier sources,
 # and the graph cache that concurrent jobs share. The arena differentials
 # in full: a reused arena must never show in a result. The last line runs
-# the arena benchmark once, so that it cannot rot.
+# the arena and the request-path (spec hash, spec decode) benchmarks once,
+# so that they cannot rot.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 -run 'Golden|FastForward' ./internal/sim/
@@ -38,7 +39,7 @@ race:
 	$(GO) test -race -count=1 ./internal/graph/ ./internal/gap/
 	$(GO) test -race -count=1 -run 'BuildGraph' ./internal/exp/
 	$(GO) test -race -count=1 -run 'Arena' ./internal/cache/ ./internal/sim/ ./internal/exp/ ./internal/service/
-	$(GO) test -run '^$$' -bench RunSpecArena -benchtime 1x ./internal/exp/
+	$(GO) test -run '^$$' -bench 'RunSpecArena|SpecHash|DecodeSpec' -benchmem -benchtime 1x ./internal/exp/
 
 cover:
 	$(GO) test -cover ./internal/...
@@ -73,12 +74,14 @@ vet:
 	$(GO) build -o dramvet ./cmd/dramvet
 	DRAMVET_LOCKORDER_OUT=$(CURDIR)/doc/LOCKORDER.md $(GO) vet -vettool=$(CURDIR)/dramvet ./...
 
-# Run the fuzz targets for FUZZTIME each: the strict spec decoder
-# (canonical-encoding fixed point, hash determinism), journal recovery
+# Run the fuzz targets for FUZZTIME each: the strict spec decoder and the
+# canonical encoder (each against its reference implementation, the
+# canonical-encoding fixed point, hash determinism), journal recovery
 # (corruption is never fatal, torn tails are sealed), and the dramvet
 # //dramvet:allow directive parser (no suppression is silently dropped).
 fuzz:
 	$(GO) test ./internal/exp/ -run FuzzDecodeSpec -fuzz FuzzDecodeSpec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/exp/ -run FuzzSpecCanonical -fuzz FuzzSpecCanonical -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service/ -run FuzzJournalReplay -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analysis/ -run FuzzAllowDirective -fuzz FuzzAllowDirective -fuzztime $(FUZZTIME)
 

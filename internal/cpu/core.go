@@ -410,9 +410,17 @@ func (c *Core) Done() bool {
 
 func (c *Core) robFree() int { return c.cfg.ROBSize - c.occ }
 
+// next is the ROB ring index after i; a % would divide by a variable here.
+func (c *Core) next(i int) int {
+	if i++; i == len(c.rob) {
+		i = 0
+	}
+	return i
+}
+
 func (c *Core) push(it robItem) {
 	c.rob[c.tail] = it
-	c.tail = (c.tail + 1) % len(c.rob)
+	c.tail = c.next(c.tail)
 	c.items++
 	c.occ += it.count
 	if it.kind == KindLoad {
@@ -495,9 +503,7 @@ func (c *Core) streakLen(now int64) int64 {
 func (c *Core) plainAhead(limit int) (a, idx int) {
 	for idx = c.head; a < limit && c.rob[idx].kind != KindLoad; {
 		a += c.rob[idx].count
-		if idx++; idx == len(c.rob) {
-			idx = 0
-		}
+		idx = c.next(idx)
 	}
 	return a, idx
 }
@@ -672,7 +678,6 @@ func (c *Core) replayStall(n int64) {
 // half of a replay. Chunk kinds and readiness are inert here (see
 // replayStreak); occupancy and statistics are the caller's business.
 func (c *Core) consume(k int64) {
-	size := len(c.rob)
 	for k > 0 {
 		if c.items == 0 {
 			panic("cpu: replay drained the ROB")
@@ -688,7 +693,7 @@ func (c *Core) consume(k int64) {
 		it.count -= int(m)
 		k -= m
 		if it.count == 0 {
-			c.head = (c.head + 1) % size
+			c.head = c.next(c.head)
 			c.items--
 		}
 	}
@@ -810,7 +815,7 @@ func (c *Core) replayWindow(from, n int64) {
 		it.tk = nil
 		tk.retired = true
 		c.release(tk)
-		c.head = (c.head + 1) % len(c.rob)
+		c.head = c.next(c.head)
 		c.items--
 		c.loads--
 		remPre := a - jR*w
@@ -854,7 +859,6 @@ func (c *Core) replayStreak(from, n int64) {
 	if len(c.startQ) != 0 || c.pendingWork < total {
 		panic("cpu: FastForward outside a provable steady state")
 	}
-	size := len(c.rob)
 	if c.loads == 0 && c.occ <= total {
 		// Everything currently buffered retires inside the window; what
 		// remains is the tail of the replayed pushes, occ uops in one
@@ -875,12 +879,12 @@ func (c *Core) replayStreak(from, n int64) {
 			it.count -= m
 			need -= m
 			if it.count == 0 {
-				c.head = (c.head + 1) % size
+				c.head = c.next(c.head)
 				c.items--
 			}
 		}
 		c.rob[c.tail] = robItem{kind: KindALU, count: total, readyAt: from + n}
-		c.tail = (c.tail + 1) % size
+		c.tail = c.next(c.tail)
 		c.items++
 	}
 	c.pendingWork -= total
@@ -1014,7 +1018,7 @@ func (c *Core) retire(now int64) int {
 			if it.kind == KindLoad {
 				c.loads--
 			}
-			c.head = (c.head + 1) % len(c.rob)
+			c.head = c.next(c.head)
 			c.items--
 		}
 	}
@@ -1131,8 +1135,11 @@ func (c *Core) nextIns() (Instr, bool) {
 // readiness matches (bounds ROB ring usage).
 func (c *Core) pushALU(n int, readyAt int64) {
 	if c.items > 0 {
-		last := (c.tail + len(c.rob) - 1) % len(c.rob)
-		it := &c.rob[last]
+		last := c.tail
+		if last == 0 {
+			last = len(c.rob)
+		}
+		it := &c.rob[last-1]
 		if it.kind == KindALU && it.readyAt == readyAt {
 			it.count += n
 			c.occ += n

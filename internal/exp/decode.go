@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -86,36 +88,63 @@ func editDistance(a, b string) int {
 	return prev[len(b)]
 }
 
-// checkFields rejects any top-level key of doc outside fields.
-func checkFields(kind string, doc map[string]json.RawMessage, fields map[string]bool) error {
-	var unknown []string
-	for k := range doc {
-		if !fields[k] {
-			unknown = append(unknown, k)
-		}
-	}
-	if len(unknown) == 0 {
-		return nil
-	}
-	sort.Strings(unknown) // deterministic error for multi-typo documents
-	return unknownFieldError(kind, unknown[0], fields)
-}
-
 // DecodeSpec strictly decodes one experiment spec document: unknown
 // top-level fields are rejected with a field-naming error, and the
 // embedded version (elided = current) must be one this build speaks.
-// The returned spec is not yet normalized or validated.
+// The returned spec is not yet normalized or validated. One decode, into
+// the struct: encoding/json matches its keys without regard to case and
+// skips what it does not know, so the field check is unknownKey's scan.
 func DecodeSpec(data []byte) (Spec, error) {
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return Spec{}, fmt.Errorf("exp: invalid spec JSON: %v", err)
-	}
-	if err := checkFields("spec", doc, specFields); err != nil {
-		return Spec{}, err
-	}
 	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
+	err := json.Unmarshal(data, &s)
+	if err == nil || !errors.As(err, new(*json.SyntaxError)) { // well-formed
+		if key, ok := unknownKey(data, specFields); ok {
+			return Spec{}, unknownFieldError("spec", key, specFields)
+		}
+		if err != nil && bytes.TrimLeft(data, " \t\r\n")[0] != '{' {
+			// Not an object: the error on record names the field map's type.
+			err = json.Unmarshal(data, new(map[string]json.RawMessage))
+		}
+	}
+	if err != nil {
 		return Spec{}, fmt.Errorf("exp: invalid spec JSON: %v", err)
 	}
 	return s, nil
+}
+
+// unknownKey returns the sorted-first top-level key of doc, well-formed JSON,
+// that is not in fields; keys compare as encoding/json decodes them, unescaped.
+func unknownKey(doc []byte, fields map[string]bool) (key string, found bool) {
+	depth := 0
+	for i := 0; i < len(doc); i++ {
+		switch doc[i] {
+		case '{', '[':
+			depth++
+		case '}', ']':
+			depth--
+		case '"':
+			start := i
+			for i++; doc[i] != '"'; i++ {
+				if doc[i] == '\\' {
+					i++
+				}
+			}
+			if depth != 1 || fields[string(doc[start+1:i])] {
+				continue
+			}
+			// At depth 1 a string is a key if a colon follows it.
+			next := i + 1
+			for doc[next] <= ' ' { // white space, the document being well-formed
+				next++
+			}
+			if doc[next] == ':' {
+				var k string
+				_ = json.Unmarshal(doc[start:i+1], &k) // unescapes; a well-formed string decodes
+				if !fields[k] && (!found || k < key) {
+					key, found = k, true
+				}
+			}
+		}
+	}
+	return key, found
 }

@@ -9,34 +9,25 @@ import (
 // and, for every accepted document, checks the invariants the content
 // cache and the durable store depend on:
 //
-//   - DecodeSpec never panics;
+//   - DecodeSpec never panics, and returns what the two-pass reference
+//     decoder returns, error text included;
+//   - Canonical writes the bytes, or the error, of the map-based
+//     reference encoder;
 //   - an accepted, valid spec has a canonical encoding, and that
 //     encoding is a fixed point (decode(canonical) re-canonicalizes to
 //     byte-identical output);
 //   - Hash is deterministic and survives the canonical round trip.
 func FuzzDecodeSpec(f *testing.F) {
-	seeds := []string{
-		`{}`,
-		`{"workload":"seq","cores":1,"cycles":20000}`,
-		`{"workload":"seq","version":1,"cores":2}`,
-		`{"workload":"rand","cores":4,"channels":2,"stores":0.25}`,
-		`{"workload":"seq","policy":"fr-fcfs","map":"rbc","wq":8}`,
-		`{"workload":"seq","core":4}`,
-		`{"totally_unrelated":1}`,
-		`{"workload":"seq","cycles":1e30}`,
-		`[1,2,3]`,
-		`"spec"`,
-		`{"workload":`,
-		"{\"workload\":\"seq\",\n\"cores\":3}",
-	}
-	for _, s := range seeds {
+	for _, s := range oracleDocs {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sameDecode(t, data)
 		spec, err := DecodeSpec(data)
 		if err != nil {
 			return
 		}
+		sameCanonical(t, spec)
 		norm := spec.Normalized()
 		if norm.Validate() != nil {
 			return
@@ -69,5 +60,19 @@ func FuzzDecodeSpec(f *testing.F) {
 		if h3 != h1 {
 			t.Fatalf("hash changed across canonical round trip: %s vs %s", h1, h3)
 		}
+	})
+}
+
+// FuzzSpecCanonical holds the append encoder to the map-based reference
+// on specs built field by field, which reaches what a decoded document
+// cannot: NaN and infinite store fractions, strings that are not UTF-8.
+func FuzzSpecCanonical(f *testing.F) {
+	for _, s := range oracleSpecs {
+		f.Add(s.Workload, s.Cores, s.Channels, s.Stores, s.Policy, s.Mapping, s.Standard, s.Budget, s.Sample, s.Scale, s.WriteQueue, s.QoS, s.Version)
+	}
+	f.Fuzz(func(t *testing.T, workload string, cores, channels int, stores float64, policy, mapping, standard string,
+		cycles, sample int64, scale, wq int, qos string, version int) {
+		sameCanonical(t, Spec{Version: version, Workload: workload, Cores: cores, Channels: channels, Stores: stores, Policy: policy,
+			Mapping: mapping, Standard: standard, Budget: cycles, Sample: sample, Scale: scale, WriteQueue: wq, QoS: qos})
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime/debug"
+	"strconv"
 	"strings"
 
 	"dramstacks/internal/cpu"
@@ -242,32 +243,55 @@ func (s Spec) Canonical() ([]byte, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	// encoding/json sorts map keys, giving the deterministic ordering.
-	m := map[string]any{
-		"version":  n.Version,
-		"workload": n.Workload,
-		"cores":    n.Cores,
-		"channels": n.Channels,
-		"stores":   n.Stores,
-		"policy":   n.Policy,
-		"map":      n.Mapping,
-		"cycles":   n.Budget,
-		"sample":   n.Sample,
-		"scale":    n.Scale,
-		"wq":       n.WriteQueue,
-	}
-	// The default standard is elided so every spec written before the
-	// standard field existed keeps its canonical bytes — and therefore
-	// its spec hash, cache entries and journaled results.
-	if n.Standard != standard.DefaultName {
-		m["standard"] = n.Standard
-	}
-	// Likewise the empty (disabled) QoS policy, so pre-QoS specs keep
-	// their hashes too.
+	// What encoding/json writes for a map of the fields, byte for byte.
+	b := make([]byte, 0, 192)
+	num := func(key string, v int64) { b = strconv.AppendInt(append(b, key...), v, 10) }
+	str := func(key, v string) { b = appendJSONString(append(b, key...), v) }
+	num(`{"channels":`, int64(n.Channels))
+	num(`,"cores":`, int64(n.Cores))
+	num(`,"cycles":`, n.Budget)
+	str(`,"map":`, n.Mapping)
+	str(`,"policy":`, n.Policy)
+	// An empty QoS policy and, below, the default standard are elided: specs
+	// older than the fields keep their bytes, so their hash and cached results.
 	if n.QoS != "" {
-		m["qos"] = n.QoS
+		str(`,"qos":`, n.QoS)
 	}
-	return json.Marshal(m)
+	num(`,"sample":`, n.Sample)
+	num(`,"scale":`, int64(n.Scale))
+	if n.Standard != standard.DefaultName {
+		str(`,"standard":`, n.Standard)
+	}
+	b, err := appendJSONFloat(append(b, `,"stores":`...), n.Stores)
+	if err != nil {
+		return nil, err
+	}
+	num(`,"version":`, int64(n.Version))
+	str(`,"workload":`, n.Workload)
+	num(`,"wq":`, int64(n.WriteQueue))
+	return append(b, '}'), nil
+}
+
+// appendJSONString appends s as encoding/json writes it. A valid spec has
+// only plain ASCII, copied between quotes; anything else is json's to write.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// appendJSONFloat appends f as encoding/json writes it: 'f' format from 1e-6;
+// the 'e' format below that and NaN's error (Validate lets NaN by) are json's.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if f == 0 || 1e-6 <= f && f < 1e21 {
+		return strconv.AppendFloat(b, f, 'f', -1, 64), nil
+	}
+	e, err := json.Marshal(f)
+	return append(b, e...), err
 }
 
 // Hash returns the content address of the spec: the hex SHA-256 of its

@@ -63,8 +63,8 @@ func ParseSweep(data []byte) (Sweep, error) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return Sweep{}, fmt.Errorf("exp: invalid sweep JSON: %v", err)
 	}
-	if err := checkFields("sweep", doc, sweepFields); err != nil {
-		return Sweep{}, err
+	if key, ok := unknownKey(data, sweepFields); ok {
+		return Sweep{}, unknownFieldError("sweep", key, sweepFields)
 	}
 	var sw Sweep
 	if raw, ok := doc["version"]; ok {

@@ -260,11 +260,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec = spec.Normalized()
-	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, ErrInvalidSpec, "%v", err)
-		return
-	}
-	hash, err := spec.Hash()
+	hash, err := spec.Hash() // the one validation: an invalid spec has no hash
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrInvalidSpec, "%v", err)
 		return
@@ -289,13 +285,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Coalesce onto an identical queued/running job.
 	s.mu.Lock()
-	if dup, ok := s.active[hash]; ok && !dup.State().Terminal() {
-		s.mu.Unlock()
-		s.metrics.JobsSubmitted.Add(1)
-		writeJSON(w, http.StatusOK, SubmitResponse{
-			ID: dup.ID, SpecHash: hash, State: dup.State(), Deduped: true,
-		})
-		return
+	if dup, ok := s.active[hash]; ok {
+		// Read once: a job finishing meanwhile is not reported deduped and done.
+		if state := dup.State(); !state.Terminal() {
+			s.mu.Unlock()
+			s.metrics.JobsSubmitted.Add(1)
+			writeJSON(w, http.StatusOK, SubmitResponse{
+				ID: dup.ID, SpecHash: hash, State: state, Deduped: true,
+			})
+			return
+		}
 	}
 	s.mu.Unlock()
 

@@ -113,6 +113,21 @@ func TestArenaPrewarmBuffers(t *testing.T) {
 	}
 }
 
+// TestWarmBuffersQuotaSized: a quota shorter than a chunk sizes the
+// records and the merge buffer; any other quota gets a chunk.
+func TestWarmBuffersQuotaSized(t *testing.T) {
+	var b warmBuffers
+	b.size(4, 1<<12)
+	if got, want := b.bytes(), int64(4*(1<<12)*(8+1)+4*(1<<12)*8); got != want {
+		t.Errorf("buffers for 4 cores and a quota of 4096: %d bytes, want %d", got, want)
+	}
+	b = warmBuffers{}
+	b.size(4, 1<<20)
+	if got, want := b.bytes(), int64(4*warmChunk*(8+1)+4*warmChunk*8); got != want {
+		t.Errorf("buffers for 4 cores and a quota of 1<<20: %d bytes, want %d", got, want)
+	}
+}
+
 // TestArenaStaleSystemPanics: building a second System on an arena ends
 // the first one's tenancy, and running the first then must panic rather
 // than walk the slot arrays the second now owns.

@@ -148,9 +148,10 @@ type warmBuffers struct {
 	merged []cache.LLCOp
 }
 
-// size readies b for cores feeds: a record each, with empty buffers and
-// done unset, and a merge buffer for a chunk of them all.
-func (b *warmBuffers) size(cores int) {
+// size readies b for cores feeds: a record each, with empty buffers and done
+// unset, and a merge buffer for a chunk of them all, or the quota if less.
+func (b *warmBuffers) size(cores int, quota int64) {
+	n := int(min(warmChunk, quota))
 	if len(b.recs) < cores {
 		grown := make([]warmRecord, cores)
 		copy(grown, b.recs)
@@ -159,13 +160,13 @@ func (b *warmBuffers) size(cores int) {
 	for i := range b.recs[:cores] {
 		r := &b.recs[i]
 		if r.ops == nil {
-			r.ops = make([]cache.LLCOp, 0, warmChunk)
-			r.cnt = make([]uint8, 0, warmChunk)
+			r.ops = make([]cache.LLCOp, 0, n)
+			r.cnt = make([]uint8, 0, n)
 		}
 		r.done = false
 	}
-	if cap(b.merged) < cores*warmChunk {
-		b.merged = make([]cache.LLCOp, 0, cores*warmChunk)
+	if cap(b.merged) < cores*n {
+		b.merged = make([]cache.LLCOp, 0, cores*n)
 	}
 }
 
@@ -196,7 +197,7 @@ func (s *System) prewarmParallel(feeds []warmFeed) {
 	if s.arena != nil {
 		buf = &s.arena.warm
 	}
-	buf.size(len(feeds))
+	buf.size(len(feeds), s.cfg.PrewarmOps)
 	recs, merged := buf.recs[:len(feeds)], buf.merged
 	cur := make([]int, len(feeds)) // merge position in each record's ops
 	shards := runtime.GOMAXPROCS(0)
