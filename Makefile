@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-ablations bench-go pairs figs serve vet fuzz clean
+.PHONY: all build test test-short race cover bench bench-ablations bench-go pairs figs serve vet nofma fuzz clean
 
 # Port for `make serve` (override: make serve PORT=9000).
 PORT ?= 8080
@@ -73,6 +73,12 @@ bench-go:
 vet:
 	$(GO) build -o dramvet ./cmd/dramvet
 	DRAMVET_LOCKORDER_OUT=$(CURDIR)/doc/LOCKORDER.md $(GO) vet -vettool=$(CURDIR)/dramvet ./...
+
+# Fail when the compiler fuses a floating-point multiply-add anywhere a
+# result's bytes come from, on any architecture that can (tools/nofma.sh):
+# the results would then depend on GOARCH.
+nofma:
+	bash tools/nofma.sh
 
 # Run the fuzz targets for FUZZTIME each: the strict spec decoder and the
 # canonical encoder (each against its reference implementation, the

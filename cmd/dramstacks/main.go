@@ -242,15 +242,22 @@ func run(wl, inFile string, cores, channels int, stores float64, policy, mapping
 // shared spec layer).
 func runTrace(inFile string, cores, channels int, policy, mapping string, std standard.Standard,
 	cycles, sample int64, qosSpec string, hook func(int64, dram.Command)) (*sim.Result, error) {
-	m := sim.MapDefault
+	cfg := sim.DefaultFor(std, cores)
 	switch mapping {
 	case "def":
 	case "int":
-		m = sim.MapInterleaved
+		cfg.Map = sim.MapInterleaved
 	case "xor":
-		m = sim.MapXOR
+		cfg.Map = sim.MapXOR
 	default:
 		return nil, fmt.Errorf("unknown mapping %q (want def, int or xor)", mapping)
+	}
+	switch policy {
+	case "", "open":
+	case "closed":
+		cfg.Ctrl.Policy = memctrl.ClosedPage
+	default:
+		return nil, fmt.Errorf("unknown policy %q (want open or closed)", policy)
 	}
 	if inFile == "" {
 		return nil, fmt.Errorf("-workload trace needs -in <file>")
@@ -259,6 +266,11 @@ func runTrace(inFile string, cores, channels int, policy, mapping string, std st
 	if err != nil {
 		return nil, err
 	}
+	cfg.Channels = channels
+	cfg.Ctrl.QoS = q
+	cfg.MaxMemCycles = cycles
+	cfg.SampleInterval = sample
+	cfg.Trace = hook
 	f, err := os.Open(inFile)
 	if err != nil {
 		return nil, err
@@ -275,19 +287,7 @@ func runTrace(inFile string, cores, channels int, policy, mapping string, std st
 		p.Loop = true
 		sources = append(sources, &p)
 	}
-	sys, err := sim.New(std,
-		sim.WithSources(sources...),
-		sim.WithChannels(channels),
-		sim.WithMapping(m),
-		sim.WithCtrl(func(c *memctrl.Config) {
-			if policy == "closed" {
-				c.Policy = memctrl.ClosedPage
-			}
-		}),
-		sim.WithMaxMemCycles(cycles),
-		sim.WithSampleInterval(sample),
-		sim.WithQoS(q),
-		sim.WithTrace(hook))
+	sys, err := sim.New(std, sim.WithConfig(cfg), sim.WithSources(sources...))
 	if err != nil {
 		return nil, err
 	}

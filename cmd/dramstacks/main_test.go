@@ -1,7 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -29,6 +31,7 @@ func TestRunGapWorkload(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
+	in := writeTestTrace(t)
 	cases := []struct {
 		name string
 		err  string
@@ -40,8 +43,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"bad mapping", "unknown mapping", func() error {
 			return run("seq", "", 1, 1, 0, "", "zigzag", "", 1000, 0, 17, 0, "", "", "", false)
 		}},
-		{"bad policy", "unknown policy", func() error {
+		{"bad policy", `unknown policy "lukewarm" (want open or closed)`, func() error {
 			return run("seq", "", 1, 1, 0, "lukewarm", "def", "", 1000, 0, 17, 0, "", "", "", false)
+		}},
+		{"trace bad policy", `unknown policy "lukewarm" (want open or closed)`, func() error {
+			return run("trace", in, 1, 1, 0, "lukewarm", "def", "", 1000, 0, 17, 0, "", "", "", false)
 		}},
 		{"trace without file", "-in", func() error {
 			return run("trace", "", 1, 1, 0, "", "def", "", 1000, 0, 17, 0, "", "", "", false)
@@ -61,22 +67,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // TestRunJSONOutput checks -json emits the dramstacksd wire format with
 // the spec hash stamped in.
 func TestRunJSONOutput(t *testing.T) {
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	runErr := run("seq", "", 1, 1, 0, "", "def", "", 20_000, 0, 17, 0, "", "", "", true)
-	w.Close()
-	os.Stdout = old
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
+	out := captureStdout(t, func() error {
+		return run("seq", "", 1, 1, 0, "", "def", "", 20_000, 0, 17, 0, "", "", "", true)
+	})
 	var row exp.RowJSON
 	if err := json.Unmarshal(out, &row); err != nil {
 		t.Fatalf("stdout is not one JSON document: %v\n%s", err, out)
@@ -114,9 +107,36 @@ func TestRunWithTraceAndCSVOutputs(t *testing.T) {
 	}
 }
 
-func TestRunTracePlayerWorkload(t *testing.T) {
-	dir := t.TempDir()
-	in := filepath.Join(dir, "app.trace")
+// captureStdout runs call with os.Stdout redirected and returns what it
+// wrote there; call's error fails the test.
+func captureStdout(t *testing.T, call func() error) []byte {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan []byte)
+	go func() {
+		out, _ := io.ReadAll(r)
+		read <- out
+	}()
+	os.Stdout = w
+	runErr := call()
+	w.Close()
+	os.Stdout = old
+	out := <-read
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return out
+}
+
+// writeTestTrace writes a 64-line application trace — one read per cache
+// line of a 4 KiB region, 8 uops of work apart — and returns its path.
+func writeTestTrace(t *testing.T) string {
+	t.Helper()
+	in := filepath.Join(t.TempDir(), "app.trace")
 	var b strings.Builder
 	for i := 0; i < 64; i++ {
 		b.WriteString("R ")
@@ -126,8 +146,38 @@ func TestRunTracePlayerWorkload(t *testing.T) {
 	if err := os.WriteFile(in, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return in
+}
+
+func TestRunTracePlayerWorkload(t *testing.T) {
+	in := writeTestTrace(t)
 	if err := run("trace", in, 1, 1, 0, "", "def", "", 20_000, 0, 17, 0, "", "", "", false); err != nil {
 		t.Errorf("trace workload: %v", err)
+	}
+}
+
+// TestRunTraceJSONPinned pins what the trace replay simulates: the sha256
+// of its -json document on the test trace, once with the default flags and
+// once with every flag the replay reads moved off its default.
+func TestRunTraceJSONPinned(t *testing.T) {
+	in := writeTestTrace(t)
+	cases := []struct {
+		name string
+		want string
+		call func() error
+	}{
+		{"defaults", "52f7c94049e2758fddfca152a1a1360207029ef29bcdb12e3024fff63820f097", func() error {
+			return run("trace", in, 1, 1, 0, "", "def", "", 500_000, 0, 17, 0, "", "", "", true)
+		}},
+		{"channels 2, xor, closed, qos, sampled", "7b163a7e40c2156af3f2a1c6a1c9196771b5475cb5a9e2dba2001e7a2532b493", func() error {
+			return run("trace", in, 1, 2, 0, "closed", "xor", "", 20_000, 5_000, 17, 0, "win=2048,cap=0:16", "", "", true)
+		}},
+	}
+	for _, tc := range cases {
+		sum := sha256.Sum256(captureStdout(t, tc.call))
+		if got := fmt.Sprintf("%x", sum); got != tc.want {
+			t.Errorf("%s: -json sha256 = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -21,14 +21,12 @@ func main() {
 	rnd := workload.DefaultRandom()
 	rnd.BaseAddr = 512 << 20 // separate regions
 
-	sys, err := sim.New(standard.Default(),
-		sim.WithSources(
-			workload.MustSynthetic(seq),
-			workload.MustSynthetic(rnd),
-		),
-		sim.WithMaxMemCycles(300_000), // 0.25 ms of DDR4-2400 time
-		sim.WithPrewarmOps(1<<20),     // start with warm caches
-	)
+	std := standard.Default()
+	cfg := sim.DefaultFor(std, 2)
+	cfg.MaxMemCycles = 300_000 // 0.25 ms of DDR4-2400 time
+	cfg.PrewarmOps = 1 << 20   // start with warm caches
+	sys, err := sim.New(std, sim.WithConfig(cfg),
+		sim.WithSources(workload.MustSynthetic(seq), workload.MustSynthetic(rnd)))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 // Package detpkg names the repository's deterministic core: the
 // packages whose behavior must be a pure function of their inputs,
-// because the golden-equivalence tests (byte-identical stacks across
-// the fast and slow simulator loops) and the crash-recovery validation
-// (spec-hash-addressed results served byte-identically after restart)
-// both assume it. The detrange and nowallclock analyzers apply only
-// inside this set.
+// because the golden-equivalence tests (byte-identical stacks from the
+// event loop and the test-only per-cycle reference loop) and the
+// crash-recovery validation (spec-hash-addressed results served
+// byte-identically after restart) both assume it. The detrange and
+// nowallclock analyzers apply only inside this set.
 package detpkg
 
 import "strings"

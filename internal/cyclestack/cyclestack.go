@@ -90,8 +90,11 @@ func (a *Accountant) AddCycles(c Component, n int64) {
 
 // Add attributes a fractional number of cycles to c without advancing the
 // total; use in pairs that sum to previously counted whole cycles.
+// Callers pass products (a stall times a fraction): the conversion rounds
+// the product before the sum, so no architecture fuses the two into one
+// multiply-add (tools/nofma.sh).
 func (a *Accountant) Add(c Component, cycles float64) {
-	a.cycles[c] += cycles
+	a.cycles[c] += float64(cycles)
 }
 
 // AddTotal advances the total cycle count by n without attributing; used
@@ -147,7 +150,7 @@ func (s Stack) CheckSum() error {
 		}
 		sum += v
 	}
-	tol := 1e-6*float64(s.Total) + 1e-6
+	tol := float64(1e-6*float64(s.Total)) + 1e-6 // unfused (tools/nofma.sh)
 	if d := sum - float64(s.Total); d > tol || d < -tol {
 		return fmt.Errorf("cyclestack: components sum to %.3f, want %d", sum, s.Total)
 	}

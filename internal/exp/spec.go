@@ -454,11 +454,8 @@ func RunSpec(ctx context.Context, spec Spec, opt RunOptions) (*sim.Result, error
 		sources = runner.Sources()
 	}
 
-	opts := []sim.Option{sim.WithConfig(cfg), sim.WithSources(sources...), sim.WithArena(opt.Arena)}
-	if opt.OnSample != nil {
-		opts = append(opts, sim.WithSampleFunc(opt.OnSample))
-	}
-	sys, err := sim.New(std, opts...)
+	sys, err := sim.New(std, sim.WithConfig(cfg), sim.WithSources(sources...),
+		sim.WithArena(opt.Arena), sim.WithSampleFunc(opt.OnSample))
 	if err != nil {
 		return nil, err
 	}

@@ -47,7 +47,7 @@ func Stack(s stacks.BandwidthStack, factor float64, geo dram.Geometry) (float64,
 			scaled[c] = g[c] // refresh rate is constant
 			busy += scaled[c]
 		default:
-			scaled[c] = g[c] * factor
+			scaled[c] = float64(g[c] * factor) // unfused with busy (tools/nofma.sh)
 			busy += scaled[c]
 		}
 	}
@@ -80,7 +80,7 @@ func StackSamples(samples []stacks.Sample, factor float64, geo dram.Geometry) fl
 			continue
 		}
 		pred, _ := Stack(sm.BW, factor, geo)
-		sum += pred * float64(sm.BW.TotalCycles)
+		sum += float64(pred * float64(sm.BW.TotalCycles)) // unfused (tools/nofma.sh)
 		cycles += float64(sm.BW.TotalCycles)
 	}
 	if cycles == 0 {
@@ -98,7 +98,7 @@ func NaiveSamples(samples []stacks.Sample, factor float64, geo dram.Geometry) fl
 		}
 		g := sm.BW.GBps(geo)
 		pred := Naive(g[stacks.BWRead]+g[stacks.BWWrite], factor, geo, g[stacks.BWRefresh])
-		sum += pred * float64(sm.BW.TotalCycles)
+		sum += float64(pred * float64(sm.BW.TotalCycles)) // unfused (tools/nofma.sh)
 		cycles += float64(sm.BW.TotalCycles)
 	}
 	if cycles == 0 {

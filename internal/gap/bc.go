@@ -216,7 +216,7 @@ func (b *BC) fillBackward(core int, buf []cpu.Instr, max int) ([]cpu.Instr, bool
 			if b.d[v] == b.d[u]+1 {
 				e.load(b.sigma, int64(v), 1)
 				e.load(b.delta, int64(v), 1)
-				b.del[u] += b.sig[u] / b.sig[v] * (1 + b.del[v])
+				b.del[u] += float64(b.sig[u] / b.sig[v] * (1 + b.del[v])) // unfused (tools/nofma.sh)
 				e.store(b.delta, int64(u), 2)
 			}
 			cur.ei++

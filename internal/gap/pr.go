@@ -159,7 +159,7 @@ func (p *PR) fillGather(core int, buf []cpu.Instr, max int) ([]cpu.Instr, bool) 
 		}
 		if cur.ei >= cur.eEnd {
 			v := cur.v
-			nr := base + p.damping*cur.sum
+			nr := base + float64(p.damping*cur.sum) // unfused (tools/nofma.sh): p.err decides convergence
 			p.newRank[v] = nr
 			p.err[core] += math.Abs(nr - p.ranks[v])
 			e.store(p.rank, int64(v), 4)

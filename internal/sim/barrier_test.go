@@ -64,7 +64,6 @@ func TestGoldenBarrierSources(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys.slow = false // also when the reference loop is the build's default
 			total := sys.Run().MemCycles
 			if total >= cfg.MaxMemCycles {
 				t.Fatalf("%s: the kernel did not finish in %d memory cycles", name, total)

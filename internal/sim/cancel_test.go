@@ -122,8 +122,7 @@ func runCancelled(t *testing.T, cfg Config, mk func() []cpu.Source, slow bool, o
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.slow = slow
-	res := sys.RunContext(ctx)
+	res := runLoop(ctx, sys, slow)
 	if !res.Cancelled || res.MemCycles != 3_072 {
 		t.Fatalf("slow %v: cancelled = %v after %d cycles, want the poll at 3072", slow, res.Cancelled, res.MemCycles)
 	}

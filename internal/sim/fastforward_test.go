@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -35,8 +36,7 @@ func goldenCompare(t *testing.T, name string, cfg Config, live bool, mk func() [
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		sys.slow = slow
-		res := sys.Run()
+		res := runLoop(context.Background(), sys, slow)
 		checkIdentities(t, name, sys, res, func() int64 {
 			c := cfg
 			c.MaxMemCycles += 50_000

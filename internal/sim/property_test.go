@@ -394,7 +394,6 @@ func TestGoldenParkCuts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.slow = false // also when the reference loop is the build's default
 	sys.Run()
 	if midPark < cuts/2 {
 		t.Errorf("%d of %d sample cuts fell mid-park, want most", midPark, cuts)
@@ -557,7 +556,6 @@ func TestGoldenCoastCuts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys.slow = false // also when the reference loop is the build's default
 			sys.Run()
 			switch {
 			case !sh.windows:

@@ -50,13 +50,8 @@ func (m Mapping) String() string {
 	}
 }
 
-// Config describes a full-system experiment.
-//
-// Constructing a Config by field literal is deprecated for callers
-// outside this package: assemble systems with New(standard, ...Option)
-// instead, which starts from DefaultFor and applies options. The struct
-// remains exported (and DefaultFor remains the base-configuration
-// helper) so existing spec-driven code keeps working via WithConfig.
+// Config describes a full-system experiment. Callers start from
+// DefaultFor, set the fields they vary and pass it to New with WithConfig.
 type Config struct {
 	Cores   int
 	CPUMult int // CPU cycles per memory cycle
@@ -186,7 +181,6 @@ type System struct {
 	cores    []*cpu.Core
 	mapper   addrmap.Mapper
 
-	verifiers  []*dram.Verifier
 	violations []dram.Violation
 
 	memCycle int64
@@ -194,12 +188,9 @@ type System struct {
 	// Controllers are ticked lazily by the event loop: ctrlTicked is the
 	// last memory cycle each controller has simulated, ctrlNext the next
 	// cycle it must simulate for real (everything in between is provably
-	// quiet and is replayed in closed form by catchUpCtrl). slow selects
-	// the per-cycle reference loop instead (the -tags=slowtick default),
-	// which uses none of this.
+	// quiet and is replayed in closed form by catchUpCtrl).
 	ctrlTicked []int64
 	ctrlNext   []int64
-	slow       bool
 
 	// wheel holds what bounds a CPU phase of the event loop: controller
 	// actors (IDs 0..channels-1) carry each controller's next real tick
@@ -218,12 +209,13 @@ type System struct {
 	// the current CPU phase, which therefore ends with this memory cycle.
 	memActive bool
 
-	observers []Observer
+	// onSample receives each aggregated through-time sample (WithSampleFunc).
+	onSample func(stacks.Sample)
 
 	cycleSamples []cyclestack.Stack
 	lastCycle    cyclestack.Stack
 	nextCut      int64
-	published    int // per-channel samples already delivered to the observers
+	published    int // per-channel samples already delivered to onSample
 	cancelled    bool
 
 	warmBW     []stacks.BandwidthStack
@@ -267,7 +259,6 @@ func newSystem(cfg Config, sources []cpu.Source, arena *Arena) (*System, error) 
 		if cfg.Verify {
 			ver = dram.NewVerifier(cfg.Geom, cfg.Tim)
 		}
-		s.verifiers = append(s.verifiers, ver)
 		if cfg.Verify || cfg.Trace != nil {
 			dev.Trace = func(cycle int64, cmd dram.Command) {
 				if ver != nil {
@@ -291,7 +282,6 @@ func newSystem(cfg Config, sources []cpu.Source, arena *Arena) (*System, error) 
 		}
 		s.ctrls = append(s.ctrls, ctrl)
 	}
-	s.slow = SlowTick
 	s.ctrlTicked = make([]int64, channels)
 	s.ctrlNext = make([]int64, channels)
 	s.wheel = sched.New()
@@ -355,12 +345,10 @@ func (s *System) route(addr uint64) int {
 // before Tick(m)) and marks it due for a real tick this cycle.
 func (s *System) enqueueTarget(addr uint64) *memctrl.Controller {
 	ch := s.route(addr)
-	if !s.slow {
-		s.catchUpCtrl(ch, s.memCycle-1)
-		if s.ctrlNext[ch] > s.memCycle {
-			s.ctrlNext[ch] = s.memCycle
-			s.wheel.Schedule(ch, s.memCycle)
-		}
+	s.catchUpCtrl(ch, s.memCycle-1)
+	if s.ctrlNext[ch] > s.memCycle {
+		s.ctrlNext[ch] = s.memCycle
+		s.wheel.Schedule(ch, s.memCycle)
 	}
 	return s.ctrls[ch]
 }
@@ -412,13 +400,6 @@ func (s *System) Run() *Result { return s.RunContext(context.Background()) }
 // in profiles while bounding cancellation latency.
 const cancelCheckMask = 1<<10 - 1
 
-// SlowTick, when true, makes systems created afterwards use the reference
-// per-cycle loop instead of the event loop. It defaults to false;
-// building with -tags=slowtick flips the default. Both loops produce
-// byte-identical results — the slow loop exists as the golden reference
-// for the equivalence tests and for debugging.
-var SlowTick = defaultSlowTick
-
 // RunContext simulates like Run but additionally polls ctx every 1024
 // memory cycles. When ctx is cancelled the run stops promptly and
 // returns the partial result accumulated so far (with Cancelled set);
@@ -429,13 +410,10 @@ var SlowTick = defaultSlowTick
 // as precede the wheel's next event), the controller phase of the last
 // memory cycle it covered, and the boundary bookkeeping (see
 // doc/PERF.md). Every stack, sample and statistic is byte-identical to
-// the reference per-cycle loop (build with -tags=slowtick, or set
-// SlowTick, to run it).
+// the reference per-cycle loop the golden tests hold it against
+// (reference_test.go), which ticks every component on every cycle.
 func (s *System) RunContext(ctx context.Context) *Result {
 	s.checkTenancy()
-	if s.slow {
-		return s.runSlow(ctx)
-	}
 	done := ctx.Done()
 	if done != nil {
 		// The poll is a boundary like the others, so that a CPU phase
@@ -490,7 +468,6 @@ func (s *System) RunContext(ctx context.Context) *Result {
 	}
 	s.finishCycleSample()
 	s.publishSamples()
-	s.notifyDone()
 	return s.result()
 }
 
@@ -614,64 +591,11 @@ func (s *System) catchUpAll(target int64) {
 	}
 }
 
-// runSlow is the reference per-cycle loop: every component ticks on
-// every DRAM cycle, exactly as the seed implementation did. It is the
-// default under -tags=slowtick and the baseline the golden-equivalence
-// tests compare the event loop against.
-func (s *System) runSlow(ctx context.Context) *Result {
-	done := ctx.Done()
-	for {
-		m := s.memCycle
-		for c := 0; c < s.cfg.CPUMult; c++ {
-			cpuNow := m*int64(s.cfg.CPUMult) + int64(c)
-			for _, core := range s.cores {
-				core.CPUCycle(cpuNow)
-			}
-			s.hier.Tick(cpuNow)
-		}
-		for _, ctrl := range s.ctrls {
-			ctrl.Tick(m)
-		}
-		s.memCycle++
-
-		if s.cfg.WarmupMemCycles > 0 && !s.warmed && s.memCycle >= s.cfg.WarmupMemCycles {
-			s.snapWarm()
-		}
-		if s.cfg.SampleInterval > 0 && s.memCycle-s.nextCut >= s.cfg.SampleInterval {
-			s.cutCycleSample()
-			s.publishSamples()
-		}
-		if s.cfg.MaxMemCycles > 0 && s.memCycle >= s.cfg.MaxMemCycles {
-			break
-		}
-		if done != nil && s.memCycle&cancelCheckMask == 0 {
-			select {
-			case <-done:
-				s.cancelled = true
-			default:
-			}
-			if s.cancelled {
-				break
-			}
-		}
-		if s.done() {
-			break
-		}
-	}
-	for _, ctrl := range s.ctrls {
-		ctrl.FinishSampling()
-	}
-	s.finishCycleSample()
-	s.publishSamples()
-	s.notifyDone()
-	return s.result()
-}
-
-// publishSamples delivers any newly cut per-channel samples to the
-// observers, aggregated across channels (all channels sample on the same
-// cycle grid, so index i lines up), then reports progress to them.
+// publishSamples delivers any newly cut per-channel samples to onSample,
+// aggregated across channels (all channels sample on the same cycle grid,
+// so index i lines up).
 func (s *System) publishSamples() {
-	if len(s.observers) == 0 {
+	if s.onSample == nil {
 		return
 	}
 	n := len(s.ctrls[0].Samples())
@@ -680,7 +604,6 @@ func (s *System) publishSamples() {
 			n = k
 		}
 	}
-	published := n > s.published
 	for i := s.published; i < n; i++ {
 		merged := s.ctrls[0].Samples()[i]
 		for _, ctrl := range s.ctrls[1:] {
@@ -688,28 +611,9 @@ func (s *System) publishSamples() {
 			merged.BW.Add(sc.BW)
 			merged.Lat.Add(sc.Lat)
 		}
-		for _, o := range s.observers {
-			o.Sample(merged)
-		}
+		s.onSample(merged)
 	}
 	s.published = n
-	if published {
-		for _, o := range s.observers {
-			o.Progress(s.memCycle, s.cfg.MaxMemCycles)
-		}
-	}
-}
-
-// notifyDone tells the observers the run ended: Cancelled first when the
-// context stopped it early, then a final Progress with the last
-// simulated memory cycle.
-func (s *System) notifyDone() {
-	for _, o := range s.observers {
-		if s.cancelled {
-			o.Cancelled(s.memCycle)
-		}
-		o.Progress(s.memCycle, s.cfg.MaxMemCycles)
-	}
 }
 
 func (s *System) done() bool {

@@ -398,7 +398,8 @@ func (s BandwidthStack) CheckSum() error {
 		}
 		sum += v
 	}
-	if diff := sum - float64(s.TotalCycles); diff > 1e-6*float64(s.TotalCycles)+1e-6 || diff < -(1e-6*float64(s.TotalCycles)+1e-6) {
+	tol := float64(1e-6*float64(s.TotalCycles)) + 1e-6 // unfused (tools/nofma.sh)
+	if diff := sum - float64(s.TotalCycles); diff > tol || diff < -tol {
 		return fmt.Errorf("stacks: components sum to %.6f, want %d", sum, s.TotalCycles)
 	}
 	return nil
