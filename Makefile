@@ -65,14 +65,9 @@ bench-go:
 
 # Build the repo's own analyzer suite (cmd/dramvet) and run it through
 # the standard vet driver, exactly like CI. See doc/LINTING.md.
-# DRAMVET_LOCKORDER_OUT makes the lockorder pass regenerate the
-# committed lock-order artifact while it vets internal/service. `go vet`
-# caches per-package results, but the cache only hits when neither the
-# tool nor the package changed — exactly the runs where the artifact
-# content could not have changed either.
 vet:
 	$(GO) build -o dramvet ./cmd/dramvet
-	DRAMVET_LOCKORDER_OUT=$(CURDIR)/doc/LOCKORDER.md $(GO) vet -vettool=$(CURDIR)/dramvet ./...
+	$(GO) vet -vettool=$(CURDIR)/dramvet ./...
 
 # Fail when the compiler fuses a floating-point multiply-add anywhere a
 # result's bytes come from, on any architecture that can (tools/nofma.sh):

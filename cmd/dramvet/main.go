@@ -17,7 +17,6 @@ import (
 	"dramstacks/internal/analysis/passes/errenvelope"
 	"dramstacks/internal/analysis/passes/goroleak"
 	"dramstacks/internal/analysis/passes/lockhold"
-	"dramstacks/internal/analysis/passes/lockorder"
 	"dramstacks/internal/analysis/passes/nowallclock"
 	"dramstacks/internal/analysis/passes/poolescape"
 	"dramstacks/internal/analysis/unit"
@@ -31,7 +30,6 @@ var Analyzers = []*analysis.Analyzer{
 	errenvelope.Analyzer,
 	goroleak.Analyzer,
 	lockhold.Analyzer,
-	lockorder.Analyzer,
 	nowallclock.Analyzer,
 	poolescape.Analyzer,
 }

@@ -1,6 +1,6 @@
 // Package callgraph builds a conservative static call graph over one
 // type-checked package, for the interprocedural dramvet passes
-// (lockorder, goroleak). It is stdlib-only, like the rest of
+// (lockhold, goroleak). It is stdlib-only, like the rest of
 // internal/analysis.
 //
 // Nodes are the package's function and method declarations (keyed by

@@ -1,6 +1,6 @@
 // Package cfg builds intra-function control-flow graphs from go/ast
-// function bodies, for the flow-sensitive dramvet passes (lockhold,
-// lockorder). Like the rest of internal/analysis it is stdlib-only and
+// function bodies, for the flow-sensitive lockhold pass (through
+// internal/analysis/lockset). Like the rest of internal/analysis it is stdlib-only and
 // mirrors the shape of golang.org/x/tools/go/cfg closely enough that a
 // port would change only import paths.
 //

@@ -17,7 +17,7 @@ import (
 func FuzzAllowDirective(f *testing.F) {
 	seeds := []string{
 		"//dramvet:allow lockhold(reason here)",
-		"//dramvet:allow lockorder(shutdown path; see doc/LOCKORDER.md)",
+		"//dramvet:allow errenvelope(proxy path; see doc/LINTING.md)",
 		"//dramvet:allow goroleak(process-lifetime pump (dies with the process))",
 		"//dramvet:allow detrange()",
 		"//dramvet:allow detrange(   )",

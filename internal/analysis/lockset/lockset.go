@@ -1,17 +1,11 @@
-// Package lockset is the held-lock dataflow shared by the lockhold and
-// lockorder passes: a forward may-analysis over an internal/analysis/cfg
-// graph that computes, for every node of a function body, the set of
+// Package lockset is the held-lock dataflow of the lockhold pass: a
+// forward may-analysis over an internal/analysis/cfg graph that
+// computes, for every node of a function body, the set of
 // sync.Mutex/RWMutex locks that may be held when the node executes.
 //
-// Lock identity is tracked at two granularities:
-//
-//   - ExprKey, the rendered lock expression ("s.mu"), keys the
-//     intra-function dataflow — two distinct receiver expressions are
-//     two locks, so a function locking jobA.mu then jobB.mu is not
-//     confused with a re-lock;
-//   - TypeKey, the owning named type plus field name ("Server.mu"),
-//     identifies a lock class across functions for the interprocedural
-//     lock-order graph ("" when the mutex is not a named struct field).
+// A lock is identified by its rendered expression, ExprKey ("s.mu"):
+// two distinct receiver expressions are two locks, so a function
+// locking jobA.mu then jobB.mu is not confused with a re-lock.
 //
 // The join is the union of held sets (may-held): a lock released on one
 // branch but not another is still held at the merge. A deferred unlock
@@ -40,7 +34,6 @@ const (
 // Lock identifies one mutex.
 type Lock struct {
 	ExprKey string // rendered expression, e.g. "s.mu"
-	TypeKey string // owning type + field, e.g. "Server.mu"; "" if unknown
 }
 
 // Set maps ExprKey → how that lock is held.
@@ -161,7 +154,7 @@ func AsLockOp(info *types.Info, e ast.Expr) (Op, bool) {
 		return Op{}, false
 	}
 	return Op{
-		Lock:    Lock{ExprKey: ExprKey(sel.X), TypeKey: typeKey(info, sel.X)},
+		Lock:    Lock{ExprKey: ExprKey(sel.X)},
 		Method:  sel.Sel.Name,
 		Acquire: acquire,
 		Mode:    mode,
@@ -180,29 +173,6 @@ func ExprKey(e ast.Expr) string {
 	default:
 		return "lock"
 	}
-}
-
-// typeKey names the lock class by the named struct type owning the
-// mutex field: for s.mu on *Server, "Server.mu". A bare identifier (a
-// local or package-level mutex variable) is keyed by its name.
-func typeKey(info *types.Info, e ast.Expr) string {
-	switch x := astutil.Unparen(e).(type) {
-	case *ast.SelectorExpr:
-		tv, ok := info.Types[x.X]
-		if !ok || tv.Type == nil {
-			return ""
-		}
-		t := tv.Type
-		if ptr, okp := t.(*types.Pointer); okp {
-			t = ptr.Elem()
-		}
-		if named, okn := types.Unalias(t).(*types.Named); okn {
-			return named.Obj().Name() + "." + x.Sel.Name
-		}
-	case *ast.Ident:
-		return x.Name
-	}
-	return ""
 }
 
 // Analyze runs the may-held dataflow over one function graph.

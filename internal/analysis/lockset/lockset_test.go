@@ -184,7 +184,7 @@ func f(t *T, u *U) {
 		t.Fatalf("want 2 acquires, got %d", len(res.Acquires))
 	}
 	second := res.Acquires[1]
-	if second.Lock.ExprKey != "u.mu" || second.Lock.TypeKey != "U.mu" {
+	if second.Lock.ExprKey != "u.mu" {
 		t.Fatalf("second acquire = %+v", second.Lock)
 	}
 	if names := second.Held.Names(); len(names) != 1 || names[0] != "t.mu" {
@@ -224,7 +224,7 @@ func (pt) call() {}
 	}
 }
 
-func TestTypeKeyForms(t *testing.T) {
+func TestBareMutexKey(t *testing.T) {
 	res, _, _, _ := analyzeFunc(t, `package p
 
 import "sync"
@@ -239,8 +239,8 @@ func f() {
 	if len(res.Acquires) != 1 {
 		t.Fatalf("want 1 acquire, got %d", len(res.Acquires))
 	}
-	if k := res.Acquires[0].Lock.TypeKey; k != "global" {
-		t.Fatalf("bare mutex TypeKey = %q, want \"global\"", k)
+	if k := res.Acquires[0].Lock.ExprKey; k != "global" {
+		t.Fatalf("bare mutex ExprKey = %q, want \"global\"", k)
 	}
 }
 

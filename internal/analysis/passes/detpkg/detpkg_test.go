@@ -8,25 +8,32 @@ import (
 
 func TestDeterministic(t *testing.T) {
 	cases := []struct {
-		path string
-		want bool
+		path     string
+		det, svc bool
 	}{
-		{"internal/dram", true},
-		{"dramstacks/internal/dram", true},
-		{"dramstacks/internal/dram/standard", true},
-		{"dramstacks/internal/dram/standard [dramstacks/internal/dram/standard.test]", true},
-		{"dramstacks/internal/exp", true},
-		{"dramstacks/internal/exp.test", true},
-		{"dramstacks/internal/exp_test", true},
-		{"dramstacks/internal/exp [dramstacks/internal/exp.test]", true},
-		{"dramstacks/internal/service", false},
-		{"dramstacks/cmd/dramstacks", false},
-		{"internal/drama", false},
-		{"time", false},
+		{"internal/dram", true, false},
+		{"dramstacks/internal/dram", true, false},
+		{"dramstacks/internal/dram/standard", true, false},
+		{"dramstacks/internal/dram/standard [dramstacks/internal/dram/standard.test]", true, false},
+		{"dramstacks/internal/exp", true, false},
+		{"dramstacks/internal/exp.test", true, false},
+		{"dramstacks/internal/exp_test", true, false},
+		{"dramstacks/internal/exp [dramstacks/internal/exp.test]", true, false},
+		{"internal/service", false, true},
+		{"dramstacks/internal/service", false, true},
+		{"dramstacks/internal/service [dramstacks/internal/service.test]", false, true},
+		{"dramstacks/internal/service_test", false, true},
+		{"dramstacks/internal/services", false, false},
+		{"dramstacks/cmd/dramstacks", false, false},
+		{"internal/drama", false, false},
+		{"time", false, false},
 	}
 	for _, tc := range cases {
-		if got := Deterministic(tc.path); got != tc.want {
-			t.Errorf("Deterministic(%q) = %v, want %v", tc.path, got, tc.want)
+		if got := Match(tc.path, List...); got != tc.det {
+			t.Errorf("Match(%q, List...) = %v, want %v", tc.path, got, tc.det)
+		}
+		if got := Match(tc.path, Service); got != tc.svc {
+			t.Errorf("Match(%q, Service) = %v, want %v", tc.path, got, tc.svc)
 		}
 	}
 }

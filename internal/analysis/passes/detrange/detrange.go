@@ -38,7 +38,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !detpkg.Deterministic(pass.Pkg.Path()) {
+	if !detpkg.Match(pass.Pkg.Path(), detpkg.List...) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {

@@ -20,10 +20,10 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"strings"
 
 	"dramstacks/internal/analysis"
 	"dramstacks/internal/analysis/astutil"
+	"dramstacks/internal/analysis/passes/detpkg"
 )
 
 // Analyzer is the errenvelope pass.
@@ -36,7 +36,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !servicePackage(pass.Pkg.Path()) {
+	if !detpkg.Match(pass.Pkg.Path(), detpkg.Service) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {
@@ -123,15 +123,4 @@ func constInt(pass *analysis.Pass, e ast.Expr) (int64, bool) {
 		return 0, false
 	}
 	return constant.Int64Val(tv.Value)
-}
-
-// servicePackage reports whether path (possibly a vet test-variant
-// spelling) is the internal/service package or its tests.
-func servicePackage(path string) bool {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	path = strings.TrimSuffix(path, ".test")
-	path = strings.TrimSuffix(path, "_test")
-	return path == "internal/service" || strings.HasSuffix(path, "/internal/service")
 }

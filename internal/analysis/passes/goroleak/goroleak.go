@@ -37,6 +37,7 @@ import (
 	"dramstacks/internal/analysis"
 	"dramstacks/internal/analysis/astutil"
 	"dramstacks/internal/analysis/callgraph"
+	"dramstacks/internal/analysis/passes/detpkg"
 )
 
 // Analyzer is the goroleak pass.
@@ -50,7 +51,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !servicePackage(pass.Pkg.Path()) {
+	if !detpkg.Match(pass.Pkg.Path(), detpkg.Service) {
 		return nil, nil
 	}
 
@@ -212,15 +213,4 @@ func isContext(t types.Type) bool {
 	}
 	ch, ok := sig.Results().At(0).Type().Underlying().(*types.Chan)
 	return ok && ch.Dir() == types.RecvOnly
-}
-
-// servicePackage reports whether path (possibly a vet test-variant
-// spelling) is the internal/service package or its tests.
-func servicePackage(path string) bool {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	path = strings.TrimSuffix(path, ".test")
-	path = strings.TrimSuffix(path, "_test")
-	return path == "internal/service" || strings.HasSuffix(path, "/internal/service")
 }

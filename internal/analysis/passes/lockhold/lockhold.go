@@ -1,9 +1,12 @@
-// Package lockhold enforces the dramstacksd store invariant in code
-// instead of prose: no slow or blocking operation may run while an
-// internal/service mutex is held. Holding a lock across an fsync, a
-// journal append, a simulation, or a blocking channel operation would
-// stall every request that touches the same lock — the exact contention
-// the durable store's in-memory mirror was built to avoid.
+// Package lockhold enforces the dramstacksd locking discipline in code
+// instead of prose: an internal/service mutex guards in-memory state
+// only, so no slow or blocking operation and no other mutex may be
+// taken while one is held. Holding a lock across an fsync, a journal
+// append, a simulation, or a blocking channel operation would stall
+// every request that touches the same lock — the exact contention the
+// durable store's in-memory mirror was built to avoid. And critical
+// sections that never nest cannot deadlock against each other, whatever
+// order two goroutines take them in.
 //
 // The analyzer is flow-sensitive: each function body is lowered to a
 // control-flow graph (internal/analysis/cfg) and a forward may-held
@@ -20,7 +23,11 @@
 //   - a second Lock of a mutex that may already be held — the
 //     conditional double-Lock that self-deadlocks on the path where
 //     both acquisitions execute (RLock is only flagged over a held
-//     write lock).
+//     write lock);
+//   - an acquisition of any other mutex (the no-nesting rule), either
+//     directly or through a call to an in-package function that may
+//     lock, itself or transitively — a fixpoint over the package call
+//     graph (internal/analysis/callgraph).
 //
 // Per-path tracking is what makes the pass precise: a lock released on
 // one branch stays charged on the branch that still holds it, a
@@ -30,11 +37,10 @@
 //
 // Goroutine bodies run without the caller's locks: a `go` statement's
 // function literal is analyzed as its own function with an empty held
-// set. Methods named *Locked are exempt as callees (the convention
-// marks them as requiring the caller to hold the lock; their own bodies
-// are analyzed like any other function). The one deliberate exception —
-// the store serializing journal appends under its own mutex — is
-// acknowledged with //dramvet:allow lockhold(...) at the definition.
+// set, and launching a goroutine that locks does not make the launcher
+// a function that locks. The one deliberate exception — the store
+// serializing journal appends under its own mutex — is acknowledged
+// with //dramvet:allow lockhold(...) at the definition.
 package lockhold
 
 import (
@@ -45,18 +51,21 @@ import (
 
 	"dramstacks/internal/analysis"
 	"dramstacks/internal/analysis/astutil"
+	"dramstacks/internal/analysis/callgraph"
 	"dramstacks/internal/analysis/cfg"
 	"dramstacks/internal/analysis/lockset"
+	"dramstacks/internal/analysis/passes/detpkg"
 )
 
 // Analyzer is the lockhold pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockhold",
-	Doc: "forbid blocking work (fsync, journal appends, RunSpec, channel ops) under a service mutex\n\n" +
-		"internal/service locks guard in-memory state only; I/O and simulations must happen\n" +
-		"outside the critical section (the durable store's mirror exists for exactly this).\n" +
+	Doc: "forbid blocking work (fsync, journal appends, RunSpec, channel ops) and a second mutex under a service mutex\n\n" +
+		"internal/service locks guard in-memory state only; I/O, simulations and other locks\n" +
+		"must be taken outside the critical section (the durable store's mirror exists for exactly this).\n" +
 		"Flow-sensitive: held-lock sets are tracked per control-flow path, including\n" +
-		"conditional unlocks, deferred unlocks, and double-Lock self-deadlocks.",
+		"conditional unlocks, deferred unlocks, and double-Lock self-deadlocks; calls are\n" +
+		"followed through the package call graph to find callees that may lock.",
 	Run: run,
 }
 
@@ -69,54 +78,117 @@ var storeMethods = map[string]bool{
 	"Checkpoint":   true,
 }
 
+// checker carries one package's interprocedural facts into the
+// per-node checks.
+type checker struct {
+	pass *analysis.Pass
+	// locking maps each call site to an in-package callee that may
+	// acquire a mutex.
+	locking map[*ast.CallExpr]*callgraph.Node
+}
+
 func run(pass *analysis.Pass) (any, error) {
-	if !servicePackage(pass.Pkg.Path()) {
+	if !detpkg.Match(pass.Pkg.Path(), detpkg.Service) {
 		return nil, nil
 	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkFunc(pass, fd.Body)
-			}
+	// Every declaration and every function literal is a node, analyzed
+	// as its own function: a goroutine or stored closure starts with no
+	// locks held, whatever its lexical context holds.
+	g := callgraph.Build(pass.Files, pass.Pkg, pass.TypesInfo)
+	type flow struct {
+		graph *cfg.Graph
+		res   *lockset.Result
+	}
+	flows := make(map[*callgraph.Node]flow)
+	locks := make(map[*callgraph.Node]bool)
+	for _, n := range g.Nodes {
+		if body := n.Body(); body != nil {
+			graph := cfg.New(body)
+			res := lockset.Analyze(graph, pass.TypesInfo)
+			flows[n] = flow{graph, res}
+			locks[n] = len(res.Acquires) > 0
 		}
-		// Function literals are their own functions: a goroutine or
-		// stored closure starts with no locks held, whatever its
-		// lexical context holds.
-		ast.Inspect(f, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				checkFunc(pass, lit.Body)
-			}
-			return true
-		})
+	}
+	c := &checker{pass: pass, locking: lockingCalls(pass.Files, g, locks)}
+	for _, n := range g.Nodes {
+		if f, ok := flows[n]; ok {
+			c.checkFunc(f.graph, f.res)
+		}
 	}
 	return nil, nil
 }
 
-// checkFunc lowers one function body to a CFG, solves the may-held
-// dataflow, and flags blocking operations on nodes where a lock may be
-// held.
-func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
-	g := cfg.New(body)
-	res := lockset.Analyze(g, pass.TypesInfo)
+// lockingCalls finds the call sites whose in-package callee may acquire
+// a mutex, itself or through its own callees. locks starts as the
+// functions that acquire one themselves and grows to a fixpoint over
+// the call graph, so recursion terminates. A go statement's call is no
+// such site — the goroutine takes its locks on its own stack.
+func lockingCalls(files []*ast.File, g *callgraph.Graph, locks map[*callgraph.Node]bool) map[*ast.CallExpr]*callgraph.Node {
+	spawned := make(map[*ast.CallExpr]bool)
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if gs, ok := n.(*ast.GoStmt); ok {
+				spawned[gs.Call] = true
+			}
+			return true
+		})
+	}
+	lockingCallee := func(call *callgraph.Call) *callgraph.Node {
+		if !spawned[call.Site] {
+			for _, callee := range call.Callees {
+				if locks[callee] {
+					return callee
+				}
+			}
+		}
+		return nil
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, n := range g.Nodes {
+			for _, call := range n.Calls {
+				if !locks[n] && lockingCallee(call) != nil {
+					locks[n], changed = true, true
+				}
+			}
+		}
+	}
+	sites := make(map[*ast.CallExpr]*callgraph.Node)
+	for _, n := range g.Nodes {
+		for _, call := range n.Calls {
+			if callee := lockingCallee(call); callee != nil {
+				sites[call.Site] = callee
+			}
+		}
+	}
+	return sites
+}
 
-	// Double-Lock: an acquisition of a lock that may already be held on
-	// some path into it.
+// checkFunc flags, in one function's solved dataflow, acquisitions
+// under a held lock and blocking operations on nodes where a lock may
+// be held.
+func (c *checker) checkFunc(g *cfg.Graph, res *lockset.Result) {
 	for _, acq := range res.Acquires {
-		prev, held := acq.Held[acq.Lock.ExprKey]
-		if !held {
-			continue
-		}
-		if acq.Mode == lockset.Read && prev.Mode&lockset.Write == 0 {
-			continue // RLock over RLock: shared, legal
-		}
 		verb := "Lock"
 		if acq.Mode == lockset.Read {
 			verb = "RLock"
 		}
-		pass.Reportf(acq.Pos,
-			"%s.%s while %s is already held: the path holding it deadlocks here "+
-				"(or annotate //dramvet:allow lockhold(reason))",
-			acq.Lock.ExprKey, verb, acq.Lock.ExprKey)
+		// Double-Lock: the same lock may already be held on some path
+		// into it (RLock over RLock is shared, legal).
+		if prev, held := acq.Held[acq.Lock.ExprKey]; held && (acq.Mode == lockset.Write || prev.Mode&lockset.Write != 0) {
+			c.pass.Reportf(acq.Pos,
+				"%s.%s while %s is already held: the path holding it deadlocks here "+
+					"(or annotate //dramvet:allow lockhold(reason))",
+				acq.Lock.ExprKey, verb, acq.Lock.ExprKey)
+		}
+		for _, name := range acq.Held.Names() {
+			if name != acq.Lock.ExprKey {
+				c.pass.Reportf(acq.Pos,
+					"%s.%s while %s is held: service mutexes must never nest "+
+						"(or annotate //dramvet:allow lockhold(reason))", acq.Lock.ExprKey, verb, name)
+				break
+			}
+		}
 	}
 
 	for _, blk := range g.Blocks {
@@ -125,17 +197,17 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 			if !reachable || held.Empty() {
 				continue
 			}
-			checkNode(pass, n, held)
+			c.checkNode(n, held)
 		}
 	}
 }
 
 // checkNode flags blocking operations in one CFG node executed while
 // locks are held.
-func checkNode(pass *analysis.Pass, n ast.Node, held lockset.Set) {
+func (c *checker) checkNode(n ast.Node, held lockset.Set) {
 	switch s := n.(type) {
 	case *ast.SendStmt:
-		pass.Reportf(s.Pos(),
+		c.pass.Reportf(s.Pos(),
 			"channel send while %s is held: blocking operations must not run under a "+
 				"service mutex (or annotate //dramvet:allow lockhold(reason))", heldName(held))
 		return
@@ -147,58 +219,48 @@ func checkNode(pass *analysis.Pass, n ast.Node, held lockset.Set) {
 			}
 		}
 		if !hasDefault {
-			pass.Reportf(s.Pos(),
+			c.pass.Reportf(s.Pos(),
 				"blocking select while %s is held: blocking operations must not run under a "+
 					"service mutex (or annotate //dramvet:allow lockhold(reason))", heldName(held))
 		}
 		// Clause bodies are separate CFG blocks; nothing more here.
 		return
 	case *ast.ExprStmt:
-		if _, ok := lockset.AsLockOp(pass.TypesInfo, s.X); ok {
-			return // the lock op itself; double-Lock is reported above
+		if _, ok := lockset.AsLockOp(c.pass.TypesInfo, s.X); ok {
+			return // the lock op itself; reported with the acquisitions
 		}
 	case *ast.GoStmt:
 		// A goroutine body runs without the caller's locks, and its
 		// literal is analyzed separately. The call's argument
 		// expressions do evaluate here, though.
 		for _, arg := range s.Call.Args {
-			checkExpr(pass, arg, held)
+			c.checkExpr(arg, held)
 		}
 		return
 	}
-	checkExpr(pass, n, held)
+	c.checkExpr(n, held)
 }
 
 // checkExpr flags blocking operations syntactically inside n: receives,
-// RunSpec, file writes/fsyncs, store appends. Function literals are
-// skipped (their bodies run elsewhere and are analyzed separately).
-func checkExpr(pass *analysis.Pass, n ast.Node, held lockset.Set) {
+// RunSpec, file writes/fsyncs, store appends, calls that may lock.
+// Function literals are skipped (their bodies run elsewhere and are
+// analyzed separately).
+func (c *checker) checkExpr(n ast.Node, held lockset.Set) {
 	ast.Inspect(n, func(x ast.Node) bool {
 		switch e := x.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.UnaryExpr:
 			if e.Op == token.ARROW {
-				pass.Reportf(e.Pos(),
+				c.pass.Reportf(e.Pos(),
 					"channel receive while %s is held: blocking operations must not run under "+
 						"a service mutex (or annotate //dramvet:allow lockhold(reason))", heldName(held))
 			}
 		case *ast.CallExpr:
-			checkCall(pass, e, held)
+			c.checkCall(e, held)
 		}
 		return true
 	})
-}
-
-// servicePackage reports whether path (possibly a vet test-variant
-// spelling) is the internal/service package or its tests.
-func servicePackage(path string) bool {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	path = strings.TrimSuffix(path, ".test")
-	path = strings.TrimSuffix(path, "_test")
-	return path == "internal/service" || strings.HasSuffix(path, "/internal/service")
 }
 
 // isRunSpec matches exp.RunSpec by resolved function object: package
@@ -217,7 +279,13 @@ func isRunSpec(pass *analysis.Pass, call *ast.CallExpr) bool {
 	return p == "exp" || strings.HasSuffix(p, "/exp")
 }
 
-func checkCall(pass *analysis.Pass, call *ast.CallExpr, held lockset.Set) {
+func (c *checker) checkCall(call *ast.CallExpr, held lockset.Set) {
+	pass := c.pass
+	if callee := c.locking[call]; callee != nil {
+		pass.Reportf(call.Pos(),
+			"%s may lock a mutex and is called while %s is held: service mutexes must never nest "+
+				"(or annotate //dramvet:allow lockhold(reason))", callee.Name(), heldName(held))
+	}
 	if isRunSpec(pass, call) {
 		pass.Reportf(call.Pos(),
 			"exp.RunSpec while %s is held: a simulation must never run under a service mutex "+

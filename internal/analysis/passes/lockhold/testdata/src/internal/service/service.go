@@ -30,10 +30,11 @@ func (st *Store) append(id string) error {
 func (st *Store) AppendJob(id string) error { return st.append(id) }
 
 type Server struct {
-	mu    sync.Mutex
-	st    *Store
-	jobs  chan string
-	specs map[string]exp.Spec
+	mu     sync.Mutex
+	st     *Store
+	jobs   chan string
+	specs  map[string]exp.Spec
+	active map[string]*Job
 }
 
 func (s *Server) badRun(id string) {
@@ -54,7 +55,7 @@ func (s *Server) badJournal(id string) error {
 func (s *Server) badPersist(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.st.AppendJob(id) // want `store AppendJob \(journal append \+ fsync\) while s.mu is held`
+	return s.st.AppendJob(id) // want `store AppendJob \(journal append \+ fsync\) while s.mu is held` `\(\*Store\).AppendJob may lock a mutex and is called while s.mu is held`
 }
 
 func (s *Server) badSend(id string) {

@@ -56,7 +56,7 @@ var seededOK = map[string]bool{
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !detpkg.Deterministic(pass.Pkg.Path()) {
+	if !detpkg.Match(pass.Pkg.Path(), detpkg.List...) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {

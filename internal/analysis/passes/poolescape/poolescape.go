@@ -49,7 +49,7 @@ type pool struct {
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !detpkg.Deterministic(pass.Pkg.Path()) {
+	if !detpkg.Match(pass.Pkg.Path(), detpkg.List...) {
 		return nil, nil
 	}
 

@@ -285,10 +285,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Coalesce onto an identical queued/running job.
 	s.mu.Lock()
-	if dup, ok := s.active[hash]; ok {
+	dup := s.active[hash]
+	s.mu.Unlock()
+	if dup != nil {
 		// Read once: a job finishing meanwhile is not reported deduped and done.
 		if state := dup.State(); !state.Terminal() {
-			s.mu.Unlock()
 			s.metrics.JobsSubmitted.Add(1)
 			writeJSON(w, http.StatusOK, SubmitResponse{
 				ID: dup.ID, SpecHash: hash, State: state, Deduped: true,
@@ -296,7 +297,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.mu.Unlock()
 
 	job := s.registerJob(spec, hash)
 	select {
@@ -335,8 +335,13 @@ func (s *Server) unregisterJob(job *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.jobs, job.ID)
-	if n := len(s.order); n > 0 && s.order[n-1] == job.ID {
-		s.order = s.order[:n-1]
+	// Not necessarily the last id: another submission may have registered
+	// after this one. Search from the end, where a just-refused job sits.
+	for i := len(s.order) - 1; i >= 0; i-- {
+		if s.order[i] == job.ID {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			break
+		}
 	}
 }
 

@@ -213,6 +213,34 @@ func TestQueueOverflowReturns429(t *testing.T) {
 	}
 }
 
+// TestListAfterOutOfOrderUnregister refuses the older of two registered
+// jobs (a 429 racing a later submission) and expects GET /v1/jobs to
+// list only the survivor, not to dereference the refused job's id.
+func TestListAfterOutOfOrderUnregister(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+
+	spec := exp.Spec{Workload: "seq", Cores: 1, Budget: 20_000}
+	hash, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := s.registerJob(spec, hash)
+	b := s.registerJob(spec, hash)
+	s.unregisterJob(a)
+
+	body, code := getBody(t, ts, "/v1/jobs")
+	if code != http.StatusOK {
+		t.Fatalf("GET /v1/jobs status %d: %s", code, body)
+	}
+	var list []StatusJSON
+	if err := json.Unmarshal(body, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 1 || list[0].ID != b.ID {
+		t.Errorf("GET /v1/jobs = %+v, want only %s", list, b.ID)
+	}
+}
+
 // TestCancelRunningJob checks DELETE stops a running simulation promptly
 // and partial stacks remain retrievable.
 func TestCancelRunningJob(t *testing.T) {

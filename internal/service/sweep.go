@@ -190,12 +190,12 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		s.metrics.CacheMisses.Add(1)
 		s.mu.Lock()
-		if dup, ok := s.active[p.Hash]; ok && !dup.State().Terminal() {
+		dup := s.active[p.Hash]
+		s.mu.Unlock()
+		if dup != nil && !dup.State().Terminal() {
 			sw.jobs[i] = dup
-			s.mu.Unlock()
 			continue
 		}
-		s.mu.Unlock()
 		job := s.registerJob(p.Spec, p.Hash)
 		// Mark in-flight right away so overlapping sweeps and single
 		// submissions coalesce onto this point while it waits to enter

@@ -89,9 +89,6 @@ type Config struct {
 	// SampleInterval cuts through-time samples every so many memory
 	// cycles (0 disables).
 	SampleInterval int64
-	// Verify replays every DRAM command through the independent timing
-	// verifier (cheap; recommended in tests and experiments).
-	Verify bool
 	// Trace, if non-nil, receives every issued DRAM command (e.g. a
 	// trace.Recorder hook for offline stack construction).
 	Trace func(cycle int64, cmd dram.Command)
@@ -119,7 +116,6 @@ func DefaultFor(std standard.Standard, cores int) Config {
 		Geom:         std.Geometry,
 		Tim:          std.Timing,
 		MaxMemCycles: 2_000_000,
-		Verify:       true,
 	}
 	if std.SubChannels > 1 {
 		cfg.SubChannels = std.SubChannels
@@ -255,20 +251,15 @@ func newSystem(cfg Config, sources []cpu.Source, arena *Arena) (*System, error) 
 	for ch := 0; ch < channels; ch++ {
 		dev := dram.NewDevice(cfg.Geom, cfg.Tim)
 		s.devs = append(s.devs, dev)
-		var ver *dram.Verifier
-		if cfg.Verify {
-			ver = dram.NewVerifier(cfg.Geom, cfg.Tim)
-		}
-		if cfg.Verify || cfg.Trace != nil {
-			dev.Trace = func(cycle int64, cmd dram.Command) {
-				if ver != nil {
-					if vs := ver.Check(cycle, cmd); vs != nil {
-						s.violations = append(s.violations, vs...)
-					}
-				}
-				if cfg.Trace != nil {
-					cfg.Trace(cycle, cmd)
-				}
+		// Every DRAM command is replayed through the independent timing
+		// verifier.
+		ver := dram.NewVerifier(cfg.Geom, cfg.Tim)
+		dev.Trace = func(cycle int64, cmd dram.Command) {
+			if vs := ver.Check(cycle, cmd); vs != nil {
+				s.violations = append(s.violations, vs...)
+			}
+			if cfg.Trace != nil {
+				cfg.Trace(cycle, cmd)
 			}
 		}
 		ctrlCfg := cfg.Ctrl

