@@ -25,12 +25,12 @@ test-short:
 # Short race pass over everything, plus the full fast-forward
 # equivalence tests — and the parked-retry oracles beneath them — so the
 # sim hot loop is race-checked end to end, and the warm differentials:
-# the sharded LLC replay has several goroutines write one slot array.
+# the sharded LLC replay has several goroutines write one word array.
 # The GAP path in full too — the generator oracles, the barrier sources,
 # and the graph cache that concurrent jobs share. The arena differentials
-# in full: a reused arena must never show in a result. The last line runs
-# the arena and the request-path (spec hash, spec decode) benchmarks once,
-# so that they cannot rot.
+# in full: a reused arena must never show in a result. The last two lines
+# run the arena and the request-path (spec hash, spec decode) benchmarks
+# and the cache's demand and warm kernels once, so that they cannot rot.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 -run 'Golden|FastForward' ./internal/sim/
@@ -40,6 +40,7 @@ race:
 	$(GO) test -race -count=1 -run 'BuildGraph' ./internal/exp/
 	$(GO) test -race -count=1 -run 'Arena' ./internal/cache/ ./internal/sim/ ./internal/exp/ ./internal/service/
 	$(GO) test -run '^$$' -bench 'RunSpecArena|SpecHash|DecodeSpec' -benchmem -benchtime 1x ./internal/exp/
+	$(GO) test -run '^$$' -bench 'Access' -benchtime 1x ./internal/cache/
 
 cover:
 	$(GO) test -cover ./internal/...

@@ -1,6 +1,6 @@
 package cache
 
-// Arena keeps the slot arrays of the hierarchies one owner builds one
+// Arena keeps the word arrays of the hierarchies one owner builds one
 // after another, so that a sweep worker's next point does not allocate
 // and zero megabytes its last point is about to drop: free lists keyed
 // by array length, each array cleared when it is handed out. The LLC's
@@ -12,19 +12,19 @@ package cache
 // nothing a hierarchy reports (LevelStats, HierStats) points into it. The
 // zero value is ready; a nil *Arena allocates.
 type Arena struct {
-	lists  []slotList // a handful: one per level geometry seen
+	lists  []wordList // a handful: one per level geometry seen
 	bytes  int64
 	reuses int64
 }
 
-// slotBytes is the size of a slot: two 64-bit words.
-const slotBytes = 16
+// wordBytes is the size of an array element.
+const wordBytes = 8
 
-// slotList is the arena's arrays of n slots; the first used of them are
+// wordList is the arena's arrays of n words; the first used of them are
 // with the live hierarchy.
-type slotList struct {
+type wordList struct {
 	n      int
-	arrays [][]slot
+	arrays [][]uint64
 	used   int
 }
 
@@ -43,12 +43,12 @@ func (a *Arena) Bytes() int64 { return a.bytes }
 // already used, each one an allocation not made.
 func (a *Arena) Reuses() int64 { return a.reuses }
 
-// slots returns a zeroed array of n slots.
-func (a *Arena) slots(n int) []slot {
+// words returns a zeroed array of n words.
+func (a *Arena) words(n int) []uint64 {
 	if a == nil {
-		return make([]slot, n)
+		return make([]uint64, n)
 	}
-	var l *slotList
+	var l *wordList
 	for i := range a.lists {
 		if a.lists[i].n == n {
 			l = &a.lists[i]
@@ -56,12 +56,12 @@ func (a *Arena) slots(n int) []slot {
 		}
 	}
 	if l == nil {
-		a.lists = append(a.lists, slotList{n: n})
+		a.lists = append(a.lists, wordList{n: n})
 		l = &a.lists[len(a.lists)-1]
 	}
 	if l.used == len(l.arrays) {
-		l.arrays = append(l.arrays, make([]slot, n))
-		a.bytes += int64(n) * slotBytes
+		l.arrays = append(l.arrays, make([]uint64, n))
+		a.bytes += int64(n) * wordBytes
 	} else {
 		clear(l.arrays[l.used])
 		a.reuses++

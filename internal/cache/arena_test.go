@@ -3,7 +3,6 @@ package cache
 import (
 	"math/rand"
 	"testing"
-	"unsafe"
 )
 
 // warmRandomly drives h with a seeded stream of functional accesses from
@@ -16,7 +15,7 @@ func warmRandomly(h *Hierarchy, seed int64, n int) {
 }
 
 // sameHierarchy requires every level of got and want in the identical
-// state: slots, clock, statistics.
+// state: words and statistics.
 func sameHierarchy(t *testing.T, got, want *Hierarchy) {
 	t.Helper()
 	sameState(t, "LLC", got.llc, want.llc)
@@ -33,9 +32,6 @@ func sameHierarchy(t *testing.T, got, want *Hierarchy) {
 // given the same accesses. The arena must stop growing once it has served
 // the largest machine, and every array after that is one reused.
 func TestArenaHierarchyMatchesFresh(t *testing.T) {
-	if got := unsafe.Sizeof(slot{}); got != slotBytes {
-		t.Fatalf("a slot is %d bytes, slotBytes says %d", got, slotBytes)
-	}
 	tiny := func(cores int) HierConfig {
 		cfg := DefaultHierConfig(cores)
 		cfg.L1.SizeBytes, cfg.L1.Ways = 1<<10, 2
@@ -75,9 +71,30 @@ func TestArenaHierarchyMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-	llc, l2, l1 := int64(11<<20/64), int64(1<<20/64), int64(32<<10/64)
-	tinyArrays := int64(3*16+4*64) * slotBytes // tiny(3): three L1s; three L2s and the LLC
-	if want := (llc+4*(l2+l1))*slotBytes + tinyArrays; peak != want {
+	// Words: sets × (1 + ways).
+	llc, l2, l1 := int64(16384*12), int64(1024*17), int64(64*9)
+	tinyArrays := int64(3*8*3+4*16*5) * wordBytes // tiny(3): three L1s; three L2s and the LLC
+	if want := (llc+4*(l2+l1))*wordBytes + tinyArrays; peak != want {
 		t.Errorf("the arena peaked at %d bytes, want %d: the arrays of its largest machine of each geometry", peak, want)
+	}
+}
+
+// TestArenaMachineBytes pins the cache arrays of the paper's machine as an
+// exact count. A set is a recency word and one tag word per way, 8 bytes
+// each: the 11 MB LLC is 16 384 sets × 12 words = 1 572 864 bytes at every
+// core count, and a core adds an L1 of 64 sets × 9 words (4 608 bytes) and
+// an L2 of 1 024 sets × 17 words (139 264 bytes), 143 872 bytes in all.
+func TestArenaMachineBytes(t *testing.T) {
+	for _, tc := range []struct {
+		cores int
+		bytes int64
+	}{{1, 1_716_736}, {4, 2_148_352}, {8, 2_723_840}} {
+		a := new(Arena)
+		if _, err := NewHierarchyIn(a, DefaultHierConfig(tc.cores), &fakeMem{}); err != nil {
+			t.Fatal(err)
+		}
+		if a.Bytes() != tc.bytes {
+			t.Errorf("%d cores: the arena holds %d bytes, want %d", tc.cores, a.Bytes(), tc.bytes)
+		}
 	}
 }

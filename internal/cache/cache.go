@@ -23,10 +23,10 @@ type Config struct {
 	// SizeBytes is the total capacity; it must be a power-of-two
 	// multiple of Ways × LineBytes.
 	SizeBytes int
-	// Ways is the set associativity.
+	// Ways is the set associativity, at most 16.
 	Ways int
 	// LineBytes is the cache line size (64 in the paper), a power of
-	// two of at least 2.
+	// two of at least 8.
 	LineBytes int
 	// Latency is the load-to-use latency of a hit at this level, in CPU
 	// cycles, measured from the core (absolute, not additive).
@@ -39,10 +39,14 @@ func (c Config) Validate() error {
 	case c.SizeBytes <= 0 || c.Ways <= 0 || c.LineBytes <= 0:
 		return fmt.Errorf("cache %s: size/ways/line must be positive, got %d/%d/%d",
 			c.Name, c.SizeBytes, c.Ways, c.LineBytes)
-	case c.LineBytes < 2 || c.LineBytes&(c.LineBytes-1) != 0:
-		// Line addresses are formed by masking, and bit 0 of one is the
-		// dirty flag of a warm writeback (LLCOp).
-		return fmt.Errorf("cache %s: line size %d not a power of two of at least 2", c.Name, c.LineBytes)
+	case c.Ways > 16:
+		// The recency word has one nibble per way.
+		return fmt.Errorf("cache %s: %d ways, at most 16 supported", c.Name, c.Ways)
+	case c.LineBytes < 8 || c.LineBytes&(c.LineBytes-1) != 0:
+		// Line addresses are formed by masking, and a tag word keeps three
+		// flags in the line offset's bits (bit 0 is also the dirty flag of
+		// a warm writeback, LLCOp).
+		return fmt.Errorf("cache %s: line size %d not a power of two of at least 8", c.Name, c.LineBytes)
 	case c.Latency < 1:
 		return fmt.Errorf("cache %s: latency must be at least 1, got %d", c.Name, c.Latency)
 	case c.SizeBytes%(c.Ways*c.LineBytes) != 0:
@@ -78,36 +82,47 @@ func (s LevelStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-// Way state is packed into two 64-bit words per way, kept adjacent in
-// one slot array: a whole set is a short contiguous run of memory (two
-// hardware cache lines for an 8-way set) instead of a spread of padded
-// structs. The layout matters most during functional warming of
-// DRAM-sized footprints, where every access lands in a random set and
-// the probe + LRU victim scan cost is pure memory traffic.
+// Way state lives in one []uint64 per level, a set being Ways+1 adjacent
+// words: a recency word, then one tag word per way. A whole set is a short
+// contiguous run of memory (72 bytes for the 8-way L1, 136 for the 16-way
+// L2, 96 for the 11-way LLC), which matters most during functional warming
+// of DRAM-sized footprints, where every access lands in a random set and
+// the probe is pure memory traffic.
+//
+// A tag word is the line's address with three flags in the low bits the
+// line offset leaves free (Validate keeps lines at least 8 bytes long).
+// An invalid way is 0; a tag compare masks out dirty and prefetched.
+//
+// The recency word orders the ways: nibble k holds the way at recency rank
+// k, rank 0 the most recently used, so the least recent of Ways ways sits
+// in nibble Ways-1. It is stored XOR the identity permutation (nibble k =
+// k), so that a zeroed array is a valid state and neither make nor the
+// arena's clear needs an initialisation pass. Nibbles at and above Ways
+// keep their identity way forever: the word is a permutation of 0-15, and
+// every way appears in exactly one nibble.
 const (
-	// slot.enc holds tag<<1 | tagValid; an invalid way is 0.
-	tagValid = 1
-	// slot.meta holds used<<metaUsedShift | flags. The LRU clock
-	// assigns each valid way a distinct used value, so packed metadata
-	// words of valid ways compare exactly like their used fields.
-	metaPrefetched = 1 << 0
-	metaDirty      = 1 << 1
-	metaUsedShift  = 2
-)
+	tagValid      = 1 << 0
+	tagDirty      = 1 << 1
+	tagPrefetched = 1 << 2
+	tagFlags      = tagDirty | tagPrefetched
 
-type slot struct {
-	enc  uint64 // tag<<1 | tagValid
-	meta uint64 // used<<2 | dirty<<1 | prefetched
-}
+	identity  = 0xfedcba9876543210 // stored XOR into a recency word
+	nibbleLSB = 0x1111111111111111
+	nibbleMSB = 0x8888888888888888
+	// down turns a stored word shifted up one rank into the stored word of
+	// the shifted order: nibble k of identity<<4 is k-1, identity's is k.
+	down = identity<<4&(1<<64-1) ^ identity
+)
 
 // Cache is one set-associative cache level.
 type Cache struct {
 	cfg      Config
-	slots    []slot // sets × ways, flattened
+	words    []uint64 // sets × (1+Ways): recency word, tag words
 	setShift uint
 	setMask  uint64
-	wayKey   uint64 // power of two >= Ways: a warmStamp victim key is meta*wayKey + way
-	clock    int64
+	stride   uint64 // words per set, 1+Ways
+	lruShift uint   // 4 × (Ways-1): the least recent way's nibble
+	ranks    uint64 // the nibbles of ranks 0 to Ways-1
 	stats    LevelStats
 }
 
@@ -115,7 +130,7 @@ type Cache struct {
 // (a construction-time programming error).
 func New(cfg Config) *Cache { return newCache(cfg, nil) }
 
-// newCache is New with the slot array taken from a (nil: allocated).
+// newCache is New with the word array taken from a (nil: allocated).
 func newCache(cfg Config, a *Arena) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -123,10 +138,12 @@ func newCache(cfg Config, a *Arena) *Cache {
 	sets := cfg.Sets()
 	return &Cache{
 		cfg:      cfg,
-		slots:    a.slots(sets * cfg.Ways),
+		words:    a.words(sets * (1 + cfg.Ways)),
 		setShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setMask:  uint64(sets - 1),
-		wayKey:   1 << bits.Len(uint(cfg.Ways-1)),
+		stride:   uint64(1 + cfg.Ways),
+		lruShift: uint(4 * (cfg.Ways - 1)),
+		ranks:    uint64(1)<<(4*cfg.Ways) - 1,
 	}
 }
 
@@ -136,13 +153,88 @@ func (c *Cache) Cfg() Config { return c.cfg }
 // Stats returns the level's counters.
 func (c *Cache) Stats() LevelStats { return c.stats }
 
-// set returns addr's set as a slice of the slot array.
-func (c *Cache) set(addr uint64) []slot {
-	b := ((addr >> c.setShift) & c.setMask) * uint64(c.cfg.Ways)
-	return c.slots[b : b+uint64(c.cfg.Ways)]
+// set returns addr's set: its recency word, then its tag words.
+func (c *Cache) set(addr uint64) []uint64 {
+	b := (addr >> c.setShift & c.setMask) * c.stride
+	return c.words[b : b+c.stride]
 }
 
-func (c *Cache) tag(addr uint64) uint64 { return addr >> c.setShift }
+// key returns the tag word of a clean, valid copy of addr's line.
+func (c *Cache) key(addr uint64) uint64 { return addr>>c.setShift<<c.setShift | tagValid }
+
+// find returns the way of set whose tag word holds key, or -1.
+func find(set []uint64, key uint64) int {
+	for i, t := range set[1:] {
+		if t&^tagFlags == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// claim returns the way of set that is to hold key's line, already moved
+// to the front: the way holding it (hit), else the lowest-index invalid
+// way, else the least recently used.
+func (c *Cache) claim(set []uint64, key uint64) (way int, hit bool) {
+	free := -1
+	for i, t := range set[1:] {
+		if t&^tagFlags == key {
+			promote(set, i)
+			return i, true
+		}
+		if t == 0 && free < 0 {
+			free = i
+		}
+	}
+	if free >= 0 {
+		promote(set, free)
+		return free, false
+	}
+	// The least recent way's rank is known: no search.
+	r := set[0]
+	w := (r ^ identity) >> c.lruShift & 0xf
+	set[0] = rotate(r, w, c.ranks)
+	return int(w), false
+}
+
+// promote moves way to recency rank 0, every way that was more recent
+// down one rank. A way already at the front costs no store.
+func promote(set []uint64, way int) {
+	r, w := set[0], uint64(way)
+	if r&0xf == w { // identity's rank 0 is way 0: no XOR needed
+		return
+	}
+	// x is the order (r XOR identity) with the way XOR-ed into every
+	// nibble: its only zero nibble is at the way's rank. Below the first
+	// zero nibble the SWAR test has no false positives, so the lowest flag
+	// of z is the top bit of that nibble, and z ^ (z-1) covers the ranks
+	// from 0 to the way's.
+	x := r ^ (identity ^ w*nibbleLSB)
+	z := (x - nibbleLSB) &^ x & nibbleMSB
+	set[0] = rotate(r, w, z^(z-1))
+}
+
+// rotate returns the stored recency word r with way w moved to rank 0
+// from the highest rank m covers; the ranks below move down one.
+func rotate(r, w, m uint64) uint64 { return r&^m | (r<<4^down)&m | w }
+
+// hit counts a demand hit on way of set and updates the way's flags: a
+// prefetched line's first use is counted and the flag cleared, a write
+// marks the line dirty. The caller moves the way to the front.
+func (c *Cache) hit(set []uint64, way int, write bool) {
+	c.stats.Hits++
+	t := set[1+way]
+	nt := t &^ tagPrefetched
+	if nt != t {
+		c.stats.PrefetchHits++
+	}
+	if write {
+		nt |= tagDirty
+	}
+	if nt != t {
+		set[1+way] = nt
+	}
+}
 
 // Lookup probes the cache for the line containing addr. When demand is
 // true the access is counted and LRU state updated; write marks the line
@@ -152,30 +244,20 @@ func (c *Cache) Lookup(addr uint64, demand, write bool) bool {
 		c.stats.Accesses++
 	}
 	set := c.set(addr)
-	enc := c.tag(addr)<<1 | tagValid
-	for i := range set {
-		if set[i].enc == enc {
-			m := &set[i].meta
-			if demand {
-				c.clock++
-				nm := uint64(c.clock)<<metaUsedShift | *m&(metaDirty|metaPrefetched)
-				if nm&metaPrefetched != 0 {
-					c.stats.PrefetchHits++
-					nm &^= metaPrefetched
-				}
-				c.stats.Hits++
-				*m = nm
-			}
-			if write {
-				*m |= metaDirty
-			}
-			return true
+	i := find(set, c.key(addr))
+	switch {
+	case i < 0:
+		if demand {
+			c.stats.Misses++
 		}
+		return false
+	case demand:
+		c.hit(set, i, write)
+		promote(set, i)
+	case write:
+		set[1+i] |= tagDirty
 	}
-	if demand {
-		c.stats.Misses++
-	}
-	return false
+	return true
 }
 
 // Touch probes for the line without touching statistics; on a hit it
@@ -183,32 +265,19 @@ func (c *Cache) Lookup(addr uint64, demand, write bool) bool {
 // functional cache warming.
 func (c *Cache) Touch(addr uint64, write bool) bool {
 	set := c.set(addr)
-	enc := c.tag(addr)<<1 | tagValid
-	for i := range set {
-		if set[i].enc == enc {
-			c.clock++
-			nm := uint64(c.clock)<<metaUsedShift | set[i].meta&(metaDirty|metaPrefetched)
-			if write {
-				nm |= metaDirty
-			}
-			set[i].meta = nm
-			return true
-		}
+	i := find(set, c.key(addr))
+	if i < 0 {
+		return false
 	}
-	return false
+	if write {
+		set[1+i] |= tagDirty
+	}
+	promote(set, i)
+	return true
 }
 
 // Contains reports presence without disturbing statistics or recency.
-func (c *Cache) Contains(addr uint64) bool {
-	set := c.set(addr)
-	enc := c.tag(addr)<<1 | tagValid
-	for i := range set {
-		if set[i].enc == enc {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Contains(addr uint64) bool { return find(c.set(addr), c.key(addr)) >= 0 }
 
 // Eviction describes a line pushed out by an Insert.
 type Eviction struct {
@@ -218,54 +287,38 @@ type Eviction struct {
 
 // Insert places the line containing addr into the cache and returns the
 // eviction it caused, if any. If the line is already present it is
-// refreshed in place (dirty/prefetched flags are OR-ed/overwritten).
+// refreshed in place: dirty is OR-ed in, and the line stays prefetched
+// only if it was and the insert is a prefetch too.
 func (c *Cache) Insert(addr uint64, dirty, prefetched bool) (Eviction, bool) {
 	set := c.set(addr)
-	enc := c.tag(addr)<<1 | tagValid
-	c.clock++
-	for i := range set {
-		if set[i].enc == enc {
-			m := set[i].meta
-			nm := uint64(c.clock) << metaUsedShift
-			if dirty || m&metaDirty != 0 {
-				nm |= metaDirty
-			}
-			if prefetched && m&metaPrefetched != 0 {
-				nm |= metaPrefetched
-			}
-			set[i].meta = nm
-			return Eviction{}, false
-		}
-	}
-	// First minimum of meta: an empty way is all zero and a valid way's
-	// metadata is at least 1<<metaUsedShift (the clock is incremented
-	// before every install), so empty ways sort first, lowest index
-	// first, without a validity branch. warmStamp picks the same way.
-	victim, min := 0, set[0].meta
-	for i := 1; i < len(set); i++ {
-		if m := set[i].meta; m < min {
-			victim, min = i, m
-		}
-	}
+	key := c.key(addr)
+	i, hit := c.claim(set, key)
 	var ev Eviction
 	had := false
-	if v := set[victim]; v.enc&tagValid != 0 {
-		c.stats.Evictions++
-		had = true
-		ev = Eviction{Addr: v.enc >> 1 << c.setShift, Dirty: v.meta&metaDirty != 0}
-		if v.meta&metaDirty != 0 {
-			c.stats.DirtyEvictions++
+	nt := key
+	if dirty {
+		nt |= tagDirty
+	}
+	if t := set[1+i]; hit {
+		nt |= t & tagDirty
+		if prefetched {
+			nt |= t & tagPrefetched
+		}
+	} else {
+		if t != 0 {
+			c.stats.Evictions++
+			had = true
+			ev = Eviction{Addr: t &^ (tagValid | tagFlags), Dirty: t&tagDirty != 0}
+			if ev.Dirty {
+				c.stats.DirtyEvictions++
+			}
+		}
+		if prefetched {
+			nt |= tagPrefetched
+			c.stats.PrefetchFills++
 		}
 	}
-	nm := uint64(c.clock) << metaUsedShift
-	if dirty {
-		nm |= metaDirty
-	}
-	if prefetched {
-		nm |= metaPrefetched
-		c.stats.PrefetchFills++
-	}
-	set[victim] = slot{enc: enc, meta: nm}
+	set[1+i] = nt
 	return ev, had
 }
 
@@ -274,70 +327,46 @@ func (c *Cache) Insert(addr uint64, dirty, prefetched bool) (Eviction, bool) {
 // (Insert's miss effects, eviction statistics included, with dirty=write
 // and prefetched=false). Only a dirty eviction matters to warming: wb is
 // then the evicted line's address with bit 0 set, a dirty LLCOp, and
-// otherwise 0. The clock ticks exactly once, hit or miss; WarmLLC derives
-// every stamp of a batch from that.
+// otherwise 0.
 func (c *Cache) warmAccess(addr uint64, write bool) (wb uint64, hit bool) {
-	c.clock++
-	return c.warmStamp(addr, write, c.clock, &c.stats)
+	return c.warmInto(addr, write, &c.stats)
 }
 
-// warmStamp is warmAccess with the recency stamp and the statistics
-// target supplied by the caller; it reads and writes addr's set only.
-//
-// One pass over the set compares tags, leaving early on a hit, and folds
-// each way's key meta*wayKey + way into a running minimum without a
-// data-dependent branch: on random streams the victim is unpredictable,
-// and Go compiles both `if k < best` and min() in this loop to a branch.
-// Two alternating accumulators halve the dependency chain. Valid ways
-// carry distinct used stamps and an empty way is all zero, so the minimum
-// key names the way a strict-< first-minimum scan of meta (Insert's)
-// picks: the least recently used, or while any is empty the lowest-index
-// empty one.
-func (c *Cache) warmStamp(addr uint64, write bool, stamp int64, st *LevelStats) (wb uint64, hit bool) {
+// warmInto is warmAccess with the eviction statistics added to st. It
+// reads and writes addr's set and nothing else of the level, so accesses
+// to different sets commute: WarmLLC's shards rest on that.
+func (c *Cache) warmInto(addr uint64, write bool, st *LevelStats) (wb uint64, hit bool) {
 	set := c.set(addr)
-	enc := c.tag(addr)<<1 | tagValid
-	nm := uint64(stamp) << metaUsedShift
+	key := c.key(addr)
+	i, hit := c.claim(set, key)
 	if write {
-		nm |= metaDirty
+		key |= tagDirty
 	}
-	key := c.wayKey
-	best, other := ^uint64(0), ^uint64(0)
-	for i := range set {
-		s := set[i]
-		if s.enc == enc {
-			set[i].meta = nm | s.meta&(metaDirty|metaPrefetched)
-			return 0, true
+	if t := set[1+i]; hit {
+		set[1+i] = t | key&tagDirty
+	} else {
+		if t != 0 {
+			st.Evictions++
+			if t&tagDirty != 0 {
+				st.DirtyEvictions++
+				wb = t &^ tagFlags // the line with tagValid, bit 0, set
+			}
 		}
-		// lt is 1 exactly when the key is below other, which then takes it.
-		d, lt := bits.Sub64(s.meta*key+uint64(i), other, 0)
-		best, other = other+d&-lt, best
+		set[1+i] = key
 	}
-	d, lt := bits.Sub64(other, best, 0)
-	v := &set[(best+d&-lt)&(key-1)]
-	if v.enc&tagValid != 0 {
-		st.Evictions++
-		if v.meta&metaDirty != 0 {
-			st.DirtyEvictions++
-			wb = v.enc>>1<<c.setShift | 1
-		}
-	}
-	*v = slot{enc: enc, meta: nm}
-	return wb, false
+	return wb, hit
 }
 
 // Invalidate removes the line containing addr, reporting whether it was
-// present and dirty.
+// present and dirty. The way keeps its recency rank: an invalid way is the
+// next victim whatever its rank.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	set := c.set(addr)
-	enc := c.tag(addr)<<1 | tagValid
-	for i := range set {
-		if set[i].enc == enc {
-			present, dirty = true, set[i].meta&metaDirty != 0
-			// Clearing the metadata keeps the victim-scan invariant: an
-			// invalid slot is all zero, a valid way's metadata is >= 1<<2.
-			set[i] = slot{}
-			return
-		}
+	i := find(set, c.key(addr))
+	if i < 0 {
+		return false, false
 	}
-	return
+	dirty = set[1+i]&tagDirty != 0
+	set[1+i] = 0
+	return true, dirty
 }

@@ -214,38 +214,17 @@ func warmRef(h *Hierarchy, core int, addr uint64, write bool) {
 	}
 }
 
-// sameLayout requires two caches to hold the same line with the same
-// flags in every way of every set, and the ways of each set in the same
-// recency order. The stamps themselves may differ: warmRef ticks the
-// clock twice for an install.
-func sameLayout(t *testing.T, what string, got, want *Cache) {
-	t.Helper()
-	const flags = metaDirty | metaPrefetched
-	ways := got.cfg.Ways
-	for i := range want.slots {
-		g, w := got.slots[i], want.slots[i]
-		if g.enc != w.enc || g.meta&flags != w.meta&flags {
-			t.Fatalf("%s set %d way %d: slot %#x/%#x, reference %#x/%#x",
-				what, i/ways, i%ways, g.enc, g.meta&flags, w.enc, w.meta&flags)
-		}
-		for j := i - i%ways; j < i; j++ {
-			if (g.meta < got.slots[j].meta) != (w.meta < want.slots[j].meta) {
-				t.Fatalf("%s set %d: ways %d and %d in the other recency order", what, i/ways, j, i%ways)
-			}
-		}
-	}
-}
-
 // TestWarmMatchesReference drives the fused Warm and the composed
 // reference walk with an identical randomized stream — dirty-eviction
 // cascades included, and invalidations so that sets have holes — over
-// associativities with odd tails and way indexes wider than five bits.
-// It requires the same line in the same way of every set (an install
-// lands in the lowest-index empty way, else on the LRU one), the same
-// eviction statistics, and identical behavior of a demand-access phase
-// over the warmed state.
+// associativities with odd tails up to the widest recency word. It
+// requires identical levels, word for word (the same line with the same
+// flags in the same way of every set, an install landing in the
+// lowest-index empty way, else on the LRU one, and the same recency
+// order), the same eviction statistics, and identical behavior of a
+// demand-access phase over the warmed state.
 func TestWarmMatchesReference(t *testing.T) {
-	for _, ways := range []int{1, 2, 3, 8, 11, 16, 32, 64} {
+	for _, ways := range []int{1, 2, 3, 5, 8, 11, 13, 16} {
 		t.Run(fmt.Sprintf("%d-way", ways), func(t *testing.T) {
 			const cores = 2
 			cfg := HierConfig{
@@ -283,7 +262,7 @@ func TestWarmMatchesReference(t *testing.T) {
 			}
 			compareHier(t, 0, fused, ref)
 			for i, c := range fusedLv {
-				sameLayout(t, fmt.Sprintf("level %d", i), c, refLv[i])
+				sameState(t, fmt.Sprintf("level %d", i), c, refLv[i])
 			}
 			// A demand phase over the warmed state exposes any LRU-order or
 			// dirtiness divergence once more, through what a run observes.
@@ -309,20 +288,17 @@ func TestWarmMatchesReference(t *testing.T) {
 	}
 }
 
-// sameState requires two caches to be identical: every slot word, the
-// clock and the statistics.
+// sameState requires two caches to be identical: every word and the
+// statistics.
 func sameState(t *testing.T, what string, got, want *Cache) {
 	t.Helper()
-	if got.clock != want.clock {
-		t.Fatalf("%s: clock %d, want %d", what, got.clock, want.clock)
-	}
 	if got.stats != want.stats {
 		t.Fatalf("%s: stats %+v, want %+v", what, got.stats, want.stats)
 	}
-	for i := range want.slots {
-		if got.slots[i] != want.slots[i] {
-			t.Fatalf("%s set %d way %d: slot %#x, want %#x",
-				what, i/want.cfg.Ways, i%want.cfg.Ways, got.slots[i], want.slots[i])
+	for i := range want.words {
+		if got.words[i] != want.words[i] {
+			t.Fatalf("%s set %d word %d: %#x, want %#x",
+				what, i/int(want.stride), i%int(want.stride), got.words[i], want.words[i])
 		}
 	}
 }
@@ -332,7 +308,7 @@ func sameState(t *testing.T, what string, got, want *Cache) {
 // the recorded form — WarmPrivate per item, then the rounds' LLC
 // operations replayed in the same global order by one WarmLLC, the
 // decomposition the concurrent prewarm path uses. Every level must end
-// in the identical state: slots, clock, statistics.
+// in the identical state: words and statistics.
 func TestWarmPrivateMatchesWarm(t *testing.T) {
 	const cores = 3
 	cfg := HierConfig{
@@ -365,5 +341,64 @@ func TestWarmPrivateMatchesWarm(t *testing.T) {
 	for c := 0; c < cores; c++ {
 		sameState(t, fmt.Sprintf("L1[%d]", c), recorded.l1[c], direct.l1[c])
 		sameState(t, fmt.Sprintf("L2[%d]", c), recorded.l2[c], direct.l2[c])
+	}
+}
+
+// instantMem is a MemPort that accepts every request and keeps the last
+// read's waiter, so that a benchmark can complete the fill at once.
+type instantMem struct{ w Waiter }
+
+func (m *instantMem) Read(_ int64, _ uint64, _ int, w Waiter) bool { m.w = w; return true }
+func (m *instantMem) Write(int64, uint64, int) bool                { return true }
+
+type nopWaiter struct{}
+
+func (nopWaiter) MemDone(int64, float64, float64) {}
+
+var accessSink int64
+
+// BenchmarkAccess is Hierarchy.Access, the demand path of every simulated
+// load, on the paper's geometry (one core, prefetcher off), cycling through
+// a footprint of lines × stride bytes that puts every access at one level:
+// an L1 hit on the same line again and on a line rotating through one L1
+// set (each hit moves the least recent way to the front), an L2 hit (twice
+// the L1), an LLC hit (four times the L2) and an LLC miss under eviction
+// (sixteen lines per LLC set), whose fill completes within the operation.
+// A pass over the footprint before the timer leaves every level in its
+// steady state.
+func BenchmarkAccess(b *testing.B) {
+	for _, bc := range []struct {
+		name          string
+		lines, stride uint64
+	}{
+		{"L1-hit/same-line", 1, 64},
+		{"L1-hit/same-set", 8, 64 * 64},
+		{"L2-hit", 2 * 32 << 10 / 64, 64},
+		{"LLC-hit", 4 << 20 / 64, 64},
+		{"LLC-miss", 16 << 20 / 64, 64},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := DefaultHierConfig(1)
+			cfg.Prefetch = prefetch.Config{}
+			mem := &instantMem{}
+			h := MustNewHierarchy(cfg, mem)
+			i := uint64(0)
+			step := func() {
+				now := int64(i)
+				o := h.Access(now, 0, i%bc.lines*bc.stride, false, nopWaiter{})
+				if o.Status == Pending {
+					mem.w.MemDone(now, 0, 0)
+				}
+				i++
+			}
+			for i < bc.lines {
+				step()
+			}
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				step()
+			}
+			accessSink += h.LLCStats().Hits
+		})
 	}
 }

@@ -186,7 +186,7 @@ func NewHierarchy(cfg HierConfig, mem MemPort) (*Hierarchy, error) {
 	return NewHierarchyIn(nil, cfg, mem)
 }
 
-// NewHierarchyIn is NewHierarchy with every level's slot array taken from
+// NewHierarchyIn is NewHierarchy with every level's word array taken from
 // a, which must have been Reset since the hierarchy it last served was in
 // use. A nil arena allocates, exactly as NewHierarchy does.
 func NewHierarchyIn(a *Arena, cfg HierConfig, mem MemPort) (*Hierarchy, error) {
@@ -278,11 +278,6 @@ func (h *Hierarchy) retryWritebacks(now int64) {
 // is not demand traffic, so Accesses, Hits and Misses stay 0; the lines
 // it pushes out are real evictions of the level's content, so Evictions
 // and DirtyEvictions count them at every level.
-//
-// Two invariants carry the warm path: within a set, valid ways have
-// distinct used stamps and an empty way is all zero (the victim choice in
-// warmStamp), and a warm access ticks its level's clock exactly once,
-// hit or miss (the index-derived stamps in WarmLLC).
 func (h *Hierarchy) Warm(core int, addr uint64, write bool) {
 	line := addr & h.lineMask
 	l1, l2 := h.l1[core], h.l2[core]
@@ -345,11 +340,11 @@ func (h *Hierarchy) WarmPrivate(core int, addr uint64, write bool, ops []LLCOp) 
 }
 
 // WarmLLC replays recorded LLC operations in slice order, split over up
-// to shards goroutines. Operation k of the batch carries stamp clock+k+1
-// whoever applies it, because every warm access ticks the clock once, and
-// operations on different sets commute; so each goroutine owns a
-// contiguous range of sets and applies, in order, the operations that
-// fall in it. The resulting state does not depend on shards.
+// to shards goroutines. A warm access reads and writes its own set only,
+// recency included, so operations on different sets commute: each
+// goroutine owns a contiguous range of sets, applies the operations that
+// fall in it in batch order, and keeps the eviction statistics they add
+// until the barrier. The resulting state does not depend on shards.
 func (h *Hierarchy) WarmLLC(ops []LLCOp, shards int) {
 	c := h.llc
 	sets := c.cfg.Sets()
@@ -361,10 +356,10 @@ func (h *Hierarchy) WarmLLC(ops []LLCOp, shards int) {
 		go func() {
 			defer wg.Done()
 			var st LevelStats // not stats[s]: neighbours would share a host line
-			shift, mask, first := c.setShift, c.setMask, c.clock+1
-			for k, op := range ops {
+			shift, mask := c.setShift, c.setMask
+			for _, op := range ops {
 				if set := uint64(op) >> shift & mask; lo <= set && set < hi {
-					c.warmStamp(uint64(op), op&1 != 0, first+int64(k), &st)
+					c.warmInto(uint64(op), op&1 != 0, &st)
 				}
 			}
 			stats[s] = st
@@ -375,7 +370,6 @@ func (h *Hierarchy) WarmLLC(ops []LLCOp, shards int) {
 		c.stats.Evictions += st.Evictions
 		c.stats.DirtyEvictions += st.DirtyEvictions
 	}
-	c.clock += int64(len(ops))
 }
 
 // Access performs a demand load (write=false) or a store's
@@ -384,12 +378,12 @@ func (h *Hierarchy) WarmLLC(ops []LLCOp, shards int) {
 // for loads. Stores may pass nil.
 //
 // The L1→L2→LLC walk is flattened into this one frame: the probes are
-// hand-inlined copies of Cache.Lookup sharing a single tag computation
-// (legal because Validate requires one line size across levels), and a
-// per-core lineHint short-circuits a repeat L1 hit. Every statistic
-// Lookup would have counted is
-// counted here, per attempt, in the same order; TestAccessMatchesReference
-// pins the equivalence against the composed per-level walk.
+// copies of Cache.Lookup sharing a single line-number computation (legal
+// because Validate requires one line size across levels), and a per-core
+// lineHint short-circuits a repeat L1 hit. Every statistic Lookup would
+// have counted is counted here, per attempt, in the same order;
+// TestAccessMatchesReference pins the equivalence against the composed
+// per-level walk.
 func (h *Hierarchy) Access(now int64, core int, addr uint64, write bool, w Waiter) Outcome {
 	line := addr & h.lineMask
 	ht := &h.hints[core]
@@ -399,37 +393,23 @@ func (h *Hierarchy) Access(now int64, core int, addr uint64, write bool, w Waite
 
 	// L1 probe (mirrors Cache.Lookup(line, true, write) — keep in sync).
 	l1.stats.Accesses++
-	tag := line >> l1.setShift
-	enc := tag<<1 | tagValid
-	s1 := l1.slots[(tag&l1.setMask)*uint64(l1.cfg.Ways):][:l1.cfg.Ways]
+	key := line | tagValid
+	n := line >> l1.setShift // the line number: its low bits pick the set
+	s1 := l1.words[(n&l1.setMask)*l1.stride:][:l1.stride]
 	hitWay := -1
-	if ht.line == line && int(ht.way) < len(s1) {
+	if ht.line == line && int(ht.way) < l1.cfg.Ways {
 		// A tag matches at most one way per set (Insert refreshes in
 		// place), so trusting the hinted way is exact, not heuristic.
-		if s1[ht.way].enc == enc {
+		if s1[1+ht.way]&^tagFlags == key {
 			hitWay = int(ht.way)
 		}
 	}
 	if hitWay < 0 {
-		for i := range s1 {
-			if s1[i].enc == enc {
-				hitWay = i
-				break
-			}
-		}
+		hitWay = find(s1, key)
 	}
 	if hitWay >= 0 {
-		l1.clock++
-		nm := uint64(l1.clock)<<metaUsedShift | s1[hitWay].meta&(metaDirty|metaPrefetched)
-		l1.stats.Hits++
-		if nm&metaPrefetched != 0 {
-			l1.stats.PrefetchHits++
-			nm &^= metaPrefetched
-		}
-		if write {
-			nm |= metaDirty
-		}
-		s1[hitWay].meta = nm
+		l1.hit(s1, hitWay, write)
+		promote(s1, hitWay)
 		*ht = lineHint{line: line, way: int32(hitWay)}
 		return Outcome{Status: Hit, Latency: h.cfg.L1.Latency, Level: 1}
 	}
@@ -437,48 +417,26 @@ func (h *Hierarchy) Access(now int64, core int, addr uint64, write bool, w Waite
 
 	// L2 probe.
 	l2.stats.Accesses++
-	s2 := l2.slots[(tag&l2.setMask)*uint64(l2.cfg.Ways):][:l2.cfg.Ways]
-	for i := range s2 {
-		if s2[i].enc == enc {
-			l2.clock++
-			nm := uint64(l2.clock)<<metaUsedShift | s2[i].meta&(metaDirty|metaPrefetched)
-			l2.stats.Hits++
-			if nm&metaPrefetched != 0 {
-				l2.stats.PrefetchHits++
-				nm &^= metaPrefetched
-			}
-			if write {
-				nm |= metaDirty
-			}
-			s2[i].meta = nm
-			h.fillL1(core, line, write)
-			h.train(now, core, line)
-			return Outcome{Status: Hit, Latency: h.cfg.L2.Latency, Level: 2}
-		}
+	s2 := l2.words[(n&l2.setMask)*l2.stride:][:l2.stride]
+	if i := find(s2, key); i >= 0 {
+		l2.hit(s2, i, write)
+		promote(s2, i)
+		h.fillL1(core, line, write)
+		h.train(now, core, line)
+		return Outcome{Status: Hit, Latency: h.cfg.L2.Latency, Level: 2}
 	}
 	l2.stats.Misses++
 	h.train(now, core, line)
 
 	// LLC probe.
 	llc.stats.Accesses++
-	s3 := llc.slots[(tag&llc.setMask)*uint64(llc.cfg.Ways):][:llc.cfg.Ways]
-	for i := range s3 {
-		if s3[i].enc == enc {
-			llc.clock++
-			nm := uint64(llc.clock)<<metaUsedShift | s3[i].meta&(metaDirty|metaPrefetched)
-			llc.stats.Hits++
-			if nm&metaPrefetched != 0 {
-				llc.stats.PrefetchHits++
-				nm &^= metaPrefetched
-			}
-			if write {
-				nm |= metaDirty
-			}
-			s3[i].meta = nm
-			h.fillL2(now, core, line, false)
-			h.fillL1(core, line, write)
-			return Outcome{Status: Hit, Latency: h.cfg.LLC.Latency, Level: 3}
-		}
+	s3 := llc.words[(n&llc.setMask)*llc.stride:][:llc.stride]
+	if i := find(s3, key); i >= 0 {
+		llc.hit(s3, i, write)
+		promote(s3, i)
+		h.fillL2(now, core, line, false)
+		h.fillL1(core, line, write)
+		return Outcome{Status: Hit, Latency: h.cfg.LLC.Latency, Level: 3}
 	}
 	llc.stats.Misses++
 	return h.missToMem(now, core, line, write, w)

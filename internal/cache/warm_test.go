@@ -6,14 +6,15 @@ import (
 	"testing"
 )
 
-// TestWarmLLCShardsMatchSerial holds the sharded, index-stamped replay to
-// the one-by-one warmAccess walk, on the paper's LLC and on small caches
-// whose sets the shards split unevenly or outnumber. The streams collide
-// heavily in a few sets, repeat lines and mix in dirty writebacks; the
-// batches include empty ones, single operations and lengths no shard
-// count divides. Slots, clock and statistics must come out identical:
-// that is what breaks if a warm access ever ticks the clock other than
-// once, or a shard stamps by anything but the operation's position.
+// TestWarmLLCShardsMatchSerial holds the sharded replay to the one-by-one
+// warmAccess walk, on the paper's LLC and on small caches whose sets the
+// shards split unevenly or outnumber. The streams collide heavily in a few
+// sets, repeat lines and mix in dirty writebacks; the batches include
+// empty ones, single operations and lengths no shard count divides. Words
+// and statistics must come out identical: that is what breaks if a warm
+// access ever touches state outside its own set, a shard applies an
+// operation of another's sets or out of batch order, or the shards'
+// statistics are not all added.
 func TestWarmLLCShardsMatchSerial(t *testing.T) {
 	small := func(ways, sets int) Config {
 		return Config{Name: "LLC", SizeBytes: sets * ways * 64, Ways: ways, LineBytes: 64, Latency: 44}

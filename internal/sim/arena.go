@@ -3,7 +3,7 @@ package sim
 import "dramstacks/internal/cache"
 
 // Arena is what a sweep worker keeps from one System to the next instead
-// of allocating it per point: the cache hierarchy's slot arrays (4 MB of
+// of allocating it per point: the cache hierarchy's arrays (2.72 MB of
 // an 8-core machine) and prewarmParallel's record and merge buffers. Pass
 // it to New with WithArena; the zero value is ready.
 //
@@ -21,7 +21,7 @@ type Arena struct {
 // Bytes is the memory the arena holds on to between Systems.
 func (a *Arena) Bytes() int64 { return a.slots.Bytes() + a.warm.bytes() }
 
-// Reuses counts the cache slot arrays Systems took over from their
+// Reuses counts the cache arrays Systems took over from their
 // predecessors instead of allocating.
 func (a *Arena) Reuses() int64 { return a.slots.Reuses() }
 

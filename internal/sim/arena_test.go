@@ -80,9 +80,9 @@ func TestArenaDifferentialRandomizedSpecs(t *testing.T) {
 		t.Errorf("the predecessors lack a kind: %+v", after)
 	}
 	// Four cores at most, and the cancelled run's are four.
-	llc, l2, l1 := int64(11<<20/64), int64(1<<20/64), int64(32<<10/64)
-	if want := (llc + 4*(l2+l1)) * 16; arena.slots.Bytes() != want || arena.Reuses() < 100 {
-		t.Errorf("the arena holds %d bytes of slot arrays after %d reuses, want %d: its largest machine's",
+	llc, l2, l1 := int64(16384*12), int64(1024*17), int64(64*9) // words: sets × (1 + ways)
+	if want := (llc + 4*(l2+l1)) * 8; arena.slots.Bytes() != want || arena.Reuses() < 100 {
+		t.Errorf("the arena holds %d bytes of cache arrays after %d reuses, want %d: its largest machine's",
 			arena.slots.Bytes(), arena.Reuses(), want)
 	}
 }
@@ -130,7 +130,7 @@ func TestWarmBuffersQuotaSized(t *testing.T) {
 
 // TestArenaStaleSystemPanics: building a second System on an arena ends
 // the first one's tenancy, and running the first then must panic rather
-// than walk the slot arrays the second now owns.
+// than walk the cache arrays the second now owns.
 func TestArenaStaleSystemPanics(t *testing.T) {
 	arena := new(Arena)
 	build := func() *System {

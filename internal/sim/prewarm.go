@@ -186,12 +186,12 @@ func (b *warmBuffers) bytes() int64 {
 // position is (item index, core index), so laying the records out by that
 // key gives the LLC's operation stream in exactly the serial order.
 // Replay: Hierarchy.WarmLLC applies that stream, sharded by set over the
-// available processors with position-derived recency stamps. The final
-// hierarchy state is identical to the serial loop's whatever GOMAXPROCS
-// is. Chunks bound the record memory; cores remain item-aligned at chunk
-// boundaries because a worker leaves a chunk early only when its feed is
-// done for good. Buffers are sized for one LLC operation per item, which
-// only store-heavy streams exceed.
+// available processors, each shard its own sets' operations in order. The
+// final hierarchy state is identical to the serial loop's whatever
+// GOMAXPROCS is. Chunks bound the record memory; cores remain item-aligned
+// at chunk boundaries because a worker leaves a chunk early only when its
+// feed is done for good. Buffers are sized for one LLC operation per item,
+// which only store-heavy streams exceed.
 func (s *System) prewarmParallel(feeds []warmFeed) {
 	buf := new(warmBuffers)
 	if s.arena != nil {

@@ -221,7 +221,7 @@ type System struct {
 	warmed     bool
 
 	// arena, when the System was built on one (WithArena), lent it the
-	// hierarchy's slot arrays under tenancy gen; see checkTenancy.
+	// hierarchy's cache arrays under tenancy gen; see checkTenancy.
 	arena *Arena
 	gen   uint64
 }
@@ -463,7 +463,7 @@ func (s *System) RunContext(ctx context.Context) *Result {
 }
 
 // checkTenancy panics when the System's arena has since been issued to
-// another System: the slot arrays the hierarchy walks are that one's now,
+// another System: the cache arrays the hierarchy walks are that one's now,
 // and running would corrupt both silently.
 func (s *System) checkTenancy() {
 	if s.arena != nil && s.arena.gen != s.gen {
