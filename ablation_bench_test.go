@@ -11,7 +11,6 @@ import (
 
 	"dramstacks/internal/cache"
 	"dramstacks/internal/cpu"
-	"dramstacks/internal/dram"
 	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/memctrl"
 	"dramstacks/internal/prefetch"
@@ -101,16 +100,12 @@ func BenchmarkAblation_PrefetchDepth(b *testing.B) {
 // against a dual-rank module (32 banks, same peak): the extra bank
 // parallelism absorbs page misses of the random pattern.
 func BenchmarkAblation_DualRank(b *testing.B) {
-	ranks := map[string]func() (dram.Geometry, dram.Timing){
-		"1rank": dram.DDR4_2400,
-		"2rank": dram.DDR4_2400_DualRank,
-	}
-	for _, name := range []string{"1rank", "2rank"} {
-		b.Run(name, func(b *testing.B) {
-			geo, tim := ranks[name]()
-			cfg := sim.Default(8)
-			cfg.Geom = geo
-			cfg.Tim = tim
+	for _, m := range []struct{ name, std string }{
+		{"1rank", "ddr4-2400"},
+		{"2rank", "ddr4-2400-2r"},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			cfg := sim.DefaultFor(standard.MustLookup(m.std), 8)
 			cfg.MaxMemCycles = benchSynthBudget
 			cfg.PrewarmOps = 1 << 19
 			res := runCfg(b, cfg, workload.Random, 0)
@@ -167,16 +162,9 @@ func BenchmarkAblation_LLCSize(b *testing.B) {
 // pattern gains less, and the stack shows why (tRCD/tRP are constant in
 // nanoseconds, so the pre/act components grow in relative cycles).
 func BenchmarkAblation_SpeedGrade(b *testing.B) {
-	grades := map[string]func() (dram.Geometry, dram.Timing){
-		"ddr4-2400": dram.DDR4_2400,
-		"ddr4-3200": dram.DDR4_3200,
-	}
 	for _, name := range []string{"ddr4-2400", "ddr4-3200"} {
 		b.Run(name, func(b *testing.B) {
-			geo, tim := grades[name]()
-			cfg := sim.Default(8)
-			cfg.Geom = geo
-			cfg.Tim = tim
+			cfg := sim.DefaultFor(standard.MustLookup(name), 8)
 			cfg.MaxMemCycles = benchSynthBudget
 			cfg.PrewarmOps = 1 << 19
 			res := runCfg(b, cfg, workload.Random, 0)
@@ -184,7 +172,7 @@ func BenchmarkAblation_SpeedGrade(b *testing.B) {
 			b.ReportMetric(res.AchievedGBps(), "GB/s")
 			b.ReportMetric(res.PeakGBps(), "GB/s-peak")
 			b.ReportMetric(g[stacks.BWPrecharge]+g[stacks.BWActivate], "GB/s-preact")
-			b.ReportMetric(res.Lat.AvgTotalNS(geo), "lat-ns")
+			b.ReportMetric(res.Lat.AvgTotalNS(cfg.Geom), "lat-ns")
 		})
 	}
 }
@@ -250,17 +238,10 @@ func BenchmarkAblation_StridedPattern(b *testing.B) {
 // pages help the random pattern, longer bursts change the constraint
 // structure for the sequential one.
 func BenchmarkAblation_DDR5(b *testing.B) {
-	gens := map[string]func() (dram.Geometry, dram.Timing){
-		"ddr4-2400": dram.DDR4_2400,
-		"ddr5-4800": dram.DDR5_4800,
-	}
 	for _, pat := range []workload.Pattern{workload.Sequential, workload.Random} {
 		for _, name := range []string{"ddr4-2400", "ddr5-4800"} {
 			b.Run(fmt.Sprintf("%s-%s", pat, name), func(b *testing.B) {
-				geo, tim := gens[name]()
-				cfg := sim.Default(8)
-				cfg.Geom = geo
-				cfg.Tim = tim
+				cfg := sim.DefaultFor(standard.MustLookup(name), 8)
 				cfg.CPUMult = 2 // 2.4 GHz DRAM clock: narrower CPU ratio
 				cfg.MaxMemCycles = benchSynthBudget
 				cfg.PrewarmOps = 1 << 19
@@ -320,18 +301,15 @@ func BenchmarkAblation_RefreshGranularity(b *testing.B) {
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
-			geo, tim := dram.DDR4_2400()
-			tim.REFI /= m.div
-			tim.RFC = int(float64(tim.RFC) * m.rfc)
 			cfg := sim.Default(4)
-			cfg.Geom = geo
-			cfg.Tim = tim
+			cfg.Tim.REFI /= m.div
+			cfg.Tim.RFC = int(float64(cfg.Tim.RFC) * m.rfc)
 			cfg.MaxMemCycles = benchSynthBudget
 			cfg.PrewarmOps = 1 << 19
 			res := runCfg(b, cfg, workload.Random, 0)
 			b.ReportMetric(res.AchievedGBps(), "GB/s")
 			b.ReportMetric(res.BWGBps()[stacks.BWRefresh], "GB/s-refresh")
-			b.ReportMetric(geo.CyclesToNS(res.LatHist.Quantile(0.99)), "p99-ns")
+			b.ReportMetric(cfg.Geom.CyclesToNS(res.LatHist.Quantile(0.99)), "p99-ns")
 			b.ReportMetric(res.LatNS()[stacks.LatRefresh], "lat-ns-refresh")
 		})
 	}

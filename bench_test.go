@@ -8,6 +8,7 @@ import (
 
 	"dramstacks/internal/addrmap"
 	"dramstacks/internal/dram"
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/memctrl"
 	"dramstacks/internal/stacks"
 )
@@ -15,7 +16,8 @@ import (
 // BenchmarkDeviceIssue measures the DRAM device hot path (legality check
 // plus issue) in isolation.
 func BenchmarkDeviceIssue(b *testing.B) {
-	geo, tim := dram.DDR4_2400()
+	std := standard.Default()
+	geo, tim := std.Geometry, std.Timing
 	dev := dram.NewDevice(geo, tim)
 	now := int64(0)
 	b.ResetTimer()
@@ -43,7 +45,8 @@ func BenchmarkDeviceIssue(b *testing.B) {
 // BenchmarkControllerTick measures the full memory-controller cycle cost
 // under a saturating stream — the per-cycle price of stack accounting.
 func BenchmarkControllerTick(b *testing.B) {
-	geo, tim := dram.DDR4_2400()
+	std := standard.Default()
+	geo, tim := std.Geometry, std.Timing
 	dev := dram.NewDevice(geo, tim)
 	ctrl := memctrl.MustNew(dev, addrmap.MustDefault(geo, 1), memctrl.DefaultConfig())
 	next := uint64(0)

@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"dramstacks/internal/addrmap"
-	"dramstacks/internal/dram"
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/exp"
 	"dramstacks/internal/extrapolate"
 	"dramstacks/internal/viz"
@@ -75,7 +75,7 @@ func run(fig string, budget, gapBudget int64, out string) error {
 		}
 	}
 	want := func(f string) bool { return fig == "all" || fig == f }
-	geo, _ := dram.DDR4_2400()
+	geo := standard.Default().Geometry
 
 	section := func(title string) {
 		fmt.Printf("\n===== %s =====\n", title)

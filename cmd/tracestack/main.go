@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"dramstacks/internal/dram"
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/stacks"
 	"dramstacks/internal/trace"
 	"dramstacks/internal/viz"
@@ -44,7 +45,8 @@ func run(in string, cycles int64, verify bool) error {
 	if err != nil {
 		return err
 	}
-	geo, tim := dram.DDR4_2400()
+	std := standard.Default()
+	geo, tim := std.Geometry, std.Timing
 
 	if verify {
 		v := dram.NewVerifier(geo, tim)

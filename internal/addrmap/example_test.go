@@ -5,13 +5,14 @@ import (
 
 	"dramstacks/internal/addrmap"
 	"dramstacks/internal/dram"
+	"dramstacks/internal/dram/standard"
 )
 
 // Example shows how the two Fig. 5 schemes place consecutive cache lines:
 // the default scheme keeps a whole 8 KB page in one bank, the interleaved
 // scheme rotates lines over the bank groups and banks.
 func Example() {
-	geo, _ := dram.DDR4_2400()
+	geo := standard.Default().Geometry
 	def := addrmap.MustDefault(geo, 1)
 	inter := addrmap.MustInterleaved(geo, 1)
 
@@ -30,7 +31,7 @@ func Example() {
 // ExampleScheme_Encode shows the round trip between addresses and DRAM
 // coordinates.
 func ExampleScheme_Encode() {
-	geo, _ := dram.DDR4_2400()
+	geo := standard.Default().Geometry
 	m := addrmap.MustDefault(geo, 1)
 	loc := dram.Loc{Group: 2, Bank: 1, Row: 7, Col: 5}
 	addr := m.Encode(loc)

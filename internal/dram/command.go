@@ -8,10 +8,11 @@
 // same JEDEC-style constraints, so scheduler and device bugs cannot hide each
 // other.
 //
-// All times are in memory-clock cycles (1.2 GHz for the default DDR4-2400
-// configuration, i.e. one cycle = 0.8333 ns). The data bus transfers
+// All times are in memory-clock cycles of Geometry.ClockMHz (1.2 GHz for the
+// paper's DDR4-2400, i.e. one cycle = 0.8333 ns). The data bus transfers
 // BusBytes × DataRate bytes per cycle (16 B for DDR4 ×64), so one 64-byte
-// cache line occupies the bus for BL/2 = 4 cycles.
+// cache line occupies the bus for BL/2 = 4 cycles. The package ships no
+// presets: the DRAM standards are data in internal/dram/standard.
 package dram
 
 import "fmt"

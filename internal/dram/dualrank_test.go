@@ -1,12 +1,14 @@
-package dram
+package dram_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"dramstacks/internal/dram"
 )
 
 func TestDualRankConfig(t *testing.T) {
-	g, tm := DDR4_2400_DualRank()
+	g, tm := lookup("ddr4-2400-2r")
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -26,40 +28,40 @@ func TestDualRankConfig(t *testing.T) {
 }
 
 func TestRankToRankSwitchGap(t *testing.T) {
-	g, tm := DDR4_2400_DualRank()
-	d := NewDevice(g, tm)
-	a := Loc{Rank: 0, Row: 1}
-	b := Loc{Rank: 1, Row: 1}
+	g, tm := lookup("ddr4-2400-2r")
+	d := dram.NewDevice(g, tm)
+	a := dram.Loc{Rank: 0, Row: 1}
+	b := dram.Loc{Rank: 1, Row: 1}
 	d.Sync(0)
-	d.Issue(Command{CmdACT, a}, 0)
+	d.Issue(dram.Command{Kind: dram.CmdACT, Loc: a}, 0)
 	d.Sync(int64(tm.RRDS))
-	d.Issue(Command{CmdACT, b}, int64(tm.RRDS))
+	d.Issue(dram.Command{Kind: dram.CmdACT, Loc: b}, int64(tm.RRDS))
 
 	start := int64(60)
 	d.Sync(start)
-	d.Issue(Command{CmdRD, a}, start)
+	d.Issue(dram.Command{Kind: dram.CmdRD, Loc: a}, start)
 
 	// Same rank, different group: tCCD_S gates (4 == BL/2, bus back to
 	// back). Other rank: the data bus needs an extra tRTRS gap.
 	otherRank := start + int64(tm.BL2) + int64(tm.RTRS)
-	if got, ok := d.EarliestIssue(Command{CmdRD, b}, start); !ok || got != otherRank {
+	if got, ok := d.EarliestIssue(dram.Command{Kind: dram.CmdRD, Loc: b}, start); !ok || got != otherRank {
 		t.Errorf("cross-rank RD earliest = %d,%v want %d (BL/2 + tRTRS)", got, ok, otherRank)
 	}
 	// Back on the same rank there is no switch gap.
 	sameRank := start + int64(tm.CCDS)
-	aa := Loc{Rank: 0, Group: 1, Row: 1}
+	aa := dram.Loc{Rank: 0, Group: 1, Row: 1}
 	d.Sync(start + 1)
-	if _, ok := d.EarliestIssue(Command{CmdRD, aa}, start); ok {
+	if _, ok := d.EarliestIssue(dram.Command{Kind: dram.CmdRD, Loc: aa}, start); ok {
 		t.Log("same-rank other-group read needs its own ACT first (expected)")
 	}
 	_ = sameRank
 }
 
 func TestRefreshPerRankIndependent(t *testing.T) {
-	g, tm := DDR4_2400_DualRank()
-	d := NewDevice(g, tm)
+	g, tm := lookup("ddr4-2400-2r")
+	d := dram.NewDevice(g, tm)
 	d.Sync(0)
-	d.Issue(Command{CmdREF, Loc{Rank: 0}}, 0)
+	d.Issue(dram.Command{Kind: dram.CmdREF, Loc: dram.Loc{Rank: 0}}, 0)
 	if !d.Refreshing(0, 10) {
 		t.Error("rank 0 not refreshing")
 	}
@@ -67,10 +69,10 @@ func TestRefreshPerRankIndependent(t *testing.T) {
 		t.Error("rank 1 refreshing without a REF")
 	}
 	// Rank 1 can activate while rank 0 refreshes.
-	if !d.CanIssue(Command{CmdACT, Loc{Rank: 1, Row: 5}}, 10) {
+	if !d.CanIssue(dram.Command{Kind: dram.CmdACT, Loc: dram.Loc{Rank: 1, Row: 5}}, 10) {
 		t.Error("rank 1 blocked by rank 0's refresh")
 	}
-	if d.CanIssue(Command{CmdACT, Loc{Rank: 0, Row: 5}}, 10) {
+	if d.CanIssue(dram.Command{Kind: dram.CmdACT, Loc: dram.Loc{Rank: 0, Row: 5}}, 10) {
 		t.Error("rank 0 usable during its own refresh")
 	}
 }
@@ -79,11 +81,11 @@ func TestRefreshPerRankIndependent(t *testing.T) {
 // random legal stream and replays it through the verifier, exercising
 // the cross-rank bus rule.
 func TestDualRankRandomScheduleVerified(t *testing.T) {
-	g, tm := DDR4_2400_DualRank()
+	g, tm := lookup("ddr4-2400-2r")
 	for seed := int64(1); seed <= 3; seed++ {
-		d := NewDevice(g, tm)
-		v := NewVerifier(g, tm)
-		d.Trace = func(cycle int64, cmd Command) {
+		d := dram.NewDevice(g, tm)
+		v := dram.NewVerifier(g, tm)
+		d.Trace = func(cycle int64, cmd dram.Command) {
 			if vs := v.Check(cycle, cmd); vs != nil {
 				t.Fatalf("seed %d: %v", seed, vs[0])
 			}
@@ -92,26 +94,26 @@ func TestDualRankRandomScheduleVerified(t *testing.T) {
 		now := int64(0)
 		for issued := 0; issued < 2000; {
 			d.Sync(now)
-			loc := Loc{
+			loc := dram.Loc{
 				Rank:  rng.Intn(2),
 				Group: rng.Intn(g.Groups),
 				Bank:  rng.Intn(g.Banks),
 				Row:   rng.Intn(32),
 				Col:   rng.Intn(g.Cols),
 			}
-			kinds := []CommandKind{CmdACT, CmdPRE, CmdRD, CmdWR, CmdRDA, CmdWRA}
+			kinds := []dram.CommandKind{dram.CmdACT, dram.CmdPRE, dram.CmdRD, dram.CmdWR, dram.CmdRDA, dram.CmdWRA}
 			kind := kinds[rng.Intn(len(kinds))]
 			if open := d.OpenRow(loc, now); open >= 0 {
 				loc.Row = open
 			}
-			at, ok := d.EarliestIssue(Command{kind, loc}, now)
+			at, ok := d.EarliestIssue(dram.Command{Kind: kind, Loc: loc}, now)
 			if !ok {
 				now++
 				continue
 			}
 			now = at
 			d.Sync(now)
-			d.Issue(Command{kind, loc}, now)
+			d.Issue(dram.Command{Kind: kind, Loc: loc}, now)
 			issued++
 			now += int64(rng.Intn(3))
 		}
@@ -122,7 +124,7 @@ func TestDualRankRandomScheduleVerified(t *testing.T) {
 }
 
 func TestDDR43200Config(t *testing.T) {
-	g, tm := DDR4_3200()
+	g, tm := lookup("ddr4-3200")
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestDDR43200Config(t *testing.T) {
 		t.Errorf("peak = %v GB/s, want 25.6", got)
 	}
 	// Analog times stay constant in nanoseconds (within a cycle).
-	g24, t24 := DDR4_2400()
+	g24, t24 := testConfig()
 	rcd24 := g24.CyclesToNS(int64(t24.RCD))
 	rcd32 := g.CyclesToNS(int64(tm.RCD))
 	if d := rcd32 - rcd24; d > 1.5 || d < -1.5 {
@@ -146,7 +148,7 @@ func TestDDR43200Config(t *testing.T) {
 }
 
 func TestDDR5Config(t *testing.T) {
-	g, tm := DDR5_4800()
+	g, tm := lookup("ddr5-4800")
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,28 +166,28 @@ func TestDDR5Config(t *testing.T) {
 		t.Errorf("capacity = %d, want 4 GiB", g.CapacityBytes())
 	}
 	// A legal command sequence runs and verifies.
-	d := NewDevice(g, tm)
-	v := NewVerifier(g, tm)
-	d.Trace = func(cycle int64, cmd Command) {
+	d := dram.NewDevice(g, tm)
+	v := dram.NewVerifier(g, tm)
+	d.Trace = func(cycle int64, cmd dram.Command) {
 		if vs := v.Check(cycle, cmd); vs != nil {
 			t.Fatalf("%v", vs[0])
 		}
 	}
 	d.Sync(0)
-	d.Issue(Command{CmdACT, Loc{Row: 1}}, 0)
+	d.Issue(dram.Command{Kind: dram.CmdACT, Loc: dram.Loc{Row: 1}}, 0)
 	rd := int64(tm.RCD)
 	d.Sync(rd)
-	d.Issue(Command{CmdRD, Loc{Row: 1}}, rd)
+	d.Issue(dram.Command{Kind: dram.CmdRD, Loc: dram.Loc{Row: 1}}, rd)
 	// Back-to-back cross-group reads are bus-bound at BL2=8 > CCDS.
-	loc2 := Loc{Group: 1, Row: 1}
+	loc2 := dram.Loc{Group: 1, Row: 1}
 	// Activate group 1 first.
-	actAt, ok := d.EarliestIssue(Command{CmdACT, loc2}, rd)
+	actAt, ok := d.EarliestIssue(dram.Command{Kind: dram.CmdACT, Loc: loc2}, rd)
 	if !ok {
 		t.Fatal("ACT blocked")
 	}
 	d.Sync(actAt)
-	d.Issue(Command{CmdACT, loc2}, actAt)
-	at, ok := d.EarliestIssue(Command{CmdRD, loc2}, actAt)
+	d.Issue(dram.Command{Kind: dram.CmdACT, Loc: loc2}, actAt)
+	at, ok := d.EarliestIssue(dram.Command{Kind: dram.CmdRD, Loc: loc2}, actAt)
 	if !ok {
 		t.Fatal("RD blocked")
 	}

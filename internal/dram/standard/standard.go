@@ -7,9 +7,13 @@
 // evaluates next-allowed-time rules over whatever Geometry and Timing it
 // is given. A Standard is therefore pure data: DDR5, LPDDR5 and HBM2 are
 // parameter presets over the same engine, in the spirit of Ramulator's
-// composable device model. Every preset is validated on registration
-// (Geometry.Validate + Timing.Validate), so an ill-formed standard is a
-// startup panic, not a silent mis-simulation.
+// composable device model. The presets are one table (presets.go) written
+// the way the standards write them — clock counts where the standard
+// states clocks, max(n nCK, t ps) elsewhere, each row naming its
+// standard, speed bin, density and page size — and Timing is derived from
+// it once, at init, by one rounding rule. Every preset is validated on
+// registration (Geometry.Validate + Timing.Validate), so an ill-formed
+// standard is a startup panic, not a silent mis-simulation.
 //
 // HBM pseudo-channels are modeled with SubChannels: each pseudo-channel
 // is an independently timed device with its own bus, so a Standard with
@@ -166,9 +170,10 @@ var (
 	names    []string // sorted registry keys
 )
 
-// register validates and adds a preset; it panics on duplicates or
+// register derives, validates and adds a row; it panics on duplicates or
 // invalid presets so a bad registration fails at init, not mid-run.
-func register(s Standard) {
+func register(r row) {
+	s := r.standard()
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
@@ -178,39 +183,6 @@ func register(s Standard) {
 	registry[s.Name] = s
 	names = append(names, s.Name)
 	sort.Strings(names)
-}
-
-func preset(name, family, desc string, gt func() (dram.Geometry, dram.Timing), subChannels int) {
-	g, t := gt()
-	register(Standard{
-		Name:        name,
-		Family:      family,
-		Description: desc,
-		Geometry:    g,
-		Timing:      t,
-		SubChannels: subChannels,
-	})
-}
-
-func init() {
-	preset("ddr4-2400", "DDR4",
-		"the paper's baseline: 1 rank, 4 groups x 4 banks, 8 KB pages, 19.2 GB/s",
-		dram.DDR4_2400, 1)
-	preset("ddr4-2400-2r", "DDR4",
-		"DDR4-2400 with two ranks: 32 banks for the same peak, plus tRTRS gaps",
-		dram.DDR4_2400_DualRank, 1)
-	preset("ddr4-3200", "DDR4",
-		"same architecture at 1.6 GHz (25.6 GB/s): timings occupy more cycles",
-		dram.DDR4_3200, 1)
-	preset("ddr5-4800", "DDR5",
-		"one 32-bit subchannel: DDR4-2400's peak via BL16, 32 banks, 2 KB pages",
-		dram.DDR5_4800, 1)
-	preset("lpddr5-6400", "LPDDR5",
-		"one 16-bit channel, WCK 4x data rate: 12.8 GB/s with BL32 and cheap refresh",
-		dram.LPDDR5_6400, 1)
-	preset("hbm2-2000", "HBM2",
-		"one channel in pseudo-channel mode: 2 x 16 GB/s devices with BL4, 1 KB pages",
-		dram.HBM2_2000, 2)
 }
 
 // Names returns the registered standard names in sorted order.
@@ -295,11 +267,4 @@ func editDistance(a, b string) int {
 		prev, cur = cur, prev
 	}
 	return prev[len(b)]
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

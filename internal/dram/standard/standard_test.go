@@ -6,24 +6,22 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"dramstacks/internal/dram"
 )
 
 // The default standard must be the exact DDR4-2400 configuration the
 // paper evaluates — the whole stack treats it as the byte-identity
-// oracle for pre-standard behavior.
+// oracle for pre-standard behavior — so the want is the seed's literal.
 func TestDefaultIsPaperDDR4(t *testing.T) {
 	def := Default()
 	if def.Name != DefaultName || DefaultName != "ddr4-2400" {
 		t.Fatalf("default standard is %q, want ddr4-2400", def.Name)
 	}
-	g, tim := dram.DDR4_2400()
-	if def.Geometry != g {
-		t.Errorf("default geometry diverged from dram.DDR4_2400:\n got %+v\nwant %+v", def.Geometry, g)
+	want := pinned["ddr4-2400"]
+	if def.Geometry != want.Geometry {
+		t.Errorf("default geometry diverged from the seed:\n got %+v\nwant %+v", def.Geometry, want.Geometry)
 	}
-	if def.Timing != tim {
-		t.Errorf("default timing diverged from dram.DDR4_2400:\n got %+v\nwant %+v", def.Timing, tim)
+	if def.Timing != want.Timing {
+		t.Errorf("default timing diverged from the seed:\n got %+v\nwant %+v", def.Timing, want.Timing)
 	}
 	if def.SubChannels != 1 {
 		t.Errorf("default sub-channels = %d, want 1", def.SubChannels)

@@ -138,212 +138,3 @@ func (t Timing) WriteToRead(sameGroup bool) int {
 	}
 	return t.CWL + t.BL2 + t.WTRS
 }
-
-// DDR4_3200 returns a DDR4-3200 module (1.6 GHz clock, 25.6 GB/s peak):
-// the same architecture at a faster clock, so the analog timings occupy
-// more cycles (CL22 class). Useful for speed-grade ablations — the
-// bandwidth stack shows which components scale with frequency
-// (transfers, tCCD_L gaps) and which do not (tRFC, tRCD in nanoseconds).
-func DDR4_3200() (Geometry, Timing) {
-	g, t := DDR4_2400()
-	g.ClockMHz = 1600
-	t.CL = 22
-	t.CWL = 16
-	t.RCD = 22
-	t.RP = 22
-	t.RAS = 52
-	t.RC = 74
-	t.RTP = 12
-	t.WR = 24
-	t.CCDS = 4
-	t.CCDL = 8
-	t.RRDS = 5
-	t.RRDL = 8
-	t.FAW = 34
-	t.WTRS = 4
-	t.WTRL = 12
-	t.RTW = 22 + 4 + 2 - 16
-	t.RFC = 560 // 350 ns at 1.6 GHz
-	t.REFI = 12480
-	return g, t
-}
-
-// DDR5_4800 returns one 32-bit subchannel of a DDR5-4800 DIMM: a 2.4 GHz
-// clock on a 4-byte bus (19.2 GB/s peak, like DDR4-2400, but reached
-// with BL16 bursts from 32 banks in 8 bank groups and 2 KB pages).
-// Useful for generational comparisons: the same peak with very different
-// stack shapes — longer bursts, more banks, smaller pages.
-func DDR5_4800() (Geometry, Timing) {
-	g := Geometry{
-		Ranks:     1,
-		Groups:    8,
-		Banks:     4,
-		Rows:      64 * 1024,
-		Cols:      32, // 32 × 64 B = 2 KB page
-		LineBytes: 64,
-		BusBytes:  4,
-		DataRate:  2,
-		ClockMHz:  2400,
-	}
-	t := Timing{
-		CL:   40,
-		CWL:  38,
-		BL2:  8, // BL16 on the half-width bus
-		RCD:  39,
-		RP:   39,
-		RAS:  77,
-		RC:   116,
-		RTP:  18,
-		WR:   72,
-		CCDS: 8,
-		CCDL: 12,
-		RRDS: 8,
-		RRDL: 12,
-		FAW:  32,
-		WTRS: 12,
-		WTRL: 24,
-		RTW:  40 + 8 + 2 - 38,
-		RTRS: 3,
-		RFC:  984, // 410 ns for a 16 Gb device
-		REFI: 9360,
-	}
-	return g, t
-}
-
-// LPDDR5_6400 returns one 16-bit LPDDR5-6400 channel in bank-group mode:
-// a 1600 MHz command clock with four data transfers per clock (WCK 2:1
-// signalling folded into the data rate), for 12.8 GB/s peak on a 2-byte
-// bus. Mobile DRAM trades bus width for efficiency: the same cache line
-// occupies the bus four times longer than on DDR4-2400 (BL32), pages are
-// a quarter the size, and refresh is comparatively cheap.
-func LPDDR5_6400() (Geometry, Timing) {
-	g := Geometry{
-		Ranks:     1,
-		Groups:    4,
-		Banks:     4,
-		Rows:      64 * 1024,
-		Cols:      32, // 32 × 64 B = 2 KB page
-		LineBytes: 64,
-		BusBytes:  2,
-		DataRate:  4,
-		ClockMHz:  1600,
-	}
-	t := Timing{
-		CL:   27, // RL ≈ 17 ns
-		CWL:  14,
-		BL2:  8, // BL32 on the x16 bus: 8 bus-clock cycles of data
-		RCD:  29,
-		RP:   29,
-		RAS:  68,
-		RC:   97,
-		RTP:  12,
-		WR:   28,
-		CCDS: 8, // seamless across bank groups (= BL2)
-		CCDL: 12,
-		RRDS: 8,
-		RRDL: 10,
-		FAW:  32, // 20 ns
-		WTRS: 12,
-		WTRL: 18,
-		RTW:  27 + 8 + 2 - 14, // CL + BL/2 + 2 - CWL
-		RTRS: 4,
-		RFC:  448,  // 280 ns all-bank refresh, 16 Gb die
-		REFI: 6250, // 3.9 µs
-	}
-	return g, t
-}
-
-// HBM2_2000 returns one pseudo-channel of an HBM2-2000 stack: a 1 GHz
-// clock on an 8-byte bus (16 GB/s peak per pseudo-channel; a full
-// 8-channel stack is 16 pseudo-channels, 256 GB/s). Bandwidth comes from
-// width, not speed: short BL4 bursts, small 1 KB pages, a tight 16 ns
-// tFAW and low absolute latencies.
-func HBM2_2000() (Geometry, Timing) {
-	g := Geometry{
-		Ranks:     1,
-		Groups:    4,
-		Banks:     4,
-		Rows:      16 * 1024,
-		Cols:      16, // 16 × 64 B = 1 KB page per pseudo-channel
-		LineBytes: 64,
-		BusBytes:  8,
-		DataRate:  2,
-		ClockMHz:  1000,
-	}
-	t := Timing{
-		CL:   14,
-		CWL:  7,
-		BL2:  4, // two back-to-back BL4 bursts move one 64 B line
-		RCD:  14,
-		RP:   14,
-		RAS:  33,
-		RC:   47,
-		RTP:  6,
-		WR:   16,
-		CCDS: 4, // seamless across bank groups (= BL2)
-		CCDL: 6,
-		RRDS: 4,
-		RRDL: 6,
-		FAW:  16, // 16 ns
-		WTRS: 4,
-		WTRL: 8,
-		RTW:  14 + 4 + 2 - 7, // CL + BL/2 + 2 - CWL
-		RTRS: 2,
-		RFC:  260,  // 260 ns, 8 Gb channel
-		REFI: 3900, // 3.9 µs
-	}
-	return g, t
-}
-
-// DDR4_2400_DualRank returns the same module as DDR4_2400 with two ranks
-// per channel (32 banks, 8 GB): more bank parallelism for the same peak
-// bandwidth, at the cost of rank-to-rank bus switch gaps (tRTRS).
-func DDR4_2400_DualRank() (Geometry, Timing) {
-	g, t := DDR4_2400()
-	g.Ranks = 2
-	return g, t
-}
-
-// DDR4_2400 returns the geometry and timing of the configuration evaluated
-// in the paper: a single-channel, single-rank DDR4-2400 module with 4 bank
-// groups × 4 banks, 8 KB pages, a 1.2 GHz clock and an 8-byte data bus,
-// for a peak bandwidth of 19.2 GB/s.
-func DDR4_2400() (Geometry, Timing) {
-	g := Geometry{
-		Ranks:     1,
-		Groups:    4,
-		Banks:     4,
-		Rows:      32 * 1024,
-		Cols:      128, // 128 × 64 B = 8 KB page
-		LineBytes: 64,
-		BusBytes:  8,
-		DataRate:  2,
-		ClockMHz:  1200,
-	}
-	t := Timing{
-		CL:  16,
-		CWL: 12,
-		BL2: 4,
-		RCD: 16,
-		RP:  16,
-		RAS: 39,
-		RC:  55,
-		RTP: 9,
-		WR:  18,
-		// tCCD_L = 6 > BL/2 = 4: a single bank group sustains one line
-		// per 6 cycles while the channel could move one per 4 — the
-		// source of the Fig. 2 "constraints" component.
-		CCDS: 4,
-		CCDL: 6,
-		RRDS: 4,
-		RRDL: 6,
-		FAW:  26,
-		WTRS: 3,
-		WTRL: 9,
-		RTW:  16 + 4 + 2 - 12, // CL + BL/2 + 2 - CWL
-		RTRS: 2,
-		RFC:  420,  // 350 ns for an 8 Gb device
-		REFI: 9360, // 7.8 µs
-	}
-	return g, t
-}

@@ -1,25 +1,27 @@
-package dram
+package dram_test
 
 import (
 	"strings"
 	"testing"
+
+	"dramstacks/internal/dram"
 )
 
 func TestVerifierAcceptsLegalSequence(t *testing.T) {
 	g, tm := testConfig()
-	v := NewVerifier(g, tm)
-	loc := Loc{Row: 3}
+	v := dram.NewVerifier(g, tm)
+	loc := dram.Loc{Row: 3}
 	steps := []struct {
 		cycle int64
-		kind  CommandKind
+		kind  dram.CommandKind
 	}{
-		{0, CmdACT},
-		{int64(tm.RCD), CmdRD},
-		{int64(tm.RCD + tm.CCDL), CmdRD},
-		{maxi64(int64(tm.RAS), int64(tm.RCD+tm.CCDL+tm.RTP)), CmdPRE},
+		{0, dram.CmdACT},
+		{int64(tm.RCD), dram.CmdRD},
+		{int64(tm.RCD + tm.CCDL), dram.CmdRD},
+		{max(int64(tm.RAS), int64(tm.RCD+tm.CCDL+tm.RTP)), dram.CmdPRE},
 	}
 	for _, s := range steps {
-		if vs := v.Check(s.cycle, Command{s.kind, loc}); vs != nil {
+		if vs := v.Check(s.cycle, dram.Command{Kind: s.kind, Loc: loc}); vs != nil {
 			t.Fatalf("legal %v at %d rejected: %v", s.kind, s.cycle, vs[0])
 		}
 	}
@@ -30,15 +32,15 @@ func TestVerifierAcceptsLegalSequence(t *testing.T) {
 
 func TestVerifierCatchesViolations(t *testing.T) {
 	g, tm := testConfig()
-	loc := Loc{Row: 3}
-	other := Loc{Row: 4}
+	loc := dram.Loc{Row: 3}
+	other := dram.Loc{Row: 4}
 	cases := []struct {
 		name  string
 		setup []struct {
 			cycle int64
-			cmd   Command
+			cmd   dram.Command
 		}
-		bad  Command
+		bad  dram.Command
 		at   int64
 		rule string
 	}{
@@ -46,64 +48,64 @@ func TestVerifierCatchesViolations(t *testing.T) {
 			name: "read before tRCD",
 			setup: []struct {
 				cycle int64
-				cmd   Command
-			}{{0, Command{CmdACT, loc}}},
-			bad: Command{CmdRD, loc}, at: int64(tm.RCD) - 1, rule: "tRCD",
+				cmd   dram.Command
+			}{{0, dram.Command{Kind: dram.CmdACT, Loc: loc}}},
+			bad: dram.Command{Kind: dram.CmdRD, Loc: loc}, at: int64(tm.RCD) - 1, rule: "tRCD",
 		},
 		{
 			name: "precharge before tRAS",
 			setup: []struct {
 				cycle int64
-				cmd   Command
-			}{{0, Command{CmdACT, loc}}},
-			bad: Command{CmdPRE, loc}, at: int64(tm.RAS) - 1, rule: "tRAS",
+				cmd   dram.Command
+			}{{0, dram.Command{Kind: dram.CmdACT, Loc: loc}}},
+			bad: dram.Command{Kind: dram.CmdPRE, Loc: loc}, at: int64(tm.RAS) - 1, rule: "tRAS",
 		},
 		{
 			name: "read on closed bank",
-			bad:  Command{CmdRD, loc}, at: 0, rule: "protocol",
+			bad:  dram.Command{Kind: dram.CmdRD, Loc: loc}, at: 0, rule: "protocol",
 		},
 		{
 			name: "activate on open bank",
 			setup: []struct {
 				cycle int64
-				cmd   Command
-			}{{0, Command{CmdACT, loc}}},
-			bad: Command{CmdACT, other}, at: int64(tm.RC), rule: "protocol",
+				cmd   dram.Command
+			}{{0, dram.Command{Kind: dram.CmdACT, Loc: loc}}},
+			bad: dram.Command{Kind: dram.CmdACT, Loc: other}, at: int64(tm.RC), rule: "protocol",
 		},
 		{
 			name: "same-group reads closer than tCCD_L",
 			setup: []struct {
 				cycle int64
-				cmd   Command
+				cmd   dram.Command
 			}{
-				{0, Command{CmdACT, loc}},
-				{int64(tm.RCD), Command{CmdRD, loc}},
+				{0, dram.Command{Kind: dram.CmdACT, Loc: loc}},
+				{int64(tm.RCD), dram.Command{Kind: dram.CmdRD, Loc: loc}},
 			},
-			bad: Command{CmdRD, loc}, at: int64(tm.RCD + tm.CCDL - 1), rule: "tCCD_L",
+			bad: dram.Command{Kind: dram.CmdRD, Loc: loc}, at: int64(tm.RCD + tm.CCDL - 1), rule: "tCCD_L",
 		},
 		{
 			name: "write to read too fast",
 			setup: []struct {
 				cycle int64
-				cmd   Command
+				cmd   dram.Command
 			}{
-				{0, Command{CmdACT, loc}},
-				{int64(tm.RCD), Command{CmdWR, loc}},
+				{0, dram.Command{Kind: dram.CmdACT, Loc: loc}},
+				{int64(tm.RCD), dram.Command{Kind: dram.CmdWR, Loc: loc}},
 			},
-			bad: Command{CmdRD, loc}, at: int64(tm.RCD + tm.WriteToRead(true) - 1), rule: "tWTR_L",
+			bad: dram.Command{Kind: dram.CmdRD, Loc: loc}, at: int64(tm.RCD + tm.WriteToRead(true) - 1), rule: "tWTR_L",
 		},
 		{
 			name: "refresh with open bank",
 			setup: []struct {
 				cycle int64
-				cmd   Command
-			}{{0, Command{CmdACT, loc}}},
-			bad: Command{CmdREF, Loc{}}, at: 100, rule: "protocol",
+				cmd   dram.Command
+			}{{0, dram.Command{Kind: dram.CmdACT, Loc: loc}}},
+			bad: dram.Command{Kind: dram.CmdREF, Loc: dram.Loc{}}, at: 100, rule: "protocol",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v := NewVerifier(g, tm)
+			v := dram.NewVerifier(g, tm)
 			for _, s := range tc.setup {
 				if vs := v.Check(s.cycle, s.cmd); vs != nil {
 					t.Fatalf("setup command rejected: %v", vs[0])
@@ -128,19 +130,19 @@ func TestVerifierCatchesViolations(t *testing.T) {
 
 func TestVerifierFAW(t *testing.T) {
 	g, tm := testConfig()
-	v := NewVerifier(g, tm)
+	v := dram.NewVerifier(g, tm)
 	// Four ACTs spaced tRRD_S apart, then a fifth inside the FAW window.
 	cycle := int64(0)
 	for i := 0; i < 4; i++ {
-		loc := Loc{Group: i, Bank: 0, Row: 1}
-		if vs := v.Check(cycle, Command{CmdACT, loc}); vs != nil {
+		loc := dram.Loc{Group: i, Bank: 0, Row: 1}
+		if vs := v.Check(cycle, dram.Command{Kind: dram.CmdACT, Loc: loc}); vs != nil {
 			t.Fatalf("ACT %d rejected: %v", i, vs[0])
 		}
 		cycle += int64(tm.RRDS)
 	}
-	fifth := Loc{Group: 0, Bank: 1, Row: 1}
+	fifth := dram.Loc{Group: 0, Bank: 1, Row: 1}
 	at := int64(tm.FAW) - 1
-	vs := v.Check(at, Command{CmdACT, fifth})
+	vs := v.Check(at, dram.Command{Kind: dram.CmdACT, Loc: fifth})
 	if vs == nil {
 		t.Fatal("5th ACT inside tFAW not detected")
 	}
@@ -151,37 +153,37 @@ func TestVerifierFAW(t *testing.T) {
 
 func TestVerifierAutoPrecharge(t *testing.T) {
 	g, tm := testConfig()
-	v := NewVerifier(g, tm)
-	loc := Loc{Row: 3}
-	rd := maxi64(int64(tm.RCD), int64(tm.RAS-tm.RTP))
-	if vs := v.Check(0, Command{CmdACT, loc}); vs != nil {
+	v := dram.NewVerifier(g, tm)
+	loc := dram.Loc{Row: 3}
+	rd := max(int64(tm.RCD), int64(tm.RAS-tm.RTP))
+	if vs := v.Check(0, dram.Command{Kind: dram.CmdACT, Loc: loc}); vs != nil {
 		t.Fatal(vs[0])
 	}
-	if vs := v.Check(rd, Command{CmdRDA, loc}); vs != nil {
+	if vs := v.Check(rd, dram.Command{Kind: dram.CmdRDA, Loc: loc}); vs != nil {
 		t.Fatal(vs[0])
 	}
 	// After the auto-precharge completes, a new ACT is legal; before tRP
 	// from the precharge start it is not.
 	apStart := rd + int64(tm.RTP)
-	bad := v.Check(apStart+int64(tm.RP)-1, Command{CmdACT, Loc{Row: 9}})
+	bad := v.Check(apStart+int64(tm.RP)-1, dram.Command{Kind: dram.CmdACT, Loc: dram.Loc{Row: 9}})
 	if bad == nil {
 		t.Fatal("ACT inside auto-precharge tRP not detected")
 	}
-	v2 := NewVerifier(g, tm)
-	v2.Check(0, Command{CmdACT, loc})
-	v2.Check(rd, Command{CmdRDA, loc})
+	v2 := dram.NewVerifier(g, tm)
+	v2.Check(0, dram.Command{Kind: dram.CmdACT, Loc: loc})
+	v2.Check(rd, dram.Command{Kind: dram.CmdRDA, Loc: loc})
 	// tRC from the first ACT may dominate; take the later of the two.
-	ok := maxi64(apStart+int64(tm.RP), int64(tm.RC))
-	if vs := v2.Check(ok, Command{CmdACT, Loc{Row: 9}}); vs != nil {
+	ok := max(apStart+int64(tm.RP), int64(tm.RC))
+	if vs := v2.Check(ok, dram.Command{Kind: dram.CmdACT, Loc: dram.Loc{Row: 9}}); vs != nil {
 		t.Fatalf("legal ACT after auto-precharge rejected: %v", vs[0])
 	}
 }
 
 func TestVerifierTraceOrder(t *testing.T) {
 	g, tm := testConfig()
-	v := NewVerifier(g, tm)
-	v.Check(100, Command{CmdACT, Loc{Row: 1}})
-	vs := v.Check(99, Command{CmdPRE, Loc{Row: 1}})
+	v := dram.NewVerifier(g, tm)
+	v.Check(100, dram.Command{Kind: dram.CmdACT, Loc: dram.Loc{Row: 1}})
+	vs := v.Check(99, dram.Command{Kind: dram.CmdPRE, Loc: dram.Loc{Row: 1}})
 	if vs == nil {
 		t.Fatal("out-of-order trace not detected")
 	}
@@ -191,7 +193,7 @@ func TestVerifierTraceOrder(t *testing.T) {
 }
 
 func TestViolationError(t *testing.T) {
-	viol := Violation{Cycle: 7, Cmd: Command{CmdRD, Loc{Row: 2}}, Rule: "tRCD"}
+	viol := dram.Violation{Cycle: 7, Cmd: dram.Command{Kind: dram.CmdRD, Loc: dram.Loc{Row: 2}}, Rule: "tRCD"}
 	msg := viol.Error()
 	for _, want := range []string{"7", "RD", "tRCD"} {
 		if !strings.Contains(msg, want) {

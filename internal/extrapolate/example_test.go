@@ -3,7 +3,7 @@ package extrapolate_test
 import (
 	"fmt"
 
-	"dramstacks/internal/dram"
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/extrapolate"
 	"dramstacks/internal/stacks"
 )
@@ -14,7 +14,7 @@ import (
 // pre/act and constraints overheads — which crowd out data transfers
 // and produce a lower (more accurate) prediction.
 func Example() {
-	geo, _ := dram.DDR4_2400()
+	geo := standard.Default().Geometry
 
 	// A 1-core stack: 2 GB/s achieved, but page misses already burn
 	// 2 GB/s of pre/act and 0.5 GB/s of constraints.

@@ -6,12 +6,12 @@ import (
 	"testing/quick"
 
 	"dramstacks/internal/dram"
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/stacks"
 )
 
 func geo() dram.Geometry {
-	g, _ := dram.DDR4_2400()
-	return g
+	return standard.Default().Geometry
 }
 
 // mkStack builds a bandwidth stack from GB/s component values.

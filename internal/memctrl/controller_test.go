@@ -6,6 +6,7 @@ import (
 
 	"dramstacks/internal/addrmap"
 	"dramstacks/internal/dram"
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/stacks"
 )
 
@@ -22,7 +23,8 @@ type rig struct {
 
 func newRig(t *testing.T, mutate func(*Config)) *rig {
 	t.Helper()
-	geo, tim := dram.DDR4_2400()
+	std := standard.Default()
+	geo, tim := std.Geometry, std.Timing
 	dev := dram.NewDevice(geo, tim)
 	ver := dram.NewVerifier(geo, tim)
 	dev.Trace = func(cycle int64, cmd dram.Command) {
@@ -399,7 +401,8 @@ func TestSequentialStreamPageHitRate(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	geo, tim := dram.DDR4_2400()
+	std := standard.Default()
+	geo, tim := std.Geometry, std.Timing
 	dev := dram.NewDevice(geo, tim)
 	m := addrmap.MustDefault(geo, 1)
 	bad := []func(*Config){

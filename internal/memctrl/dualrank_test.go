@@ -6,13 +6,15 @@ import (
 
 	"dramstacks/internal/addrmap"
 	"dramstacks/internal/dram"
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/stacks"
 )
 
 // newDualRig builds a dual-rank controller with a verifying device.
 func newDualRig(t *testing.T) *rig {
 	t.Helper()
-	geo, tim := dram.DDR4_2400_DualRank()
+	std := standard.MustLookup("ddr4-2400-2r")
+	geo, tim := std.Geometry, std.Timing
 	dev := dram.NewDevice(geo, tim)
 	ver := dram.NewVerifier(geo, tim)
 	dev.Trace = func(cycle int64, cmd dram.Command) {
@@ -86,7 +88,8 @@ func TestDualRankRandomLoadVerified(t *testing.T) {
 }
 
 func TestFlatConstraintsStillSums(t *testing.T) {
-	geo, tim := dram.DDR4_2400()
+	std := standard.Default()
+	geo, tim := std.Geometry, std.Timing
 	dev := dram.NewDevice(geo, tim)
 	cfg := DefaultConfig()
 	cfg.FlatConstraints = true

@@ -368,7 +368,8 @@ func (r *diffRig) completed(req *Request, at int64) {
 // the same traffic through a second controller that just runs Tick; the
 // two must end up identical, so the checked cycle is the real one.
 func TestIncrementalSchedulingMatchesRescan(t *testing.T) {
-	ddr4Geo, ddr4Tim := dram.DDR4_2400()
+	std := standard.Default()
+	ddr4Geo, ddr4Tim := std.Geometry, std.Timing
 	hbm, err := standard.Lookup("hbm2-2000")
 	if err != nil {
 		t.Fatal(err)
@@ -482,7 +483,8 @@ func runDifferential(t *testing.T, geo dram.Geometry, tim dram.Timing, cfg Confi
 // requests, a full read queue, writes draining and the verifier attached,
 // a cycle allocates nothing.
 func TestSaturatedTickDoesNotAllocate(t *testing.T) {
-	geo, tim := dram.DDR4_2400()
+	std := standard.Default()
+	geo, tim := std.Geometry, std.Timing
 	cfg := DefaultConfig()
 	cfg.Recycle = true
 	r := newDiffRig(t, geo, tim, cfg)

@@ -6,11 +6,11 @@ import (
 	"testing"
 
 	"dramstacks/internal/dram"
+	"dramstacks/internal/dram/standard"
 )
 
 func geo() dram.Geometry {
-	g, _ := dram.DDR4_2400()
-	return g
+	return standard.Default().Geometry
 }
 
 func TestEstimateArithmetic(t *testing.T) {
@@ -63,7 +63,7 @@ func TestEstimateRejectsBad(t *testing.T) {
 }
 
 func TestDualRankBackgroundDoubles(t *testing.T) {
-	g2, _ := dram.DDR4_2400_DualRank()
+	g2 := standard.MustLookup("ddr4-2400-2r").Geometry
 	one, _ := DDR4().Estimate(dram.Stats{}, 1_200_000, geo())
 	two, _ := DDR4().Estimate(dram.Stats{}, 1_200_000, g2)
 	if math.Abs(two.BackgroundNJ-2*one.BackgroundNJ) > 1e-6 {

@@ -71,17 +71,24 @@ func TestEveryStandardRunsVerified(t *testing.T) {
 // reproduce the seed's hand-built configuration exactly — same Config,
 // and a field-by-field identical Result.
 func TestRegistryDDR4MatchesSeedConfig(t *testing.T) {
-	// The seed's sim.Default, inlined: the literal the registry replaced.
+	// The seed's sim.Default, inlined with its DDR4-2400 literals: the
+	// configuration the registry replaced.
 	seedDefault := func(cores int) Config {
-		geo, tim := dram.DDR4_2400()
 		return Config{
-			Cores:        cores,
-			CPUMult:      3,
-			Core:         cpu.DefaultConfig(),
-			Hier:         cache.DefaultHierConfig(cores),
-			Ctrl:         memctrl.DefaultConfig(),
-			Geom:         geo,
-			Tim:          tim,
+			Cores:   cores,
+			CPUMult: 3,
+			Core:    cpu.DefaultConfig(),
+			Hier:    cache.DefaultHierConfig(cores),
+			Ctrl:    memctrl.DefaultConfig(),
+			Geom: dram.Geometry{
+				Ranks: 1, Groups: 4, Banks: 4, Rows: 32 * 1024, Cols: 128,
+				LineBytes: 64, BusBytes: 8, DataRate: 2, ClockMHz: 1200,
+			},
+			Tim: dram.Timing{
+				CL: 16, CWL: 12, BL2: 4, RCD: 16, RP: 16, RAS: 39, RC: 55, RTP: 9, WR: 18,
+				CCDS: 4, CCDL: 6, RRDS: 4, RRDL: 6, FAW: 26, WTRS: 3, WTRL: 9,
+				RTW: 10, RTRS: 2, RFC: 420, REFI: 9360,
+			},
 			MaxMemCycles: 2_000_000,
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dramstacks/internal/dram"
+	"dramstacks/internal/dram/standard"
 )
 
 // mkBW builds a bandwidth stack with the given component fractions of
@@ -36,8 +37,7 @@ func mkLat(comps map[LatComponent]float64) LatencyStack {
 }
 
 func geoT() dram.Geometry {
-	g, _ := dram.DDR4_2400()
-	return g
+	return standard.Default().Geometry
 }
 
 func TestDiagnoseIdle(t *testing.T) {

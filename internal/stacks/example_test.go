@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dramstacks/internal/dram"
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/stacks"
 )
 
@@ -11,7 +12,7 @@ import (
 // accountant sees one CycleView per memory cycle and the resulting stack
 // always sums to the observed cycles (no double counting).
 func Example() {
-	geo, _ := dram.DDR4_2400()
+	geo := standard.Default().Geometry
 	acct := stacks.NewBandwidthAccountant(geo.TotalBanks())
 
 	// Six cycles of a toy schedule:
@@ -37,7 +38,7 @@ func Example() {
 // ExampleBandwidthStack_GBps converts cycle counts into the paper's GB/s
 // representation, where the components sum to the peak bandwidth.
 func ExampleBandwidthStack_GBps() {
-	geo, _ := dram.DDR4_2400()
+	geo := standard.Default().Geometry
 	acct := stacks.NewBandwidthAccountant(geo.TotalBanks())
 	for i := 0; i < 500; i++ {
 		acct.Account(stacks.CycleView{Data: dram.DataRead})
@@ -55,7 +56,7 @@ func ExampleBandwidthStack_GBps() {
 // ExampleLatencyAccountant decomposes read latencies; components sum to
 // the measured latency of each read.
 func ExampleLatencyAccountant() {
-	geo, _ := dram.DDR4_2400()
+	geo := standard.Default().Geometry
 	acct := stacks.NewLatencyAccountant()
 
 	var r stacks.ReadLatency

@@ -7,11 +7,11 @@ import (
 	"testing/quick"
 
 	"dramstacks/internal/dram"
+	"dramstacks/internal/dram/standard"
 )
 
 func geo() dram.Geometry {
-	g, _ := dram.DDR4_2400()
-	return g
+	return standard.Default().Geometry
 }
 
 // TestBandwidthAccountingExample replays the spirit of the paper's Fig. 1:

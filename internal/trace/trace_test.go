@@ -9,11 +9,15 @@ import (
 
 	"dramstacks/internal/addrmap"
 	"dramstacks/internal/dram"
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/memctrl"
 	"dramstacks/internal/stacks"
 )
 
-func cfg() (dram.Geometry, dram.Timing) { return dram.DDR4_2400() }
+func cfg() (dram.Geometry, dram.Timing) {
+	std := standard.Default()
+	return std.Geometry, std.Timing
+}
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	events := []Event{

@@ -6,12 +6,12 @@ import (
 
 	"dramstacks/internal/cyclestack"
 	"dramstacks/internal/dram"
+	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/stacks"
 )
 
 func geo() dram.Geometry {
-	g, _ := dram.DDR4_2400()
-	return g
+	return standard.Default().Geometry
 }
 
 func sampleBW() stacks.BandwidthStack {
