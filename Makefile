@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-ablations bench-go pairs figs serve vet nofma fuzz clean
+.PHONY: all build test test-short race cover bench bench-ablations bench-go pairs figs serve vet nofma mutate fuzz clean
 
 # Port for `make serve` (override: make serve PORT=9000).
 PORT ?= 8080
@@ -28,9 +28,10 @@ test-short:
 # the sharded LLC replay has several goroutines write one word array.
 # The GAP path in full too — the generator oracles, the barrier sources,
 # and the graph cache that concurrent jobs share. The arena differentials
-# in full: a reused arena must never show in a result. The last two lines
-# run the arena and the request-path (spec hash, spec decode) benchmarks
-# and the cache's demand and warm kernels once, so that they cannot rot.
+# in full: a reused arena must never show in a result. The last three
+# lines run the arena and the request-path (spec hash, spec decode)
+# benchmarks, the cache's demand and warm kernels and the controller's
+# cycle once, so that they cannot rot.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 -run 'Golden|FastForward' ./internal/sim/
@@ -41,6 +42,7 @@ race:
 	$(GO) test -race -count=1 -run 'Arena' ./internal/cache/ ./internal/sim/ ./internal/exp/ ./internal/service/
 	$(GO) test -run '^$$' -bench 'RunSpecArena|SpecHash|DecodeSpec' -benchmem -benchtime 1x ./internal/exp/
 	$(GO) test -run '^$$' -bench 'Access' -benchtime 1x ./internal/cache/
+	$(GO) test -run '^$$' -bench 'ControllerTick' -benchtime 1x .
 
 cover:
 	$(GO) test -cover ./internal/...
@@ -75,6 +77,12 @@ vet:
 # the results would then depend on GOARCH.
 nofma:
 	bash tools/nofma.sh
+
+# The mutation catalogue (tools/mutate.sh): apply each patch under
+# testdata/mutations to a copy of the tree and require the tests its
+# header names, and only those, to fail.
+mutate:
+	bash tools/mutate.sh
 
 # Run the fuzz targets for FUZZTIME each: the strict spec decoder and the
 # canonical encoder (each against its reference implementation, the

@@ -4,6 +4,7 @@
 package dramstacks
 
 import (
+	"math/rand"
 	"testing"
 
 	"dramstacks/internal/addrmap"
@@ -43,26 +44,53 @@ func BenchmarkDeviceIssue(b *testing.B) {
 }
 
 // BenchmarkControllerTick measures the full memory-controller cycle cost
-// under a saturating stream — the per-cycle price of stack accounting.
+// under a saturating load — the per-cycle price of scheduling and stack
+// accounting. "seq" streams reads through open rows; "rw-random" keeps
+// the read queue full of random lines, a third of them writes, so banks
+// conflict and write bursts drain.
 func BenchmarkControllerTick(b *testing.B) {
 	std := standard.Default()
 	geo, tim := std.Geometry, std.Timing
-	dev := dram.NewDevice(geo, tim)
-	ctrl := memctrl.MustNew(dev, addrmap.MustDefault(geo, 1), memctrl.DefaultConfig())
-	next := uint64(0)
-	inflight := 0
-	b.ResetTimer()
-	for now := int64(0); now < int64(b.N); now++ {
-		for inflight < 32 {
-			if _, ok := ctrl.EnqueueRead(now, next, func(*memctrl.Request, int64) { inflight-- }, nil); !ok {
-				break
+	run := func(b *testing.B, next func() (addr uint64, write bool)) {
+		cfg := memctrl.DefaultConfig()
+		cfg.Recycle = true
+		dev := dram.NewDevice(geo, tim)
+		ctrl := memctrl.MustNew(dev, addrmap.MustDefault(geo, 1), cfg)
+		inflight := 0
+		done := func(*memctrl.Request, int64) { inflight-- }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for now := int64(0); now < int64(b.N); now++ {
+			for inflight < 32 {
+				addr, write := next()
+				var ok bool
+				if write {
+					_, ok = ctrl.EnqueueWrite(now, addr, nil, nil)
+				} else if _, ok = ctrl.EnqueueRead(now, addr, done, nil); ok {
+					inflight++
+				}
+				if !ok {
+					break
+				}
 			}
-			inflight++
-			next += 64
+			ctrl.Tick(now)
 		}
-		ctrl.Tick(now)
+		b.ReportMetric(ctrl.BandwidthStack().AchievedGBps(geo), "GB/s")
 	}
-	b.ReportMetric(ctrl.BandwidthStack().AchievedGBps(geo), "GB/s")
+	b.Run("seq", func(b *testing.B) {
+		addr := uint64(0)
+		run(b, func() (uint64, bool) {
+			addr += 64
+			return addr - 64, false
+		})
+	})
+	b.Run("rw-random", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		lines := int64(geo.CapacityBytes() / 64)
+		run(b, func() (uint64, bool) {
+			return uint64(rng.Int63n(lines)) * 64, rng.Intn(3) == 0
+		})
+	})
 }
 
 // BenchmarkBandwidthAccountant measures the accounting itself: the cost

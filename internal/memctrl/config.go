@@ -1,10 +1,12 @@
-// Package memctrl implements a DDR4 memory controller: per-channel read
-// and write queues, FR-FCFS scheduling, a write buffer drained in bursts
-// between high and low watermarks, open- and closed-page policies, and
-// refresh management. While scheduling, it feeds the bandwidth- and
-// latency-stack accountants of package stacks with the per-cycle channel
-// state and per-read latency decompositions the paper's accounting
-// mechanism requires (paper §IV, §V).
+// Package memctrl implements the memory controller of one DRAM channel:
+// a DDR4, DDR5 or LPDDR5 channel or an HBM2 pseudo-channel, whichever
+// standard's dram.Device it drives. It keeps read and write queues,
+// schedules FR-FCFS, drains a write buffer in bursts between high and
+// low watermarks, applies open- and closed-page policies and manages
+// refresh. While scheduling, it feeds the bandwidth- and latency-stack
+// accountants of package stacks with the per-cycle channel state and
+// per-read latency decompositions the paper's accounting mechanism
+// requires (paper §IV, §V).
 package memctrl
 
 import (

@@ -103,6 +103,7 @@ type Controller struct {
 
 	nextRefresh []int64 // per rank
 	refPending  []bool
+	refBanks    uint64 // the banks of every rank with a refresh pending
 
 	// Completion FIFOs (each is ordered by completion cycle).
 	inflight []pendingDone // reads in DRAM, done = data end + CtrlLatency
@@ -121,20 +122,30 @@ type Controller struct {
 	reqFree []*Request
 
 	// Incremental scheduling state (see schedule's doc comment): per-bank
-	// queues, candidates and cached device ready times. stale marks the
-	// banks whose candidates must be rebuilt before the next issue;
-	// candAge is a lower bound on the cycle at which aging promotes a
-	// classified request into the priority tier; wake is a lower bound
-	// on the cycle any candidate can issue; apNext is the earliest
-	// pending auto-precharge landing (never if none).
+	// queues and candidates, and what retime derived from them: per tier
+	// the banks with each kind of candidate, the banks with any, and the
+	// device's answers per bank. stale marks the banks whose candidates
+	// must be rebuilt before the next issue; candAge is a lower bound on
+	// the cycle at which aging promotes a classified request into the
+	// priority tier; wake is a lower bound on the cycle any candidate can
+	// issue; apNext is the earliest pending auto-precharge landing (never
+	// if none).
 	cand     []bankCand
+	tiers    [2]tierMasks // normal, priority
+	anyCand  uint64
 	allBanks uint64
 	stale    uint64
 	candAge  int64
 	wake     int64
 	apNext   int64
 
-	blockedMask    uint64
+	// Per bank: the first cycle its column command or activate may issue,
+	// the first its precharge may; until blockedUntil the lead candidate
+	// (col, else act, else pre) waits on a constraint shared by the banks
+	// in wide (for markBlocked).
+	ready, readyPre, blockedUntil [maxBanks]int64
+	wide                          [maxBanks]uint64
+
 	issuedCycle    int64 // cycle of the last issued command
 	lastIssuedBank int   // bank index of the last issued command, -1 if none
 
@@ -194,9 +205,6 @@ type slots struct {
 	colPrio      *Request // oldest priority-tier row hit
 	actPrio      *Request // oldest priority-tier activate candidate
 	prePrio      *Request // oldest priority-tier precharge candidate
-	hasHitActive bool     // some active-direction request hits the open row
-	hasHitPrio   bool     // some priority-tier active-direction request hits the open row
-	hasHitOther  bool     // some other-direction request hits the open row
 	sameRowCount int      // queued requests (both queues) targeting the open row
 }
 
@@ -206,26 +214,28 @@ func (s *slots) holds(req *Request) bool {
 		s.colPrio == req || s.actPrio == req || s.prePrio == req
 }
 
-// bankCand is everything the scheduler keeps per bank: its queued
-// requests, the candidates among them, and the device's answers about
-// those candidates, cached by retime until the next command issues.
+// bankCand is what the scheduler keeps per bank: its queued requests
+// and the candidates among them.
 type bankCand struct {
 	slots
 	queue reqList // the bank's requests of both directions, in arrival order
 
-	ready    int64 // first cycle the column command or activate may issue
-	readyPre int64 // first cycle the precharge may issue
-
-	// For markBlocked: until blockedUntil the lead candidate (col, else
-	// act, else pre) waits on a constraint shared by the banks in wide.
-	blockedUntil int64
-	wide         uint64
-
 	apAt int64 // landing cycle of the pending auto-precharge, 0 if none
+}
+
+// tierMasks are one tier's candidates as bank sets, one bit per bank.
+type tierMasks struct {
+	col uint64 // a row hit waits
+	act uint64 // an activate waits
+	pre uint64 // a precharge waits and may close the row (see set)
 }
 
 // never is a cycle that does not come.
 const never = math.MaxInt64
+
+// maxBanks is dram.Geometry.Validate's cap on a channel's banks: a bank
+// set is one uint64.
+const maxBanks = 64
 
 // New returns a controller for one channel of the given device, with the
 // given address mapper (used to decode request addresses).
@@ -250,6 +260,9 @@ func New(dev *dram.Device, mapper addrmap.Mapper, cfg Config) (*Controller, erro
 		allBanks:    1<<geo.TotalBanks() - 1,
 		candAge:     never,
 		apNext:      never,
+	}
+	for b := range c.ready {
+		c.ready[b], c.readyPre[b] = never, never // no candidates yet
 	}
 	for r := range c.nextRefresh {
 		// Stagger rank refreshes across the interval.
@@ -516,13 +529,8 @@ func (c *Controller) heldReq(req *Request) bool {
 // every cycle before the sooner of the two is a pure refresh or idle
 // cycle that FastForwardQuiet can account in closed form.
 func (c *Controller) NextEventCycle(now int64) int64 {
-	if c.Pending() {
+	if c.Pending() || c.refBanks != 0 {
 		return now + 1
-	}
-	for r := range c.refPending {
-		if c.refPending[r] {
-			return now + 1
-		}
 	}
 	next := c.nextRefresh[0]
 	for _, t := range c.nextRefresh[1:] {
@@ -624,6 +632,7 @@ func (c *Controller) updateRefresh(now int64) {
 	for r := range c.nextRefresh {
 		if !c.refPending[r] && now >= c.nextRefresh[r] {
 			c.refPending[r] = true
+			c.refBanks |= c.rankBanks(r)
 		}
 	}
 }
@@ -659,12 +668,12 @@ func (c *Controller) account(now int64) {
 		view.DataSource = c.busOwnerAt(now)
 	}
 	if view.Data == dram.DataNone && !view.Refreshing {
-		c.markBlocked(now)
+		blocked := c.markBlocked(now)
 		if now >= c.busyUntil {
 			c.preMask, c.actMask, c.busyUntil = c.dev.BusyMasks(now)
 		}
 		preMask, actMask := c.preMask, c.actMask
-		view.PreMask, view.ActMask, view.BlockedMask = preMask, actMask, c.blockedMask
+		view.PreMask, view.ActMask, view.BlockedMask = preMask, actMask, blocked
 		if c.writeMode {
 			view.Pending = c.writeQ.n > 0
 		} else {
@@ -672,12 +681,12 @@ func (c *Controller) account(now int64) {
 			// waiting read was over budget is regulation, not constraints.
 			view.Pending = c.readQ.n-c.heldReads > 0
 		}
-		if preMask|actMask|c.blockedMask == 0 && view.Pending && c.issuedCycle != now {
+		if preMask|actMask|blocked == 0 && view.Pending && c.issuedCycle != now {
 			// Nothing bank-attributable, yet a pending request did not
 			// progress: a channel-level condition is in the way.
 			view.ChannelBlocked = true
 		}
-		if preMask|actMask|c.blockedMask == 0 && !view.Pending &&
+		if preMask|actMask|blocked == 0 && !view.Pending &&
 			c.heldReads > 0 && c.issuedCycle != now {
 			// The channel sat unused only because every waiting read was
 			// held by its source's budget: a regulation cycle, charged to
@@ -798,4 +807,10 @@ func (c *Controller) classifyPage(req *Request) {
 
 func (c *Controller) bankIndex(l dram.Loc) int {
 	return (l.Rank*c.geo.Groups+l.Group)*c.geo.Banks + l.Bank
+}
+
+// rankBanks returns the set of rank r's banks.
+func (c *Controller) rankBanks(r int) uint64 {
+	per := c.geo.BanksPerRank()
+	return (1<<per - 1) << (r * per)
 }

@@ -19,8 +19,16 @@ import (
 // issue passes and refBlocked its former markBlocked, each asking the
 // device per candidate.
 
-func refScan(c *Controller, now int64) []slots {
-	cand := make([]slots, len(c.cand))
+// refCand is one bank's candidates as refScan finds them, with the
+// open-row hits the former passes held a precharge back for.
+type refCand struct {
+	slots
+	hasHitActive bool // some active-direction request hits the open row
+	hasHitPrio   bool // some priority-tier active-direction request hits the open row
+}
+
+func refScan(c *Controller, now int64) []refCand {
+	cand := make([]refCand, len(c.cand))
 	active, other := &c.readQ, &c.writeQ
 	if c.writeMode {
 		active, other = other, active
@@ -90,7 +98,6 @@ func refScan(c *Controller, now int64) []slots {
 		}
 		b := c.bankIndex(req.loc)
 		if c.dev.OpenRow(req.loc, now) == req.loc.Row {
-			cand[b].hasHitOther = true
 			cand[b].sameRowCount++
 		}
 	}
@@ -99,7 +106,7 @@ func refScan(c *Controller, now int64) []slots {
 
 // refPasses returns the command the former issue passes would place at
 // cycle now from the given candidates, over one tier.
-func refPasses(c *Controller, cand []slots, now int64, prio bool) (dram.Command, bool) {
+func refPasses(c *Controller, cand []refCand, now int64, prio bool) (dram.Command, bool) {
 	// Pass 1: ready column commands, oldest first.
 	var best *Request
 	var bestCmd dram.Command
@@ -112,7 +119,7 @@ func refPasses(c *Controller, cand []slots, now int64, prio bool) (dram.Command,
 		if req == nil || c.refPending[req.loc.Rank] {
 			continue
 		}
-		cmd := dram.Command{Kind: c.columnKind(req, cd), Loc: req.loc}
+		cmd := dram.Command{Kind: c.columnKind(req, &cd.slots), Loc: req.loc}
 		if c.dev.CanIssue(cmd, now) {
 			if best == nil || req.arrive < best.arrive {
 				best, bestCmd = req, cmd
@@ -172,7 +179,7 @@ func refPasses(c *Controller, cand []slots, now int64, prio bool) (dram.Command,
 }
 
 // refBlocked is the former markBlocked over the given candidates.
-func refBlocked(c *Controller, cand []slots, now int64) uint64 {
+func refBlocked(c *Controller, cand []refCand, now int64) uint64 {
 	var mask uint64
 	for b := range cand {
 		cd := &cand[b]
@@ -181,7 +188,7 @@ func refBlocked(c *Controller, cand []slots, now int64) uint64 {
 		switch {
 		case cd.col != nil:
 			req = cd.col
-			kind = c.columnKind(req, cd)
+			kind = c.columnKind(req, &cd.slots)
 		case cd.act != nil:
 			req = cd.act
 			kind = dram.CmdACT
@@ -232,6 +239,58 @@ func checkReady(t *testing.T, c *Controller, now int64, cached int64, cmd dram.C
 	}
 }
 
+// checkMasks compares the candidate masks with a scan of the rescanned
+// slots: a tier's col and act bits mark its row-hit and activate
+// candidates, its pre bit a precharge candidate that no hit of the tier
+// holds back (under FR-FCFS), and anyCand the banks with a candidate.
+func checkMasks(t *testing.T, c *Controller, ref []refCand, now int64) {
+	t.Helper()
+	var want [2]tierMasks
+	var anyCand uint64
+	for b := range ref {
+		cd, bit := &ref[b], uint64(1)<<b
+		for tier, s := range [2]struct {
+			col, act, pre *Request
+			hit           bool
+		}{{cd.col, cd.act, cd.pre, cd.hasHitActive}, {cd.colPrio, cd.actPrio, cd.prePrio, cd.hasHitPrio}} {
+			if s.col != nil {
+				want[tier].col |= bit
+			}
+			if s.act != nil {
+				want[tier].act |= bit
+			}
+			if s.pre != nil && !(s.hit && c.cfg.Sched != FCFS) {
+				want[tier].pre |= bit
+			}
+		}
+		if cd.col != nil || cd.act != nil || cd.pre != nil {
+			anyCand |= bit
+		}
+	}
+	if c.tiers != want || c.anyCand != anyCand {
+		t.Fatalf("cycle %d: masks %+v any %#x, the slots say %+v any %#x", now, c.tiers, c.anyCand, want, anyCand)
+	}
+}
+
+// checkRetimed requires every bank's cached device answers to be what
+// retiming it now gives: whatever issue did not retime did not move.
+func checkRetimed(t *testing.T, c *Controller, now int64) {
+	t.Helper()
+	ready, readyPre, blockedUntil, wide, wake := c.ready, c.readyPre, c.blockedUntil, c.wide, c.wake
+	for b := range c.cand {
+		c.retime(b)
+	}
+	for b := range c.cand {
+		if c.ready[b] != ready[b] || c.readyPre[b] != readyPre[b] ||
+			c.blockedUntil[b] != blockedUntil[b] || c.wide[b] != wide[b] {
+			t.Fatalf("cycle %d bank %d: cached ready %d pre %d blocked until %d wide %#x, fresh %d %d %d %#x",
+				now, b, ready[b], readyPre[b], blockedUntil[b], wide[b],
+				c.ready[b], c.readyPre[b], c.blockedUntil[b], c.wide[b])
+		}
+	}
+	c.wake = wake
+}
+
 // tickChecked is Tick with the incremental state checked against the
 // references at the two points where it is consumed: before the issue
 // passes and in account.
@@ -252,17 +311,17 @@ func (r *diffRig) tickChecked(t *testing.T, now int64) {
 	ref := refScan(c, now)
 	for b := range ref {
 		cd := &c.cand[b]
-		if cd.slots != ref[b] {
-			t.Fatalf("cycle %d bank %d: incremental candidates %+v, rescan %+v", now, b, cd.slots, ref[b])
+		if cd.slots != ref[b].slots {
+			t.Fatalf("cycle %d bank %d: incremental candidates %+v, rescan %+v", now, b, cd.slots, ref[b].slots)
 		}
 		for _, req := range []*Request{cd.col, cd.colPrio} {
 			if req != nil {
-				checkReady(t, c, now, cd.ready, dram.Command{Kind: c.columnKind(req, &cd.slots), Loc: req.loc})
+				checkReady(t, c, now, c.ready[b], dram.Command{Kind: c.columnKind(req, &cd.slots), Loc: req.loc})
 			}
 		}
 		for _, req := range []*Request{cd.act, cd.actPrio} {
 			if req != nil {
-				checkReady(t, c, now, cd.ready, dram.Command{Kind: dram.CmdACT, Loc: req.loc})
+				checkReady(t, c, now, c.ready[b], dram.Command{Kind: dram.CmdACT, Loc: req.loc})
 			}
 		}
 		for _, req := range []*Request{cd.pre, cd.prePrio} {
@@ -271,10 +330,12 @@ func (r *diffRig) tickChecked(t *testing.T, now int64) {
 				if loc.Row = c.dev.OpenRow(req.loc, now); loc.Row < 0 {
 					t.Fatalf("cycle %d bank %d: precharge candidate on a closed bank", now, b)
 				}
-				checkReady(t, c, now, cd.readyPre, dram.Command{Kind: dram.CmdPRE, Loc: loc})
+				checkReady(t, c, now, c.readyPre[b], dram.Command{Kind: dram.CmdPRE, Loc: loc})
 			}
 		}
 	}
+	checkMasks(t, c, ref, now)
+	checkRetimed(t, c, now)
 
 	if !refIssued {
 		want, ok := dram.Command{}, false
@@ -297,9 +358,8 @@ func (r *diffRig) tickChecked(t *testing.T, now int64) {
 
 	// The masks account consumes on bus-idle cycles, checked on every
 	// cycle: ref still holds the candidates the command was picked from.
-	c.markBlocked(now)
-	if want := refBlocked(c, ref, now); c.blockedMask != want {
-		t.Fatalf("cycle %d: blocked mask %#x from cached scopes, %#x from Blocking", now, c.blockedMask, want)
+	if got, want := c.markBlocked(now), refBlocked(c, ref, now); got != want {
+		t.Fatalf("cycle %d: blocked mask %#x from cached scopes, %#x from Blocking", now, got, want)
 	}
 	if now >= c.busyUntil {
 		c.preMask, c.actMask, c.busyUntil = c.dev.BusyMasks(now)
@@ -374,11 +434,18 @@ func TestIncrementalSchedulingMatchesRescan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// DDR5's 32 banks make 64 at two ranks: every mask at full width. Its
+	// clock is twice DDR4-2400's, and so is its run.
+	ddr5, err := standard.Lookup("ddr5-4800")
+	if err != nil {
+		t.Fatal(err)
+	}
 	geometries := []struct {
-		name string
-		geo  dram.Geometry
-		tim  dram.Timing
-	}{{"ddr4-2400", ddr4Geo, ddr4Tim}, {"hbm2-2000", hbm.Geometry, hbm.Timing}}
+		name  string
+		geo   dram.Geometry
+		tim   dram.Timing
+		scale int64 // run length in multiples of cycles
+	}{{"ddr4-2400", ddr4Geo, ddr4Tim, 1}, {"hbm2-2000", hbm.Geometry, hbm.Timing, 1}, {"ddr5-4800", ddr5.Geometry, ddr5.Timing, 2}}
 	policies := []struct {
 		name string
 		qos  qos.Config
@@ -408,7 +475,7 @@ func TestIncrementalSchedulingMatchesRescan(t *testing.T) {
 						seed++
 						name := fmt.Sprintf("%s/%dr/%v/%v/%s", g.name, ranks, sched, policy, q.name)
 						t.Run(name, func(t *testing.T) {
-							runDifferential(t, geo, tim, cfg, seed, cycles)
+							runDifferential(t, geo, tim, cfg, seed, cycles*g.scale)
 						})
 					}
 				}

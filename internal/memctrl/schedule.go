@@ -28,13 +28,18 @@ import (
 // rebuilt on the next cycle: this cycle's account still sees the
 // candidates the command was picked from (see markBlocked).
 //
-// What the device says about a bank's candidates — the first cycle
-// timing allows each, and the scope of the binding constraint — depends
-// on device state alone, which moves only when a command issues. retime
-// caches both per bank after every issue and whenever the bank's slots
-// change; until then the issue passes and markBlocked are integer
-// compares against now, and the passes do not run at all before wake,
-// the earliest cached ready time.
+// retime turns a bank's slots into bits and numbers, and nothing else
+// writes them: per tier a bank set of waiting row hits (col), activates
+// (act) and precharges allowed to close the row (pre), the set of banks
+// with any candidate, and per bank what the device says about the
+// candidates — the first cycle timing allows each, and the scope of the
+// binding constraint. The device's answers depend on its state alone,
+// which moves only when a command issues, so retime runs after every
+// issue for the banks the command moved and whenever a bank's slots
+// change. The issue passes and markBlocked walk set bits and compare
+// cached cycles against now. The passes touch a request only to rank
+// the banks that are ready, and do not run at all before wake, the
+// earliest cached ready time.
 func (c *Controller) schedule(now int64) {
 	c.lastIssuedBank = -1
 	refIssued := c.scheduleRefresh(now)
@@ -74,28 +79,30 @@ func (c *Controller) issue(now int64, cmd dram.Command, bank int) {
 	c.dev.Issue(cmd, now)
 	c.issuedCycle = now
 	c.lastIssuedBank = bank
+	var moved uint64
+	switch {
+	case cmd.Kind == dram.CmdREF:
+		moved = c.allBanks
+	case cmd.Kind == dram.CmdACT:
+		moved = c.tiers[0].act
+	case cmd.Kind.IsColumn():
+		moved = c.tiers[0].col | c.tiers[1].col
+	}
 	if bank >= 0 {
 		c.stale |= 1 << bank
+		moved |= 1 << bank
 	}
 	if cmd.Kind != dram.CmdRD && cmd.Kind != dram.CmdWR {
 		c.busyUntil = 0 // a bank starts an activate or (auto-)precharge window
 	}
+	// A bank without candidates has no bits to clear and never ready.
 	c.wake = never
-	for b := range c.cand {
-		cd := &c.cand[b]
-		var moved bool
-		switch {
-		case b == bank, cmd.Kind == dram.CmdREF:
-			moved = true
-		case cmd.Kind == dram.CmdACT:
-			moved = cd.act != nil
-		case cmd.Kind.IsColumn():
-			moved = cd.col != nil || cd.colPrio != nil
-		}
-		if moved {
+	for m := c.anyCand; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		if moved&(1<<b) != 0 {
 			c.retime(b)
 		} else {
-			c.wake = min(c.wake, cd.ready, cd.readyPre)
+			c.wake = min(c.wake, c.ready[b], c.readyPre[b])
 		}
 	}
 }
@@ -131,6 +138,7 @@ func (c *Controller) scheduleRefresh(now int64) bool {
 			c.stats.Refreshes++
 			c.nextRefresh[r] += int64(c.tim.REFI)
 			c.refPending[r] = false
+			c.refBanks &^= c.rankBanks(r)
 			return true
 		}
 		// Close open banks so the refresh can proceed.
@@ -197,7 +205,6 @@ func (c *Controller) classify(cd *bankCand, req *Request, openRow int, now int64
 	hit := openRow == req.loc.Row
 	if req.Write != c.writeMode {
 		if hit {
-			cd.hasHitOther = true
 			cd.sameRowCount++
 		}
 		return
@@ -208,9 +215,6 @@ func (c *Controller) classify(cd *bankCand, req *Request, openRow int, now int64
 			// promote it, so every bank is rebuilt at that cycle.
 			c.candAge = min(c.candAge, req.arrive+c.qosAging)
 		} else {
-			if hit {
-				cd.hasHitPrio = true
-			}
 			// The FCFS oldest-only rule applies per tier: the first
 			// priority-tier request of a bank claims its prio slot.
 			if c.cfg.Sched != FCFS ||
@@ -237,7 +241,6 @@ func (c *Controller) classify(cd *bankCand, req *Request, openRow int, now int64
 		// candidate; younger row hits may not overtake it. Same-row
 		// counting still needs every request.
 		if hit {
-			cd.hasHitActive = true
 			cd.sameRowCount++
 		}
 		return
@@ -247,7 +250,6 @@ func (c *Controller) classify(cd *bankCand, req *Request, openRow int, now int64
 		if cd.col == nil {
 			cd.col = req
 		}
-		cd.hasHitActive = true
 		cd.sameRowCount++
 	case openRow < 0:
 		if cd.act == nil {
@@ -260,49 +262,82 @@ func (c *Controller) classify(cd *bankCand, req *Request, openRow int, now int64
 	}
 }
 
-// retime asks the device when bank b's candidates may issue and what
-// binds the lead one, and caches the answers. They hold until the next
-// command issues (issue retimes what it moved) or the bank's slots change.
-// While an auto-precharge is pending the open row's candidates cannot
-// issue at all; what blocks them is still the timing the device reports.
+// retime writes bank b's bits in the candidate masks from its slots,
+// asks the device when its candidates may issue and what binds the lead
+// one, and caches the answers. They hold until the next command issues
+// (issue retimes what it moved) or the bank's slots change. While an
+// auto-precharge is pending the open row's candidates cannot issue at
+// all; what blocks them is still the timing the device reports.
 func (c *Controller) retime(b int) {
 	cd := &c.cand[b]
-	cd.ready, cd.readyPre, cd.blockedUntil, cd.wide = never, never, 0, 0
+	bit := uint64(1) << b
+	for t := range c.tiers {
+		col, act, pre := cd.tier(t)
+		c.tiers[t].set(bit, col, act, pre, c.cfg.Sched != FCFS)
+	}
+	c.anyCand &^= bit
+	c.ready[b], c.readyPre[b], c.blockedUntil[b], c.wide[b] = never, never, 0, 0
 	if cd.col == nil && cd.act == nil && cd.pre == nil {
 		return // no visible request (the normal slots take the oldest)
 	}
+	c.anyCand |= bit
 
+	var ready, readyPre int64 = never, never
 	var scope dram.BlockScope
 	switch {
 	case cd.act != nil || cd.actPrio != nil:
-		cd.ready, scope = c.dev.Ready(b, dram.CmdACT)
+		ready, scope = c.dev.Ready(b, dram.CmdACT)
 	case (cd.col != nil || cd.colPrio != nil) && c.writeMode:
-		cd.ready, scope = c.dev.Ready(b, dram.CmdWR)
+		ready, scope = c.dev.Ready(b, dram.CmdWR)
 	case cd.col != nil || cd.colPrio != nil:
-		cd.ready, scope = c.dev.Ready(b, dram.CmdRD)
+		ready, scope = c.dev.Ready(b, dram.CmdRD)
 	}
-	cd.blockedUntil = cd.ready
+	c.blockedUntil[b] = ready
 	if cd.pre != nil || cd.prePrio != nil {
 		var scopePre dram.BlockScope
-		cd.readyPre, scopePre = c.dev.Ready(b, dram.CmdPRE)
+		readyPre, scopePre = c.dev.Ready(b, dram.CmdPRE)
 		if cd.col == nil && cd.act == nil {
-			cd.blockedUntil, scope = cd.readyPre, scopePre
+			c.blockedUntil[b], scope = readyPre, scopePre
 		}
 	}
 	if !c.cfg.FlatConstraints {
 		// The mark widens to the scope of the binding constraint.
 		switch scope {
 		case dram.ScopeGroup:
-			cd.wide = (1<<c.geo.Banks - 1) << (b / c.geo.Banks * c.geo.Banks)
+			c.wide[b] = (1<<c.geo.Banks - 1) << (b / c.geo.Banks * c.geo.Banks)
 		case dram.ScopeRank:
-			per := c.geo.BanksPerRank()
-			cd.wide = (1<<per - 1) << (b / per * per)
+			c.wide[b] = c.rankBanks(b / c.geo.BanksPerRank())
 		}
 	}
 	if cd.apAt != 0 {
-		cd.ready, cd.readyPre = never, never
+		ready, readyPre = never, never
 	}
-	c.wake = min(c.wake, cd.ready, cd.readyPre)
+	c.ready[b], c.readyPre[b] = ready, readyPre
+	c.wake = min(c.wake, ready, readyPre)
+}
+
+// set writes one bank's bit, bit, in the tier's masks from the tier's
+// candidates. A precharge never closes a row that still has queued hits
+// in the same tier or above (first-ready semantics; strict FCFS closes
+// regardless), and under FR-FCFS a tier has a hit exactly when it has a
+// row-hit candidate. The normal tier's candidates include the priority
+// tier's, so a normal precharge respects hits from both tiers, while a
+// priority-tier precharge ignores normal-tier hits — preserving the row
+// for them would invert the tiers. Hits waiting in the other direction
+// do not preserve the row: a deferred write must not starve a read.
+func (t *tierMasks) set(bit uint64, col, act, pre *Request, frfcfs bool) {
+	t.col &^= bit
+	t.act &^= bit
+	t.pre &^= bit
+	if col != nil {
+		t.col |= bit
+	}
+	if act != nil {
+		t.act |= bit
+	}
+	if pre != nil && (col == nil || !frfcfs) {
+		t.pre |= bit
+	}
 }
 
 // reqPrio reports whether req is in the priority tier: a real-time
@@ -326,52 +361,43 @@ func (c *Controller) issueNormal(now int64) {
 		return
 	}
 	c.wake = never
-	if c.qosPrio && c.issuePasses(now, true) {
+	if c.qosPrio && c.issuePasses(now, 1) {
 		return
 	}
-	c.issuePasses(now, false)
+	c.issuePasses(now, 0)
 }
 
-// issuePasses picks, over one candidate tier, the oldest ready column
-// command, else the oldest ready activate, else the oldest ready
-// precharge (the lowest bank index on a tie), issues it and reports
-// whether there was one. A bank offers a column command or an activate,
-// never both, and cd.ready is the ready time of whichever it is.
-//
-// A precharge never closes a row that still has queued hits in the same
-// tier or above (first-ready semantics; strict FCFS closes regardless).
-// A priority-tier precharge ignores normal-tier hits — preserving the
-// row for them would invert the tiers — while a normal precharge
-// respects hits from both tiers. Hits waiting in the other direction do
-// not preserve the row: a deferred write must not starve a read.
-func (c *Controller) issuePasses(now int64, prio bool) bool {
+// issuePasses picks, over one candidate tier (0 normal, 1 priority),
+// the oldest ready column command, else the oldest ready activate, else
+// the oldest ready precharge (the lowest bank index on a tie), issues it
+// and reports whether there was one. Banks of a rank with a refresh
+// pending offer nothing. A bank offers a column command or an activate,
+// never both, and c.ready is the ready time of whichever it is; the
+// tier's pre mask holds only the precharges allowed to close their row.
+func (c *Controller) issuePasses(now int64, tier int) bool {
+	t := &c.tiers[tier]
 	var col, act, pre *Request
-	for b := range c.cand {
-		cd := &c.cand[b]
-		rc, ra, rp, hitGuard := cd.col, cd.act, cd.pre, cd.hasHitActive
-		if prio {
-			rc, ra, rp, hitGuard = cd.colPrio, cd.actPrio, cd.prePrio, cd.hasHitPrio
+	for m := (t.col | t.act) &^ c.refBanks; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		if c.ready[b] > now {
+			c.wake = min(c.wake, c.ready[b])
+			continue
 		}
-		req := rc
-		if req == nil {
-			req = ra
+		if rc, ra, _ := c.cand[b].tier(tier); rc != nil {
+			col = older(col, rc)
+		} else {
+			act = older(act, ra)
 		}
-		if req != nil && !c.refPending[req.loc.Rank] {
-			switch {
-			case cd.ready > now:
-				c.wake = min(c.wake, cd.ready)
-			case req == rc:
-				col = older(col, req)
-			default:
-				act = older(act, req)
+	}
+	if col == nil && act == nil {
+		for m := t.pre &^ c.refBanks; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			if c.readyPre[b] > now {
+				c.wake = min(c.wake, c.readyPre[b])
+				continue
 			}
-		}
-		if rp != nil && !c.refPending[rp.loc.Rank] && !(hitGuard && c.cfg.Sched != FCFS) {
-			if cd.readyPre > now {
-				c.wake = min(c.wake, cd.readyPre)
-			} else {
-				pre = older(pre, rp)
-			}
+			_, _, rp := c.cand[b].tier(tier)
+			pre = older(pre, rp)
 		}
 	}
 	switch {
@@ -389,6 +415,14 @@ func (c *Controller) issuePasses(now int64, prio bool) bool {
 		return false
 	}
 	return true
+}
+
+// tier returns the candidates of one tier (0 normal, 1 priority).
+func (s *slots) tier(t int) (col, act, pre *Request) {
+	if t == 1 {
+		return s.colPrio, s.actPrio, s.prePrio
+	}
+	return s.col, s.act, s.pre
 }
 
 // older returns whichever of best and req arrived first: best on a tie,
@@ -455,7 +489,7 @@ func (c *Controller) issueColumn(now int64, req *Request, kind dram.CommandKind)
 	c.readDone(req, now)
 }
 
-// markBlocked records which banks had a pending candidate that made no
+// markBlocked returns the banks that had a pending candidate that made no
 // progress this cycle. The accountant turns these into 1/n "constraints"
 // shares (busy banks take precedence there, so double marking is safe).
 //
@@ -473,20 +507,17 @@ func (c *Controller) issueColumn(now int64, req *Request, kind dram.CommandKind)
 // cleared — against the device state after the issue, which is what
 // issue's retime cached. This mix of before and after is pinned by the
 // golden outputs.
-func (c *Controller) markBlocked(now int64) {
-	c.blockedMask = 0
-	for b := range c.cand {
-		cd := &c.cand[b]
-		if cd.col == nil && cd.act == nil && cd.pre == nil {
-			continue
-		}
-		c.blockedMask |= 1 << b
-		if cd.blockedUntil > now {
-			c.blockedMask |= cd.wide
+func (c *Controller) markBlocked(now int64) uint64 {
+	mask := c.anyCand
+	for m := c.anyCand; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		if c.blockedUntil[b] > now {
+			mask |= c.wide[b]
 		}
 	}
 	// The bank a command was issued to made progress this cycle.
 	if c.issuedCycle == now && c.lastIssuedBank >= 0 {
-		c.blockedMask &^= 1 << c.lastIssuedBank
+		mask &^= 1 << c.lastIssuedBank
 	}
+	return mask
 }
