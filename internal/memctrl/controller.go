@@ -102,8 +102,7 @@ type Controller struct {
 	writeMode bool // issuing writes this cycle (drain or opportunistic)
 
 	nextRefresh []int64 // per rank
-	refPending  []bool
-	refBanks    uint64 // the banks of every rank with a refresh pending
+	refBanks    uint64  // the banks of every rank with a refresh pending
 
 	// Completion FIFOs (each is ordered by completion cycle).
 	inflight []pendingDone // reads in DRAM, done = data end + CtrlLatency
@@ -123,16 +122,14 @@ type Controller struct {
 
 	// Incremental scheduling state (see schedule's doc comment): per-bank
 	// queues and candidates, and what retime derived from them: per tier
-	// the banks with each kind of candidate, the banks with any, and the
-	// device's answers per bank. stale marks the banks whose candidates
-	// must be rebuilt before the next issue; candAge is a lower bound on
-	// the cycle at which aging promotes a classified request into the
-	// priority tier; wake is a lower bound on the cycle any candidate can
-	// issue; apNext is the earliest pending auto-precharge landing (never
-	// if none).
+	// the banks with each kind of candidate, and the device's answers per
+	// bank. stale marks the banks whose candidates must be rebuilt before
+	// the next issue; candAge is a lower bound on the cycle at which aging
+	// promotes a classified request into the priority tier; wake is a
+	// lower bound on the cycle any candidate can issue; apNext is the
+	// earliest pending auto-precharge landing (never if none).
 	cand     []bankCand
 	tiers    [2]tierMasks // normal, priority
-	anyCand  uint64
 	allBanks uint64
 	stale    uint64
 	candAge  int64
@@ -255,7 +252,6 @@ func New(dev *dram.Device, mapper addrmap.Mapper, cfg Config) (*Controller, erro
 		bw:          stacks.NewBandwidthAccountant(geo.TotalBanks()),
 		lat:         stacks.NewLatencyAccountant(),
 		nextRefresh: make([]int64, geo.Ranks),
-		refPending:  make([]bool, geo.Ranks),
 		issuedCycle: -1,
 		allBanks:    1<<geo.TotalBanks() - 1,
 		candAge:     never,
@@ -630,8 +626,7 @@ func popFront[T any](q []T) []T {
 
 func (c *Controller) updateRefresh(now int64) {
 	for r := range c.nextRefresh {
-		if !c.refPending[r] && now >= c.nextRefresh[r] {
-			c.refPending[r] = true
+		if c.refBanks&c.rankBanks(r) == 0 && now >= c.nextRefresh[r] {
 			c.refBanks |= c.rankBanks(r)
 		}
 	}

@@ -116,7 +116,7 @@ func refPasses(c *Controller, cand []refCand, now int64, prio bool) (dram.Comman
 		if prio {
 			req = cd.colPrio
 		}
-		if req == nil || c.refPending[req.loc.Rank] {
+		if req == nil || c.refBanks&(1<<b) != 0 {
 			continue
 		}
 		cmd := dram.Command{Kind: c.columnKind(req, &cd.slots), Loc: req.loc}
@@ -136,7 +136,7 @@ func refPasses(c *Controller, cand []refCand, now int64, prio bool) (dram.Comman
 		if prio {
 			req = cand[b].actPrio
 		}
-		if req == nil || c.refPending[req.loc.Rank] {
+		if req == nil || c.refBanks&(1<<b) != 0 {
 			continue
 		}
 		cmd := dram.Command{Kind: dram.CmdACT, Loc: req.loc}
@@ -159,7 +159,7 @@ func refPasses(c *Controller, cand []refCand, now int64, prio bool) (dram.Comman
 			req = cd.prePrio
 			hitGuard = cd.hasHitPrio
 		}
-		if req == nil || c.refPending[req.loc.Rank] ||
+		if req == nil || c.refBanks&(1<<b) != 0 ||
 			(hitGuard && c.cfg.Sched != FCFS) {
 			continue
 		}
@@ -242,7 +242,8 @@ func checkReady(t *testing.T, c *Controller, now int64, cached int64, cmd dram.C
 // checkMasks compares the candidate masks with a scan of the rescanned
 // slots: a tier's col and act bits mark its row-hit and activate
 // candidates, its pre bit a precharge candidate that no hit of the tier
-// holds back (under FR-FCFS), and anyCand the banks with a candidate.
+// holds back (under FR-FCFS), and the normal tier's union the banks with
+// a candidate.
 func checkMasks(t *testing.T, c *Controller, ref []refCand, now int64) {
 	t.Helper()
 	var want [2]tierMasks
@@ -267,8 +268,8 @@ func checkMasks(t *testing.T, c *Controller, ref []refCand, now int64) {
 			anyCand |= bit
 		}
 	}
-	if c.tiers != want || c.anyCand != anyCand {
-		t.Fatalf("cycle %d: masks %+v any %#x, the slots say %+v any %#x", now, c.tiers, c.anyCand, want, anyCand)
+	if c.tiers != want || c.tiers[0].any() != anyCand {
+		t.Fatalf("cycle %d: masks %+v any %#x, the slots say %+v any %#x", now, c.tiers, c.tiers[0].any(), want, anyCand)
 	}
 }
 

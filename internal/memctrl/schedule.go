@@ -30,10 +30,10 @@ import (
 //
 // retime turns a bank's slots into bits and numbers, and nothing else
 // writes them: per tier a bank set of waiting row hits (col), activates
-// (act) and precharges allowed to close the row (pre), the set of banks
-// with any candidate, and per bank what the device says about the
-// candidates — the first cycle timing allows each, and the scope of the
-// binding constraint. The device's answers depend on its state alone,
+// (act) and precharges allowed to close the row (pre), whose union is
+// the set of banks with any candidate, and per bank what the device says
+// about the candidates — the first cycle timing allows each, and the
+// scope of the binding constraint. The device's answers depend on its state alone,
 // which moves only when a command issues, so retime runs after every
 // issue for the banks the command moved and whenever a bank's slots
 // change. The issue passes and markBlocked walk set bits and compare
@@ -97,7 +97,7 @@ func (c *Controller) issue(now int64, cmd dram.Command, bank int) {
 	}
 	// A bank without candidates has no bits to clear and never ready.
 	c.wake = never
-	for m := c.anyCand; m != 0; m &= m - 1 {
+	for m := c.tiers[0].any(); m != 0; m &= m - 1 {
 		b := bits.TrailingZeros64(m)
 		if moved&(1<<b) != 0 {
 			c.retime(b)
@@ -128,8 +128,8 @@ func (c *Controller) landAutoPrecharges(now int64) {
 // when possible, otherwise precharges open banks of the rank. It reports
 // whether it consumed the command slot.
 func (c *Controller) scheduleRefresh(now int64) bool {
-	for r := range c.refPending {
-		if !c.refPending[r] {
+	for r := range c.nextRefresh {
+		if c.refBanks&c.rankBanks(r) == 0 {
 			continue
 		}
 		ref := dram.Command{Kind: dram.CmdREF, Loc: dram.Loc{Rank: r}}
@@ -137,7 +137,6 @@ func (c *Controller) scheduleRefresh(now int64) bool {
 			c.issue(now, ref, -1)
 			c.stats.Refreshes++
 			c.nextRefresh[r] += int64(c.tim.REFI)
-			c.refPending[r] = false
 			c.refBanks &^= c.rankBanks(r)
 			return true
 		}
@@ -275,12 +274,10 @@ func (c *Controller) retime(b int) {
 		col, act, pre := cd.tier(t)
 		c.tiers[t].set(bit, col, act, pre, c.cfg.Sched != FCFS)
 	}
-	c.anyCand &^= bit
 	c.ready[b], c.readyPre[b], c.blockedUntil[b], c.wide[b] = never, never, 0, 0
 	if cd.col == nil && cd.act == nil && cd.pre == nil {
 		return // no visible request (the normal slots take the oldest)
 	}
-	c.anyCand |= bit
 
 	var ready, readyPre int64 = never, never
 	var scope dram.BlockScope
@@ -338,6 +335,12 @@ func (t *tierMasks) set(bit uint64, col, act, pre *Request, frfcfs bool) {
 	if pre != nil && (col == nil || !frfcfs) {
 		t.pre |= bit
 	}
+}
+
+// any returns the banks with a candidate in the tier: under FR-FCFS a
+// precharge candidate held back by a hit keeps its bank's col bit.
+func (t *tierMasks) any() uint64 {
+	return t.col | t.act | t.pre
 }
 
 // reqPrio reports whether req is in the priority tier: a real-time
@@ -508,8 +511,8 @@ func (c *Controller) issueColumn(now int64, req *Request, kind dram.CommandKind)
 // issue's retime cached. This mix of before and after is pinned by the
 // golden outputs.
 func (c *Controller) markBlocked(now int64) uint64 {
-	mask := c.anyCand
-	for m := c.anyCand; m != 0; m &= m - 1 {
+	mask := c.tiers[0].any()
+	for m := mask; m != 0; m &= m - 1 {
 		b := bits.TrailingZeros64(m)
 		if c.blockedUntil[b] > now {
 			mask |= c.wide[b]

@@ -3,13 +3,12 @@
 # each patch breaks the code on purpose, and the tests must notice. The
 # script copies this working tree into a temporary directory, and for each
 # patch (default: all of them) applies it with `git apply`, runs
-# `go test -count=1 -run RUN PACKAGES` there and reverts it. The header of
-# a patch, before its diff, names what to run and which top-level tests
+# `go test -count=1 PACKAGES` there and reverts it. The header of a patch,
+# before its diff, names the packages to test and which top-level tests
 # must fail:
 #
 #   # mutation: a warm hit clears prefetched
 #   # packages: ./internal/cache/
-#   # run: .
 #   # fails: TestCacheMatchesReference
 #
 # It fails when a mutation survives (the tests pass), no longer applies,
@@ -27,7 +26,14 @@ done
 
 tree=$(mktemp -d)
 trap 'rm -rf "$tree"' EXIT
-git ls-files -z --cached --others --exclude-standard | tar --null -T - -cf - | tar -xf - -C "$tree"
+# Tracked files deleted from the working tree are still listed; skip them.
+git ls-files -z --cached --others --exclude-standard --deduplicate |
+	while IFS= read -r -d '' f; do
+		if [ -e "$f" ] || [ -L "$f" ]; then
+			printf '%s\0' "$f"
+		fi
+	done |
+	tar --null -T - -cf - | tar -xf - -C "$tree"
 cd "$tree"
 
 # header FIELD PATCH prints the value of the patch's "# FIELD:" line.
@@ -39,10 +45,9 @@ bad=0
 for p in "${patches[@]}"; do
 	name=$(basename "$p" .patch)
 	pkgs=$(header packages "$p")
-	run=$(header run "$p")
 	want=$(header fails "$p" | tr ' ' '\n' | sed '/^$/d' | sort -u | tr '\n' ' ')
-	if [ -z "$pkgs" ] || [ -z "$run" ] || [ -z "$want" ]; then
-		echo "BROKEN    $name: the header needs packages, run and fails"
+	if [ -z "$pkgs" ] || [ -z "$want" ]; then
+		echo "BROKEN    $name: the header needs packages and fails"
 		bad=1
 		continue
 	fi
@@ -52,7 +57,7 @@ for p in "${patches[@]}"; do
 		continue
 	fi
 	# shellcheck disable=SC2086 # packages is a list
-	out=$(go test -count=1 -run "$run" $pkgs 2>&1) && status=0 || status=$?
+	out=$(go test -count=1 $pkgs 2>&1) && status=0 || status=$?
 	git apply -R "$p"
 	got=$(printf '%s\n' "$out" | sed -n 's/^--- FAIL: \([^ ]*\).*/\1/p' | sort -u | tr '\n' ' ')
 	if [ "$status" -eq 0 ]; then
