@@ -47,13 +47,16 @@ func BenchmarkDeviceIssue(b *testing.B) {
 // under a saturating load — the per-cycle price of scheduling and stack
 // accounting. "seq" streams reads through open rows; "rw-random" keeps
 // the read queue full of random lines, a third of them writes, so banks
-// conflict and write bursts drain.
+// conflict and write bursts drain; "rw-random-closed" is the same load
+// under the closed-page policy, where nearly every cycle has an
+// auto-precharge pending.
 func BenchmarkControllerTick(b *testing.B) {
 	std := standard.Default()
 	geo, tim := std.Geometry, std.Timing
-	run := func(b *testing.B, next func() (addr uint64, write bool)) {
+	run := func(b *testing.B, policy memctrl.PagePolicy, next func() (addr uint64, write bool)) {
 		cfg := memctrl.DefaultConfig()
 		cfg.Recycle = true
+		cfg.Policy = policy
 		dev := dram.NewDevice(geo, tim)
 		ctrl := memctrl.MustNew(dev, addrmap.MustDefault(geo, 1), cfg)
 		inflight := 0
@@ -79,18 +82,23 @@ func BenchmarkControllerTick(b *testing.B) {
 	}
 	b.Run("seq", func(b *testing.B) {
 		addr := uint64(0)
-		run(b, func() (uint64, bool) {
+		run(b, memctrl.OpenPage, func() (uint64, bool) {
 			addr += 64
 			return addr - 64, false
 		})
 	})
-	b.Run("rw-random", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(1))
-		lines := int64(geo.CapacityBytes() / 64)
-		run(b, func() (uint64, bool) {
-			return uint64(rng.Int63n(lines)) * 64, rng.Intn(3) == 0
+	for _, c := range []struct {
+		name   string
+		policy memctrl.PagePolicy
+	}{{"rw-random", memctrl.OpenPage}, {"rw-random-closed", memctrl.ClosedPage}} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			lines := int64(geo.CapacityBytes() / 64)
+			run(b, c.policy, func() (uint64, bool) {
+				return uint64(rng.Int63n(lines)) * 64, rng.Intn(3) == 0
+			})
 		})
-	})
+	}
 }
 
 // BenchmarkBandwidthAccountant measures the accounting itself: the cost

@@ -3,6 +3,7 @@ package dram
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // bankState tracks one bank's row buffer and its per-bank next-allowed times.
@@ -10,15 +11,18 @@ type bankState struct {
 	open bool
 	row  int
 
+	group, rank int // flat bank-group index and rank, fixed at construction
+
 	// Windows during which the bank is executing an activate or precharge,
 	// used both for legality (row not usable before actDone) and for the
 	// bandwidth-stack "busy bank" classification.
 	actStart, actDone int64
 	preStart, preDone int64
 
-	// Pending auto-precharge: at apAt the bank starts precharging itself.
-	apPending bool
-	apAt      int64
+	// Pending auto-precharge: at apAt the bank starts precharging itself;
+	// 0 when none is pending (a precharge after a column command never
+	// lands at cycle 0).
+	apAt int64
 
 	nextACT int64
 	nextPRE int64
@@ -81,7 +85,17 @@ type Device struct {
 	busRank      int // rank owning the last data transfer
 	busKind      [busRingSize]DataKind
 
-	apCount int // number of banks with a pending auto-precharge
+	// Bank sets, one bit per flat bank index, and the cycles that let the
+	// per-cycle queries skip the banks nothing happened to. apBanks holds
+	// the banks with a pending auto-precharge, apNext the earliest of
+	// their landing cycles (never when there is none): Sync walks apBanks
+	// from apNext on. winBanks holds every bank whose activate, precharge
+	// or pending auto-precharge window may not have ended: the command
+	// that opens a window sets the bank's bit, and BusyMasks clears it
+	// once all of them have. refEnd is the latest refUntil of any rank.
+	apBanks, winBanks uint64
+	apNext            int64
+	refEnd            int64
 
 	// quietAt is the earliest cycle at which, absent further commands,
 	// the device is observably idle: no bank is inside an activate or
@@ -124,6 +138,11 @@ func NewDevice(geo Geometry, tim Timing) *Device {
 		banks:  make([]bankState, geo.TotalBanks()),
 		groups: make([]groupState, geo.Ranks*geo.Groups),
 		ranks:  make([]rankState, geo.Ranks),
+		apNext: math.MaxInt64,
+	}
+	for i := range d.banks {
+		d.banks[i].group = i / geo.Banks
+		d.banks[i].rank = i / geo.BanksPerRank()
 	}
 	for r := range d.ranks {
 		for i := range d.ranks[r].faw {
@@ -166,16 +185,20 @@ func (d *Device) Sync(now int64) {
 		panic(fmt.Sprintf("dram: Sync time went backwards: %d -> %d", d.now, now))
 	}
 	d.now = now
-	if d.apCount == 0 {
+	if now < d.apNext {
 		return
 	}
-	for i := range d.banks {
+	d.apNext = math.MaxInt64
+	for m := d.apBanks; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		b := &d.banks[i]
-		if b.apPending && b.apAt <= now {
-			d.applyPrecharge(b, b.apAt)
-			b.apPending = false
-			d.apCount--
+		if b.apAt > now {
+			d.apNext = min(d.apNext, b.apAt)
+			continue
 		}
+		d.applyPrecharge(b, b.apAt)
+		b.apAt = 0
+		d.apBanks &^= 1 << i
 	}
 }
 
@@ -207,7 +230,7 @@ func (d *Device) QuietAt() int64 { return d.quietAt }
 // (activation complete) at cycle "at".
 func (d *Device) RowOpen(l Loc, at int64) bool {
 	b := &d.banks[d.bankIndex(l)]
-	if b.apPending && b.apAt <= at {
+	if b.apAt != 0 && b.apAt <= at {
 		return false
 	}
 	return b.open && b.row == l.Row && at >= b.actDone
@@ -217,7 +240,7 @@ func (d *Device) RowOpen(l Loc, at int64) bool {
 // bank is precharged (or will be, due to a due auto-precharge).
 func (d *Device) OpenRow(l Loc, at int64) int {
 	b := &d.banks[d.bankIndex(l)]
-	if !b.open || (b.apPending && b.apAt <= at) {
+	if !b.open || (b.apAt != 0 && b.apAt <= at) {
 		return -1
 	}
 	return b.row
@@ -230,12 +253,7 @@ func (d *Device) Refreshing(rank int, at int64) bool {
 
 // AnyRefreshing reports whether any rank of the channel is refreshing at at.
 func (d *Device) AnyRefreshing(at int64) bool {
-	for r := range d.ranks {
-		if at < d.ranks[r].refUntil {
-			return true
-		}
-	}
-	return false
+	return at < d.refEnd
 }
 
 // BusKindAt returns what the data bus carries at cycle at. Only cycles in
@@ -253,22 +271,16 @@ func (d *Device) BusKindAt(at int64) DataKind {
 // else" (ranks refreshing at at cover that whole span, since each
 // covers [at, its refUntil)). Otherwise it returns at.
 func (d *Device) RefreshOnlyUntil(at int64) int64 {
-	end := at
-	for r := range d.ranks {
-		if u := d.ranks[r].refUntil; u > end {
-			end = u
-		}
-	}
-	if end == at || d.apCount > 0 || d.busBusyUntil > at {
+	if d.refEnd <= at || d.apBanks != 0 || d.busBusyUntil > at {
 		return at
 	}
-	for i := range d.banks {
-		b := &d.banks[i]
+	for m := d.winBanks; m != 0; m &= m - 1 {
+		b := &d.banks[bits.TrailingZeros64(m)]
 		if b.preDone > at || b.actDone > at {
 			return at
 		}
 	}
-	return end
+	return d.refEnd
 }
 
 // BankBusy classifies the bank's activity at cycle at for the bandwidth
@@ -276,7 +288,7 @@ func (d *Device) RefreshOnlyUntil(at int64) int64 {
 func (d *Device) BankBusy(bank int, at int64) (precharging, activating bool) {
 	b := &d.banks[bank]
 	pre := at >= b.preStart && at < b.preDone
-	if b.apPending && at >= b.apAt && at < b.apAt+int64(d.tim.RP) {
+	if b.apAt != 0 && at >= b.apAt && at < b.apAt+int64(d.tim.RP) {
 		pre = true
 	}
 	act := at >= b.actStart && at < b.actDone
@@ -287,12 +299,21 @@ func (d *Device) BankBusy(bank int, at int64) (precharging, activating bool) {
 // index, together with the first cycle after at from which either mask
 // can differ if no further command is issued: the nearest start or end
 // of an activate, precharge or pending auto-precharge window.
+//
+// It looks only at winBanks, and drops a bank from it once every window
+// of the bank has ended by at. That is sound because queries never go
+// back in time — the controller asks at the cycle it has just synced
+// to, and Sync panics if time runs backwards — so a window ended at at
+// stays ended for every later query, until a command opens a new one
+// and sets the bank's bit again. Calls to it and to RefreshOnlyUntil,
+// which reads the same set, must therefore come with non-decreasing at.
 func (d *Device) BusyMasks(at int64) (pre, act uint64, until int64) {
 	until = math.MaxInt64
-	for i := range d.banks {
+	for m := d.winBanks; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		b := &d.banks[i]
 		inPre, edge := within(at, b.preStart, b.preDone)
-		if b.apPending && !inPre {
+		if b.apAt != 0 && !inPre {
 			inPre, edge = within(at, b.apAt, b.apAt+int64(d.tim.RP))
 		}
 		inAct, edgeAct := within(at, b.actStart, b.actDone)
@@ -302,7 +323,11 @@ func (d *Device) BusyMasks(at int64) (pre, act uint64, until int64) {
 		if inAct {
 			act |= 1 << i
 		}
-		until = min(until, edge, edgeAct)
+		if e := min(edge, edgeAct); e < math.MaxInt64 {
+			until = min(until, e)
+		} else {
+			d.winBanks &^= 1 << i // every window of the bank has ended
+		}
 	}
 	return pre, act, until
 }
@@ -339,7 +364,7 @@ func (d *Device) EarliestIssue(cmd Command, at int64) (cycle int64, ok bool) {
 
 	// A due-but-unapplied auto-precharge makes bank state ambiguous;
 	// callers must Sync first.
-	if b.apPending && b.apAt <= at {
+	if b.apAt != 0 && b.apAt <= at {
 		panic("dram: EarliestIssue called before Sync applied a due auto-precharge")
 	}
 
@@ -349,10 +374,10 @@ func (d *Device) EarliestIssue(cmd Command, at int64) (cycle int64, ok bool) {
 	}
 	switch cmd.Kind {
 	case CmdACT:
-		if b.open && !b.apPending {
+		if b.open && b.apAt == 0 {
 			return 0, false // must precharge first
 		}
-		if b.apPending {
+		if b.apAt != 0 {
 			t = maxi64(t, b.apAt+int64(d.tim.RP))
 		}
 		t = maxi64(t, b.nextACT, g.nextACT, r.nextACT)
@@ -361,20 +386,20 @@ func (d *Device) EarliestIssue(cmd Command, at int64) (cycle int64, ok bool) {
 		}
 		return t, true
 	case CmdPRE:
-		if !b.open || b.apPending {
+		if !b.open || b.apAt != 0 {
 			return 0, false // closed, or already closing itself
 		}
 		return maxi64(t, b.nextPRE), true
 	case CmdPREA:
 		for i := 0; i < d.geo.BanksPerRank(); i++ {
 			bb := &d.banks[cmd.Loc.Rank*d.geo.BanksPerRank()+i]
-			if bb.open && !bb.apPending {
+			if bb.open && bb.apAt == 0 {
 				t = maxi64(t, bb.nextPRE)
 			}
 		}
 		return t, true
 	case CmdRD, CmdRDA:
-		if !b.open || b.row != cmd.Loc.Row || b.apPending {
+		if !b.open || b.row != cmd.Loc.Row || b.apAt != 0 {
 			return 0, false
 		}
 		t = maxi64(t, b.nextCol, g.nextRD, r.nextRD)
@@ -385,7 +410,7 @@ func (d *Device) EarliestIssue(cmd Command, at int64) (cycle int64, ok bool) {
 		}
 		return t, true
 	case CmdWR, CmdWRA:
-		if !b.open || b.row != cmd.Loc.Row || b.apPending {
+		if !b.open || b.row != cmd.Loc.Row || b.apAt != 0 {
 			return 0, false
 		}
 		t = maxi64(t, b.nextCol, g.nextWR, r.nextWR)
@@ -396,10 +421,10 @@ func (d *Device) EarliestIssue(cmd Command, at int64) (cycle int64, ok bool) {
 	case CmdREF:
 		for i := 0; i < d.geo.BanksPerRank(); i++ {
 			bb := &d.banks[cmd.Loc.Rank*d.geo.BanksPerRank()+i]
-			if bb.open && !bb.apPending {
+			if bb.open && bb.apAt == 0 {
 				return 0, false // all banks must be precharged
 			}
-			if bb.apPending {
+			if bb.apAt != 0 {
 				t = maxi64(t, bb.apAt+int64(d.tim.RP))
 			}
 			t = maxi64(t, bb.nextACT) // tRP from the last PRE
@@ -423,7 +448,8 @@ func (d *Device) Issue(cmd Command, at int64) {
 	if !d.CanIssue(cmd, at) {
 		panic(fmt.Sprintf("dram: illegal command %v at cycle %d", cmd, at))
 	}
-	b := &d.banks[d.bankIndex(cmd.Loc)]
+	i := d.bankIndex(cmd.Loc)
+	b := &d.banks[i]
 	g := &d.groups[d.groupIndex(cmd.Loc)]
 	r := &d.ranks[cmd.Loc.Rank]
 	tm := d.tim
@@ -442,17 +468,21 @@ func (d *Device) Issue(cmd Command, at int64) {
 		r.nextACT = maxi64(r.nextACT, at+int64(tm.RRDS))
 		r.faw[r.fawIdx] = at
 		r.fawIdx = (r.fawIdx + 1) % len(r.faw)
+		d.winBanks |= 1 << i
 		d.stats.ACT++
 
 	case CmdPRE:
 		d.applyPrecharge(b, at)
+		d.winBanks |= 1 << i
 		d.stats.PRE++
 
 	case CmdPREA:
-		for i := 0; i < d.geo.BanksPerRank(); i++ {
-			bb := &d.banks[cmd.Loc.Rank*d.geo.BanksPerRank()+i]
-			if bb.open && !bb.apPending {
+		per := d.geo.BanksPerRank()
+		for j := cmd.Loc.Rank * per; j < (cmd.Loc.Rank+1)*per; j++ {
+			bb := &d.banks[j]
+			if bb.open && bb.apAt == 0 {
 				d.applyPrecharge(bb, at)
+				d.winBanks |= 1 << j
 				d.stats.PRE++
 			}
 		}
@@ -468,7 +498,7 @@ func (d *Device) Issue(cmd Command, at int64) {
 		r.nextWR = maxi64(r.nextWR, at+int64(tm.CCDS), at+int64(tm.RTW))
 		b.nextPRE = maxi64(b.nextPRE, at+int64(tm.RTP))
 		if cmd.Kind == CmdRDA {
-			d.scheduleAutoPrecharge(b, maxi64(at+int64(tm.RTP), b.nextPRE))
+			d.scheduleAutoPrecharge(i, maxi64(at+int64(tm.RTP), b.nextPRE))
 		}
 		d.stats.RD++
 
@@ -481,12 +511,13 @@ func (d *Device) Issue(cmd Command, at int64) {
 		r.nextRD = maxi64(r.nextRD, at+int64(tm.WriteToRead(false)))
 		b.nextPRE = maxi64(b.nextPRE, at+int64(tm.WriteToPre()))
 		if cmd.Kind == CmdWRA {
-			d.scheduleAutoPrecharge(b, maxi64(at+int64(tm.WriteToPre()), b.nextPRE))
+			d.scheduleAutoPrecharge(i, maxi64(at+int64(tm.WriteToPre()), b.nextPRE))
 		}
 		d.stats.WR++
 
 	case CmdREF:
 		r.refUntil = at + int64(tm.RFC)
+		d.refEnd = max(d.refEnd, r.refUntil)
 		d.bumpQuiet(r.refUntil)
 		r.nextACT = maxi64(r.nextACT, r.refUntil)
 		r.nextRD = maxi64(r.nextRD, r.refUntil)
@@ -499,10 +530,12 @@ func (d *Device) Issue(cmd Command, at int64) {
 	}
 }
 
-func (d *Device) scheduleAutoPrecharge(b *bankState, at int64) {
-	b.apPending = true
-	b.apAt = at
-	d.apCount++
+// scheduleAutoPrecharge makes bank i precharge itself at cycle at.
+func (d *Device) scheduleAutoPrecharge(i int, at int64) {
+	d.banks[i].apAt = at
+	d.apBanks |= 1 << i
+	d.apNext = min(d.apNext, at)
+	d.winBanks |= 1 << i
 	d.stats.AutoPRE++
 	// The pending auto-precharge shows as a busy bank in BankBusy for
 	// [apAt, apAt+RP) even before Sync applies it.
@@ -589,8 +622,8 @@ func (d *Device) Blocking(cmd Command, at int64) BlockScope {
 // query.
 func (d *Device) Ready(bank int, kind CommandKind) (ready int64, scope BlockScope) {
 	b := &d.banks[bank]
-	g := &d.groups[bank/d.geo.Banks]
-	rank := bank / d.geo.BanksPerRank()
+	g := &d.groups[b.group]
+	rank := b.rank
 	r := &d.ranks[rank]
 
 	var tBank, tGroup int64
@@ -598,7 +631,7 @@ func (d *Device) Ready(bank int, kind CommandKind) (ready int64, scope BlockScop
 	switch kind {
 	case CmdACT:
 		tBank = b.nextACT
-		if b.apPending {
+		if b.apAt != 0 {
 			tBank = max(tBank, b.apAt+int64(d.tim.RP))
 		}
 		tGroup = g.nextACT

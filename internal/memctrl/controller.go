@@ -103,6 +103,7 @@ type Controller struct {
 
 	nextRefresh []int64 // per rank
 	refBanks    uint64  // the banks of every rank with a refresh pending
+	refDue      int64   // the earliest nextRefresh of a rank with none pending
 
 	// Completion FIFOs (each is ordered by completion cycle).
 	inflight []pendingDone // reads in DRAM, done = data end + CtrlLatency
@@ -126,15 +127,21 @@ type Controller struct {
 	// bank. stale marks the banks whose candidates must be rebuilt before
 	// the next issue; candAge is a lower bound on the cycle at which aging
 	// promotes a classified request into the priority tier; wake is a
-	// lower bound on the cycle any candidate can issue; apNext is the
-	// earliest pending auto-precharge landing (never if none).
+	// lower bound on the cycle any candidate can issue; apBanks holds the
+	// banks with a pending auto-precharge (apAt != 0) and apNext the
+	// earliest landing among them (never if none).
 	cand     []bankCand
 	tiers    [2]tierMasks // normal, priority
 	allBanks uint64
 	stale    uint64
 	candAge  int64
 	wake     int64
+	apBanks  uint64
 	apNext   int64
+
+	// Per bank, fixed at construction: the banks of its group and of its
+	// rank.
+	groupSet, rankSet [maxBanks]uint64
 
 	// Per bank: the first cycle its column command or activate may issue,
 	// the first its precharge may; until blockedUntil the lead candidate
@@ -256,13 +263,20 @@ func New(dev *dram.Device, mapper addrmap.Mapper, cfg Config) (*Controller, erro
 		allBanks:    1<<geo.TotalBanks() - 1,
 		candAge:     never,
 		apNext:      never,
+		refDue:      never,
 	}
 	for b := range c.ready {
 		c.ready[b], c.readyPre[b] = never, never // no candidates yet
 	}
+	per := geo.BanksPerRank()
+	for b := range c.cand {
+		c.groupSet[b] = (1<<geo.Banks - 1) << (b / geo.Banks * geo.Banks)
+		c.rankSet[b] = (1<<per - 1) << (b / per * per)
+	}
 	for r := range c.nextRefresh {
 		// Stagger rank refreshes across the interval.
 		c.nextRefresh[r] = int64(c.tim.REFI) * int64(r+1) / int64(geo.Ranks)
+		c.refDue = min(c.refDue, c.nextRefresh[r])
 	}
 	c.sampler = stacks.NewSampler(cfg.SampleInterval, c.bw, c.lat)
 	if q := cfg.QoS; q.Enabled() {
@@ -528,12 +542,7 @@ func (c *Controller) NextEventCycle(now int64) int64 {
 	if c.Pending() || c.refBanks != 0 {
 		return now + 1
 	}
-	next := c.nextRefresh[0]
-	for _, t := range c.nextRefresh[1:] {
-		if t < next {
-			next = t
-		}
-	}
+	next := c.refDue // no refresh is pending: the earliest deadline
 	if c.dev.QuietAt() > now+1 && c.dev.RefreshOnlyUntil(now+1) <= now+1 {
 		// Device activity beyond a bare refresh wait: tick every cycle.
 		// (A pure refresh wait runs out by itself at a known cycle, so
@@ -624,10 +633,20 @@ func popFront[T any](q []T) []T {
 	return q[:copy(q, q[1:])]
 }
 
+// updateRefresh marks pending the refreshes that have come due: none
+// before refDue.
 func (c *Controller) updateRefresh(now int64) {
-	for r := range c.nextRefresh {
-		if c.refBanks&c.rankBanks(r) == 0 && now >= c.nextRefresh[r] {
-			c.refBanks |= c.rankBanks(r)
+	if now < c.refDue {
+		return
+	}
+	c.refDue = never
+	for r, due := range c.nextRefresh {
+		switch banks := c.rankBanks(r); {
+		case c.refBanks&banks != 0:
+		case now >= due:
+			c.refBanks |= banks
+		default:
+			c.refDue = min(c.refDue, due)
 		}
 	}
 }
@@ -806,6 +825,5 @@ func (c *Controller) bankIndex(l dram.Loc) int {
 
 // rankBanks returns the set of rank r's banks.
 func (c *Controller) rankBanks(r int) uint64 {
-	per := c.geo.BanksPerRank()
-	return (1<<per - 1) << (r * per)
+	return c.rankSet[r*c.geo.BanksPerRank()]
 }

@@ -292,6 +292,29 @@ func checkRetimed(t *testing.T, c *Controller, now int64) {
 	c.wake = wake
 }
 
+// checkSets compares the controller's bank sets and earliest cycles
+// with a scan: apBanks is the set of banks with an auto-precharge
+// pending, and refDue the earliest refresh deadline of a rank with none
+// pending.
+func checkSets(t *testing.T, c *Controller, now int64) {
+	t.Helper()
+	var apBanks uint64
+	for b := range c.cand {
+		if c.cand[b].apAt != 0 {
+			apBanks |= 1 << b
+		}
+	}
+	refDue, per := int64(never), c.geo.BanksPerRank()
+	for r, due := range c.nextRefresh {
+		if c.refBanks&((1<<per-1)<<(r*per)) == 0 {
+			refDue = min(refDue, due)
+		}
+	}
+	if c.apBanks != apBanks || c.refDue != refDue {
+		t.Fatalf("cycle %d: auto-precharge set %#x, refresh due %d; the scan says %#x, %d", now, c.apBanks, c.refDue, apBanks, refDue)
+	}
+}
+
 // tickChecked is Tick with the incremental state checked against the
 // references at the two points where it is consumed: before the issue
 // passes and in account.
@@ -308,6 +331,7 @@ func (r *diffRig) tickChecked(t *testing.T, now int64) {
 	c.lastIssuedBank = -1
 	refIssued := c.scheduleRefresh(now)
 	c.freshen(now)
+	checkSets(t, c, now)
 
 	ref := refScan(c, now)
 	for b := range ref {
@@ -356,6 +380,7 @@ func (r *diffRig) tickChecked(t *testing.T, now int64) {
 	}
 
 	c.account(now)
+	checkSets(t, c, now)
 
 	// The masks account consumes on bus-idle cycles, checked on every
 	// cycle: ref still holds the candidates the command was picked from.

@@ -31,15 +31,16 @@ import (
 // retime turns a bank's slots into bits and numbers, and nothing else
 // writes them: per tier a bank set of waiting row hits (col), activates
 // (act) and precharges allowed to close the row (pre), whose union is
-// the set of banks with any candidate, and per bank what the device says
-// about the candidates — the first cycle timing allows each, and the
-// scope of the binding constraint. The device's answers depend on its state alone,
-// which moves only when a command issues, so retime runs after every
-// issue for the banks the command moved and whenever a bank's slots
-// change. The issue passes and markBlocked walk set bits and compare
-// cached cycles against now. The passes touch a request only to rank
-// the banks that are ready, and do not run at all before wake, the
-// earliest cached ready time.
+// the set of banks with any candidate, and, through its device half
+// ask, per bank what the device says about the candidates — the first
+// cycle timing allows each, and the scope of the binding constraint.
+// The device's answers depend on its state alone, which moves only when
+// a command issues, so ask runs after every issue for the banks the
+// command moved, and retime whenever a bank's slots change. The issue
+// passes and markBlocked walk set bits and compare cached cycles
+// against now. The passes touch a request only to rank the banks that
+// are ready, and do not run at all before wake, the earliest cached
+// ready time.
 func (c *Controller) schedule(now int64) {
 	c.lastIssuedBank = -1
 	refIssued := c.scheduleRefresh(now)
@@ -95,12 +96,13 @@ func (c *Controller) issue(now int64, cmd dram.Command, bank int) {
 	if cmd.Kind != dram.CmdRD && cmd.Kind != dram.CmdWR {
 		c.busyUntil = 0 // a bank starts an activate or (auto-)precharge window
 	}
-	// A bank without candidates has no bits to clear and never ready.
+	// A bank without candidates has no bits to clear and never ready; a
+	// moved bank's slots, and so its mask bits, are what they were.
 	c.wake = never
 	for m := c.tiers[0].any(); m != 0; m &= m - 1 {
 		b := bits.TrailingZeros64(m)
 		if moved&(1<<b) != 0 {
-			c.retime(b)
+			c.ask(b)
 		} else {
 			c.wake = min(c.wake, c.ready[b], c.readyPre[b])
 		}
@@ -111,16 +113,16 @@ func (c *Controller) issue(now int64, cmd dram.Command, bank int) {
 // (the device applied it in Sync) stale: their row closed by itself.
 func (c *Controller) landAutoPrecharges(now int64) {
 	c.apNext = never
-	for b := range c.cand {
+	for m := c.apBanks; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
 		cd := &c.cand[b]
-		switch {
-		case cd.apAt == 0:
-		case cd.apAt <= now:
-			cd.apAt = 0
-			c.stale |= 1 << b
-		default:
+		if cd.apAt > now {
 			c.apNext = min(c.apNext, cd.apAt)
+			continue
 		}
+		cd.apAt = 0
+		c.apBanks &^= 1 << b
+		c.stale |= 1 << b
 	}
 }
 
@@ -128,6 +130,9 @@ func (c *Controller) landAutoPrecharges(now int64) {
 // when possible, otherwise precharges open banks of the rank. It reports
 // whether it consumed the command slot.
 func (c *Controller) scheduleRefresh(now int64) bool {
+	if c.refBanks == 0 {
+		return false
+	}
 	for r := range c.nextRefresh {
 		if c.refBanks&c.rankBanks(r) == 0 {
 			continue
@@ -138,6 +143,7 @@ func (c *Controller) scheduleRefresh(now int64) bool {
 			c.stats.Refreshes++
 			c.nextRefresh[r] += int64(c.tim.REFI)
 			c.refBanks &^= c.rankBanks(r)
+			c.refDue = min(c.refDue, c.nextRefresh[r])
 			return true
 		}
 		// Close open banks so the refresh can proceed.
@@ -261,12 +267,9 @@ func (c *Controller) classify(cd *bankCand, req *Request, openRow int, now int64
 	}
 }
 
-// retime writes bank b's bits in the candidate masks from its slots,
-// asks the device when its candidates may issue and what binds the lead
-// one, and caches the answers. They hold until the next command issues
-// (issue retimes what it moved) or the bank's slots change. While an
-// auto-precharge is pending the open row's candidates cannot issue at
-// all; what blocks them is still the timing the device reports.
+// retime writes bank b's bits in the candidate masks from its slots and
+// asks the device about its candidates (ask): after the bank's slots
+// change.
 func (c *Controller) retime(b int) {
 	cd := &c.cand[b]
 	bit := uint64(1) << b
@@ -274,6 +277,17 @@ func (c *Controller) retime(b int) {
 		col, act, pre := cd.tier(t)
 		c.tiers[t].set(bit, col, act, pre, c.cfg.Sched != FCFS)
 	}
+	c.ask(b)
+}
+
+// ask asks the device when bank b's candidates may issue and what binds
+// the lead one, and caches the answers. They hold until the next command
+// issues (issue asks again for what it moved) or the bank's slots
+// change. While an auto-precharge is pending the open row's candidates
+// cannot issue at all; what blocks them is still the timing the device
+// reports.
+func (c *Controller) ask(b int) {
+	cd := &c.cand[b]
 	c.ready[b], c.readyPre[b], c.blockedUntil[b], c.wide[b] = never, never, 0, 0
 	if cd.col == nil && cd.act == nil && cd.pre == nil {
 		return // no visible request (the normal slots take the oldest)
@@ -301,9 +315,9 @@ func (c *Controller) retime(b int) {
 		// The mark widens to the scope of the binding constraint.
 		switch scope {
 		case dram.ScopeGroup:
-			c.wide[b] = (1<<c.geo.Banks - 1) << (b / c.geo.Banks * c.geo.Banks)
+			c.wide[b] = c.groupSet[b]
 		case dram.ScopeRank:
-			c.wide[b] = c.rankBanks(b / c.geo.BanksPerRank())
+			c.wide[b] = c.rankSet[b]
 		}
 	}
 	if cd.apAt != 0 {
@@ -459,6 +473,7 @@ func (c *Controller) issueColumn(now int64, req *Request, kind dram.CommandKind)
 	if kind.AutoPrecharge() {
 		// The row closes by itself as soon as a precharge would be legal.
 		cd.apAt, _ = c.dev.Ready(req.bank, dram.CmdPRE)
+		c.apBanks |= 1 << req.bank
 		c.apNext = min(c.apNext, cd.apAt)
 	}
 	cd.queue.remove(req, inBank)

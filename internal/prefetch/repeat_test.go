@@ -104,7 +104,7 @@ func TestRepeatedObserveNeverPrefetches(t *testing.T) {
 		}
 	}
 	for i, sl := range s.slots {
-		if sl.lastLine != refused || sl.dir != 0 || !sl.valid {
+		if sl.lastLine != refused || sl.dir != 0 || i >= s.nvalid {
 			t.Fatalf("slot %d survived 16 retries of one refused line: %+v", i, sl)
 		}
 	}

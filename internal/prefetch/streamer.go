@@ -33,15 +33,15 @@ type stream struct {
 	conf     int    // consecutive matches
 	ahead    uint64 // furthest line already requested
 	lastUse  int64
-	valid    bool
 }
 
 // Streamer detects line-granular streams for one core.
 type Streamer struct {
-	cfg   Config
-	slots []stream
-	clock int64
-	out   []uint64 // Observe's result, reused by the next call
+	cfg    Config
+	slots  []stream
+	nvalid int // slots[:nvalid] hold streams; the rest are free
+	clock  int64
+	out    []uint64 // Observe's result, reused by the next call
 
 	observed int64
 	issued   int64
@@ -73,10 +73,11 @@ func (s *Streamer) Observe(line uint64) []uint64 {
 	s.clock++
 	s.observed++
 
-	// Continue an established or tentative stream.
-	for i := range s.slots {
+	// Continue an established or tentative stream: every case below
+	// needs line within one of the slot's last line.
+	for i := range s.slots[:s.nvalid] {
 		sl := &s.slots[i]
-		if !sl.valid {
+		if line-sl.lastLine+1 > 2 {
 			continue
 		}
 		switch {
@@ -105,18 +106,22 @@ func (s *Streamer) Observe(line uint64) []uint64 {
 		}
 	}
 
-	// Allocate a new tentative stream in the LRU slot.
-	victim := 0
-	for i := range s.slots {
-		if !s.slots[i].valid {
-			victim = i
-			break
-		}
-		if s.slots[i].lastUse < s.slots[victim].lastUse {
-			victim = i
+	// Allocate a new tentative stream in a free slot, else the LRU one
+	// (the first of them on a tie). The running minimum stays in a
+	// register: reloading slots[victim] every step chains the loads.
+	victim := s.nvalid
+	if victim < len(s.slots) {
+		s.nvalid++
+	} else {
+		victim = 0
+		oldest := s.slots[0].lastUse
+		for i := 1; i < len(s.slots); i++ {
+			if u := s.slots[i].lastUse; u < oldest {
+				victim, oldest = i, u
+			}
 		}
 	}
-	s.slots[victim] = stream{lastLine: line, valid: true, lastUse: s.clock}
+	s.slots[victim] = stream{lastLine: line, lastUse: s.clock}
 	return nil
 }
 
@@ -142,11 +147,8 @@ func (s *Streamer) Repeat(line uint64, n int64) {
 	if n <= 0 || !s.cfg.Enabled() {
 		return
 	}
-	for i := range s.slots {
+	for i := range s.slots[:s.nvalid] {
 		sl := &s.slots[i]
-		if !sl.valid {
-			continue
-		}
 		switch {
 		case sl.dir != 0 && line == sl.lastLine:
 			s.clock += n
