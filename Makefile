@@ -25,13 +25,13 @@ test-short:
 # Short race pass over everything, plus the full fast-forward
 # equivalence tests — and the parked-retry oracles beneath them — so the
 # sim hot loop is race-checked end to end, and the warm differentials:
-# the sharded LLC replay has several goroutines write one word array.
+# the LLC replay of one chunk runs beside the private warm of the next.
 # The GAP path in full too — the generator oracles, the barrier sources,
 # and the graph cache that concurrent jobs share. The arena differentials
 # in full: a reused arena must never show in a result. The last three
 # lines run the arena and the request-path (spec hash, spec decode)
-# benchmarks, the cache's demand and warm kernels and the controller's
-# cycle once, so that they cannot rot.
+# benchmarks, the cache's demand and warm kernels, and the controller's
+# cycle and the prewarm set-up once, so that they cannot rot.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 -run 'Golden|FastForward' ./internal/sim/
@@ -42,7 +42,7 @@ race:
 	$(GO) test -race -count=1 -run 'Arena' ./internal/cache/ ./internal/sim/ ./internal/exp/ ./internal/service/
 	$(GO) test -run '^$$' -bench 'RunSpecArena|SpecHash|DecodeSpec' -benchmem -benchtime 1x ./internal/exp/
 	$(GO) test -run '^$$' -bench 'Access' -benchtime 1x ./internal/cache/
-	$(GO) test -run '^$$' -bench 'ControllerTick' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'ControllerTick|Prewarm' -benchtime 1x .
 
 cover:
 	$(GO) test -cover ./internal/...

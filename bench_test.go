@@ -1,6 +1,7 @@
-// Component micro-benchmarks: the DRAM device, the memory controller and
-// the bandwidth accountant, each in isolation. The paper's figures are
-// cmd/paperfigs -fig N; whole-simulation timing is benchmark/.
+// Component micro-benchmarks: the DRAM device, the memory controller, the
+// bandwidth accountant and the prewarm set-up, each in isolation. The
+// paper's figures are cmd/paperfigs -fig N; whole-simulation timing is
+// benchmark/.
 package dramstacks
 
 import (
@@ -8,10 +9,13 @@ import (
 	"testing"
 
 	"dramstacks/internal/addrmap"
+	"dramstacks/internal/cpu"
 	"dramstacks/internal/dram"
 	"dramstacks/internal/dram/standard"
 	"dramstacks/internal/memctrl"
+	"dramstacks/internal/sim"
 	"dramstacks/internal/stacks"
+	"dramstacks/internal/workload"
 )
 
 // BenchmarkDeviceIssue measures the DRAM device hot path (legality check
@@ -97,6 +101,49 @@ func BenchmarkControllerTick(b *testing.B) {
 			run(b, c.policy, func() (uint64, bool) {
 				return uint64(rng.Int63n(lines)) * 64, rng.Intn(3) == 0
 			})
+		})
+	}
+}
+
+// BenchmarkPrewarm measures sim.New on the benchmark's two prewarmed
+// DDR4-2400 machines, 1<<20 warm operations a core: the synthetic sources
+// are built as benchmark/workloads.go builds them at seed 1, and nothing
+// runs after the set-up. It reports the host time per warmed item.
+func BenchmarkPrewarm(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		cores  int
+		base   func() workload.SyntheticConfig
+		stores float64
+	}{
+		{"sat-seq-8c", 8, workload.DefaultSequential, 0},
+		{"rw-random-4c", 4, workload.DefaultRandom, 0.5},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			std := standard.MustLookup("ddr4-2400")
+			cfg := sim.DefaultFor(std, c.cores)
+			cfg.Ctrl.Policy = memctrl.OpenPage
+			cfg.PrewarmOps = 1 << 20
+			var items int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				srcs := make([]cpu.Source, c.cores)
+				for k := range srcs {
+					wc := c.base()
+					wc.StoreFrac = c.stores
+					wc.BaseAddr = uint64(k)*(256<<20) + uint64(k)*8192
+					wc.Seed = 1 + int64(k)
+					srcs[k] = workload.MustSynthetic(wc)
+				}
+				sys, err := sim.New(std, sim.WithConfig(cfg), sim.WithSources(srcs...))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, n := range sys.Work().WarmItems {
+					items += n
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(items), "ns/item")
 		})
 	}
 }

@@ -95,23 +95,29 @@ func (s LevelStats) HitRate() float64 {
 //
 // The recency word orders the ways: nibble k holds the way at recency rank
 // k, rank 0 the most recently used, so the least recent of Ways ways sits
-// in nibble Ways-1. It is stored XOR the identity permutation (nibble k =
-// k), so that a zeroed array is a valid state and neither make nor the
-// arena's clear needs an initialisation pass. Nibbles at and above Ways
-// keep their identity way forever: the word is a permutation of 0-15, and
+// in nibble Ways-1. It is stored XOR the level's base, whose nibble k is
+// Ways-1-k below Ways and k from Ways up, so that a zeroed array is a valid
+// state and neither make nor the arena's clear needs an initialisation
+// pass: in a zeroed set rank k holds way Ways-1-k. Nibbles at and above
+// Ways keep their own way forever: the word is a permutation of 0-15, and
 // every way appears in exactly one nibble.
+//
+// Invalid ways are always the least recent, in descending index order:
+// a zeroed set starts that way, a way only becomes valid by being claimed
+// from rank Ways-1 and moved to the front, and Invalidate puts the way it
+// clears back into that bottom run. The way at rank Ways-1 is therefore
+// the lowest-index invalid way while there is one and the least recently
+// used otherwise, which is the victim either way: a miss reads it off the
+// word.
 const (
 	tagValid      = 1 << 0
 	tagDirty      = 1 << 1
 	tagPrefetched = 1 << 2
 	tagFlags      = tagDirty | tagPrefetched
 
-	identity  = 0xfedcba9876543210 // stored XOR into a recency word
+	identity  = 0xfedcba9876543210 // nibble k is k
 	nibbleLSB = 0x1111111111111111
 	nibbleMSB = 0x8888888888888888
-	// down turns a stored word shifted up one rank into the stored word of
-	// the shifted order: nibble k of identity<<4 is k-1, identity's is k.
-	down = identity<<4&(1<<64-1) ^ identity
 )
 
 // Cache is one set-associative cache level.
@@ -123,6 +129,7 @@ type Cache struct {
 	stride   uint64 // words per set, 1+Ways
 	lruShift uint   // 4 × (Ways-1): the least recent way's nibble
 	ranks    uint64 // the nibbles of ranks 0 to Ways-1
+	base     uint64 // stored XOR into a recency word
 	stats    LevelStats
 }
 
@@ -136,7 +143,7 @@ func newCache(cfg Config, a *Arena) *Cache {
 		panic(err)
 	}
 	sets := cfg.Sets()
-	return &Cache{
+	c := &Cache{
 		cfg:      cfg,
 		words:    a.words(sets * (1 + cfg.Ways)),
 		setShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
@@ -144,7 +151,12 @@ func newCache(cfg Config, a *Arena) *Cache {
 		stride:   uint64(1 + cfg.Ways),
 		lruShift: uint(4 * (cfg.Ways - 1)),
 		ranks:    uint64(1)<<(4*cfg.Ways) - 1,
+		base:     identity,
 	}
+	for k := range cfg.Ways {
+		c.base ^= uint64(k^(cfg.Ways-1-k)) << (4 * k)
+	}
+	return c
 }
 
 // Cfg returns the level's configuration.
@@ -173,50 +185,39 @@ func find(set []uint64, key uint64) int {
 }
 
 // claim returns the way of set that is to hold key's line, already moved
-// to the front: the way holding it (hit), else the lowest-index invalid
-// way, else the least recently used.
+// to the front: the way holding it (hit), else the way at the bottom rank
+// — the lowest-index invalid way, or the least recently used.
 func (c *Cache) claim(set []uint64, key uint64) (way int, hit bool) {
-	free := -1
-	for i, t := range set[1:] {
-		if t&^tagFlags == key {
-			promote(set, i)
-			return i, true
-		}
-		if t == 0 && free < 0 {
-			free = i
-		}
+	if i := find(set, key); i >= 0 {
+		c.promote(set, i)
+		return i, true
 	}
-	if free >= 0 {
-		promote(set, free)
-		return free, false
-	}
-	// The least recent way's rank is known: no search.
-	r := set[0]
-	w := (r ^ identity) >> c.lruShift & 0xf
-	set[0] = rotate(r, w, c.ranks)
+	o := set[0] ^ c.base
+	w := o >> c.lruShift & 0xf
+	set[0] = c.rotate(o, w, c.ranks)
 	return int(w), false
 }
 
 // promote moves way to recency rank 0, every way that was more recent
 // down one rank. A way already at the front costs no store.
-func promote(set []uint64, way int) {
-	r, w := set[0], uint64(way)
-	if r&0xf == w { // identity's rank 0 is way 0: no XOR needed
+func (c *Cache) promote(set []uint64, way int) {
+	o, w := set[0]^c.base, uint64(way)
+	if o&0xf == w {
 		return
 	}
-	// x is the order (r XOR identity) with the way XOR-ed into every
-	// nibble: its only zero nibble is at the way's rank. Below the first
-	// zero nibble the SWAR test has no false positives, so the lowest flag
-	// of z is the top bit of that nibble, and z ^ (z-1) covers the ranks
-	// from 0 to the way's.
-	x := r ^ (identity ^ w*nibbleLSB)
+	// x is the order o with the way XOR-ed into every nibble:
+	// its only zero nibble is at the way's rank. Below the first zero
+	// nibble the SWAR test has no false positives, so the lowest flag of z
+	// is the top bit of that nibble, and z ^ (z-1) covers the ranks from 0
+	// to the way's.
+	x := o ^ w*nibbleLSB
 	z := (x - nibbleLSB) &^ x & nibbleMSB
-	set[0] = rotate(r, w, z^(z-1))
+	set[0] = c.rotate(o, w, z^(z-1))
 }
 
-// rotate returns the stored recency word r with way w moved to rank 0
-// from the highest rank m covers; the ranks below move down one.
-func rotate(r, w, m uint64) uint64 { return r&^m | (r<<4^down)&m | w }
+// rotate returns the stored recency word of order o with way w moved to
+// rank 0 from the highest rank m covers; the ranks below move down one.
+func (c *Cache) rotate(o, w, m uint64) uint64 { return (o&^m | o<<4&m | w) ^ c.base }
 
 // hit counts a demand hit on way of set and updates the way's flags: a
 // prefetched line's first use is counted and the flag cleared, a write
@@ -253,7 +254,7 @@ func (c *Cache) Lookup(addr uint64, demand, write bool) bool {
 		return false
 	case demand:
 		c.hit(set, i, write)
-		promote(set, i)
+		c.promote(set, i)
 	case write:
 		set[1+i] |= tagDirty
 	}
@@ -272,7 +273,7 @@ func (c *Cache) Touch(addr uint64, write bool) bool {
 	if write {
 		set[1+i] |= tagDirty
 	}
-	promote(set, i)
+	c.promote(set, i)
 	return true
 }
 
@@ -329,13 +330,6 @@ func (c *Cache) Insert(addr uint64, dirty, prefetched bool) (Eviction, bool) {
 // then the evicted line's address with bit 0 set, a dirty LLCOp, and
 // otherwise 0.
 func (c *Cache) warmAccess(addr uint64, write bool) (wb uint64, hit bool) {
-	return c.warmInto(addr, write, &c.stats)
-}
-
-// warmInto is warmAccess with the eviction statistics added to st. It
-// reads and writes addr's set and nothing else of the level, so accesses
-// to different sets commute: WarmLLC's shards rest on that.
-func (c *Cache) warmInto(addr uint64, write bool, st *LevelStats) (wb uint64, hit bool) {
 	set := c.set(addr)
 	key := c.key(addr)
 	i, hit := c.claim(set, key)
@@ -346,9 +340,9 @@ func (c *Cache) warmInto(addr uint64, write bool, st *LevelStats) (wb uint64, hi
 		set[1+i] = t | key&tagDirty
 	} else {
 		if t != 0 {
-			st.Evictions++
+			c.stats.Evictions++
 			if t&tagDirty != 0 {
-				st.DirtyEvictions++
+				c.stats.DirtyEvictions++
 				wb = t &^ tagFlags // the line with tagValid, bit 0, set
 			}
 		}
@@ -358,8 +352,9 @@ func (c *Cache) warmInto(addr uint64, write bool, st *LevelStats) (wb uint64, hi
 }
 
 // Invalidate removes the line containing addr, reporting whether it was
-// present and dirty. The way keeps its recency rank: an invalid way is the
-// next victim whatever its rank.
+// present and dirty. The way joins the invalid ways at the bottom of the
+// recency order, below every valid way and above the invalid ways of lower
+// index. Only the tests call it.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	set := c.set(addr)
 	i := find(set, c.key(addr))
@@ -368,5 +363,21 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	}
 	dirty = set[1+i]&tagDirty != 0
 	set[1+i] = 0
+	// Rewrite the ranks: the valid ways in their order, then the invalid
+	// ones from the highest index down.
+	r, order, k := set[0]^c.base, uint64(0), 0
+	for j := range c.cfg.Ways {
+		if w := r >> (4 * j) & 0xf; set[1+w] != 0 {
+			order |= w << (4 * k)
+			k++
+		}
+	}
+	for w := c.cfg.Ways - 1; w >= 0; w-- {
+		if set[1+w] == 0 {
+			order |= uint64(w) << (4 * k)
+			k++
+		}
+	}
+	set[0] = (r&^c.ranks | order) ^ c.base
 	return true, dirty
 }

@@ -305,8 +305,8 @@ func sameState(t *testing.T, what string, got, want *Cache) {
 
 // TestWarmPrivateMatchesWarm drives two hierarchies with the same
 // round-robin warm stream: one through Warm directly, the other through
-// the recorded form — WarmPrivate per item, then the rounds' LLC
-// operations replayed in the same global order by one WarmLLC, the
+// the recorded form — WarmPrivate per item into the core's log, then the
+// rounds' logs replayed by WarmLLC in the same global order, the
 // decomposition the concurrent prewarm path uses. Every level must end
 // in the identical state: words and statistics.
 func TestWarmPrivateMatchesWarm(t *testing.T) {
@@ -323,18 +323,23 @@ func TestWarmPrivateMatchesWarm(t *testing.T) {
 	recorded := MustNewHierarchy(cfg, &flakyMem{rng: rand.New(rand.NewSource(9))})
 	drive := rand.New(rand.NewSource(41))
 
-	var ops []LLCOp
+	logs := make([]WarmLog, cores)
 	for round := 0; round < 12_000; round++ {
 		// One item per core per round, like prewarm's round-robin.
 		for c := 0; c < cores; c++ {
 			addr, write := uint64(drive.Intn(500))*64, drive.Intn(3) == 0
 			direct.Warm(c, addr, write)
-			ops = recorded.WarmPrivate(c, addr, write, ops)
+			l := &logs[c]
+			n := len(l.Ops)
+			l.Ops = recorded.WarmPrivate(c, addr, write, l.Ops)
+			l.Cnt = append(l.Cnt, uint8(len(l.Ops)-n))
 		}
-		// Replay after a varying number of rounds, on 1 to 4 shards.
-		if round%7 == 0 || round == 11_999 {
-			recorded.WarmLLC(ops, 1+round%4)
-			ops = ops[:0]
+		// Replay after a varying number of rounds.
+		if round%7 == 0 || round%11 == 0 || round == 11_999 {
+			recorded.WarmLLC(logs)
+			for c := range logs {
+				logs[c].Ops, logs[c].Cnt = logs[c].Ops[:0], logs[c].Cnt[:0]
+			}
 			sameState(t, "LLC", recorded.llc, direct.llc)
 		}
 	}

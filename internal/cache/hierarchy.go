@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"sync"
 
 	"dramstacks/internal/prefetch"
 )
@@ -314,9 +313,10 @@ type LLCOp uint64
 // private levels never observe the LLC, so for a fixed per-core access
 // stream the calls of different cores are independent: WarmPrivate for
 // every core followed by WarmLLC of the recorded operations in Warm's
-// global interleaving is state-identical to the same sequence of Warm
-// calls. Kept in lockstep with Warm above, which stays a walk of its own
-// because an L1 hit, all a cache-resident stream does, must cost one call.
+// global interleaving (a WarmLog per core) is state-identical to the same
+// sequence of Warm calls. Kept in lockstep with Warm above, which stays a
+// walk of its own because an L1 hit, all a cache-resident stream does,
+// must cost one call.
 func (h *Hierarchy) WarmPrivate(core int, addr uint64, write bool, ops []LLCOp) []LLCOp {
 	line := addr & h.lineMask
 	l1, l2 := h.l1[core], h.l2[core]
@@ -339,36 +339,37 @@ func (h *Hierarchy) WarmPrivate(core int, addr uint64, write bool, ops []LLCOp) 
 	return ops
 }
 
-// WarmLLC replays recorded LLC operations in slice order, split over up
-// to shards goroutines. A warm access reads and writes its own set only,
-// recency included, so operations on different sets commute: each
-// goroutine owns a contiguous range of sets, applies the operations that
-// fall in it in batch order, and keeps the eviction statistics they add
-// until the barrier. The resulting state does not depend on shards.
-func (h *Hierarchy) WarmLLC(ops []LLCOp, shards int) {
-	c := h.llc
-	sets := c.cfg.Sets()
-	stats := make([]LevelStats, max(1, min(shards, sets)))
-	var wg sync.WaitGroup
-	for s := range stats {
-		lo, hi := uint64(s*sets/len(stats)), uint64((s+1)*sets/len(stats))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var st LevelStats // not stats[s]: neighbours would share a host line
-			shift, mask := c.setShift, c.setMask
-			for _, op := range ops {
-				if set := uint64(op) >> shift & mask; lo <= set && set < hi {
-					c.warmInto(uint64(op), op&1 != 0, &st)
-				}
-			}
-			stats[s] = st
-		}()
+// WarmLog is one core's record of a run of warm items for the shared
+// level: the LLC operations WarmPrivate appended, in item order, and how
+// many each item appended (0–3).
+type WarmLog struct {
+	Ops []LLCOp
+	Cnt []uint8
+	pos int // WarmLLC's cursor in Ops
+}
+
+// WarmLLC applies the operations logs[i] recorded for core i in the
+// global order of the serial round-robin warm loop, which takes one item
+// from every core in turn: item by item, and within an item core by core.
+// A log shorter than the longest is a core whose stream ended or met its
+// quota.
+func (h *Hierarchy) WarmLLC(logs []WarmLog) {
+	items := 0
+	for i := range logs {
+		items = max(items, len(logs[i].Cnt))
+		logs[i].pos = 0
 	}
-	wg.Wait()
-	for _, st := range stats {
-		c.stats.Evictions += st.Evictions
-		c.stats.DirtyEvictions += st.DirtyEvictions
+	for j := range items {
+		for i := range logs {
+			l := &logs[i]
+			if j >= len(l.Cnt) {
+				continue
+			}
+			for _, op := range l.Ops[l.pos : l.pos+int(l.Cnt[j])] {
+				h.llc.warmAccess(uint64(op), op&1 != 0)
+			}
+			l.pos += int(l.Cnt[j])
+		}
 	}
 }
 
@@ -409,7 +410,7 @@ func (h *Hierarchy) Access(now int64, core int, addr uint64, write bool, w Waite
 	}
 	if hitWay >= 0 {
 		l1.hit(s1, hitWay, write)
-		promote(s1, hitWay)
+		l1.promote(s1, hitWay)
 		*ht = lineHint{line: line, way: int32(hitWay)}
 		return Outcome{Status: Hit, Latency: h.cfg.L1.Latency, Level: 1}
 	}
@@ -420,7 +421,7 @@ func (h *Hierarchy) Access(now int64, core int, addr uint64, write bool, w Waite
 	s2 := l2.words[(n&l2.setMask)*l2.stride:][:l2.stride]
 	if i := find(s2, key); i >= 0 {
 		l2.hit(s2, i, write)
-		promote(s2, i)
+		l2.promote(s2, i)
 		h.fillL1(core, line, write)
 		h.train(now, core, line)
 		return Outcome{Status: Hit, Latency: h.cfg.L2.Latency, Level: 2}
@@ -433,7 +434,7 @@ func (h *Hierarchy) Access(now int64, core int, addr uint64, write bool, w Waite
 	s3 := llc.words[(n&llc.setMask)*llc.stride:][:llc.stride]
 	if i := find(s3, key); i >= 0 {
 		llc.hit(s3, i, write)
-		promote(s3, i)
+		llc.promote(s3, i)
 		h.fillL2(now, core, line, false)
 		h.fillL1(core, line, write)
 		return Outcome{Status: Hit, Latency: h.cfg.LLC.Latency, Level: 3}

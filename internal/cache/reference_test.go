@@ -6,15 +6,14 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 )
 
 // refCache is the two-word, clock-stamped cache level that the one-word
 // layout replaced, its code unchanged, kept as the independent oracle of
 // TestCacheMatchesReference: every way is a slot of a tag word and a
-// metadata word whose high bits are an LRU timestamp, and warmLLC is the
-// stamped Hierarchy.WarmLLC. Nothing outside the tests uses it.
+// metadata word whose high bits are an LRU timestamp. Nothing outside the
+// tests uses it.
 
 // Way state is packed into two 64-bit words per way, kept adjacent in
 // one slot array.
@@ -174,8 +173,7 @@ func (c *refCache) Insert(addr uint64, dirty, prefetched bool) (Eviction, bool) 
 	return ev, had
 }
 
-// warmAccess ticks the clock exactly once, hit or miss; warmLLC derives
-// every stamp of a batch from that.
+// warmAccess ticks the clock exactly once, hit or miss.
 func (c *refCache) warmAccess(addr uint64, write bool) (wb uint64, hit bool) {
 	c.clock++
 	return c.warmStamp(addr, write, c.clock, &c.stats)
@@ -218,36 +216,6 @@ func (c *refCache) warmStamp(addr uint64, write bool, stamp int64, st *LevelStat
 	return wb, false
 }
 
-// warmLLC is the stamped Hierarchy.WarmLLC: operation k of the batch
-// carries stamp clock+k+1 whoever applies it, because every warm access
-// ticks the clock once, and operations on different sets commute.
-func (c *refCache) warmLLC(ops []LLCOp, shards int) {
-	sets := c.cfg.Sets()
-	stats := make([]LevelStats, max(1, min(shards, sets)))
-	var wg sync.WaitGroup
-	for s := range stats {
-		lo, hi := uint64(s*sets/len(stats)), uint64((s+1)*sets/len(stats))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var st LevelStats // not stats[s]: neighbours would share a host line
-			shift, mask, first := c.setShift, c.setMask, c.clock+1
-			for k, op := range ops {
-				if set := uint64(op) >> shift & mask; lo <= set && set < hi {
-					c.warmStamp(uint64(op), op&1 != 0, first+int64(k), &st)
-				}
-			}
-			stats[s] = st
-		}()
-	}
-	wg.Wait()
-	for _, st := range stats {
-		c.stats.Evictions += st.Evictions
-		c.stats.DirtyEvictions += st.DirtyEvictions
-	}
-	c.clock += int64(len(ops))
-}
-
 func (c *refCache) Invalidate(addr uint64) (present, dirty bool) {
 	set := c.set(addr)
 	enc := c.tag(addr)<<1 | tagValid
@@ -267,7 +235,8 @@ func (c *refCache) Invalidate(addr uint64) (present, dirty bool) {
 // observe and on where each line lives: the statistics, and in every set
 // each way's line with its dirty and prefetched flags and the valid ways
 // in recency order — from the stamps on ref's side, from the recency word
-// on c's.
+// on c's. It also holds c to the recency word's invariant: the invalid
+// ways sit below every valid way, in descending index order.
 func sameAsRef(t *testing.T, step int, c *Cache, ref *refCache) {
 	t.Helper()
 	if c.stats != ref.stats {
@@ -277,8 +246,16 @@ func sameAsRef(t *testing.T, step int, c *Cache, ref *refCache) {
 	for s := 0; s < c.cfg.Sets(); s++ {
 		set, rs := c.words[s*(1+ways):][:1+ways], ref.slots[s*ways:][:ways]
 		var order, refOrder []int
+		invalid := -1 // the last invalid way met going down the ranks
 		for k := 0; k < ways; k++ {
-			if w := int((set[0]^identity)>>(4*k)) & 0xf; set[1+w] != 0 {
+			switch w := int((set[0]^c.base)>>(4*k)) & 0xf; {
+			case set[1+w] == 0 && invalid >= 0 && w > invalid:
+				t.Fatalf("step %d: set %d invalid way %d at rank %d below invalid way %d", step, s, w, k, invalid)
+			case set[1+w] == 0:
+				invalid = w
+			case invalid >= 0:
+				t.Fatalf("step %d: set %d valid way %d at rank %d below invalid way %d", step, s, w, k, invalid)
+			default:
 				order = append(order, w)
 			}
 			g, r := set[1+k], rs[k]
@@ -307,7 +284,8 @@ func sameAsRef(t *testing.T, step int, c *Cache, ref *refCache) {
 // TestCacheMatchesReference drives a Cache and the stamped refCache
 // through one randomized stream of every operation that changes a level —
 // Lookup (demand or not, read or write), Touch, Insert (dirty, prefetched),
-// Invalidate, warmAccess and WarmLLC batches on 1 to 7 shards — at every
+// Invalidate, warmAccess and WarmLLC of 1 to 4 cores' logs, which the
+// reference applies one by one in (item, core) order — at every
 // associativity from 1 to 16 ways and 1 to 64 sets, on a few more lines
 // per set than there are ways and at unaligned addresses. After every
 // operation the results, the statistics and every set (sameAsRef) must
@@ -366,13 +344,30 @@ func TestCacheMatchesReference(t *testing.T) {
 								step, a, write, wb, hit, rwb, rhit)
 						}
 					default:
-						ops = ops[:0]
-						for n := rng.Intn(3 * sets); n > 0; n-- {
-							ops = append(ops, LLCOp(addr()&^63)|LLCOp(rng.Intn(2)))
+						logs := make([]WarmLog, 1+rng.Intn(4))
+						items := make([]int, len(logs))
+						for i := range items {
+							items[i] = rng.Intn(sets + 1)
 						}
-						shards := 1 + rng.Intn(7)
-						h.WarmLLC(ops, shards)
-						ref.warmLLC(ops, shards)
+						ops = ops[:0]
+						for j := range slices.Max(items) {
+							for i := range logs {
+								if j >= items[i] {
+									continue
+								}
+								n := rng.Intn(4)
+								for range n {
+									op := LLCOp(addr()&^63) | LLCOp(rng.Intn(2))
+									logs[i].Ops = append(logs[i].Ops, op)
+									ops = append(ops, op)
+								}
+								logs[i].Cnt = append(logs[i].Cnt, uint8(n))
+							}
+						}
+						h.WarmLLC(logs)
+						for _, op := range ops {
+							ref.warmAccess(uint64(op), op&1 != 0)
+						}
 					}
 					if got, want := c.Contains(a), ref.Contains(a); got != want {
 						t.Fatalf("step %d: Contains(%#x) = %v, reference %v", step, a, got, want)

@@ -6,15 +6,17 @@ import (
 	"testing"
 )
 
-// TestWarmLLCShardsMatchSerial holds the sharded replay to the one-by-one
-// warmAccess walk, on the paper's LLC and on small caches whose sets the
-// shards split unevenly or outnumber. The streams collide heavily in a few
-// sets, repeat lines and mix in dirty writebacks; the batches include
-// empty ones, single operations and lengths no shard count divides. Words
-// and statistics must come out identical: that is what breaks if a warm
-// access ever touches state outside its own set, a shard applies an
-// operation of another's sets or out of batch order, or the shards'
-// statistics are not all added.
+// TestWarmLLCShardsMatchSerial holds the one replay, WarmLLC, to the
+// one-by-one warmAccess walk, on the paper's LLC and on small caches. The
+// operation stream is dealt item by item over a number of shards, one log
+// per core: an item emits 0 to 3 operations, and the last shard's stream
+// ends halfway through each chunk. The logs are reused chunk after chunk,
+// as the parallel prewarm reuses its record sets, and the chunks are 0, 1
+// and odd numbers of items long. The streams collide heavily in a few
+// sets, repeat lines and mix in dirty writebacks. Words and statistics
+// must come out identical: that is what breaks if the replay leaves the
+// (item, core) order, loses its place in a log between items, or carries
+// it over from the previous chunk.
 func TestWarmLLCShardsMatchSerial(t *testing.T) {
 	small := func(ways, sets int) Config {
 		return Config{Name: "LLC", SizeBytes: sets * ways * 64, Ways: ways, LineBytes: 64, Latency: 44}
@@ -36,10 +38,6 @@ func TestWarmLLCShardsMatchSerial(t *testing.T) {
 			}
 			ops[i] = LLCOp(uint64(tag*sets+set)*64) | LLCOp(rng.Intn(3)/2)
 		}
-		want := New(llc)
-		for _, op := range ops {
-			want.warmAccess(uint64(op), op&1 != 0)
-		}
 		shardCounts := []int{1, 2, 3, 7, 16}
 		if sets <= 32 {
 			shardCounts = append(shardCounts, sets+3)
@@ -49,13 +47,30 @@ func TestWarmLLCShardsMatchSerial(t *testing.T) {
 				cfg := DefaultHierConfig(1)
 				cfg.LLC = llc
 				h := MustNewHierarchy(cfg, &fakeMem{})
+				want := New(llc)
 				rest := ops
-				for _, n := range []int{0, 1, 1, 5, 0, 17, 4099, 2, 1000} {
-					h.WarmLLC(rest[:n], shards)
-					rest = rest[n:]
+				logs := make([]WarmLog, shards)
+				for _, items := range []int{0, 1, 1, 5, 0, 17, 4099, 2, 1000, len(ops)} {
+					for i := range logs {
+						logs[i].Ops, logs[i].Cnt = logs[i].Ops[:0], logs[i].Cnt[:0]
+					}
+					for j := 0; j < items && len(rest) > 0; j++ {
+						for i := range logs {
+							if i == shards-1 && shards > 1 && j >= items/2 {
+								continue // the last shard's stream ended
+							}
+							n := min(rng.Intn(4), len(rest))
+							logs[i].Ops = append(logs[i].Ops, rest[:n]...)
+							logs[i].Cnt = append(logs[i].Cnt, uint8(n))
+							for _, op := range rest[:n] {
+								want.warmAccess(uint64(op), op&1 != 0)
+							}
+							rest = rest[n:]
+						}
+					}
+					h.WarmLLC(logs)
+					sameState(t, "LLC", h.llc, want)
 				}
-				h.WarmLLC(rest, shards)
-				sameState(t, "LLC", h.llc, want)
 			})
 		}
 	}

@@ -4,7 +4,7 @@ import "dramstacks/internal/cache"
 
 // Arena is what a sweep worker keeps from one System to the next instead
 // of allocating it per point: the cache hierarchy's arrays (2.72 MB of
-// an 8-core machine) and prewarmParallel's record and merge buffers. Pass
+// an 8-core machine) and prewarmParallel's two record sets. Pass
 // it to New with WithArena; the zero value is ready.
 //
 // The rule of ownership: an arena belongs to one goroutine and serves one

@@ -87,21 +87,21 @@ func TestArenaDifferentialRandomizedSpecs(t *testing.T) {
 	}
 }
 
-// TestArenaPrewarmBuffers: the parallel prewarm's record and merge
-// buffers come from the arena too. A second machine finds them sized and
-// allocates none, and both warm exactly as a machine without an arena.
+// TestArenaPrewarmBuffers: the parallel prewarm's two record sets come
+// from the arena too. A second machine finds them sized and allocates
+// none, and both warm exactly as a machine without an arena.
 func TestArenaPrewarmBuffers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	sp := randSpec{name: "prewarmed", cfg: Default(4), seed: 7, cores: 4,
 		pattern: workload.Random, chains: 2, footprint: 1 << 26, storeFrac: 0.3}
 	sp.cfg.MaxMemCycles = 8_000
-	sp.cfg.PrewarmOps = 1<<15 + 77 // three chunks, the last a short one
+	sp.cfg.PrewarmOps = 4*warmChunk + 77 // five chunks, the last a short one
 	fresh := runOn(t, sp, nil)
 
 	arena := new(Arena)
 	first := runOn(t, sp, arena)
 	held := arena.Bytes()
-	if min := arena.slots.Bytes() + 4*warmChunk*(8+1) + 4*warmChunk*8; held < min {
+	if min := arena.slots.Bytes() + 2*4*warmChunk*(8+1); held < min {
 		t.Fatalf("the arena holds %d bytes after a 4-core parallel prewarm, want at least %d", held, min)
 	}
 	second := runOn(t, sp, arena)
@@ -113,18 +113,19 @@ func TestArenaPrewarmBuffers(t *testing.T) {
 	}
 }
 
-// TestWarmBuffersQuotaSized: a quota shorter than a chunk sizes the
-// records and the merge buffer; any other quota gets a chunk.
+// TestWarmBuffersQuotaSized: a quota shorter than a chunk sizes a record
+// set; any other quota gets a chunk.
 func TestWarmBuffersQuotaSized(t *testing.T) {
 	var b warmBuffers
-	b.size(4, 1<<12)
-	if got, want := b.bytes(), int64(4*(1<<12)*(8+1)+4*(1<<12)*8); got != want {
-		t.Errorf("buffers for 4 cores and a quota of 4096: %d bytes, want %d", got, want)
+	b.set(0, 4, 1<<12)
+	if got, want := b.bytes(), int64(4*(1<<12)*(8+1)); got != want {
+		t.Errorf("a record set for 4 cores and a quota of 4096: %d bytes, want %d", got, want)
 	}
 	b = warmBuffers{}
-	b.size(4, 1<<20)
-	if got, want := b.bytes(), int64(4*warmChunk*(8+1)+4*warmChunk*8); got != want {
-		t.Errorf("buffers for 4 cores and a quota of 1<<20: %d bytes, want %d", got, want)
+	b.set(0, 4, 1<<20)
+	b.set(1, 4, 1<<20)
+	if got, want := b.bytes(), int64(2*4*warmChunk*(8+1)); got != want {
+		t.Errorf("both record sets for 4 cores and a quota of 1<<20: %d bytes, want %d", got, want)
 	}
 }
 

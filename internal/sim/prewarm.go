@@ -26,6 +26,8 @@ type warmFeed struct {
 	pos, n int
 	warmed int64 // memory operations warmed so far
 	quota  int64 // PrewarmOps
+	used   int64 // items consumed so far
+	done   bool  // the stream ended or met its quota: warm no further
 }
 
 // pending returns a batch feed's generated, unconsumed items, generating
@@ -60,6 +62,7 @@ func (f *warmFeed) next() (cpu.Instr, bool) {
 // Sources are drained round-robin so barrier-synchronized workloads
 // (package gap) make progress; stall items are skipped.
 func (s *System) prewarm(sources []cpu.Source) {
+	s.work = &Work{WarmItems: make([]int64, len(sources))}
 	feeds := make([]warmFeed, len(sources))
 	allBatch := len(sources) > 0
 	for i, src := range sources {
@@ -82,27 +85,35 @@ func (s *System) prewarm(sources []cpu.Source) {
 	// the serial loop and its zero recording overhead.
 	if allBatch && len(sources) > 1 && runtime.GOMAXPROCS(0) > 1 {
 		s.prewarmParallel(feeds)
-		return
+	} else {
+		s.prewarmSerial(feeds)
 	}
-	exhausted := make([]bool, len(feeds))
-	active := len(feeds)
-	for active > 0 {
-		progress := false
+	for i := range feeds {
+		s.work.WarmItems[i] = feeds[i].used
+	}
+}
+
+// prewarmSerial is the round-robin loop: one item from every live feed in
+// turn. A round in which nothing moves ends it: every feed is done, or
+// every remaining source is stalled at a barrier that a finished source
+// will never release.
+func (s *System) prewarmSerial(feeds []warmFeed) {
+	for progress := true; progress; {
+		progress = false
 		for i := range feeds {
 			f := &feeds[i]
-			if exhausted[i] || f.warmed >= f.quota {
-				if !exhausted[i] {
-					exhausted[i] = true
-					active--
-				}
+			if f.done {
 				continue
 			}
-			ins, ok := f.next()
+			ins, ok := cpu.Instr{}, f.warmed < f.quota
+			if ok {
+				ins, ok = f.next()
+			}
 			if !ok {
-				exhausted[i] = true
-				active--
+				f.done = true
 				continue
 			}
+			f.used++
 			switch ins.Kind {
 			case cpu.KindLoad:
 				s.hier.Warm(i, ins.Addr, false)
@@ -118,158 +129,122 @@ func (s *System) prewarm(sources []cpu.Source) {
 				progress = true // compute/branch item consumed
 			}
 		}
-		if !progress {
-			// Every remaining source is stalled at a barrier that a
-			// finished source will never release: stop warming here.
-			return
-		}
 	}
 }
 
 // warmChunk is the number of items each core advances per parallel
-// warming phase; it bounds the recorded-LLC-operation memory. A quarter of
-// it saves 1.5–3 MB a job and costs four times the barrier phases, about
-// 0.1 s of an 8-core set-up (doc/PERF.md, "Prewarm").
-const warmChunk = 1 << 14
+// warming phase; it bounds the record memory, two sets of a log per core
+// sized for one LLC operation an item (doc/PERF.md, "Prewarm").
+const warmChunk = 1 << 13
 
-// warmRecord is what one core's private-level warm of a chunk leaves for
-// the shared level.
-type warmRecord struct {
-	ops  []cache.LLCOp // the LLC operations emitted, in the core's item order
-	cnt  []uint8       // how many of them each item of the chunk emitted (0–3)
-	done bool          // the feed ended or met its quota: no further chunks
-}
-
-// warmBuffers is prewarmParallel's scratch, about 2.2 MB for eight cores.
-// The zero value is ready and sizes itself on use; a System built on an
-// Arena uses the arena's, and so finds its predecessor's.
+// warmBuffers is prewarmParallel's scratch: two record sets of a log per
+// core, about 1.2 MB for eight cores. The zero value is ready and sizes
+// itself on use; a System built on an Arena uses the arena's, and so finds
+// its predecessor's.
 type warmBuffers struct {
-	recs   []warmRecord
-	merged []cache.LLCOp
+	sets [2][]cache.WarmLog
 }
 
-// size readies b for cores feeds: a record each, with empty buffers and done
-// unset, and a merge buffer for a chunk of them all, or the quota if less.
-func (b *warmBuffers) size(cores int, quota int64) {
+// set returns record set k readied for cores feeds: a log each, empty, its
+// buffers sized on first use for a chunk of items, or the quota if less.
+func (b *warmBuffers) set(k, cores int, quota int64) []cache.WarmLog {
 	n := int(min(warmChunk, quota))
-	if len(b.recs) < cores {
-		grown := make([]warmRecord, cores)
-		copy(grown, b.recs)
-		b.recs = grown
+	if len(b.sets[k]) < cores {
+		b.sets[k] = append(b.sets[k], make([]cache.WarmLog, cores-len(b.sets[k]))...)
 	}
-	for i := range b.recs[:cores] {
-		r := &b.recs[i]
-		if r.ops == nil {
-			r.ops = make([]cache.LLCOp, 0, n)
-			r.cnt = make([]uint8, 0, n)
+	logs := b.sets[k][:cores]
+	for i := range logs {
+		l := &logs[i]
+		if l.Ops == nil {
+			l.Ops, l.Cnt = make([]cache.LLCOp, 0, n), make([]uint8, 0, n)
 		}
-		r.done = false
+		l.Ops, l.Cnt = l.Ops[:0], l.Cnt[:0]
 	}
-	if cap(b.merged) < cores*n {
-		b.merged = make([]cache.LLCOp, 0, cores*n)
-	}
+	return logs
 }
 
 func (b *warmBuffers) bytes() int64 {
-	n := int64(cap(b.merged)) * 8
-	for i := range b.recs {
-		n += int64(cap(b.recs[i].ops))*8 + int64(cap(b.recs[i].cnt))
+	n := int64(0)
+	for _, logs := range b.sets {
+		for i := range logs {
+			n += int64(cap(logs[i].Ops))*8 + int64(cap(logs[i].Cnt))
+		}
 	}
 	return n
 }
 
-// prewarmParallel is prewarm for the all-batch-source case. Each chunk
-// has three phases. Private: every core's L1/L2 warm runs in its own
-// goroutine (disjoint state: the core's caches, feed and RNG) and records
-// the shared-LLC operations each item emits. Merge: because every active
-// source consumes one item per round of the serial loop, an item's global
-// position is (item index, core index), so laying the records out by that
-// key gives the LLC's operation stream in exactly the serial order.
-// Replay: Hierarchy.WarmLLC applies that stream, sharded by set over the
-// available processors, each shard its own sets' operations in order. The
+// prewarmParallel is prewarm for the all-batch-source case, a two-stage
+// pipeline over chunks of warmChunk items a core. Private: every core's
+// L1/L2 warm of chunk k+1 runs in its own goroutine (disjoint state: the
+// core's caches, feed and RNG) and records in one set of logs the LLC
+// operations each item emits. Shared: meanwhile this goroutine replays
+// chunk k from the other set with Hierarchy.WarmLLC, which applies it in
+// the serial loop's (item, core) order — every live source consumes one
+// item per round of that loop, and cores stay item-aligned at chunk
+// boundaries because a worker leaves a chunk early only when its feed is
+// done for good. The private levels never observe the shared one, so the
 // final hierarchy state is identical to the serial loop's whatever
-// GOMAXPROCS is. Chunks bound the record memory; cores remain item-aligned
-// at chunk boundaries because a worker leaves a chunk early only when its
-// feed is done for good. Buffers are sized for one LLC operation per item,
-// which only store-heavy streams exceed.
+// GOMAXPROCS is.
 func (s *System) prewarmParallel(feeds []warmFeed) {
 	buf := new(warmBuffers)
 	if s.arena != nil {
 		buf = &s.arena.warm
 	}
-	buf.size(len(feeds), s.cfg.PrewarmOps)
-	recs, merged := buf.recs[:len(feeds)], buf.merged
-	cur := make([]int, len(feeds)) // merge position in each record's ops
-	shards := runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
-	for {
-		live := 0
+	var prev []cache.WarmLog // the chunk warmed last, not yet replayed
+	for k := 0; ; k ^= 1 {
+		var logs []cache.WarmLog
 		for i := range feeds {
-			r := &recs[i]
-			r.ops, r.cnt, cur[i] = r.ops[:0], r.cnt[:0], 0
-			if r.done {
+			if feeds[i].done {
 				continue
 			}
-			live++
+			if logs == nil {
+				logs = buf.set(k, len(feeds), s.cfg.PrewarmOps)
+			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				s.warmPrivateChunk(i, &feeds[i], r)
+				s.warmPrivateChunk(i, &feeds[i], &logs[i])
 			}()
 		}
-		if live == 0 {
-			return
+		if prev != nil {
+			s.hier.WarmLLC(prev)
 		}
 		wg.Wait()
-
-		items := 0
-		for i := range recs {
-			items = max(items, len(recs[i].cnt))
+		if logs == nil {
+			return
 		}
-		merged = merged[:0]
-		for j := 0; j < items; j++ {
-			for i := range recs {
-				r := &recs[i]
-				if j >= len(r.cnt) {
-					continue
-				}
-				for n := r.cnt[j]; n > 0; n-- {
-					merged = append(merged, r.ops[cur[i]])
-					cur[i]++
-				}
-			}
+		s.work.Chunks++
+		for i := range logs {
+			s.work.LLCOps += int64(len(logs[i].Ops))
 		}
-		buf.merged = merged // it may have grown
-		s.hier.WarmLLC(merged, shards)
+		prev = logs
 	}
 }
 
 // warmPrivateChunk advances core's feed by up to warmChunk items through
 // the private levels, ranging over the feed's batches in place, and
-// records what they emit for the LLC in r, which arrives empty.
-func (s *System) warmPrivateChunk(core int, f *warmFeed, r *warmRecord) {
-	for len(r.cnt) < warmChunk {
-		if f.warmed >= f.quota {
-			r.done = true
-			return
-		}
+// records what they emit for the LLC in l, which arrives empty and is
+// written once, at the end.
+func (s *System) warmPrivateChunk(core int, f *warmFeed, l *cache.WarmLog) {
+	ops, cnt := l.Ops, l.Cnt
+	for len(cnt) < warmChunk && !f.done {
 		// Every pending item is inside the quota (see pending); the chunk
 		// may end before they do.
 		items := f.pending()
-		if len(items) == 0 {
-			r.done = true
-			return
-		}
-		items = items[:min(len(items), warmChunk-len(r.cnt))]
+		items = items[:min(len(items), warmChunk-len(cnt))]
 		for k := range items {
 			ins := &items[k]
-			n := len(r.ops)
+			n := len(ops)
 			if ins.Kind == cpu.KindLoad || ins.Kind == cpu.KindStore {
-				r.ops = s.hier.WarmPrivate(core, ins.Addr, ins.Kind == cpu.KindStore, r.ops)
+				ops = s.hier.WarmPrivate(core, ins.Addr, ins.Kind == cpu.KindStore, ops)
 				f.warmed++
 			}
-			r.cnt = append(r.cnt, uint8(len(r.ops)-n))
+			cnt = append(cnt, uint8(len(ops)-n))
 		}
 		f.pos += len(items)
+		f.used += int64(len(items))
+		f.done = len(items) == 0 || f.warmed >= f.quota
 	}
+	l.Ops, l.Cnt = ops, cnt
 }

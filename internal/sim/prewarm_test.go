@@ -52,18 +52,19 @@ func prewarmSources(cores int, stores float64, bounded int64, wrap bool) []cpu.S
 }
 
 // TestPrewarmParallelMatchesSerial pins the concurrent warm path: the
-// per-core private warming plus merged, sharded LLC replay must leave the
+// per-core private warming plus the pipelined LLC replay must leave the
 // machine in exactly the state the serial round-robin loop produces —
 // the same eviction counts at every level of every core straight after
 // construction, and field-identical Results from a run off either warm
-// start — whatever GOMAXPROCS is, for quotas that are one chunk, end
-// inside a chunk or a batch, and with one stream running dry mid-chunk
-// while the others go on. GOMAXPROCS is set explicitly so the parallel
-// path is taken even on a single-processor host (where prewarm otherwise
-// stays serial); the serial reference is forced by hiding the sources'
-// batch interface.
+// start — whatever GOMAXPROCS is, for quotas of one, two and three
+// chunks, 37 items either side of each, and 63 (inside a batch), and with
+// one stream running dry mid-chunk while the others go on. GOMAXPROCS is
+// set explicitly so the parallel path is taken even on a single-processor
+// host (where prewarm otherwise stays serial); the serial reference is
+// forced by hiding the sources' batch interface.
 func TestPrewarmParallelMatchesSerial(t *testing.T) {
-	// A hierarchy small enough for 1<<14 operations to evict from the LLC.
+	// A hierarchy small enough for a chunk of operations to evict from the
+	// LLC.
 	small := cache.DefaultHierConfig(4)
 	small.L1.SizeBytes, small.L2.SizeBytes, small.LLC.SizeBytes = 4<<10, 32<<10, 256*11*64
 	type shape struct {
@@ -74,11 +75,16 @@ func TestPrewarmParallelMatchesSerial(t *testing.T) {
 		hier         cache.HierConfig
 	}
 	shapes := []shape{
-		{cores: 4, procs: 4, ops: 1 << 14, stores: 0.3, hier: cache.DefaultHierConfig(4)},
-		{cores: 8, procs: 2, ops: 3 << 13, stores: 0.5, bounded: 20_000, hier: cache.DefaultHierConfig(8)},
+		{cores: 4, procs: 4, ops: 2 * warmChunk, stores: 0.3, hier: cache.DefaultHierConfig(4)},
+		{cores: 8, procs: 2, ops: 3 * warmChunk, stores: 0.5, bounded: 20_000, hier: cache.DefaultHierConfig(8)},
 	}
 	for _, procs := range []int{2, 3, 8} {
-		for _, ops := range []int64{1 << 14, 1<<14 + 37, 3 << 13, 63} {
+		for _, ops := range []int64{
+			warmChunk - 37, warmChunk, warmChunk + 37,
+			2*warmChunk - 37, 2 * warmChunk, 2*warmChunk + 37,
+			3*warmChunk - 37, 3 * warmChunk, 3*warmChunk + 37,
+			63,
+		} {
 			shapes = append(shapes, shape{cores: 4, procs: procs, ops: ops, stores: 0.5, bounded: ops * 5 / 6, hier: small})
 		}
 	}
@@ -151,5 +157,43 @@ func TestPrewarmQuotaExactWithBatching(t *testing.T) {
 			t.Errorf("quota %d: %d ops emitted after prewarm", quota, got)
 		}
 		_ = sys
+	}
+}
+
+// TestPrewarmWork pins System.Work for one small four-core spec whose
+// second stream runs dry: the items each core's prewarm consumed, and on
+// the parallel path the LLC operations it recorded and replayed and the
+// chunks it took. The serial loop consumes the same items and replays
+// nothing. A warm that fits in one chunk takes one chunk and one record
+// set of the arena.
+func TestPrewarmWork(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := Default(4)
+	cfg.Hier.L1.SizeBytes, cfg.Hier.L2.SizeBytes, cfg.Hier.LLC.SizeBytes = 4<<10, 32<<10, 256*11*64
+	cfg.MaxMemCycles = 1_000
+	cfg.PrewarmOps = 3 * warmChunk
+	for _, serial := range []bool{false, true} {
+		sys, err := newSystem(cfg, prewarmSources(4, 0.5, 20_000, serial), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Work{WarmItems: []int64{3 * warmChunk, 20_000, 3 * warmChunk, 3 * warmChunk}, LLCOps: 139_103, Chunks: 3}
+		if serial {
+			want.LLCOps, want.Chunks = 0, 0
+		}
+		if got := sys.Work(); !reflect.DeepEqual(got, want) {
+			t.Errorf("serial %v: Work %+v, want %+v", serial, got, want)
+		}
+	}
+
+	arena := new(Arena)
+	cfg.PrewarmOps = warmChunk
+	sys, err := newSystem(cfg, prewarmSources(4, 0.5, 0, false), arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := sys.Work(); w.Chunks != 1 || arena.warm.sets[1] != nil {
+		t.Errorf("a one-chunk warm took %d chunks and %d logs of the second record set, want 1 and none",
+			w.Chunks, len(arena.warm.sets[1]))
 	}
 }

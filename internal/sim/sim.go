@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"dramstacks/internal/addrmap"
 	"dramstacks/internal/cache"
@@ -224,6 +225,33 @@ type System struct {
 	// hierarchy's cache arrays under tenancy gen; see checkTenancy.
 	arena *Arena
 	gen   uint64
+
+	work *Work // nil until prewarm runs
+}
+
+// Work counts what building a System did, in units that do not depend on
+// the host's speed: host time divided by them is a cost per operation.
+// It is not part of a Result, nor of a spec's hash.
+type Work struct {
+	// WarmItems is, per core, the items prewarm consumed from the source
+	// (nil without prewarm).
+	WarmItems []int64
+	// LLCOps is the shared-level operations the parallel prewarm recorded
+	// and replayed, and Chunks the chunks it warmed; both stay 0 when
+	// prewarm ran the serial loop, which applies the same operations as
+	// it goes (one core, GOMAXPROCS 1, or a source without NextBatch).
+	LLCOps int64
+	Chunks int64
+}
+
+// Work returns the System's work counts.
+func (s *System) Work() Work {
+	if s.work == nil {
+		return Work{}
+	}
+	w := *s.work
+	w.WarmItems = slices.Clone(w.WarmItems)
+	return w
 }
 
 // newSystem assembles a system from a fully built Config running the given
