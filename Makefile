@@ -31,7 +31,9 @@ test-short:
 # in full: a reused arena must never show in a result. The last three
 # lines run the arena and the request-path (spec hash, spec decode)
 # benchmarks, the cache's demand and warm kernels, and the controller's
-# cycle and the prewarm set-up once, so that they cannot rot.
+# cycle and the prewarm set-up once, so that they cannot rot, and the
+# benchmark's graph generation and CSR build once under the race detector
+# on two processors, so the split generator races at full size.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 -run 'Golden|FastForward' ./internal/sim/
@@ -43,6 +45,7 @@ race:
 	$(GO) test -run '^$$' -bench 'RunSpecArena|SpecHash|DecodeSpec' -benchmem -benchtime 1x ./internal/exp/
 	$(GO) test -run '^$$' -bench 'Access' -benchtime 1x ./internal/cache/
 	$(GO) test -run '^$$' -bench 'ControllerTick|Prewarm' -benchtime 1x .
+	$(GO) test -race -run '^$$' -bench 'Kronecker|FromEdges' -benchtime 1x -cpu 2 ./internal/graph/
 
 cover:
 	$(GO) test -cover ./internal/...

@@ -146,3 +146,54 @@ func TestParkSleepMatchesTicking(t *testing.T) {
 		t.Errorf("ticked core: %+v, memory refused %d", lit, memT.refused)
 	}
 }
+
+// busyMem refuses every access before cycle free and hits after. It has
+// no Park side and wakes no one when it frees: the core must retry.
+type busyMem struct {
+	free    int64
+	started int64 // the cycle the first access was taken, -1 before
+}
+
+func (m *busyMem) Access(now int64, core int, addr uint64, write bool, w cache.Waiter) cache.Outcome {
+	if now < m.free {
+		return cache.Outcome{Status: cache.Retry}
+	}
+	if m.started < 0 {
+		m.started = now
+	}
+	return cache.Outcome{Status: cache.Hit, Latency: 4, Level: 1}
+}
+
+// TestBarrierSleepLeavesStartQueue empties a core's ROB at a barrier
+// while its store's access still waits to start: the store has retired,
+// the port refused the access. The core must not take the barrier sleep —
+// nothing would wake it when the port frees — but retry every cycle and
+// start the store the cycle the port takes it, mid-barrier.
+func TestBarrierSleepLeavesStartQueue(t *testing.T) {
+	mem := &busyMem{free: 40, started: -1}
+	bar := &barrierSlice{sliceSource: sliceSource{items: []Instr{
+		{Kind: KindStore, Addr: 64, Work: 1}, {Kind: KindStall}, {Kind: KindALU, Work: 1},
+	}}}
+	c := New(0, DefaultConfig(), mem, bar)
+	var now int64
+	for ; now < 1000 && !c.Done(); now++ {
+		bar.turn(now, false)
+		if !c.Asleep() || c.Due(now) {
+			if c.Asleep() {
+				c.Resume(now)
+			}
+			c.CPUCycle(now)
+			c.TrySleep(now)
+		}
+		bar.turn(now, true)
+	}
+	if !c.Done() {
+		t.Fatalf("not done after %d cycles", now)
+	}
+	if bar.until <= mem.free {
+		t.Fatalf("the barrier ended at %d, before the port freed at %d", bar.until, mem.free)
+	}
+	if mem.started != mem.free {
+		t.Errorf("the store started at cycle %d, want %d: the port freed mid-barrier", mem.started, mem.free)
+	}
+}

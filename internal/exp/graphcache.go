@@ -16,8 +16,10 @@ import (
 const graphCacheBudget = 512 << 20
 
 // graphs shares generated, kernel-prepared graphs across experiments
-// (generation dominates setup time at scale 17). Prepared graphs are
-// read-only afterwards, so concurrent experiments may share them.
+// (generation is nearly all of a GAP point's set-up: a quarter of a
+// second at scale 17 with two processors drawing, seconds from scale 20).
+// Prepared graphs are read-only afterwards, so concurrent experiments may
+// share them.
 var graphs = newGraphLRU(graphCacheBudget)
 
 // Every experiment's graph is a Kronecker graph of this edge factor and

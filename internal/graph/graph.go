@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 )
 
 // Graph is a directed graph in CSR form. For undirected graphs every
@@ -68,52 +70,114 @@ func (g *Graph) Validate() error {
 // FromEdges builds a CSR graph from an edge list. When symmetric is true
 // every edge is inserted in both directions (undirected semantics).
 // Self-loops are dropped; duplicate edges are kept (like the GAP loader's
-// default).
+// default). A vertex's neighbours are in edge-list order.
+//
+// With more than one processor and at least edgeRange edges a half, the
+// two halves of the list are built in parallel, see fromEdges.
 func FromEdges(n int, edges [][2]int32, symmetric bool) (*Graph, error) {
+	split := len(edges)
+	if len(edges) >= 2*edgeRange && runtime.GOMAXPROCS(0) > 1 {
+		split = len(edges) / 2
+	}
+	return fromEdges(n, edges, symmetric, split)
+}
+
+// edgeRange is the fewest edges FromEdges gives a range of its own.
+const edgeRange = 1 << 14
+
+// fromEdges is FromEdges over two ranges, edges[:split] and
+// edges[split:], which count degrees and then place neighbours in
+// parallel: a stable counting sort, so the CSR does not depend on split.
+// The first range counts into deg and the second into fill; a prefix sum
+// turns them into each range's cursors, the first starting where v's
+// neighbours start and the second after the first's count. Placing
+// leaves the second range's cursor at the next vertex's start, which is
+// v's end offset.
+func fromEdges(n int, edges [][2]int32, symmetric bool, split int) (*Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("graph: vertex count must be positive, got %d", n)
 	}
 	deg := make([]int64, n+1)
-	add := func(u, v int32) error {
-		if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
-			return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
-		}
-		deg[u+1]++
-		return nil
+	fill := make([]int64, n)
+	ranges := [2][][2]int32{edges[:split], edges[split:]}
+	cursors := [2][]int64{deg[:n], fill}
+	nr := 1
+	if split < len(edges) {
+		nr = 2
 	}
-	for _, e := range edges {
-		if e[0] == e[1] {
-			continue
-		}
-		if err := add(e[0], e[1]); err != nil {
+	var errs [2]error
+	inParts(nr, func(r int) {
+		errs[r] = countDegrees(cursors[r], ranges[r], symmetric)
+	})
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
-		if symmetric {
-			if err := add(e[1], e[0]); err != nil {
-				return nil, err
-			}
-		}
 	}
-	for v := 0; v < n; v++ {
-		deg[v+1] += deg[v]
+	var start int64
+	for v := range n {
+		d0, d1 := deg[v], fill[v]
+		deg[v], fill[v] = start, start+d0
+		start += d0 + d1
 	}
-	g := &Graph{N: n, Offsets: deg, Neighbors: make([]int32, deg[n])}
-	fill := make([]int64, n)
-	copy(fill, deg[:n])
-	put := func(u, v int32) {
-		g.Neighbors[fill[u]] = v
-		fill[u]++
-	}
+	g := &Graph{N: n, Offsets: deg, Neighbors: make([]int32, start)}
+	inParts(nr, func(r int) {
+		place(g.Neighbors, cursors[r], ranges[r], symmetric)
+	})
+	copy(deg[1:], fill)
+	deg[0] = 0
+	return g, nil
+}
+
+// countDegrees adds each edge's endpoints' degrees to deg, or reports the
+// first edge out of range.
+func countDegrees(deg []int64, edges [][2]int32, symmetric bool) error {
+	n := int32(len(deg))
 	for _, e := range edges {
-		if e[0] == e[1] {
+		u, v := e[0], e[1]
+		if u == v {
 			continue
 		}
-		put(e[0], e[1])
+		if u < 0 || u >= n || v < 0 || v >= n {
+			return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
+		}
+		deg[u]++
 		if symmetric {
-			put(e[1], e[0])
+			deg[v]++
 		}
 	}
-	return g, nil
+	return nil
+}
+
+// place writes each edge's endpoints at their vertices' cursors.
+func place(nb []int32, cur []int64, edges [][2]int32, symmetric bool) {
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if u == v {
+			continue
+		}
+		nb[cur[u]] = v
+		cur[u]++
+		if symmetric {
+			nb[cur[v]] = u
+			cur[v]++
+		}
+	}
+}
+
+// inParts runs f(0), …, f(parts-1) in parallel, f(0) on the calling
+// goroutine.
+func inParts(parts int, f func(p int)) {
+	var wg sync.WaitGroup
+	for p := 1; p < parts; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(p)
+		}()
+	}
+	f(0)
+	wg.Wait()
 }
 
 // Uniform generates an Erdős–Rényi-style graph: n vertices, n×degree
@@ -136,13 +200,22 @@ func Uniform(n, degree int, seed int64) *Graph {
 // (A, B, C) = (0.57, 0.19, 0.19), symmetrized. The skewed degree
 // distribution is what gives graph workloads their irregularity.
 //
+// The graph is that of one loop over rand.NewSource(seed), however many
+// processors draw it (see kroneckerSplit).
+//
 // It panics unless CheckKronecker(scale, edgeFactor) is nil.
 func Kronecker(scale, edgeFactor int, seed int64) *Graph {
 	if err := CheckKronecker(scale, edgeFactor); err != nil {
 		panic(err)
 	}
-	return kronecker(scale, edgeFactor, rand.NewSource(seed))
+	parts := min(runtime.GOMAXPROCS(0), max(1, scale*edgeFactor<<scale/partDraws))
+	g, _ := kroneckerSplit(scale, edgeFactor, seed, parts, cutPoint(1))
+	return g
 }
+
+// partDraws is the fewest draws Kronecker gives a part of its own: a
+// part's jump, 1–2 ms, is then a few per cent of its drawing.
+const partDraws = 1 << 22
 
 // CheckKronecker reports why Kronecker cannot generate a graph of the
 // given scale and edge factor: vertex ids are int32, and a graph has at
@@ -157,27 +230,104 @@ func CheckKronecker(scale, edgeFactor int) error {
 	return nil
 }
 
-// kronecker is Kronecker over a given draw stream. Every bit of every
-// endpoint is one uniform variate r in [0,1) put in a quadrant: r < A
-// sets nothing, r < A+B the bit of v, r < A+B+C the bit of u, the rest
-// both. The variates are those of rand.New(src).Float64() —
-// float64(Int63())/2^63, redrawn when that rounds to 1 — but the
+// kroneckerSplit is Kronecker drawn in parts, contiguous runs of edges
+// drawn in parallel, with draws at or above redraw redrawn (cutPoint(1)
+// is Float64's bound). Part 0 draws from rand.NewSource(seed) itself and
+// every later part from a generator jumped to its first draw (lagBase).
+// It also returns how many rounds of drawing that took.
+func kroneckerSplit(scale, edgeFactor int, seed int64, parts int, redraw uint64) (*Graph, int) {
+	var base *lagBase
+	if parts > 1 {
+		base = newLagBase(seed)
+	}
+	edges, rounds := kroneckerEdges(scale, edgeFactor, rand.NewSource(seed), parts, redraw, base)
+	g, err := FromEdges(1<<scale, edges, true)
+	if err != nil {
+		panic(err)
+	}
+	return g, rounds
+}
+
+// edgePart is a run of edges drawn from one generator.
+type edgePart struct {
+	lo, hi  int         // the edges
+	start   int         // the draw src stood at when the part began
+	redraws int         // draws the part redrew
+	src     rand.Source // after the part's last draw
+}
+
+// kroneckerEdges draws the edge list in parts and relabels it. Part p
+// starts at draw lo·scale plus the redraws of the parts before it. Those
+// are not known until the parts have drawn, so every part first assumes
+// the earlier parts redrew nothing — a seeded generator redraws once in
+// 2^54 draws — and counts its own redraws; then any part whose start the
+// counts contradict is drawn again from its corrected start, in rounds
+// until none is (one part more is settled every round). Perm continues
+// from the last part's generator. It returns the rounds of drawing too.
+//
+// Every bit of every endpoint is one uniform variate r in [0,1) put in a
+// quadrant: r < A sets nothing, r < A+B the bit of v, r < A+B+C the bit
+// of u, the rest both. The variates are those of rand.New(src).Float64()
+// — float64(Int63())/2^63, redrawn when that rounds to 1 — but the
 // conversion is monotonic, so the raw draw is compared with the smallest
 // integer that converts to each bound (cutPoint) instead: no conversion,
 // no divide, and no four-way branch for a predictor to guess.
-func kronecker(scale, edgeFactor int, src rand.Source) *Graph {
+func kroneckerEdges(scale, edgeFactor int, src rand.Source, parts int, redraw uint64, base *lagBase) ([][2]int32, int) {
 	n := 1 << scale
 	const a, b, c = 0.57, 0.19, 0.19
 	q := rmatCuts{cutPoint(a), cutPoint(a + b), cutPoint(a + b + c)}
-	redraw := cutPoint(1)
-	mask := uint64(n - 1)
 	edges := make([][2]int32, n*edgeFactor)
+	ps := make([]edgePart, parts)
+	for p := range ps {
+		ps[p].lo, ps[p].hi = p*len(edges)/parts, (p+1)*len(edges)/parts
+		ps[p].start = -1
+	}
+	ps[0].src = src
+	rounds := 0
+	for ; ; rounds++ {
+		var stale []int
+		start := 0
+		for p := range ps {
+			if at := ps[p].lo*scale + start; ps[p].start != at {
+				ps[p].start = at
+				stale = append(stale, p)
+			}
+			start += ps[p].redraws
+		}
+		if len(stale) == 0 {
+			break
+		}
+		inParts(len(stale), func(i int) {
+			pt := &ps[stale[i]]
+			if stale[i] > 0 {
+				pt.src = base.at(pt.start)
+			}
+			pt.redraws = q.draw(edges[pt.lo:pt.hi], pt.src, scale, redraw)
+		})
+	}
+	// Permute vertex labels so degree does not correlate with index. Perm
+	// draws from the same stream, where the edges left it.
+	perm := rand.New(ps[parts-1].src).Perm(n)
+	inParts(parts, func(p int) {
+		for i := ps[p].lo; i < ps[p].hi; i++ {
+			edges[i][0] = int32(perm[edges[i][0]])
+			edges[i][1] = int32(perm[edges[i][1]])
+		}
+	})
+	return edges, rounds
+}
+
+// draw fills edges from src, one accepted draw per vertex bit, and
+// returns how many draws it redrew.
+func (q rmatCuts) draw(edges [][2]int32, src rand.Source, scale int, redraw uint64) (redraws int) {
+	mask := uint64(1)<<scale - 1
 	for i := range edges {
 		var nu, nv uint64 // the complements of u and v, see quadrant
 		for bit := 0; bit < scale; bit++ {
 			x := uint64(src.Int63())
 			for x >= redraw {
 				x = uint64(src.Int63())
+				redraws++
 			}
 			bu, bv := q.quadrant(x)
 			nu |= bu << bit
@@ -185,18 +335,7 @@ func kronecker(scale, edgeFactor int, src rand.Source) *Graph {
 		}
 		edges[i] = [2]int32{int32(^nu & mask), int32(^nv & mask)}
 	}
-	// Permute vertex labels so degree does not correlate with index. Perm
-	// draws from the same source, where the edges left it.
-	perm := rand.New(src).Perm(n)
-	for i := range edges {
-		edges[i][0] = int32(perm[edges[i][0]])
-		edges[i][1] = int32(perm[edges[i][1]])
-	}
-	g, err := FromEdges(n, edges, true)
-	if err != nil {
-		panic(err)
-	}
-	return g
+	return redraws
 }
 
 // cutPoint returns the smallest 63-bit draw x whose uniform variate

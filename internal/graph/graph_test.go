@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -253,11 +254,43 @@ func TestKroneckerDeterministic(t *testing.T) {
 	}
 }
 
+// kronecker is Kronecker in one part over a given draw stream.
+func kronecker(scale, edgeFactor int, src rand.Source) *Graph {
+	edges, _ := kroneckerEdges(scale, edgeFactor, src, 1, cutPoint(1), nil)
+	g, err := FromEdges(1<<scale, edges, true)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 // kroneckerFloat is the generator as it was written before the integer
 // cut points: one Float64 per vertex bit through a four-way switch. It is
 // the reference kronecker is differenced against.
 func kroneckerFloat(scale, edgeFactor int, src rand.Source) *Graph {
-	rng := rand.New(src)
+	return kroneckerFloatBelow(scale, edgeFactor, src, 1<<63)
+}
+
+// below is a rand.Source that redraws every draw of its source at or
+// above bound.
+type below struct {
+	rand.Source
+	bound uint64
+}
+
+func (s *below) Int63() int64 {
+	x := s.Source.Int63()
+	for uint64(x) >= s.bound {
+		x = s.Source.Int63()
+	}
+	return x
+}
+
+// kroneckerFloatBelow is kroneckerFloat with the edge draws at or above
+// bound redrawn as well as those Float64 redraws; Perm's draws are not.
+func kroneckerFloatBelow(scale, edgeFactor int, src rand.Source, bound uint64) *Graph {
+	filtered := &below{src, bound}
+	rng := rand.New(filtered)
 	n := 1 << scale
 	const a, b, c = 0.57, 0.19, 0.19
 	edges := make([][2]int32, 0, n*edgeFactor)
@@ -280,16 +313,67 @@ func kroneckerFloat(scale, edgeFactor int, src rand.Source) *Graph {
 		edges = append(edges, [2]int32{u, v})
 	}
 	// Permute vertex labels so degree does not correlate with index.
+	filtered.bound = 1 << 63
 	perm := rng.Perm(n)
 	for i := range edges {
 		edges[i][0] = int32(perm[edges[i][0]])
 		edges[i][1] = int32(perm[edges[i][1]])
 	}
-	g, err := FromEdges(n, edges, true)
+	g, err := fromEdgesSerial(n, edges, true)
 	if err != nil {
 		panic(err)
 	}
 	return g
+}
+
+// fromEdgesSerial is FromEdges as it was written before the two ranges:
+// one counting pass and one placing pass over the whole list. It is the
+// reference fromEdges and the float loop's CSR are built by.
+func fromEdgesSerial(n int, edges [][2]int32, symmetric bool) (*Graph, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("graph: vertex count must be positive, got %d", n)
+	}
+	deg := make([]int64, n+1)
+	add := func(u, v int32) error {
+		if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
+			return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
+		}
+		deg[u+1]++
+		return nil
+	}
+	for _, e := range edges {
+		if e[0] == e[1] {
+			continue
+		}
+		if err := add(e[0], e[1]); err != nil {
+			return nil, err
+		}
+		if symmetric {
+			if err := add(e[1], e[0]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		deg[v+1] += deg[v]
+	}
+	g := &Graph{N: n, Offsets: deg, Neighbors: make([]int32, deg[n])}
+	fill := make([]int64, n)
+	copy(fill, deg[:n])
+	put := func(u, v int32) {
+		g.Neighbors[fill[u]] = v
+		fill[u]++
+	}
+	for _, e := range edges {
+		if e[0] == e[1] {
+			continue
+		}
+		put(e[0], e[1])
+		if symmetric {
+			put(e[1], e[0])
+		}
+	}
+	return g, nil
 }
 
 // TestKroneckerMatchesFloatLoop differences the generator against the
@@ -487,11 +571,172 @@ func TestKroneckerRejectsBadSizes(t *testing.T) {
 	}
 }
 
+// TestLaggedJump checks the jumped generator against rand.NewSource: at
+// draw k it yields what the source yields after k draws, for the jumps
+// that stay inside the seeded window (k < 607), the ones at its edge, and
+// a long one.
+func TestLaggedJump(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7, 1 << 40, 1<<63 - 1} {
+		base := newLagBase(seed)
+		for _, k := range []int{0, 1, 606, 607, 608, 1<<20 + 3} {
+			src := rand.NewSource(seed).(rand.Source64)
+			for range k {
+				src.Uint64()
+			}
+			g := base.at(k)
+			for i := range 2 * lagLen {
+				if got, want := g.Uint64(), src.Uint64(); got != want {
+					t.Fatalf("seed %d, jump to %d: output %d is %#x, want %#x", seed, k, i, got, want)
+				}
+			}
+			if got, want := g.Int63(), src.Int63(); got != want {
+				t.Fatalf("seed %d, jump to %d: Int63 %d, want %d", seed, k, got, want)
+			}
+		}
+	}
+}
+
+// splitCases are graphs for the split differentials: ones whose every
+// part starts inside the first two 607-word windows (scale 3 × 2 is 48
+// draws, scale 6 × 3 is 1 152), edge counts no part count up to 9 divides
+// evenly, and one whose parts start far beyond them.
+var splitCases = []struct {
+	scale, ef int
+	seed      int64
+}{{1, 1, 3}, {3, 2, 42}, {5, 1, -1}, {6, 3, 7}, {7, 5, 1 << 40}, {11, 3, 99}}
+
+// TestKroneckerSplitMatchesFloatLoop differences the generator drawn in 1
+// to 9 parts against the float loop, including more parts than edges.
+func TestKroneckerSplitMatchesFloatLoop(t *testing.T) {
+	for _, c := range splitCases {
+		want := kroneckerFloat(c.scale, c.ef, rand.NewSource(c.seed))
+		for parts := 1; parts <= 9; parts++ {
+			got, rounds := kroneckerSplit(c.scale, c.ef, c.seed, parts, cutPoint(1))
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("Kronecker(%d, %d, %d) in %d parts differs from the float loop", c.scale, c.ef, c.seed, parts)
+			}
+			if rounds != 1 {
+				t.Errorf("Kronecker(%d, %d, %d) in %d parts took %d rounds, want 1: a seeded generator redraws nothing", c.scale, c.ef, c.seed, parts, rounds)
+			}
+		}
+	}
+}
+
+// TestKroneckerSplitRedraws lowers the redraw bound on both sides, so that
+// parts redraw and the parts after them start where the speculation did
+// not put them: from one redraw in 2^4 draws (every part redraws) to one
+// in 2^12 (some parts do, in the larger cases).
+func TestKroneckerSplitRedraws(t *testing.T) {
+	respun := 0
+	for _, odds := range []float64{1.0 / 16, 1.0 / 512, 1.0 / 4096} {
+		bound := cutPoint(1 - odds)
+		for _, c := range splitCases {
+			want := kroneckerFloatBelow(c.scale, c.ef, rand.NewSource(c.seed), bound)
+			for parts := 1; parts <= 9; parts++ {
+				got, rounds := kroneckerSplit(c.scale, c.ef, c.seed, parts, bound)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("Kronecker(%d, %d, %d) in %d parts, redrawing at 1-%g, differs from the float loop", c.scale, c.ef, c.seed, parts, odds)
+				}
+				if rounds > 1 {
+					respun++
+				}
+			}
+		}
+	}
+	if respun == 0 {
+		t.Error("no part was ever drawn again: the speculation never failed")
+	}
+}
+
+// TestFromEdgesRanges differences the two-range build against the serial
+// loop on random edge lists — self-loops, duplicates, a vertex range
+// small enough that most vertices have many edges and large enough that
+// many have none — split at every point, both ends (one empty range)
+// included, symmetric and not.
+func TestFromEdgesRanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := range 40 {
+		n := 1 + rng.Intn(64)
+		edges := make([][2]int32, rng.Intn(48))
+		for i := range edges {
+			edges[i] = [2]int32{int32(rng.Intn(n)), int32(rng.Intn(n))}
+			if rng.Intn(8) == 0 {
+				edges[i][1] = edges[i][0]
+			}
+			if i > 0 && rng.Intn(8) == 0 {
+				edges[i] = edges[rng.Intn(i)]
+			}
+		}
+		for _, symmetric := range []bool{false, true} {
+			want, err := fromEdgesSerial(n, edges, symmetric)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for split := 0; split <= len(edges); split++ {
+				got, err := fromEdges(n, edges, symmetric, split)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d (n %d, %d edges, symmetric %v): split at %d builds a different CSR", trial, n, len(edges), symmetric, split)
+				}
+			}
+		}
+	}
+	// An out-of-range edge in either range is reported as the serial loop
+	// reports the first one; an out-of-range self-loop is dropped unseen.
+	edges := [][2]int32{{0, 1}, {5, 5}, {1, 9}, {2, 1}, {7, 0}}
+	_, want := fromEdgesSerial(3, edges, true)
+	for split := 0; split <= len(edges); split++ {
+		if _, err := fromEdges(3, edges, true, split); err == nil || err.Error() != want.Error() {
+			t.Errorf("split at %d: error %v, want %v", split, err, want)
+		}
+	}
+}
+
+// TestKroneckerAllocs guards the set-up's bytes: the benchmark's graph at
+// two processors allocates what the one-part generator did (18 363 728
+// bytes: edges, CSR, the permutation, the source) and a few KB a part
+// for the jumped generators, the parts and the goroutines.
+func TestKroneckerAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a scale-16 graph")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const parts, perPart = 2, 10 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Kronecker(16, 16, 1)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(18_363_728+parts*perPart); got > limit {
+		t.Errorf("Kronecker(16, 16, 1) at GOMAXPROCS 2 allocated %d bytes, want at most %d", got, limit)
+	}
+}
+
+// The graph benchmarks loop over b.N, not b.Loop: with Go 1.24's b.Loop
+// every iteration runs inside the first call, before -cpu has set
+// GOMAXPROCS, so -cpu 1 would time the split generator.
+var benchGraph *Graph
+
 // BenchmarkKronecker is the set-up kernel of a GAP point: the graph of the
 // benchmark's gap-bfs-4c workload.
 func BenchmarkKronecker(b *testing.B) {
 	b.ReportAllocs()
-	for b.Loop() {
-		Kronecker(16, 16, 1)
+	for range b.N {
+		benchGraph = Kronecker(16, 16, 1)
+	}
+}
+
+// BenchmarkFromEdges is the CSR build of the benchmark's gap-bfs-4c graph.
+func BenchmarkFromEdges(b *testing.B) {
+	edges, _ := kroneckerEdges(16, 16, rand.NewSource(1), 1, cutPoint(1), nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		g, err := FromEdges(1<<16, edges, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchGraph = g
 	}
 }
