@@ -27,7 +27,9 @@ test-short:
 # sim hot loop is race-checked end to end, and the warm differentials:
 # the LLC replay of one chunk runs beside the private warm of the next.
 # The GAP path in full too — the generator oracles, the barrier sources,
-# and the graph cache that concurrent jobs share. The arena differentials
+# and the graph cache that concurrent jobs share — but not the scale-16
+# and -17 generator oracles: `make test` runs those, and the last line
+# races the benchmark's scale-16 graph. The arena differentials
 # in full: a reused arena must never show in a result. The last three
 # lines run the arena and the request-path (spec hash, spec decode)
 # benchmarks, the cache's demand and warm kernels, and the controller's
@@ -39,7 +41,7 @@ race:
 	$(GO) test -race -count=1 -run 'Golden|FastForward' ./internal/sim/
 	$(GO) test -race -count=1 -run 'Repeat|Park|FastForward' ./internal/prefetch/ ./internal/cache/ ./internal/cpu/
 	$(GO) test -race -count=1 -run 'Warm|Prewarm' ./internal/cache/ ./internal/sim/
-	$(GO) test -race -count=1 ./internal/graph/ ./internal/gap/
+	$(GO) test -race -count=1 -short ./internal/graph/ ./internal/gap/
 	$(GO) test -race -count=1 -run 'BuildGraph' ./internal/exp/
 	$(GO) test -race -count=1 -run 'Arena' ./internal/cache/ ./internal/sim/ ./internal/exp/ ./internal/service/
 	$(GO) test -run '^$$' -bench 'RunSpecArena|SpecHash|DecodeSpec' -benchmem -benchtime 1x ./internal/exp/

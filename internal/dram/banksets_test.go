@@ -3,6 +3,7 @@ package dram_test
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -57,6 +58,20 @@ func refAnyRefreshing(d *dram.Device, at int64) bool {
 	return false
 }
 
+// refOpenClosing is OpenBanks and Closing over every bank.
+func refOpenClosing(d *dram.Device) (open, closing uint64) {
+	for i := 0; i < d.Geometry().TotalBanks(); i++ {
+		_, _, _, _, apAt, isOpen := d.BankWindows(i)
+		if isOpen {
+			open |= 1 << i
+		}
+		if apAt != 0 {
+			closing |= 1 << i
+		}
+	}
+	return open, closing
+}
+
 // refRefreshOnlyUntil is RefreshOnlyUntil over every rank and bank.
 func refRefreshOnlyUntil(d *dram.Device, at int64) int64 {
 	end := at
@@ -77,7 +92,8 @@ func refRefreshOnlyUntil(d *dram.Device, at int64) int64 {
 
 // syncChecked is Sync with the banks it lands checked against a scan:
 // exactly the banks whose auto-precharge is due land, each closed and
-// precharging from its landing cycle; every other bank keeps its own.
+// precharging from its landing cycle, and Sync returns that set; every
+// other bank keeps its own.
 func syncChecked(t *testing.T, d *dram.Device, rp int, now int64) {
 	t.Helper()
 	n := d.Geometry().TotalBanks()
@@ -85,7 +101,15 @@ func syncChecked(t *testing.T, d *dram.Device, rp int, now int64) {
 	for i := range before {
 		_, _, _, _, before[i], _ = d.BankWindows(i)
 	}
-	d.Sync(now)
+	landed, wantLanded := d.Sync(now), uint64(0)
+	for i, ap := range before {
+		if ap != 0 && ap <= now {
+			wantLanded |= 1 << i
+		}
+	}
+	if landed != wantLanded {
+		t.Fatalf("cycle %d: Sync landed %#x, the scan says %#x", now, landed, wantLanded)
+	}
 	for i, ap := range before {
 		_, _, preStart, preDone, apAt, open := d.BankWindows(i)
 		due := ap != 0 && ap <= now
@@ -103,8 +127,9 @@ func syncChecked(t *testing.T, d *dram.Device, rp int, now int64) {
 // column commands with and without auto-precharge, precharges, and
 // refreshes closing their rank first — through every registered
 // standard, single- and dual-rank, one cycle at a time. Every cycle,
-// Sync's landings, BusyMasks (masks and until), AnyRefreshing and
-// RefreshOnlyUntil must be what a scan of every bank and rank gives.
+// Sync's landings, OpenBanks, Closing, BusyMasks (masks and until),
+// AnyRefreshing and RefreshOnlyUntil must be what a scan of every bank
+// and rank gives.
 // Half the runs ask BusyMasks every cycle; the other half ask only the
 // way the controller does — when until has passed or a command opened a
 // window — and check that the answer held in between.
@@ -206,6 +231,9 @@ func runSetDifferential(t *testing.T, geo dram.Geometry, tim dram.Timing, seed, 
 		if pre != wantPre || act != wantAct {
 			t.Fatalf("cycle %d: busy masks pre %#x act %#x, the scan says pre %#x act %#x", now, pre, act, wantPre, wantAct)
 		}
+		if wantOpen, wantClosing := refOpenClosing(d); d.OpenBanks() != wantOpen || d.Closing() != wantClosing {
+			t.Fatalf("cycle %d: open %#x closing %#x, the scan says %#x %#x", now, d.OpenBanks(), d.Closing(), wantOpen, wantClosing)
+		}
 		if got, want := d.AnyRefreshing(now), refAnyRefreshing(d, now); got != want {
 			t.Fatalf("cycle %d: AnyRefreshing %v, the scan says %v", now, got, want)
 		}
@@ -217,5 +245,46 @@ func runSetDifferential(t *testing.T, geo dram.Geometry, tim dram.Timing, seed, 
 	}
 	if st := d.Stats(); st.AutoPRE < cycles/100 || st.REF < cycles/int64(tim.REFI) || st.PRE == 0 || st.RD == 0 || st.WR == 0 {
 		t.Fatalf("schedule too thin to mean anything: %+v", st)
+	}
+}
+
+// TestSharingFollowsTheGeometry checks Sharing and RankBanks against the
+// flat bank index (rank, group, bank) of every bank of every standard.
+func TestSharingFollowsTheGeometry(t *testing.T) {
+	for _, std := range standard.All() {
+		geo := std.Geometry
+		if geo.BanksPerRank()*2 <= 64 {
+			geo.Ranks = 2
+		}
+		d := dram.NewDevice(geo, std.Timing)
+		for r := 0; r < geo.Ranks; r++ {
+			var rank uint64
+			for g := 0; g < geo.Groups; g++ {
+				var group uint64
+				for b := 0; b < geo.Banks; b++ {
+					group |= 1 << ((r*geo.Groups+g)*geo.Banks + b)
+				}
+				for m := group; m != 0; m &= m - 1 {
+					i := bits.TrailingZeros64(m)
+					for scope, want := range [...]uint64{dram.ScopeNone: 0, dram.ScopeBank: 1 << i, dram.ScopeGroup: group, dram.ScopeBus: 0} {
+						if scope == int(dram.ScopeRank) {
+							continue // checked below, once the rank's set is complete
+						}
+						if got := d.Sharing(i, dram.BlockScope(scope)); got != want {
+							t.Fatalf("%s bank %d: Sharing(%d) = %#x, want %#x", std.Name, i, scope, got, want)
+						}
+					}
+				}
+				rank |= group
+			}
+			if got := d.RankBanks(r); got != rank {
+				t.Fatalf("%s: RankBanks(%d) = %#x, want %#x", std.Name, r, got, rank)
+			}
+			for m := rank; m != 0; m &= m - 1 {
+				if i := bits.TrailingZeros64(m); d.Sharing(i, dram.ScopeRank) != rank {
+					t.Fatalf("%s bank %d: Sharing at rank scope %#x, want %#x", std.Name, i, d.Sharing(i, dram.ScopeRank), rank)
+				}
+			}
+		}
 	}
 }

@@ -39,8 +39,6 @@ const (
 	CmdWRA
 	// CmdREF refreshes the whole rank; the rank is unusable for tRFC.
 	CmdREF
-
-	numCommandKinds
 )
 
 // String returns the conventional mnemonic for the command kind.

@@ -6,12 +6,15 @@ import (
 	"math/bits"
 )
 
-// bankState tracks one bank's row buffer and its per-bank next-allowed times.
+// bankState tracks one bank's open row and its per-bank next-allowed
+// times; whether the row is open is the bank's bit in Device.open.
 type bankState struct {
-	open bool
-	row  int
+	row int
 
-	group, rank int // flat bank-group index and rank, fixed at construction
+	// Fixed at construction: the flat bank-group index and the rank, and
+	// the banks of each as sets by flat bank index.
+	group, rank           int
+	groupBanks, rankBanks uint64
 
 	// Windows during which the bank is executing an activate or precharge,
 	// used both for legality (row not usable before actDone) and for the
@@ -86,16 +89,23 @@ type Device struct {
 	busKind      [busRingSize]DataKind
 
 	// Bank sets, one bit per flat bank index, and the cycles that let the
-	// per-cycle queries skip the banks nothing happened to. apBanks holds
-	// the banks with a pending auto-precharge, apNext the earliest of
-	// their landing cycles (never when there is none): Sync walks apBanks
-	// from apNext on. winBanks holds every bank whose activate, precharge
-	// or pending auto-precharge window may not have ended: the command
-	// that opens a window sets the bank's bit, and BusyMasks clears it
-	// once all of them have. refEnd is the latest refUntil of any rank.
-	apBanks, winBanks uint64
-	apNext            int64
-	refEnd            int64
+	// per-cycle queries skip the banks nothing happened to. open holds the
+	// banks whose row is open (an activate sets the bit, a precharge of
+	// any kind clears it). apBanks holds the banks with a pending
+	// auto-precharge, apNext the earliest of their landing cycles (never
+	// when there is none): Sync walks apBanks from apNext on. winBanks
+	// holds every bank whose activate, precharge or pending auto-precharge
+	// window may not have ended: the command that opens a window sets the
+	// bank's bit, and BusyMasks clears it once all of them have. refEnd is
+	// the latest refUntil of any rank.
+	open, apBanks, winBanks uint64
+	apNext                  int64
+	refEnd                  int64
+
+	// BusyMasks' last answer, exact for every cycle before busyUntil; a
+	// command that opens a window sets busyUntil to 0.
+	busyPre, busyAct uint64
+	busyUntil        int64
 
 	// quietAt is the earliest cycle at which, absent further commands,
 	// the device is observably idle: no bank is inside an activate or
@@ -140,9 +150,12 @@ func NewDevice(geo Geometry, tim Timing) *Device {
 		ranks:  make([]rankState, geo.Ranks),
 		apNext: math.MaxInt64,
 	}
+	per := geo.BanksPerRank()
 	for i := range d.banks {
-		d.banks[i].group = i / geo.Banks
-		d.banks[i].rank = i / geo.BanksPerRank()
+		b := &d.banks[i]
+		b.group, b.rank = i/geo.Banks, i/per
+		b.groupBanks = (1<<geo.Banks - 1) << (b.group * geo.Banks)
+		b.rankBanks = (1<<per - 1) << (b.rank * per)
 	}
 	for r := range d.ranks {
 		for i := range d.ranks[r].faw {
@@ -161,12 +174,6 @@ func (d *Device) Timing() Timing { return d.tim }
 // Stats returns the command counters accumulated so far.
 func (d *Device) Stats() Stats { return d.stats }
 
-func (d *Device) bankIndex(l Loc) int {
-	return (l.Rank*d.geo.Groups+l.Group)*d.geo.Banks + l.Bank
-}
-
-func (d *Device) groupIndex(l Loc) int { return l.Rank*d.geo.Groups + l.Group }
-
 func (d *Device) checkLoc(l Loc) {
 	if l.Rank < 0 || l.Rank >= d.geo.Ranks ||
 		l.Group < 0 || l.Group >= d.geo.Groups ||
@@ -178,15 +185,16 @@ func (d *Device) checkLoc(l Loc) {
 }
 
 // Sync advances the device's notion of time to now, applying any
-// auto-precharges that have come due. It must be called with
-// non-decreasing now values.
-func (d *Device) Sync(now int64) {
+// auto-precharges that have come due, and returns the set of banks whose
+// auto-precharge it applied. It must be called with non-decreasing now
+// values.
+func (d *Device) Sync(now int64) (landed uint64) {
 	if now < d.now {
 		panic(fmt.Sprintf("dram: Sync time went backwards: %d -> %d", d.now, now))
 	}
 	d.now = now
 	if now < d.apNext {
-		return
+		return 0
 	}
 	d.apNext = math.MaxInt64
 	for m := d.apBanks; m != 0; m &= m - 1 {
@@ -196,27 +204,56 @@ func (d *Device) Sync(now int64) {
 			d.apNext = min(d.apNext, b.apAt)
 			continue
 		}
-		d.applyPrecharge(b, b.apAt)
+		d.applyPrecharge(i, b.apAt)
 		b.apAt = 0
-		d.apBanks &^= 1 << i
+		landed |= 1 << i
 	}
+	d.apBanks &^= landed
+	return landed
 }
 
-func (d *Device) applyPrecharge(b *bankState, at int64) {
-	b.open = false
+// applyPrecharge closes bank i at cycle at.
+func (d *Device) applyPrecharge(i int, at int64) {
+	b := &d.banks[i]
+	d.open &^= 1 << i
 	b.preStart = at
 	b.preDone = at + int64(d.tim.RP)
-	if n := b.preDone; n > b.nextACT {
-		b.nextACT = n
-	}
+	b.nextACT = max(b.nextACT, b.preDone)
 	d.bumpQuiet(b.preDone)
 }
 
 // bumpQuiet extends the observable-activity horizon.
 func (d *Device) bumpQuiet(t int64) {
-	if t > d.quietAt {
-		d.quietAt = t
+	d.quietAt = max(d.quietAt, t)
+}
+
+// OpenBanks returns the banks whose row is open, as a set by flat bank
+// index: activated and not yet precharged, a pending auto-precharge
+// included until Sync lands it.
+func (d *Device) OpenBanks() uint64 { return d.open }
+
+// Closing returns the banks with a pending auto-precharge, as a set by
+// flat bank index: each is in OpenBanks until the Sync that lands it.
+func (d *Device) Closing() uint64 { return d.apBanks }
+
+// Sharing returns the banks a constraint of the given scope on bank spans,
+// as a set by flat bank index: the bank itself, its bank group or its
+// rank; none for ScopeNone and ScopeBus.
+func (d *Device) Sharing(bank int, scope BlockScope) uint64 {
+	switch scope {
+	case ScopeBank:
+		return 1 << bank
+	case ScopeGroup:
+		return d.banks[bank].groupBanks
+	case ScopeRank:
+		return d.banks[bank].rankBanks
 	}
+	return 0
+}
+
+// RankBanks returns rank r's banks as a set by flat bank index.
+func (d *Device) RankBanks(r int) uint64 {
+	return d.banks[r*d.geo.BanksPerRank()].rankBanks
 }
 
 // QuietAt returns the earliest cycle from which the device is observably
@@ -226,40 +263,20 @@ func (d *Device) bumpQuiet(t int64) {
 // not count as activity.
 func (d *Device) QuietAt() int64 { return d.quietAt }
 
-// RowOpen reports whether the bank at l has row l.Row open and usable
-// (activation complete) at cycle "at".
-func (d *Device) RowOpen(l Loc, at int64) bool {
-	b := &d.banks[d.bankIndex(l)]
-	if b.apAt != 0 && b.apAt <= at {
-		return false
-	}
-	return b.open && b.row == l.Row && at >= b.actDone
-}
-
 // OpenRow returns the currently open row of the bank at l, or -1 if the
 // bank is precharged (or will be, due to a due auto-precharge).
 func (d *Device) OpenRow(l Loc, at int64) int {
-	b := &d.banks[d.bankIndex(l)]
-	if !b.open || (b.apAt != 0 && b.apAt <= at) {
+	i := d.geo.Bank(l)
+	b := &d.banks[i]
+	if d.open&(1<<i) == 0 || (b.apAt != 0 && b.apAt <= at) {
 		return -1
 	}
 	return b.row
 }
 
-// Refreshing reports whether the rank is inside a refresh (tRFC) at cycle at.
-func (d *Device) Refreshing(rank int, at int64) bool {
-	return at < d.ranks[rank].refUntil
-}
-
 // AnyRefreshing reports whether any rank of the channel is refreshing at at.
 func (d *Device) AnyRefreshing(at int64) bool {
 	return at < d.refEnd
-}
-
-// BusKindAt returns what the data bus carries at cycle at. Only cycles in
-// the recent past or near future (within the bus ring) are meaningful.
-func (d *Device) BusKindAt(at int64) DataKind {
-	return d.busKind[at&(busRingSize-1)]
 }
 
 // RefreshOnlyUntil returns the cycle through which the device's only
@@ -300,15 +317,26 @@ func (d *Device) BankBusy(bank int, at int64) (precharging, activating bool) {
 // can differ if no further command is issued: the nearest start or end
 // of an activate, precharge or pending auto-precharge window.
 //
-// It looks only at winBanks, and drops a bank from it once every window
-// of the bank has ended by at. That is sound because queries never go
-// back in time — the controller asks at the cycle it has just synced
-// to, and Sync panics if time runs backwards — so a window ended at at
-// stays ended for every later query, until a command opens a new one
-// and sets the bank's bit again. Calls to it and to RefreshOnlyUntil,
-// which reads the same set, must therefore come with non-decreasing at.
+// Until that cycle, and unless a command opens a window, it returns the
+// answer it last computed. Otherwise it looks only at winBanks, and drops
+// a bank from it once every window of the bank has ended by at. Both are
+// sound because queries never go back in time — the controller asks at
+// the cycle it has just synced to, and Sync panics if time runs
+// backwards — so a window ended at at stays ended for every later query,
+// until a command opens a new one and sets the bank's bit again. Calls
+// to it and to RefreshOnlyUntil, which reads the same set, must
+// therefore come with non-decreasing at.
 func (d *Device) BusyMasks(at int64) (pre, act uint64, until int64) {
-	until = math.MaxInt64
+	if at >= d.busyUntil {
+		d.busyMasks(at)
+	}
+	return d.busyPre, d.busyAct, d.busyUntil
+}
+
+// busyMasks computes BusyMasks' answer afresh.
+func (d *Device) busyMasks(at int64) {
+	var pre, act uint64
+	until := int64(math.MaxInt64)
 	for m := d.winBanks; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		b := &d.banks[i]
@@ -329,7 +357,15 @@ func (d *Device) BusyMasks(at int64) (pre, act uint64, until int64) {
 			d.winBanks &^= 1 << i // every window of the bank has ended
 		}
 	}
-	return pre, act, until
+	d.busyPre, d.busyAct, d.busyUntil = pre, act, until
+}
+
+// opensWindow records that a command opened an activate, precharge or
+// auto-precharge window on bank i: the bank joins winBanks, and BusyMasks
+// computes its next answer afresh.
+func (d *Device) opensWindow(i int) {
+	d.winBanks |= 1 << i
+	d.busyUntil = 0
 }
 
 // within reports whether at lies in [start, end), and the first cycle
@@ -344,11 +380,6 @@ func within(at, start, end int64) (in bool, edge int64) {
 	return false, math.MaxInt64
 }
 
-// fawOK reports whether a new ACT at cycle at respects the tFAW window.
-func (r *rankState) fawOK(at int64, faw int) bool {
-	return at >= r.faw[r.fawIdx]+int64(faw)
-}
-
 // EarliestIssue returns the earliest cycle ≥ at when cmd could legally
 // issue given the current device state, and whether it is possible at all
 // without further state changes (e.g. RD to a bank whose open row differs
@@ -358,8 +389,9 @@ func (r *rankState) fawOK(at int64, faw int) bool {
 // assumes no further commands are issued in between.
 func (d *Device) EarliestIssue(cmd Command, at int64) (cycle int64, ok bool) {
 	d.checkLoc(cmd.Loc)
-	b := &d.banks[d.bankIndex(cmd.Loc)]
-	g := &d.groups[d.groupIndex(cmd.Loc)]
+	i := d.geo.Bank(cmd.Loc)
+	b := &d.banks[i]
+	g := &d.groups[b.group]
 	r := &d.ranks[cmd.Loc.Rank]
 
 	// A due-but-unapplied auto-precharge makes bank state ambiguous;
@@ -367,67 +399,54 @@ func (d *Device) EarliestIssue(cmd Command, at int64) (cycle int64, ok bool) {
 	if b.apAt != 0 && b.apAt <= at {
 		panic("dram: EarliestIssue called before Sync applied a due auto-precharge")
 	}
+	// The banks whose row is open and not closing itself.
+	stayOpen := d.open &^ d.apBanks
 
-	t := at
-	if r.refUntil > t {
-		t = r.refUntil
-	}
+	t := max(at, r.refUntil)
 	switch cmd.Kind {
 	case CmdACT:
-		if b.open && b.apAt == 0 {
+		if stayOpen&(1<<i) != 0 {
 			return 0, false // must precharge first
 		}
 		if b.apAt != 0 {
-			t = maxi64(t, b.apAt+int64(d.tim.RP))
+			t = max(t, b.apAt+int64(d.tim.RP))
 		}
-		t = maxi64(t, b.nextACT, g.nextACT, r.nextACT)
-		if !r.fawOK(t, d.tim.FAW) {
-			t = r.faw[r.fawIdx] + int64(d.tim.FAW)
-		}
-		return t, true
+		// tFAW: the fourth ACT back opened the window.
+		return max(t, b.nextACT, g.nextACT, r.nextACT, r.faw[r.fawIdx]+int64(d.tim.FAW)), true
 	case CmdPRE:
-		if !b.open || b.apAt != 0 {
+		if stayOpen&(1<<i) == 0 {
 			return 0, false // closed, or already closing itself
 		}
-		return maxi64(t, b.nextPRE), true
+		return max(t, b.nextPRE), true
 	case CmdPREA:
-		for i := 0; i < d.geo.BanksPerRank(); i++ {
-			bb := &d.banks[cmd.Loc.Rank*d.geo.BanksPerRank()+i]
-			if bb.open && bb.apAt == 0 {
-				t = maxi64(t, bb.nextPRE)
-			}
+		for m := stayOpen & b.rankBanks; m != 0; m &= m - 1 {
+			t = max(t, d.banks[bits.TrailingZeros64(m)].nextPRE)
 		}
 		return t, true
 	case CmdRD, CmdRDA:
-		if !b.open || b.row != cmd.Loc.Row || b.apAt != 0 {
+		if stayOpen&(1<<i) == 0 || b.row != cmd.Loc.Row {
 			return 0, false
 		}
-		t = maxi64(t, b.nextCol, g.nextRD, r.nextRD)
+		t = max(t, b.nextCol, g.nextRD, r.nextRD)
 		// Data bus must be free for [t+CL, t+CL+BL2), plus the
 		// rank-to-rank switch gap when the bus owner changes.
-		if need := d.busFreeFor(cmd.Loc.Rank) - int64(d.tim.CL); t < need {
-			t = need
-		}
-		return t, true
+		return max(t, d.busFreeFor(cmd.Loc.Rank)-int64(d.tim.CL)), true
 	case CmdWR, CmdWRA:
-		if !b.open || b.row != cmd.Loc.Row || b.apAt != 0 {
+		if stayOpen&(1<<i) == 0 || b.row != cmd.Loc.Row {
 			return 0, false
 		}
-		t = maxi64(t, b.nextCol, g.nextWR, r.nextWR)
-		if need := d.busFreeFor(cmd.Loc.Rank) - int64(d.tim.CWL); t < need {
-			t = need
-		}
-		return t, true
+		t = max(t, b.nextCol, g.nextWR, r.nextWR)
+		return max(t, d.busFreeFor(cmd.Loc.Rank)-int64(d.tim.CWL)), true
 	case CmdREF:
-		for i := 0; i < d.geo.BanksPerRank(); i++ {
-			bb := &d.banks[cmd.Loc.Rank*d.geo.BanksPerRank()+i]
-			if bb.open && bb.apAt == 0 {
-				return 0, false // all banks must be precharged
-			}
+		if stayOpen&b.rankBanks != 0 {
+			return 0, false // all banks must be precharged
+		}
+		for m := b.rankBanks; m != 0; m &= m - 1 {
+			bb := &d.banks[bits.TrailingZeros64(m)]
 			if bb.apAt != 0 {
-				t = maxi64(t, bb.apAt+int64(d.tim.RP))
+				t = max(t, bb.apAt+int64(d.tim.RP))
 			}
-			t = maxi64(t, bb.nextACT) // tRP from the last PRE
+			t = max(t, bb.nextACT) // tRP from the last PRE
 		}
 		return t, true
 	default:
@@ -448,70 +467,67 @@ func (d *Device) Issue(cmd Command, at int64) {
 	if !d.CanIssue(cmd, at) {
 		panic(fmt.Sprintf("dram: illegal command %v at cycle %d", cmd, at))
 	}
-	i := d.bankIndex(cmd.Loc)
+	i := d.geo.Bank(cmd.Loc)
 	b := &d.banks[i]
-	g := &d.groups[d.groupIndex(cmd.Loc)]
+	g := &d.groups[b.group]
 	r := &d.ranks[cmd.Loc.Rank]
 	tm := d.tim
 
 	switch cmd.Kind {
 	case CmdACT:
-		b.open = true
+		d.open |= 1 << i
 		b.row = cmd.Loc.Row
 		b.actStart = at
 		b.actDone = at + int64(tm.RCD)
 		d.bumpQuiet(b.actDone)
 		b.nextCol = at + int64(tm.RCD)
-		b.nextPRE = maxi64(b.nextPRE, at+int64(tm.RAS))
-		b.nextACT = maxi64(b.nextACT, at+int64(tm.RC))
-		g.nextACT = maxi64(g.nextACT, at+int64(tm.RRDL))
-		r.nextACT = maxi64(r.nextACT, at+int64(tm.RRDS))
+		b.nextPRE = max(b.nextPRE, at+int64(tm.RAS))
+		b.nextACT = max(b.nextACT, at+int64(tm.RC))
+		g.nextACT = max(g.nextACT, at+int64(tm.RRDL))
+		r.nextACT = max(r.nextACT, at+int64(tm.RRDS))
 		r.faw[r.fawIdx] = at
 		r.fawIdx = (r.fawIdx + 1) % len(r.faw)
-		d.winBanks |= 1 << i
+		d.opensWindow(i)
 		d.stats.ACT++
 
 	case CmdPRE:
-		d.applyPrecharge(b, at)
-		d.winBanks |= 1 << i
+		d.applyPrecharge(i, at)
+		d.opensWindow(i)
 		d.stats.PRE++
 
 	case CmdPREA:
-		per := d.geo.BanksPerRank()
-		for j := cmd.Loc.Rank * per; j < (cmd.Loc.Rank+1)*per; j++ {
-			bb := &d.banks[j]
-			if bb.open && bb.apAt == 0 {
-				d.applyPrecharge(bb, at)
-				d.winBanks |= 1 << j
-				d.stats.PRE++
-			}
+		for m := d.open &^ d.apBanks & b.rankBanks; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			d.applyPrecharge(j, at)
+			d.opensWindow(j)
+			d.stats.PRE++
 		}
 
 	case CmdRD, CmdRDA:
 		dataStart := at + int64(tm.CL)
 		d.claimBus(dataStart, DataRead, cmd.Loc.Rank)
 		// Same-group and same-rank column spacing.
-		g.nextRD = maxi64(g.nextRD, at+int64(tm.CCDL))
-		g.nextWR = maxi64(g.nextWR, at+int64(tm.CCDL))
-		r.nextRD = maxi64(r.nextRD, at+int64(tm.CCDS))
+		g.nextRD = max(g.nextRD, at+int64(tm.CCDL))
+		g.nextWR = max(g.nextWR, at+int64(tm.CCDL))
+		r.nextRD = max(r.nextRD, at+int64(tm.CCDS))
 		// Read-to-write bus turnaround (rank level).
-		r.nextWR = maxi64(r.nextWR, at+int64(tm.CCDS), at+int64(tm.RTW))
-		b.nextPRE = maxi64(b.nextPRE, at+int64(tm.RTP))
+		r.nextWR = max(r.nextWR, at+int64(tm.CCDS), at+int64(tm.RTW))
+		b.nextPRE = max(b.nextPRE, at+int64(tm.RTP))
 		if cmd.Kind == CmdRDA {
-			d.scheduleAutoPrecharge(i, maxi64(at+int64(tm.RTP), b.nextPRE))
+			d.scheduleAutoPrecharge(i, b.nextPRE)
 		}
 		d.stats.RD++
 
 	case CmdWR, CmdWRA:
 		dataStart := at + int64(tm.CWL)
 		d.claimBus(dataStart, DataWrite, cmd.Loc.Rank)
-		g.nextWR = maxi64(g.nextWR, at+int64(tm.CCDL))
-		g.nextRD = maxi64(g.nextRD, at+int64(tm.WriteToRead(true)))
-		r.nextWR = maxi64(r.nextWR, at+int64(tm.CCDS))
-		r.nextRD = maxi64(r.nextRD, at+int64(tm.WriteToRead(false)))
-		b.nextPRE = maxi64(b.nextPRE, at+int64(tm.WriteToPre()))
+		g.nextWR = max(g.nextWR, at+int64(tm.CCDL))
+		g.nextRD = max(g.nextRD, at+int64(tm.WriteToRead(true)))
+		r.nextWR = max(r.nextWR, at+int64(tm.CCDS))
+		r.nextRD = max(r.nextRD, at+int64(tm.WriteToRead(false)))
+		b.nextPRE = max(b.nextPRE, at+int64(tm.WriteToPre()))
 		if cmd.Kind == CmdWRA {
-			d.scheduleAutoPrecharge(i, maxi64(at+int64(tm.WriteToPre()), b.nextPRE))
+			d.scheduleAutoPrecharge(i, b.nextPRE)
 		}
 		d.stats.WR++
 
@@ -519,9 +535,9 @@ func (d *Device) Issue(cmd Command, at int64) {
 		r.refUntil = at + int64(tm.RFC)
 		d.refEnd = max(d.refEnd, r.refUntil)
 		d.bumpQuiet(r.refUntil)
-		r.nextACT = maxi64(r.nextACT, r.refUntil)
-		r.nextRD = maxi64(r.nextRD, r.refUntil)
-		r.nextWR = maxi64(r.nextWR, r.refUntil)
+		r.nextACT = max(r.nextACT, r.refUntil)
+		r.nextRD = max(r.nextRD, r.refUntil)
+		r.nextWR = max(r.nextWR, r.refUntil)
 		d.stats.REF++
 	}
 
@@ -535,7 +551,7 @@ func (d *Device) scheduleAutoPrecharge(i int, at int64) {
 	d.banks[i].apAt = at
 	d.apBanks |= 1 << i
 	d.apNext = min(d.apNext, at)
-	d.winBanks |= 1 << i
+	d.opensWindow(i)
 	d.stats.AutoPRE++
 	// The pending auto-precharge shows as a busy bank in BankBusy for
 	// [apAt, apAt+RP) even before Sync applies it.
@@ -604,7 +620,7 @@ const (
 // whose constraint releases last. Ties resolve to the narrowest scope.
 func (d *Device) Blocking(cmd Command, at int64) BlockScope {
 	d.checkLoc(cmd.Loc)
-	if ready, scope := d.Ready(d.bankIndex(cmd.Loc), cmd.Kind); ready > at {
+	if ready, scope := d.Ready(d.geo.Bank(cmd.Loc), cmd.Kind); ready > at {
 		return scope
 	}
 	return ScopeNone
@@ -669,14 +685,4 @@ func (d *Device) ConsumeBusKind(at int64) DataKind {
 	k := d.busKind[at&(busRingSize-1)]
 	d.busKind[at&(busRingSize-1)] = DataNone
 	return k
-}
-
-func maxi64(vals ...int64) int64 {
-	m := vals[0]
-	for _, v := range vals[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

@@ -129,10 +129,10 @@ func TestReadWrongRowNotIssuable(t *testing.T) {
 	if _, ok := d.EarliestIssue(dram.Command{Kind: dram.CmdRD, Loc: dram.Loc{Row: 2}}, int64(tm.RCD)); ok {
 		t.Error("RD to a different row than the open one must not be issuable")
 	}
-	if !d.RowOpen(dram.Loc{Row: 1}, int64(tm.RCD)) {
+	if !d.CanIssue(dram.Command{Kind: dram.CmdRD, Loc: dram.Loc{Row: 1}}, int64(tm.RCD)) {
 		t.Error("row 1 should be open and usable after tRCD")
 	}
-	if d.RowOpen(dram.Loc{Row: 1}, int64(tm.RCD)-1) {
+	if d.CanIssue(dram.Command{Kind: dram.CmdRD, Loc: dram.Loc{Row: 1}}, int64(tm.RCD)-1) {
 		t.Error("row must not be usable before activation completes")
 	}
 }
@@ -223,10 +223,10 @@ func TestRefreshBlocksRank(t *testing.T) {
 		t.Fatal("REF should be legal with all banks precharged")
 	}
 	d.Issue(dram.Command{Kind: dram.CmdREF, Loc: dram.Loc{}}, 0)
-	if !d.Refreshing(0, 0) || !d.Refreshing(0, int64(tm.RFC)-1) {
+	if !d.AnyRefreshing(0) || !d.AnyRefreshing(int64(tm.RFC)-1) {
 		t.Error("rank should be refreshing during tRFC")
 	}
-	if d.Refreshing(0, int64(tm.RFC)) {
+	if d.AnyRefreshing(int64(tm.RFC)) {
 		t.Error("rank should stop refreshing at tRFC")
 	}
 	if got, ok := d.EarliestIssue(dram.Command{Kind: dram.CmdACT, Loc: dram.Loc{Row: 1}}, 0); !ok || got != int64(tm.RFC) {
@@ -255,7 +255,7 @@ func TestAutoPrecharge(t *testing.T) {
 	d.Issue(dram.Command{Kind: dram.CmdRDA, Loc: loc}, rd)
 
 	apAt := rd + int64(tm.RTP)
-	if d.RowOpen(loc, apAt) {
+	if d.OpenRow(loc, apAt) != -1 {
 		t.Error("row must be closed once the auto-precharge begins")
 	}
 	d.Sync(apAt)
@@ -282,18 +282,15 @@ func TestDataBusOccupancy(t *testing.T) {
 	if start != rd+int64(tm.CL) || end != start+int64(tm.BL2) {
 		t.Fatalf("data window = [%d,%d), want [%d,%d)", start, end, rd+int64(tm.CL), rd+int64(tm.CL)+int64(tm.BL2))
 	}
+	if k := d.ConsumeBusKind(start - 1); k != dram.DataNone {
+		t.Errorf("bus kind before window = %v, want none", k)
+	}
 	for c := start; c < end; c++ {
-		if k := d.BusKindAt(c); k != dram.DataRead {
+		if k := d.ConsumeBusKind(c); k != dram.DataRead {
 			t.Errorf("bus kind at %d = %v, want read", c, k)
 		}
 	}
-	if k := d.BusKindAt(start - 1); k != dram.DataNone {
-		t.Errorf("bus kind before window = %v, want none", k)
-	}
-	if k := d.ConsumeBusKind(start); k != dram.DataRead {
-		t.Errorf("consume = %v, want read", k)
-	}
-	if k := d.BusKindAt(start); k != dram.DataNone {
+	if k := d.ConsumeBusKind(start); k != dram.DataNone {
 		t.Errorf("bus kind after consume = %v, want none", k)
 	}
 }

@@ -62,10 +62,10 @@ func TestRefreshPerRankIndependent(t *testing.T) {
 	d := dram.NewDevice(g, tm)
 	d.Sync(0)
 	d.Issue(dram.Command{Kind: dram.CmdREF, Loc: dram.Loc{Rank: 0}}, 0)
-	if !d.Refreshing(0, 10) {
+	if 10 >= d.RefUntil(0) {
 		t.Error("rank 0 not refreshing")
 	}
-	if d.Refreshing(1, 10) {
+	if 10 < d.RefUntil(1) {
 		t.Error("rank 1 refreshing without a REF")
 	}
 	// Rank 1 can activate while rank 0 refreshes.

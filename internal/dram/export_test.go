@@ -6,7 +6,7 @@ package dram
 // bank sets from.
 func (d *Device) BankWindows(i int) (actStart, actDone, preStart, preDone, apAt int64, open bool) {
 	b := &d.banks[i]
-	return b.actStart, b.actDone, b.preStart, b.preDone, b.apAt, b.open
+	return b.actStart, b.actDone, b.preStart, b.preDone, b.apAt, d.open&(1<<i) != 0
 }
 
 // RefUntil returns the cycle rank's in-flight refresh ends.

@@ -20,6 +20,10 @@ type Geometry struct {
 // BanksPerRank returns the total number of banks in one rank.
 func (g Geometry) BanksPerRank() int { return g.Groups * g.Banks }
 
+// Bank returns the flat index of l's bank, [rank][group][bank]: the
+// index of the bank's bit in every bank set.
+func (g Geometry) Bank(l Loc) int { return (l.Rank*g.Groups+l.Group)*g.Banks + l.Bank }
+
 // TotalBanks returns the number of banks in the channel.
 func (g Geometry) TotalBanks() int { return g.Ranks * g.Groups * g.Banks }
 

@@ -37,43 +37,6 @@ type Stats struct {
 	BankAccesses [64]int64
 }
 
-// BankImbalance returns the ratio of the busiest bank's accesses to the
-// mean over banks that could have been used (1 = perfectly uniform);
-// 0 when there was no traffic. banks is the channel's bank count.
-func (s Stats) BankImbalance(banks int) float64 {
-	if banks <= 0 {
-		return 0
-	}
-	var total, max int64
-	for b := 0; b < banks && b < len(s.BankAccesses); b++ {
-		v := s.BankAccesses[b]
-		total += v
-		if v > max {
-			max = v
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(max) * float64(banks) / float64(total)
-}
-
-// AvgReadQueueDepth returns the time-averaged read queue occupancy.
-func (s Stats) AvgReadQueueDepth() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.ReadQueueCycles) / float64(s.Cycles)
-}
-
-// AvgWriteQueueDepth returns the time-averaged write queue occupancy.
-func (s Stats) AvgWriteQueueDepth() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.WriteQueueCycles) / float64(s.Cycles)
-}
-
 // PageHitRate returns the fraction of DRAM column accesses that hit an
 // open row.
 func (s Stats) PageHitRate() float64 {
@@ -127,21 +90,13 @@ type Controller struct {
 	// bank. stale marks the banks whose candidates must be rebuilt before
 	// the next issue; candAge is a lower bound on the cycle at which aging
 	// promotes a classified request into the priority tier; wake is a
-	// lower bound on the cycle any candidate can issue; apBanks holds the
-	// banks with a pending auto-precharge (apAt != 0) and apNext the
-	// earliest landing among them (never if none).
+	// lower bound on the cycle any candidate can issue.
 	cand     []bankCand
 	tiers    [2]tierMasks // normal, priority
 	allBanks uint64
 	stale    uint64
 	candAge  int64
 	wake     int64
-	apBanks  uint64
-	apNext   int64
-
-	// Per bank, fixed at construction: the banks of its group and of its
-	// rank.
-	groupSet, rankSet [maxBanks]uint64
 
 	// Per bank: the first cycle its column command or activate may issue,
 	// the first its precharge may; until blockedUntil the lead candidate
@@ -152,11 +107,6 @@ type Controller struct {
 
 	issuedCycle    int64 // cycle of the last issued command
 	lastIssuedBank int   // bank index of the last issued command, -1 if none
-
-	// Busy-bank masks for the bandwidth stack, exact for cycles before
-	// busyUntil (0 once a command opens another busy window).
-	preMask, actMask uint64
-	busyUntil        int64
 
 	// QoS state (all zero/nil when cfg.QoS is disabled; the booleans
 	// gate every QoS code path so a policy-less controller runs the
@@ -183,6 +133,17 @@ type Controller struct {
 	latSrc []*stacks.LatencyAccountant
 
 	stats Stats
+	work  Work
+}
+
+// Work counts what the controller did, in units that do not depend on the
+// host's speed. It is not part of Stats, nor of any result.
+type Work struct {
+	Ticks    int64 // Tick calls
+	Replayed int64 // cycles FastForwardQuiet accounted in closed form
+	Rebuilds int64 // rebuild calls: a bank's candidates reclassified
+	Retimes  int64 // retime calls: a bank's mask bits rewritten
+	Asks     int64 // ask calls: the device asked about a bank's candidates
 }
 
 // busWindow is one claimed [start, end) data-bus interval and the source
@@ -223,8 +184,6 @@ func (s *slots) holds(req *Request) bool {
 type bankCand struct {
 	slots
 	queue reqList // the bank's requests of both directions, in arrival order
-
-	apAt int64 // landing cycle of the pending auto-precharge, 0 if none
 }
 
 // tierMasks are one tier's candidates as bank sets, one bit per bank.
@@ -262,16 +221,10 @@ func New(dev *dram.Device, mapper addrmap.Mapper, cfg Config) (*Controller, erro
 		issuedCycle: -1,
 		allBanks:    1<<geo.TotalBanks() - 1,
 		candAge:     never,
-		apNext:      never,
 		refDue:      never,
 	}
 	for b := range c.ready {
 		c.ready[b], c.readyPre[b] = never, never // no candidates yet
-	}
-	per := geo.BanksPerRank()
-	for b := range c.cand {
-		c.groupSet[b] = (1<<geo.Banks - 1) << (b / geo.Banks * geo.Banks)
-		c.rankSet[b] = (1<<per - 1) << (b / per * per)
 	}
 	for r := range c.nextRefresh {
 		// Stagger rank refreshes across the interval.
@@ -309,6 +262,9 @@ func MustNew(dev *dram.Device, mapper addrmap.Mapper, cfg Config) *Controller {
 
 // Stats returns the activity counters.
 func (c *Controller) Stats() Stats { return c.stats }
+
+// Work returns the controller's work counts.
+func (c *Controller) Work() Work { return c.work }
 
 // BandwidthStack returns the bandwidth stack accumulated so far.
 func (c *Controller) BandwidthStack() stacks.BandwidthStack { return c.bw.Stack() }
@@ -353,14 +309,6 @@ func (c *Controller) Samples() []stacks.Sample { return c.sampler.Samples() }
 
 // FinishSampling cuts the final partial through-time sample.
 func (c *Controller) FinishSampling() { c.sampler.Finish(c.now + 1) }
-
-// Device returns the underlying DRAM device (for verification hooks).
-func (c *Controller) Device() *dram.Device { return c.dev }
-
-// QueueLens returns the current read and write queue occupancy.
-func (c *Controller) QueueLens() (reads, writes int) {
-	return c.readQ.n, c.writeQ.n
-}
 
 // Pending reports whether the controller still has queued or in-flight
 // work (used to drain simulations).
@@ -483,7 +431,9 @@ func (c *Controller) EnqueueWriteFrom(now int64, addr uint64, src int, onComplet
 // consecutive cycle numbers; enqueue requests for cycle n before Tick(n).
 func (c *Controller) Tick(now int64) {
 	c.now = now
-	c.dev.Sync(now)
+	c.work.Ticks++
+	// A landed auto-precharge closed its bank's row.
+	c.stale |= c.dev.Sync(now)
 
 	c.completeFinished(now)
 	c.qosTick(now)
@@ -556,61 +506,45 @@ func (c *Controller) NextEventCycle(now int64) int64 {
 	return next
 }
 
-// FastForwardIdle replays the ticks for cycles from..to (inclusive) in
-// closed form. It is valid only across a gap NextEventCycle proved idle:
-// every skipped cycle accounts as a whole idle cycle, queue-occupancy
-// integrals gain zero, and through-time samples are cut at exactly the
-// boundaries the per-cycle loop would have cut them. The result is
-// byte-identical to calling Tick for every cycle of the gap.
-func (c *Controller) FastForwardIdle(from, to int64) {
-	if to < from {
-		return
+// FastForwardQuiet replays the ticks for cycles from..to (inclusive) in
+// closed form across a gap NextEventCycle proved quiet: first the tail
+// of an in-flight refresh wait (every cycle observes "refreshing,
+// nothing else" — see dram.Device.RefreshOnlyUntil), then whole idle
+// cycles. Queue-occupancy integrals gain zero, and through-time samples
+// are cut at exactly the boundaries the per-cycle loop would have cut
+// them: the result is byte-identical to calling Tick for every cycle of
+// the gap.
+func (c *Controller) FastForwardQuiet(from, to int64) {
+	if refEnd := min(c.dev.RefreshOnlyUntil(from)-1, to); refEnd >= from {
+		c.replay(from, refEnd, true)
+		from = refEnd + 1
 	}
-	t := from
-	for t <= to {
+	c.replay(from, to, false)
+}
+
+// replay is FastForwardQuiet's closed form for cycles from..to (none if
+// to < from) that are all refresh waits or all idle.
+func (c *Controller) replay(from, to int64, refreshing bool) {
+	for t := from; t <= to; {
 		end := to
 		if next := c.sampler.NextCut(); next > 0 && next-1 < end {
 			end = next - 1
 		}
 		n := end - t + 1
-		c.bw.AccountIdle(n)
+		if refreshing {
+			c.bw.AccountRefreshing(n)
+			c.cumRefresh += n
+		} else {
+			c.bw.AccountIdle(n)
+		}
 		c.stats.Cycles += n
+		c.work.Replayed += n
 		t = end + 1
 		c.sampler.MaybeCut(t)
 	}
-	c.now = to
-}
-
-// FastForwardQuiet replays the ticks for cycles from..to (inclusive) in
-// closed form across a gap NextEventCycle proved quiet: first the tail
-// of an in-flight refresh wait (every cycle observes "refreshing,
-// nothing else" — see dram.Device.RefreshOnlyUntil), then pure idle
-// cycles. Byte-identical to calling Tick for every cycle of the gap.
-func (c *Controller) FastForwardQuiet(from, to int64) {
-	if to < from {
-		return
+	if to >= from {
+		c.now = to
 	}
-	if refEnd := c.dev.RefreshOnlyUntil(from) - 1; refEnd >= from {
-		if refEnd > to {
-			refEnd = to
-		}
-		t := from
-		for t <= refEnd {
-			end := refEnd
-			if next := c.sampler.NextCut(); next > 0 && next-1 < end {
-				end = next - 1
-			}
-			n := end - t + 1
-			c.bw.AccountRefreshing(n)
-			c.cumRefresh += n
-			c.stats.Cycles += n
-			t = end + 1
-			c.sampler.MaybeCut(t)
-		}
-		c.now = refEnd
-		from = refEnd + 1
-	}
-	c.FastForwardIdle(from, to)
 }
 
 func (c *Controller) completeFinished(now int64) {
@@ -641,7 +575,7 @@ func (c *Controller) updateRefresh(now int64) {
 	}
 	c.refDue = never
 	for r, due := range c.nextRefresh {
-		switch banks := c.rankBanks(r); {
+		switch banks := c.dev.RankBanks(r); {
 		case c.refBanks&banks != 0:
 		case now >= due:
 			c.refBanks |= banks
@@ -683,11 +617,8 @@ func (c *Controller) account(now int64) {
 	}
 	if view.Data == dram.DataNone && !view.Refreshing {
 		blocked := c.markBlocked(now)
-		if now >= c.busyUntil {
-			c.preMask, c.actMask, c.busyUntil = c.dev.BusyMasks(now)
-		}
-		preMask, actMask := c.preMask, c.actMask
-		view.PreMask, view.ActMask, view.BlockedMask = preMask, actMask, blocked
+		pre, act, _ := c.dev.BusyMasks(now)
+		view.PreMask, view.ActMask, view.BlockedMask = pre, act, blocked
 		if c.writeMode {
 			view.Pending = c.writeQ.n > 0
 		} else {
@@ -695,12 +626,12 @@ func (c *Controller) account(now int64) {
 			// waiting read was over budget is regulation, not constraints.
 			view.Pending = c.readQ.n-c.heldReads > 0
 		}
-		if preMask|actMask|blocked == 0 && view.Pending && c.issuedCycle != now {
+		if pre|act|blocked == 0 && view.Pending && c.issuedCycle != now {
 			// Nothing bank-attributable, yet a pending request did not
 			// progress: a channel-level condition is in the way.
 			view.ChannelBlocked = true
 		}
-		if preMask|actMask|blocked == 0 && !view.Pending &&
+		if pre|act|blocked == 0 && !view.Pending &&
 			c.heldReads > 0 && c.issuedCycle != now {
 			// The channel sat unused only because every waiting read was
 			// held by its source's budget: a regulation cycle, charged to
@@ -817,13 +748,4 @@ func (c *Controller) classifyPage(req *Request) {
 	default:
 		c.stats.PageHits++
 	}
-}
-
-func (c *Controller) bankIndex(l dram.Loc) int {
-	return (l.Rank*c.geo.Groups+l.Group)*c.geo.Banks + l.Bank
-}
-
-// rankBanks returns the set of rank r's banks.
-func (c *Controller) rankBanks(r int) uint64 {
-	return c.rankSet[r*c.geo.BanksPerRank()]
 }

@@ -147,7 +147,7 @@ func TestStoreForwarding(t *testing.T) {
 	var req *Request
 	done := false
 	req, _ = r.ctrl.EnqueueRead(0, a, func(*Request, int64) { done = true }, nil)
-	if !req.Forwarded() {
+	if !req.forwarded {
 		t.Error("read to buffered line not forwarded")
 	}
 	r.runUntil(1000, func() bool { return done })
@@ -173,7 +173,7 @@ func TestWriteCoalescing(t *testing.T) {
 	if got := r.ctrl.Stats().CoalescedWrites; got != 1 {
 		t.Errorf("coalesced = %d, want 1", got)
 	}
-	if _, w := r.ctrl.QueueLens(); w != 1 {
+	if w := r.ctrl.writeQ.n; w != 1 {
 		t.Errorf("write queue holds %d entries, want 1", w)
 	}
 }
@@ -188,7 +188,7 @@ func TestWriteBurstDrain(t *testing.T) {
 			t.Fatalf("write %d rejected", i)
 		}
 	}
-	r.runUntil(200000, func() bool { _, w := r.ctrl.QueueLens(); return w <= cfg.WriteLo })
+	r.runUntil(200000, func() bool { return r.ctrl.writeQ.n <= cfg.WriteLo })
 	s := r.ctrl.Stats()
 	if s.DrainEntries != 1 {
 		t.Errorf("drain entries = %d, want 1", s.DrainEntries)

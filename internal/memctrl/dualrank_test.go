@@ -88,11 +88,40 @@ func TestDualRankRandomLoadVerified(t *testing.T) {
 }
 
 func TestFlatConstraintsStillSums(t *testing.T) {
+	s := streamStack(true)
+	if err := s.CheckSum(); err != nil {
+		t.Fatal(err)
+	}
+	// Flat attribution keeps constraints tiny: the single blocked bank's
+	// 1/16 share.
+	if c := s.Fraction(stacks.BWConstraints); c > 0.05 {
+		t.Errorf("flat constraints fraction = %v, want small", c)
+	}
+}
+
+// TestWideningChargesTheBindingScope: a bank held back by a bank-group or
+// rank constraint charges the whole group or rank, so the same stream
+// shows more constraints than with FlatConstraints, which charges the
+// blocked bank alone.
+func TestWideningChargesTheBindingScope(t *testing.T) {
+	wide, flat := streamStack(false), streamStack(true)
+	if err := wide.CheckSum(); err != nil {
+		t.Fatal(err)
+	}
+	w, f := wide.Fraction(stacks.BWConstraints), flat.Fraction(stacks.BWConstraints)
+	if w < 2*f || w == 0 {
+		t.Errorf("constraints fraction %v widened, %v flat: want the widened one at least twice as large", w, f)
+	}
+}
+
+// streamStack is the bandwidth stack of 60 000 cycles of a sequential read
+// stream, 16 reads in flight, on the default standard.
+func streamStack(flatConstraints bool) stacks.BandwidthStack {
 	std := standard.Default()
 	geo, tim := std.Geometry, std.Timing
 	dev := dram.NewDevice(geo, tim)
 	cfg := DefaultConfig()
-	cfg.FlatConstraints = true
+	cfg.FlatConstraints = flatConstraints
 	ctrl := MustNew(dev, addrmap.MustDefault(geo, 1), cfg)
 	next := uint64(0)
 	inflight := 0
@@ -106,15 +135,7 @@ func TestFlatConstraintsStillSums(t *testing.T) {
 		}
 		ctrl.Tick(now)
 	}
-	s := ctrl.BandwidthStack()
-	if err := s.CheckSum(); err != nil {
-		t.Fatal(err)
-	}
-	// Flat attribution keeps constraints tiny: the single blocked bank's
-	// 1/16 share.
-	if c := s.Fraction(stacks.BWConstraints); c > 0.05 {
-		t.Errorf("flat constraints fraction = %v, want small", c)
-	}
+	return ctrl.BandwidthStack()
 }
 
 func TestClosedKeepOpenValidation(t *testing.T) {

@@ -37,7 +37,7 @@ func refScan(c *Controller, now int64) []refCand {
 		if c.qosReg && !req.Write && c.heldReq(req) {
 			continue
 		}
-		b := c.bankIndex(req.loc)
+		b := c.geo.Bank(req.loc)
 		cd := &cand[b]
 		openRow := c.dev.OpenRow(req.loc, now)
 		hit := openRow == req.loc.Row
@@ -96,7 +96,7 @@ func refScan(c *Controller, now int64) []refCand {
 		if c.qosReg && !req.Write && c.heldReq(req) {
 			continue
 		}
-		b := c.bankIndex(req.loc)
+		b := c.geo.Bank(req.loc)
 		if c.dev.OpenRow(req.loc, now) == req.loc.Row {
 			cand[b].sameRowCount++
 		}
@@ -292,26 +292,18 @@ func checkRetimed(t *testing.T, c *Controller, now int64) {
 	c.wake = wake
 }
 
-// checkSets compares the controller's bank sets and earliest cycles
-// with a scan: apBanks is the set of banks with an auto-precharge
-// pending, and refDue the earliest refresh deadline of a rank with none
-// pending.
-func checkSets(t *testing.T, c *Controller, now int64) {
+// checkRefDue compares the controller's earliest refresh deadline with a
+// scan: refDue is the earliest deadline of a rank with no refresh pending.
+func checkRefDue(t *testing.T, c *Controller, now int64) {
 	t.Helper()
-	var apBanks uint64
-	for b := range c.cand {
-		if c.cand[b].apAt != 0 {
-			apBanks |= 1 << b
-		}
-	}
 	refDue, per := int64(never), c.geo.BanksPerRank()
 	for r, due := range c.nextRefresh {
 		if c.refBanks&((1<<per-1)<<(r*per)) == 0 {
 			refDue = min(refDue, due)
 		}
 	}
-	if c.apBanks != apBanks || c.refDue != refDue {
-		t.Fatalf("cycle %d: auto-precharge set %#x, refresh due %d; the scan says %#x, %d", now, c.apBanks, c.refDue, apBanks, refDue)
+	if c.refDue != refDue {
+		t.Fatalf("cycle %d: refresh due %d; the scan says %d", now, c.refDue, refDue)
 	}
 }
 
@@ -322,7 +314,7 @@ func (r *diffRig) tickChecked(t *testing.T, now int64) {
 	t.Helper()
 	c := r.ctrl
 	c.now = now
-	c.dev.Sync(now)
+	c.stale |= c.dev.Sync(now)
 	c.completeFinished(now)
 	c.qosTick(now)
 	c.updateRefresh(now)
@@ -331,7 +323,7 @@ func (r *diffRig) tickChecked(t *testing.T, now int64) {
 	c.lastIssuedBank = -1
 	refIssued := c.scheduleRefresh(now)
 	c.freshen(now)
-	checkSets(t, c, now)
+	checkRefDue(t, c, now)
 
 	ref := refScan(c, now)
 	for b := range ref {
@@ -380,16 +372,14 @@ func (r *diffRig) tickChecked(t *testing.T, now int64) {
 	}
 
 	c.account(now)
-	checkSets(t, c, now)
+	checkRefDue(t, c, now)
 
 	// The masks account consumes on bus-idle cycles, checked on every
 	// cycle: ref still holds the candidates the command was picked from.
 	if got, want := c.markBlocked(now), refBlocked(c, ref, now); got != want {
 		t.Fatalf("cycle %d: blocked mask %#x from cached scopes, %#x from Blocking", now, got, want)
 	}
-	if now >= c.busyUntil {
-		c.preMask, c.actMask, c.busyUntil = c.dev.BusyMasks(now)
-	}
+	busyPre, busyAct, _ := c.dev.BusyMasks(now)
 	var preMask, actMask uint64
 	for b := range c.cand {
 		pre, act := c.dev.BankBusy(b, now)
@@ -400,9 +390,9 @@ func (r *diffRig) tickChecked(t *testing.T, now int64) {
 			actMask |= 1 << b
 		}
 	}
-	if c.preMask != preMask || c.actMask != actMask {
+	if busyPre != preMask || busyAct != actMask {
 		t.Fatalf("cycle %d: cached busy masks pre %#x act %#x, BankBusy says pre %#x act %#x",
-			now, c.preMask, c.actMask, preMask, actMask)
+			now, busyPre, busyAct, preMask, actMask)
 	}
 }
 

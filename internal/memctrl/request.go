@@ -67,20 +67,6 @@ func (r *Request) RegFraction() float64 {
 	return r.lat.Components[stacks.LatRegulated] / float64(r.lat.Total)
 }
 
-// Source returns the request's source identity (core index), or
-// stacks.SourceShared for unattributed requests.
-func (r *Request) Source() int { return r.src }
-
-// Arrive returns the memory cycle the request entered the controller.
-func (r *Request) Arrive() int64 { return r.arrive }
-
-// Loc returns the DRAM coordinates the request was mapped to.
-func (r *Request) Loc() dram.Loc { return r.loc }
-
-// Forwarded reports whether a read was served from the write buffer
-// instead of DRAM.
-func (r *Request) Forwarded() bool { return r.forwarded }
-
 // Which Request.link a reqList threads.
 const (
 	inQueue = iota

@@ -17,8 +17,9 @@ import (
 //
 //   - an enqueue to the bank folds the new, youngest request into the
 //     slots in O(1) (admit);
-//   - a command issued to the bank, or an auto-precharge landing on it,
-//     marks it stale, and rebuild reclassifies that one bank's lists;
+//   - a command issued to the bank, or an auto-precharge landing on it
+//     (Tick takes the landed banks from the device's Sync), marks it
+//     stale, and rebuild reclassifies that one bank's lists;
 //   - a write-mode flip, a QoS held-set change or a request crossing
 //     the aging bound (candAge) changes what is visible or in which
 //     tier everywhere, and marks every bank stale.
@@ -52,9 +53,6 @@ func (c *Controller) schedule(now int64) {
 
 // freshen rebuilds the candidates of every stale bank.
 func (c *Controller) freshen(now int64) {
-	if now >= c.apNext {
-		c.landAutoPrecharges(now)
-	}
 	if c.qosPrio && now >= c.candAge {
 		// A classified request crossed the aging bound: its tier changed.
 		c.stale = c.allBanks
@@ -93,9 +91,6 @@ func (c *Controller) issue(now int64, cmd dram.Command, bank int) {
 		c.stale |= 1 << bank
 		moved |= 1 << bank
 	}
-	if cmd.Kind != dram.CmdRD && cmd.Kind != dram.CmdWR {
-		c.busyUntil = 0 // a bank starts an activate or (auto-)precharge window
-	}
 	// A bank without candidates has no bits to clear and never ready; a
 	// moved bank's slots, and so its mask bits, are what they were.
 	c.wake = never
@@ -109,32 +104,16 @@ func (c *Controller) issue(now int64, cmd dram.Command, bank int) {
 	}
 }
 
-// landAutoPrecharges marks the banks whose auto-precharge has come due
-// (the device applied it in Sync) stale: their row closed by itself.
-func (c *Controller) landAutoPrecharges(now int64) {
-	c.apNext = never
-	for m := c.apBanks; m != 0; m &= m - 1 {
-		b := bits.TrailingZeros64(m)
-		cd := &c.cand[b]
-		if cd.apAt > now {
-			c.apNext = min(c.apNext, cd.apAt)
-			continue
-		}
-		cd.apAt = 0
-		c.apBanks &^= 1 << b
-		c.stale |= 1 << b
-	}
-}
-
 // scheduleRefresh progresses refresh for pending ranks: it issues the REF
-// when possible, otherwise precharges open banks of the rank. It reports
-// whether it consumed the command slot.
+// when possible, otherwise precharges the lowest open bank of the rank
+// that may precharge now. It reports whether it consumed the command slot.
 func (c *Controller) scheduleRefresh(now int64) bool {
 	if c.refBanks == 0 {
 		return false
 	}
 	for r := range c.nextRefresh {
-		if c.refBanks&c.rankBanks(r) == 0 {
+		banks := c.dev.RankBanks(r)
+		if c.refBanks&banks == 0 {
 			continue
 		}
 		ref := dram.Command{Kind: dram.CmdREF, Loc: dram.Loc{Rank: r}}
@@ -142,25 +121,21 @@ func (c *Controller) scheduleRefresh(now int64) bool {
 			c.issue(now, ref, -1)
 			c.stats.Refreshes++
 			c.nextRefresh[r] += int64(c.tim.REFI)
-			c.refBanks &^= c.rankBanks(r)
+			c.refBanks &^= banks
 			c.refDue = min(c.refDue, c.nextRefresh[r])
 			return true
 		}
-		// Close open banks so the refresh can proceed.
-		for g := 0; g < c.geo.Groups; g++ {
-			for b := 0; b < c.geo.Banks; b++ {
-				loc := dram.Loc{Rank: r, Group: g, Bank: b}
-				row := c.dev.OpenRow(loc, now)
-				if row < 0 {
-					continue
-				}
-				loc.Row = row
-				pre := dram.Command{Kind: dram.CmdPRE, Loc: loc}
-				if c.dev.CanIssue(pre, now) {
-					c.issue(now, pre, c.bankIndex(loc))
-					return true
-				}
+		// Close open banks so the refresh can proceed; a bank closing
+		// itself needs no precharge.
+		for m := c.dev.OpenBanks() &^ c.dev.Closing() & banks; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			if ready, _ := c.dev.Ready(b, dram.CmdPRE); ready > now {
+				continue
 			}
+			loc := dram.Loc{Rank: r, Group: b / c.geo.Banks % c.geo.Groups, Bank: b % c.geo.Banks}
+			loc.Row = c.dev.OpenRow(loc, now)
+			c.issue(now, dram.Command{Kind: dram.CmdPRE, Loc: loc}, b)
+			return true
 		}
 	}
 	return false
@@ -173,7 +148,7 @@ func (c *Controller) scheduleRefresh(now int64) bool {
 // coming Tick unless the bank goes stale first, and then rebuild runs.
 func (c *Controller) admit(req *Request, now int64) {
 	req.loc = c.mapper.Decode(req.Addr)
-	req.bank = c.bankIndex(req.loc)
+	req.bank = c.geo.Bank(req.loc)
 	cd := &c.cand[req.bank]
 	cd.queue.pushBack(req, inBank)
 	c.classify(cd, req, c.dev.OpenRow(req.loc, now), now)
@@ -184,6 +159,7 @@ func (c *Controller) admit(req *Request, now int64) {
 
 // rebuild reclassifies bank b's queued requests from scratch.
 func (c *Controller) rebuild(b int, now int64) {
+	c.work.Rebuilds++
 	cd := &c.cand[b]
 	cd.slots = slots{}
 	if cd.queue.head == nil {
@@ -271,6 +247,7 @@ func (c *Controller) classify(cd *bankCand, req *Request, openRow int, now int64
 // asks the device about its candidates (ask): after the bank's slots
 // change.
 func (c *Controller) retime(b int) {
+	c.work.Retimes++
 	cd := &c.cand[b]
 	bit := uint64(1) << b
 	for t := range c.tiers {
@@ -287,6 +264,7 @@ func (c *Controller) retime(b int) {
 // cannot issue at all; what blocks them is still the timing the device
 // reports.
 func (c *Controller) ask(b int) {
+	c.work.Asks++
 	cd := &c.cand[b]
 	c.ready[b], c.readyPre[b], c.blockedUntil[b], c.wide[b] = never, never, 0, 0
 	if cd.col == nil && cd.act == nil && cd.pre == nil {
@@ -313,14 +291,9 @@ func (c *Controller) ask(b int) {
 	}
 	if !c.cfg.FlatConstraints {
 		// The mark widens to the scope of the binding constraint.
-		switch scope {
-		case dram.ScopeGroup:
-			c.wide[b] = c.groupSet[b]
-		case dram.ScopeRank:
-			c.wide[b] = c.rankSet[b]
-		}
+		c.wide[b] = c.dev.Sharing(b, scope)
 	}
-	if cd.apAt != 0 {
+	if c.dev.Closing()&(1<<b) != 0 {
 		ready, readyPre = never, never
 	}
 	c.ready[b], c.readyPre[b] = ready, readyPre
@@ -469,14 +442,7 @@ func (c *Controller) columnKind(req *Request, cd *slots) dram.CommandKind {
 
 func (c *Controller) issueColumn(now int64, req *Request, kind dram.CommandKind) {
 	c.issue(now, dram.Command{Kind: kind, Loc: req.loc}, req.bank)
-	cd := &c.cand[req.bank]
-	if kind.AutoPrecharge() {
-		// The row closes by itself as soon as a precharge would be legal.
-		cd.apAt, _ = c.dev.Ready(req.bank, dram.CmdPRE)
-		c.apBanks |= 1 << req.bank
-		c.apNext = min(c.apNext, cd.apAt)
-	}
-	cd.queue.remove(req, inBank)
+	c.cand[req.bank].queue.remove(req, inBank)
 	c.stats.BankAccesses[req.bank]++
 	c.classifyPage(req)
 	if c.qosReg && req.src >= 0 && req.src < len(c.qosUsed) {

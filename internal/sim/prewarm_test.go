@@ -9,6 +9,7 @@ import (
 	"dramstacks/internal/cache"
 	"dramstacks/internal/cpu"
 	"dramstacks/internal/dram/standard"
+	"dramstacks/internal/memctrl"
 	"dramstacks/internal/workload"
 )
 
@@ -195,5 +196,41 @@ func TestPrewarmWork(t *testing.T) {
 	if w := sys.Work(); w.Chunks != 1 || arena.warm.sets[1] != nil {
 		t.Errorf("a one-chunk warm took %d chunks and %d logs of the second record set, want 1 and none",
 			w.Chunks, len(arena.warm.sets[1]))
+	}
+}
+
+// TestControllerWork pins the controllers' slice of System.Work for one
+// small run: two channels, a closed-page policy and two sparse streams,
+// so the controllers tick, replay quiet gaps in closed form and land
+// auto-precharges. Every memory cycle of a channel is either ticked or
+// replayed.
+func TestControllerWork(t *testing.T) {
+	cfg := Default(2)
+	cfg.Channels = 2
+	cfg.Ctrl.Policy = memctrl.ClosedPage
+	cfg.MaxMemCycles = 40_000
+	var sources []cpu.Source
+	for c, pattern := range []workload.Pattern{workload.Random, workload.Sequential} {
+		sources = append(sources, workload.MustSynthetic(workload.SyntheticConfig{
+			Pattern: pattern, StoreFrac: 0.3, WorkPerOp: 2000, FootprintBytes: 1 << 22,
+			StrideBytes: 64, Chains: 1, BaseAddr: uint64(c) << 28, Seed: int64(c + 1),
+		}))
+	}
+	sys, err := newSystem(cfg, sources, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	got := sys.Work().Ctrl
+	var cycles int64
+	for _, ctrl := range sys.ctrls {
+		cycles += ctrl.Stats().Cycles
+	}
+	if got.Ticks+got.Replayed != cycles {
+		t.Errorf("%d ticks and %d replayed cycles, but the channels saw %d cycles", got.Ticks, got.Replayed, cycles)
+	}
+	want := memctrl.Work{Ticks: 29_289, Replayed: 50_711, Rebuilds: 1_356, Retimes: 1_802, Asks: 2_744}
+	if got != want {
+		t.Errorf("controller work %+v, want %+v", got, want)
 	}
 }

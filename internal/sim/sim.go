@@ -229,9 +229,9 @@ type System struct {
 	work *Work // nil until prewarm runs
 }
 
-// Work counts what building a System did, in units that do not depend on
-// the host's speed: host time divided by them is a cost per operation.
-// It is not part of a Result, nor of a spec's hash.
+// Work counts what building and running a System did, in units that do
+// not depend on the host's speed: host time divided by them is a cost per
+// operation. It is not part of a Result, nor of a spec's hash.
 type Work struct {
 	// WarmItems is, per core, the items prewarm consumed from the source
 	// (nil without prewarm).
@@ -242,15 +242,25 @@ type Work struct {
 	// it goes (one core, GOMAXPROCS 1, or a source without NextBatch).
 	LLCOps int64
 	Chunks int64
+	// Ctrl is the memory controllers' work, summed over channels.
+	Ctrl memctrl.Work
 }
 
 // Work returns the System's work counts.
 func (s *System) Work() Work {
-	if s.work == nil {
-		return Work{}
+	var w Work
+	if s.work != nil {
+		w = *s.work
+		w.WarmItems = slices.Clone(w.WarmItems)
 	}
-	w := *s.work
-	w.WarmItems = slices.Clone(w.WarmItems)
+	for _, ctrl := range s.ctrls {
+		cw := ctrl.Work()
+		w.Ctrl.Ticks += cw.Ticks
+		w.Ctrl.Replayed += cw.Replayed
+		w.Ctrl.Rebuilds += cw.Rebuilds
+		w.Ctrl.Retimes += cw.Retimes
+		w.Ctrl.Asks += cw.Asks
+	}
 	return w
 }
 

@@ -19,7 +19,6 @@ import (
 func BuildBandwidthStack(events []Event, geo dram.Geometry, tim dram.Timing, totalCycles int64) (stacks.BandwidthStack, error) {
 	dev := dram.NewDevice(geo, tim)
 	acct := stacks.NewBandwidthAccountant(geo.TotalBanks())
-	banks := geo.TotalBanks()
 
 	var busyUntil int64 // latest data / refresh / bank activity seen
 
@@ -29,33 +28,15 @@ func BuildBandwidthStack(events []Event, geo dram.Geometry, tim dram.Timing, tot
 			Refreshing: dev.AnyRefreshing(t),
 		}
 		if view.Data == dram.DataNone && !view.Refreshing {
-			var preMask, actMask uint64
-			for b := 0; b < banks; b++ {
-				pre, act := dev.BankBusy(b, t)
-				if pre {
-					preMask |= 1 << b
-				}
-				if act {
-					actMask |= 1 << b
-				}
-			}
-			view.PreMask = preMask
-			view.ActMask = actMask
+			preMask, actMask, _ := dev.BusyMasks(t)
+			view.PreMask, view.ActMask = preMask, actMask
 			if next != nil && !dev.CanIssue(*next, t) {
 				// The upcoming command was prevented this cycle: the
 				// request behind it was waiting.
 				view.Pending = true
-				l := next.Loc
-				bank := (l.Rank*geo.Groups+l.Group)*geo.Banks + l.Bank
-				view.BlockedMask = 1 << bank
-				switch dev.Blocking(*next, t) {
-				case dram.ScopeGroup:
-					base := uint((l.Rank*geo.Groups + l.Group) * geo.Banks)
-					view.BlockedMask |= ((uint64(1) << geo.Banks) - 1) << base
-				case dram.ScopeRank:
-					per := uint(geo.BanksPerRank())
-					view.BlockedMask |= ((uint64(1) << per) - 1) << (uint(l.Rank) * per)
-				}
+				// It marks its bank, widened to the scope of what binds it.
+				bank := geo.Bank(next.Loc)
+				view.BlockedMask = 1<<bank | dev.Sharing(bank, dev.Blocking(*next, t))
 				if preMask|actMask|view.BlockedMask == 0 {
 					view.ChannelBlocked = true
 				}
