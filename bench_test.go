@@ -108,7 +108,9 @@ func BenchmarkControllerTick(b *testing.B) {
 // BenchmarkPrewarm measures sim.New on the benchmark's two prewarmed
 // DDR4-2400 machines, 1<<20 warm operations a core: the synthetic sources
 // are built as benchmark/workloads.go builds them at seed 1, and nothing
-// runs after the set-up. It reports the host time per warmed item.
+// runs after the set-up. It reports the host time per warmed item and
+// the bytes the parallel prewarm's record sets reached per warmed item
+// (sim.Work.WarmBytes; 0 on the serial loop, as at -cpu 1).
 func BenchmarkPrewarm(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -124,7 +126,7 @@ func BenchmarkPrewarm(b *testing.B) {
 			cfg := sim.DefaultFor(std, c.cores)
 			cfg.Ctrl.Policy = memctrl.OpenPage
 			cfg.PrewarmOps = 1 << 20
-			var items int64
+			var items, record int64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				srcs := make([]cpu.Source, c.cores)
@@ -139,11 +141,14 @@ func BenchmarkPrewarm(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				for _, n := range sys.Work().WarmItems {
+				w := sys.Work()
+				for _, n := range w.WarmItems {
 					items += n
 				}
+				record += w.WarmBytes
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(items), "ns/item")
+			b.ReportMetric(float64(record)/float64(items), "record-B/item")
 		})
 	}
 }

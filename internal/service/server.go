@@ -507,8 +507,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // sim.Arena for its lifetime: every job's machine is built on what the
 // worker's last job left there, so a job allocates no cache arrays and the
 // worker retains those of the largest machine it has simulated — about
-// 5 MB at eight cores, plus 1.2 MB of prewarm buffers — whatever the number
-// of jobs. The /metrics arena figures are the sums over the workers.
+// 2.7 MB at eight cores, plus about 0.3 MB of prewarm buffers — whatever the
+// number of jobs. The /metrics arena figures are the sums over the workers.
 func (s *Server) worker() {
 	defer s.workersWG.Done()
 	arena := new(sim.Arena)

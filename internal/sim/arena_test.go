@@ -117,9 +117,10 @@ func TestArenaPrewarmBuffers(t *testing.T) {
 // set; any other quota gets a chunk.
 func TestWarmBuffersQuotaSized(t *testing.T) {
 	var b warmBuffers
-	b.set(0, 4, 1<<12)
-	if got, want := b.bytes(), int64(4*(1<<12)*(8+1)); got != want {
-		t.Errorf("a record set for 4 cores and a quota of 4096: %d bytes, want %d", got, want)
+	quota := int64(warmChunk - 37)
+	b.set(0, 4, quota)
+	if got, want := b.bytes(), 4*quota*(8+1); got != want {
+		t.Errorf("a record set for 4 cores and a quota of %d: %d bytes, want %d", quota, got, want)
 	}
 	b = warmBuffers{}
 	b.set(0, 4, 1<<20)

@@ -135,10 +135,10 @@ func (s *System) prewarmSerial(feeds []warmFeed) {
 // warmChunk is the number of items each core advances per parallel
 // warming phase; it bounds the record memory, two sets of a log per core
 // sized for one LLC operation an item (doc/PERF.md, "Prewarm").
-const warmChunk = 1 << 13
+const warmChunk = 1 << 11
 
 // warmBuffers is prewarmParallel's scratch: two record sets of a log per
-// core, about 1.2 MB for eight cores. The zero value is ready and sizes
+// core, about 295 KB for eight cores. The zero value is ready and sizes
 // itself on use; a System built on an Arena uses the arena's, and so finds
 // its predecessor's.
 type warmBuffers struct {
@@ -163,12 +163,16 @@ func (b *warmBuffers) set(k, cores int, quota int64) []cache.WarmLog {
 	return logs
 }
 
+// bytes returns the capacity of every log of both record sets.
 func (b *warmBuffers) bytes() int64 {
+	return logBytes(b.sets[0]) + logBytes(b.sets[1])
+}
+
+// logBytes returns the capacity of logs' buffers.
+func logBytes(logs []cache.WarmLog) int64 {
 	n := int64(0)
-	for _, logs := range b.sets {
-		for i := range logs {
-			n += int64(cap(logs[i].Ops))*8 + int64(cap(logs[i].Cnt))
-		}
+	for i := range logs {
+		n += int64(cap(logs[i].Ops))*8 + int64(cap(logs[i].Cnt))
 	}
 	return n
 }
@@ -192,6 +196,8 @@ func (s *System) prewarmParallel(feeds []warmFeed) {
 	}
 	var wg sync.WaitGroup
 	var prev []cache.WarmLog // the chunk warmed last, not yet replayed
+	// The record sets this warm took, for Work.WarmBytes.
+	var used [2][]cache.WarmLog
 	for k := 0; ; k ^= 1 {
 		var logs []cache.WarmLog
 		for i := range feeds {
@@ -200,6 +206,7 @@ func (s *System) prewarmParallel(feeds []warmFeed) {
 			}
 			if logs == nil {
 				logs = buf.set(k, len(feeds), s.cfg.PrewarmOps)
+				used[k] = logs
 			}
 			wg.Add(1)
 			go func() {
@@ -212,6 +219,7 @@ func (s *System) prewarmParallel(feeds []warmFeed) {
 		}
 		wg.Wait()
 		if logs == nil {
+			s.work.WarmBytes = logBytes(used[0]) + logBytes(used[1])
 			return
 		}
 		s.work.Chunks++

@@ -22,8 +22,8 @@ func (p plainSource) Next() (cpu.Instr, bool) { return p.src.Next() }
 // prewarmSources is a store-heavy multi-core mix with footprints beyond
 // the caches: warm ops run the full install cascade and the dirty
 // evictions exercise the recorded-LLC writeback ordering. A bounded
-// greater than 0 ends core 1's stream after that many operations.
-func prewarmSources(cores int, stores float64, bounded int64, wrap bool) []cpu.Source {
+// greater than 0 ends core dry's stream after that many operations.
+func prewarmSources(cores int, stores float64, bounded int64, dry int, wrap bool) []cpu.Source {
 	var out []cpu.Source
 	for c := 0; c < cores; c++ {
 		cfg := workload.SyntheticConfig{
@@ -40,7 +40,7 @@ func prewarmSources(cores int, stores float64, bounded int64, wrap bool) []cpu.S
 			cfg.Pattern = workload.Sequential
 			cfg.Chains = 0
 		}
-		if c == 1 {
+		if c == dry {
 			cfg.Ops = bounded
 		}
 		var src cpu.Source = workload.MustSynthetic(cfg)
@@ -57,12 +57,13 @@ func prewarmSources(cores int, stores float64, bounded int64, wrap bool) []cpu.S
 // machine in exactly the state the serial round-robin loop produces —
 // the same eviction counts at every level of every core straight after
 // construction, and field-identical Results from a run off either warm
-// start — whatever GOMAXPROCS is, for quotas of one, two and three
-// chunks, 37 items either side of each, and 63 (inside a batch), and with
-// one stream running dry mid-chunk while the others go on. GOMAXPROCS is
-// set explicitly so the parallel path is taken even on a single-processor
-// host (where prewarm otherwise stays serial); the serial reference is
-// forced by hiding the sources' batch interface.
+// start — whatever GOMAXPROCS is, for quotas of one chunk and of 8 192,
+// 16 384 and 24 576 items (4, 8 and 12 chunks), 37 items either side of
+// each, and 63 (inside a batch), and with one stream running dry mid-chunk
+// while the others go on: core 1's, and core 0's, whose log is then not
+// the longest. GOMAXPROCS is set explicitly so the parallel path is taken
+// even on a single-processor host (where prewarm otherwise stays serial);
+// the serial reference is forced by hiding the sources' batch interface.
 func TestPrewarmParallelMatchesSerial(t *testing.T) {
 	// A hierarchy small enough for a chunk of operations to evict from the
 	// LLC.
@@ -73,24 +74,29 @@ func TestPrewarmParallelMatchesSerial(t *testing.T) {
 		ops          int64
 		stores       float64
 		bounded      int64
+		dry0         bool // bounded ends core 0's stream, not core 1's
 		hier         cache.HierConfig
 	}
 	shapes := []shape{
-		{cores: 4, procs: 4, ops: 2 * warmChunk, stores: 0.3, hier: cache.DefaultHierConfig(4)},
-		{cores: 8, procs: 2, ops: 3 * warmChunk, stores: 0.5, bounded: 20_000, hier: cache.DefaultHierConfig(8)},
+		{cores: 4, procs: 4, ops: 16_384, stores: 0.3, hier: cache.DefaultHierConfig(4)},
+		{cores: 8, procs: 2, ops: 24_576, stores: 0.5, bounded: 20_000, hier: cache.DefaultHierConfig(8)},
 	}
 	for _, procs := range []int{2, 3, 8} {
-		for _, ops := range []int64{
-			warmChunk - 37, warmChunk, warmChunk + 37,
-			2*warmChunk - 37, 2 * warmChunk, 2*warmChunk + 37,
-			3*warmChunk - 37, 3 * warmChunk, 3*warmChunk + 37,
-			63,
-		} {
-			shapes = append(shapes, shape{cores: 4, procs: procs, ops: ops, stores: 0.5, bounded: ops * 5 / 6, hier: small})
+		for _, at := range []int64{warmChunk, 8_192, 16_384, 24_576} {
+			for _, ops := range []int64{at - 37, at, at + 37} {
+				shapes = append(shapes, shape{cores: 4, procs: procs, ops: ops, stores: 0.5, bounded: ops * 5 / 6, hier: small})
+			}
 		}
+		shapes = append(shapes, shape{cores: 4, procs: procs, ops: 63, stores: 0.5, bounded: 63 * 5 / 6, hier: small})
+		ops := int64(3*warmChunk + 37)
+		shapes = append(shapes, shape{cores: 4, procs: procs, ops: ops, stores: 0.5, bounded: ops * 5 / 6, dry0: true, hier: small})
 	}
 	for _, sh := range shapes {
-		t.Run(fmt.Sprintf("%dc-p%d-ops%d", sh.cores, sh.procs, sh.ops), func(t *testing.T) {
+		name, dry := fmt.Sprintf("%dc-p%d-ops%d", sh.cores, sh.procs, sh.ops), 1
+		if sh.dry0 {
+			name, dry = name+"-dry0", 0
+		}
+		t.Run(name, func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(sh.procs))
 			type levels struct {
 				l1, l2 []cache.LevelStats
@@ -102,7 +108,7 @@ func TestPrewarmParallelMatchesSerial(t *testing.T) {
 				cfg.MaxMemCycles = 20_000
 				cfg.SampleInterval = 3_000
 				cfg.PrewarmOps = sh.ops
-				sys, err := newSystem(cfg, prewarmSources(sh.cores, sh.stores, sh.bounded, wrap), nil)
+				sys, err := newSystem(cfg, prewarmSources(sh.cores, sh.stores, sh.bounded, dry, wrap), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -163,24 +169,25 @@ func TestPrewarmQuotaExactWithBatching(t *testing.T) {
 
 // TestPrewarmWork pins System.Work for one small four-core spec whose
 // second stream runs dry: the items each core's prewarm consumed, and on
-// the parallel path the LLC operations it recorded and replayed and the
-// chunks it took. The serial loop consumes the same items and replays
-// nothing. A warm that fits in one chunk takes one chunk and one record
-// set of the arena.
+// the parallel path the LLC operations it recorded and replayed, the
+// chunks it took and the bytes its record sets reached. The serial loop
+// consumes the same items and replays nothing. The quota is stated in
+// items, so that the second stream runs dry whatever warmChunk is. A warm
+// that fits in one chunk takes one chunk and one record set of the arena.
 func TestPrewarmWork(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cfg := Default(4)
 	cfg.Hier.L1.SizeBytes, cfg.Hier.L2.SizeBytes, cfg.Hier.LLC.SizeBytes = 4<<10, 32<<10, 256*11*64
 	cfg.MaxMemCycles = 1_000
-	cfg.PrewarmOps = 3 * warmChunk
+	cfg.PrewarmOps = 24_576
 	for _, serial := range []bool{false, true} {
-		sys, err := newSystem(cfg, prewarmSources(4, 0.5, 20_000, serial), nil)
+		sys, err := newSystem(cfg, prewarmSources(4, 0.5, 20_000, 1, serial), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := Work{WarmItems: []int64{3 * warmChunk, 20_000, 3 * warmChunk, 3 * warmChunk}, LLCOps: 139_103, Chunks: 3}
+		want := Work{WarmItems: []int64{24_576, 20_000, 24_576, 24_576}, LLCOps: 139_103, Chunks: 12, WarmBytes: 253_952}
 		if serial {
-			want.LLCOps, want.Chunks = 0, 0
+			want.LLCOps, want.Chunks, want.WarmBytes = 0, 0, 0
 		}
 		if got := sys.Work(); !reflect.DeepEqual(got, want) {
 			t.Errorf("serial %v: Work %+v, want %+v", serial, got, want)
@@ -189,7 +196,7 @@ func TestPrewarmWork(t *testing.T) {
 
 	arena := new(Arena)
 	cfg.PrewarmOps = warmChunk
-	sys, err := newSystem(cfg, prewarmSources(4, 0.5, 0, false), arena)
+	sys, err := newSystem(cfg, prewarmSources(4, 0.5, 0, 1, false), arena)
 	if err != nil {
 		t.Fatal(err)
 	}

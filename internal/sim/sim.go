@@ -242,6 +242,11 @@ type Work struct {
 	// it goes (one core, GOMAXPROCS 1, or a source without NextBatch).
 	LLCOps int64
 	Chunks int64
+	// WarmBytes is the capacity the parallel prewarm's record sets
+	// reached, the logs of both sets it took for this System's cores
+	// (0 on the serial loop). Store-heavy streams grow a log past its
+	// chunk; on an Arena the sets may also keep what a predecessor grew.
+	WarmBytes int64
 	// Ctrl is the memory controllers' work, summed over channels.
 	Ctrl memctrl.Work
 }

@@ -4,8 +4,10 @@
 # into a git worktree, run N (default 10) pairs of
 # `benchmark/run.sh --workload all --seed i` on BASE and on this working
 # tree, alternating which side runs first, and judge the two result files
-# with `benchmark/run.sh compare`. Everything it writes stays under
-# .bench_build/pairs (git-ignored); about three minutes a pair.
+# with `benchmark/run.sh compare`, then print the code layout of the
+# prewarm kernels in the two benchmark binaries (tools/layout.sh).
+# Everything it writes stays under .bench_build/pairs (git-ignored);
+# about three minutes a pair.
 set -euo pipefail
 base=${1:?usage: tools/pairs.sh BASE [N]}
 n=${2:-10}
@@ -33,4 +35,8 @@ for i in $(seq 1 "$n"); do
 		(cd "$dir" && bash benchmark/run.sh --workload all --seed "$i" --out "$out/$side.ndjson" >/dev/null)
 	done
 done
-bash benchmark/run.sh compare "$out/base.ndjson" "$out/head.ndjson"
+status=0
+bash benchmark/run.sh compare "$out/base.ndjson" "$out/head.ndjson" || status=$?
+echo
+bash tools/layout.sh base="$tree/.bench_build/benchmark" head="$root/.bench_build/benchmark"
+exit $status
