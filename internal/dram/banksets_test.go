@@ -90,21 +90,6 @@ func refRefreshOnlyUntil(d *dram.Device, at int64) int64 {
 	return end
 }
 
-// refRefReady is the cycle from which REF may issue on rank r once its
-// banks are closed, by the walk over the rank's banks: the latest nextACT,
-// and apAt+tRP for a pending auto-precharge.
-func refRefReady(d *dram.Device, rp, r int) int64 {
-	ready := int64(0)
-	for m := d.RankBanks(r); m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		if _, _, _, _, apAt, _ := d.BankWindows(i); apAt != 0 {
-			ready = max(ready, apAt+int64(rp))
-		}
-		ready = max(ready, d.NextACT(i))
-	}
-	return ready
-}
-
 // syncChecked is Sync with the banks it lands checked against a scan:
 // exactly the banks whose auto-precharge is due land, each closed and
 // precharging from its landing cycle, and Sync returns that set; every
@@ -143,9 +128,8 @@ func syncChecked(t *testing.T, d *dram.Device, rp int, now int64) {
 // refreshes closing their rank first — through every registered
 // standard, single- and dual-rank, one cycle at a time. Every cycle,
 // Sync's landings, OpenBanks, Closing, BusyMasks (masks and until),
-// AnyRefreshing, RefreshOnlyUntil and each rank's refresh-ready cycle
-// (the running maximum EarliestIssue reads for REF) must be what a scan
-// of every bank and rank gives.
+// AnyRefreshing and RefreshOnlyUntil must be what a scan of every bank
+// and rank gives.
 // Half the runs ask BusyMasks every cycle; the other half ask only the
 // way the controller does — when until has passed or a command opened a
 // window — and check that the answer held in between.
@@ -256,11 +240,6 @@ func runSetDifferential(t *testing.T, geo dram.Geometry, tim dram.Timing, seed, 
 		for _, at := range []int64{now, now + 1} {
 			if got, want := d.RefreshOnlyUntil(at), refRefreshOnlyUntil(d, at); got != want {
 				t.Fatalf("cycle %d: RefreshOnlyUntil(%d) = %d, the scan says %d", now, at, got, want)
-			}
-		}
-		for r := 0; r < geo.Ranks; r++ {
-			if got, want := d.RefReady(r), refRefReady(d, tim.RP, r); got != want {
-				t.Fatalf("cycle %d: rank %d ready to refresh from %d, the walk says %d", now, r, got, want)
 			}
 		}
 	}

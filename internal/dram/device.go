@@ -49,13 +49,6 @@ type rankState struct {
 	fawIdx int
 
 	refUntil int64 // rank blocked by an in-flight REF until this cycle
-
-	// refReady is the latest, over the rank's banks, of nextACT and of
-	// apAt+tRP for a pending auto-precharge: the cycle from which REF may
-	// issue once every bank is closed. Each term only grows (a landing
-	// auto-precharge moves its apAt+tRP into nextACT), so a running
-	// maximum is the walk over the banks.
-	refReady int64
 }
 
 // busRing records which kind of data occupies the channel data bus on each
@@ -226,14 +219,7 @@ func (d *Device) applyPrecharge(i int, at int64) {
 	b.preStart = at
 	b.preDone = at + int64(d.tim.RP)
 	b.nextACT = max(b.nextACT, b.preDone)
-	d.bumpRefReady(b.rank, b.nextACT)
 	d.bumpQuiet(b.preDone)
-}
-
-// bumpRefReady extends rank's refresh-ready cycle to t.
-func (d *Device) bumpRefReady(rank int, t int64) {
-	r := &d.ranks[rank]
-	r.refReady = max(r.refReady, t)
 }
 
 // bumpQuiet extends the observable-activity horizon.
@@ -455,7 +441,14 @@ func (d *Device) EarliestIssue(cmd Command, at int64) (cycle int64, ok bool) {
 		if stayOpen&b.rankBanks != 0 {
 			return 0, false // all banks must be precharged
 		}
-		return max(t, r.refReady), true // tRP from the last PRE
+		for m := b.rankBanks; m != 0; m &= m - 1 {
+			bb := &d.banks[bits.TrailingZeros64(m)]
+			if bb.apAt != 0 {
+				t = max(t, bb.apAt+int64(d.tim.RP))
+			}
+			t = max(t, bb.nextACT) // tRP from the last PRE
+		}
+		return t, true
 	default:
 		panic(fmt.Sprintf("dram: unknown command kind %v", cmd.Kind))
 	}
@@ -490,7 +483,6 @@ func (d *Device) Issue(cmd Command, at int64) {
 		b.nextCol = at + int64(tm.RCD)
 		b.nextPRE = max(b.nextPRE, at+int64(tm.RAS))
 		b.nextACT = max(b.nextACT, at+int64(tm.RC))
-		d.bumpRefReady(b.rank, b.nextACT)
 		g.nextACT = max(g.nextACT, at+int64(tm.RRDL))
 		r.nextACT = max(r.nextACT, at+int64(tm.RRDS))
 		r.faw[r.fawIdx] = at
@@ -559,7 +551,6 @@ func (d *Device) scheduleAutoPrecharge(i int, at int64) {
 	d.banks[i].apAt = at
 	d.apBanks |= 1 << i
 	d.apNext = min(d.apNext, at)
-	d.bumpRefReady(d.banks[i].rank, at+int64(d.tim.RP))
 	d.opensWindow(i)
 	d.stats.AutoPRE++
 	// The pending auto-precharge shows as a busy bank in BankBusy for

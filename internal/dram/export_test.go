@@ -9,13 +9,6 @@ func (d *Device) BankWindows(i int) (actStart, actDone, preStart, preDone, apAt 
 	return b.actStart, b.actDone, b.preStart, b.preDone, b.apAt, d.open&(1<<i) != 0
 }
 
-// NextACT returns the first cycle bank i may activate.
-func (d *Device) NextACT(i int) int64 { return d.banks[i].nextACT }
-
-// RefReady returns rank's running maximum of its banks' nextACT and
-// pending auto-precharge ends.
-func (d *Device) RefReady(rank int) int64 { return d.ranks[rank].refReady }
-
 // RefUntil returns the cycle rank's in-flight refresh ends.
 func (d *Device) RefUntil(rank int) int64 { return d.ranks[rank].refUntil }
 
