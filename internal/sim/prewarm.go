@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"dramstacks/internal/cache"
@@ -178,23 +180,35 @@ func logBytes(logs []cache.WarmLog) int64 {
 }
 
 // prewarmParallel is prewarm for the all-batch-source case, a two-stage
-// pipeline over chunks of warmChunk items a core. Private: every core's
-// L1/L2 warm of chunk k+1 runs in its own goroutine (disjoint state: the
-// core's caches, feed and RNG) and records in one set of logs the LLC
-// operations each item emits. Shared: meanwhile this goroutine replays
-// chunk k from the other set with Hierarchy.WarmLLC, which applies it in
-// the serial loop's (item, core) order — every live source consumes one
-// item per round of that loop, and cores stay item-aligned at chunk
-// boundaries because a worker leaves a chunk early only when its feed is
-// done for good. The private levels never observe the shared one, so the
-// final hierarchy state is identical to the serial loop's whatever
-// GOMAXPROCS is.
+// pipeline over chunks of warmChunk items a core. Private: one worker a
+// core, living for the whole warm, warms the core's L1/L2 through chunk
+// k+1 (disjoint state: the core's caches, feed and RNG) and records in one
+// set of logs the LLC operations each item emits. Shared: meanwhile this
+// goroutine replays chunk k from the other set with Hierarchy.WarmLLC,
+// which applies it in the serial loop's (item, core) order — every live
+// source consumes one item per round of that loop, and cores stay
+// item-aligned at chunk boundaries because a worker leaves a chunk early
+// only when its feed is done for good. The private levels never observe
+// the shared one, so the final hierarchy state is identical to the serial
+// loop's whatever GOMAXPROCS is. A worker's panic is re-raised here once
+// its chunk is over, and no worker outlives the warm.
 func (s *System) prewarmParallel(feeds []warmFeed) {
 	buf := new(warmBuffers)
 	if s.arena != nil {
 		buf = &s.arena.warm
 	}
 	var wg sync.WaitGroup
+	workers := make([]warmWorker, len(feeds))
+	for i := range workers {
+		workers[i].logs = make(chan *cache.WarmLog, 1)
+		go workers[i].run(s, i, &feeds[i], &wg)
+	}
+	defer func() {
+		wg.Wait() // a panic of this goroutine's own may leave a chunk running
+		for i := range workers {
+			close(workers[i].logs)
+		}
+	}()
 	var prev []cache.WarmLog // the chunk warmed last, not yet replayed
 	// The record sets this warm took, for Work.WarmBytes.
 	var used [2][]cache.WarmLog
@@ -209,15 +223,17 @@ func (s *System) prewarmParallel(feeds []warmFeed) {
 				used[k] = logs
 			}
 			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s.warmPrivateChunk(i, &feeds[i], &logs[i])
-			}()
+			workers[i].logs <- &logs[i]
 		}
 		if prev != nil {
 			s.hier.WarmLLC(prev)
 		}
 		wg.Wait()
+		for i := range workers {
+			if p := workers[i].fault; p != nil {
+				panic(p)
+			}
+		}
 		if logs == nil {
 			s.work.WarmBytes = logBytes(used[0]) + logBytes(used[1])
 			return
@@ -227,6 +243,44 @@ func (s *System) prewarmParallel(feeds []warmFeed) {
 			s.work.LLCOps += int64(len(logs[i].Ops))
 		}
 		prev = logs
+	}
+}
+
+// warmWorker is one core's private stage of a pipelined warm.
+type warmWorker struct {
+	logs  chan *cache.WarmLog // the core's log for the next chunk; closed when the warm ends
+	fault *warmPanic          // the worker's panic; read after the chunk's Wait
+}
+
+// warmPanic is a prewarm worker's panic as its caller re-raises it: the
+// worker's value and the stack it panicked on.
+type warmPanic struct {
+	core  int
+	value any
+	stack []byte
+}
+
+func (p *warmPanic) Error() string {
+	return fmt.Sprintf("%v [prewarm worker of core %d]\n\n%s", p.value, p.core, p.stack)
+}
+
+// run warms core's chunks as they arrive on w.logs, each log empty, until
+// the channel closes. A panic ends it: w.catch records it and ends the
+// worker's part in that chunk.
+func (w *warmWorker) run(s *System, core int, f *warmFeed, wg *sync.WaitGroup) {
+	defer w.catch(core, wg)
+	for l := range w.logs {
+		s.warmPrivateChunk(core, f, l)
+		wg.Done()
+	}
+}
+
+// catch, deferred by a worker, records the worker's panic, if any, and
+// marks its chunk done.
+func (w *warmWorker) catch(core int, wg *sync.WaitGroup) {
+	if v := recover(); v != nil {
+		w.fault = &warmPanic{core: core, value: v, stack: debug.Stack()}
+		wg.Done()
 	}
 }
 

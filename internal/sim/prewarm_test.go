@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"dramstacks/internal/cache"
 	"dramstacks/internal/cpu"
@@ -239,5 +242,159 @@ func TestControllerWork(t *testing.T) {
 	want := memctrl.Work{Ticks: 29_289, Replayed: 50_711, Rebuilds: 1_356, Retimes: 1_802, Asks: 2_744}
 	if got != want {
 		t.Errorf("controller work %+v, want %+v", got, want)
+	}
+}
+
+// panickySource is a batch source that panics in NextBatch once it has
+// generated after items.
+type panickySource struct {
+	*workload.Synthetic
+	after, n int
+}
+
+// errSourceBroke is what a panickySource panics with.
+var errSourceBroke = errors.New("source broke")
+
+func (p *panickySource) NextBatch(buf []cpu.Instr) int {
+	if p.n >= p.after {
+		panic(errSourceBroke)
+	}
+	n := p.Synthetic.NextBatch(buf)
+	p.n += n
+	return n
+}
+
+// panickySources is prewarmSources(cores, 0.5, 0, -1, false) with core's
+// source panicking after the given number of items.
+func panickySources(cores, core, after int) []cpu.Source {
+	srcs := prewarmSources(cores, 0.5, 0, -1, false)
+	srcs[core] = &panickySource{Synthetic: srcs[core].(*workload.Synthetic), after: after}
+	return srcs
+}
+
+// newRecovered builds cfg's machine from srcs on arena (nil: none) on a
+// goroutine of its own, and returns the value newSystem panicked with,
+// nil if it returned. It fails the test if newSystem has not come back
+// within ten seconds: a worker whose panic is lost leaves its chunk
+// unfinished.
+func newRecovered(t *testing.T, cfg Config, srcs []cpu.Source, arena *Arena) any {
+	t.Helper()
+	got := make(chan any, 1)
+	go func() {
+		defer func() { got <- recover() }()
+		if _, err := newSystem(cfg, srcs, arena); err != nil {
+			panic(err)
+		}
+	}()
+	select {
+	case v := <-got:
+		return v
+	case <-time.After(10 * time.Second):
+		t.Fatal("sim.New did not return within ten seconds")
+		return nil
+	}
+}
+
+// TestPrewarmPanicReachesCaller: a panic in a source that a prewarm worker
+// drains reaches the goroutine that called New, as a *warmPanic carrying
+// the source's value and the worker's stack, in the first chunk (core 0,
+// after 1 000 items) and in a later one (core 1, after 5 000), on a fresh
+// machine and on an arena.
+func TestPrewarmPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := Default(2)
+	cfg.MaxMemCycles = 1_000
+	cfg.PrewarmOps = 1 << 14
+	for _, c := range []struct{ core, after int }{{0, 1_000}, {1, 5_000}} {
+		for _, arena := range []*Arena{nil, new(Arena)} {
+			v := newRecovered(t, cfg, panickySources(2, c.core, c.after), arena)
+			p, ok := v.(*warmPanic)
+			if !ok {
+				t.Fatalf("core %d after %d items, arena %v: recovered %v (%T), want a *warmPanic", c.core, c.after, arena != nil, v, v)
+			}
+			if p.value != errSourceBroke || p.core != c.core {
+				t.Errorf("core %d after %d items: panic of core %d with %v, want core %d with %v", c.core, c.after, p.core, p.value, c.core, errSourceBroke)
+			}
+			if !strings.Contains(string(p.stack), "panickySource).NextBatch") || !strings.Contains(p.Error(), errSourceBroke.Error()) {
+				t.Errorf("core %d after %d items: the panic does not carry the worker's value and stack:\n%s", c.core, c.after, p.Error())
+			}
+		}
+	}
+}
+
+// TestPrewarmAllocsFlatInChunks: the pipelined warm allocates per warm,
+// not per chunk — a four-core machine of store-free sequential sources
+// (one LLC operation an item, so no log grows) makes nearly the same
+// number of heap allocations in New at a quota of 16 chunks as at 2.
+// testing.AllocsPerRun is not used: it sets GOMAXPROCS to 1, where
+// prewarm takes the serial loop.
+func TestPrewarmAllocsFlatInChunks(t *testing.T) {
+	// What the runtime itself may allocate during New, apart from the warm.
+	const slack = 16
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	mallocs := func(chunks int64) uint64 {
+		cfg := Default(4)
+		cfg.MaxMemCycles = 1_000
+		cfg.PrewarmOps = chunks * warmChunk
+		srcs := make([]cpu.Source, 4)
+		for c := range srcs {
+			srcs[c] = workload.MustSynthetic(workload.SyntheticConfig{
+				Pattern:        workload.Sequential,
+				FootprintBytes: 1 << 22,
+				StrideBytes:    64,
+				BaseAddr:       uint64(c) * (256 << 20),
+				Seed:           int64(c + 1),
+			})
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sys, err := newSystem(cfg, srcs, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := sys.Work(); w.Chunks != chunks {
+			t.Fatalf("a quota of %d chunks took %d", chunks, w.Chunks)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	mallocs(2) // first-use allocations of the runtime and the packages
+	few, many := mallocs(2), mallocs(16)
+	if many > few+slack {
+		t.Errorf("New made %d heap allocations at 16 chunks and %d at 2: %d more, want at most %d", many, few, many-few, slack)
+	}
+}
+
+// TestPrewarmWorkersExit: no prewarm worker outlives New — the goroutine
+// count returns to what it was after a pipelined warm, after one whose
+// core 0 runs dry mid-chunk, and after one whose worker panicked, on
+// fresh machines and on an arena.
+func TestPrewarmWorkersExit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := Default(4)
+	cfg.MaxMemCycles = 1_000
+	cfg.PrewarmOps = 3*warmChunk + 37
+	for _, arena := range []*Arena{nil, new(Arena)} {
+		for _, c := range []struct {
+			name string
+			srcs []cpu.Source
+		}{
+			{"pipelined", prewarmSources(4, 0.5, 0, -1, false)},
+			{"dry0", prewarmSources(4, 0.5, cfg.PrewarmOps*5/6, 0, false)},
+			{"panic", panickySources(4, 2, 5_000)},
+		} {
+			base := runtime.NumGoroutine()
+			v := newRecovered(t, cfg, c.srcs, arena)
+			if _, ok := v.(*warmPanic); (c.name == "panic") != ok {
+				t.Fatalf("%s, arena %v: New panicked with %v", c.name, arena != nil, v)
+			}
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+				time.Sleep(time.Millisecond)
+			}
+			if n > base {
+				t.Errorf("%s, arena %v: %d goroutines a second after New returned, %d before it", c.name, arena != nil, n, base)
+			}
+		}
 	}
 }
