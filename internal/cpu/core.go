@@ -852,7 +852,7 @@ func (c *Core) replayWindow(from, n int64) {
 // is exactly one such chunk holding the unchanged occupancy.
 //
 // streakLen sized n so the replay never consumes an in-flight load;
-// the panic below enforces that invariant.
+// consume's panic enforces that invariant.
 func (c *Core) replayStreak(from, n int64) {
 	w := c.cfg.Width
 	total := int(n) * w
@@ -866,23 +866,7 @@ func (c *Core) replayStreak(from, n int64) {
 		c.head, c.tail, c.items = 0, 1, 1
 		c.rob[0] = robItem{kind: KindALU, count: c.occ, readyAt: from + n}
 	} else {
-		need := total
-		for need > 0 {
-			it := &c.rob[c.head]
-			if it.kind == KindLoad {
-				panic("cpu: streak replay reached an in-flight load")
-			}
-			m := it.count
-			if m > need {
-				m = need
-			}
-			it.count -= m
-			need -= m
-			if it.count == 0 {
-				c.head = c.next(c.head)
-				c.items--
-			}
-		}
+		c.consume(int64(total))
 		c.rob[c.tail] = robItem{kind: KindALU, count: total, readyAt: from + n}
 		c.tail = c.next(c.tail)
 		c.items++

@@ -386,13 +386,13 @@ func within(at, start, end int64) (in bool, edge int64) {
 // needs a PRE first and reports ok == false).
 //
 // The returned time accounts for bank, group, rank and data-bus timing but
-// assumes no further commands are issued in between.
+// assumes no further commands are issued in between. Past the protocol
+// state, an ACT, PRE, RD or WR answers max(at, Ready): the timing is
+// stated once, there.
 func (d *Device) EarliestIssue(cmd Command, at int64) (cycle int64, ok bool) {
 	d.checkLoc(cmd.Loc)
 	i := d.geo.Bank(cmd.Loc)
 	b := &d.banks[i]
-	g := &d.groups[b.group]
-	r := &d.ranks[cmd.Loc.Rank]
 
 	// A due-but-unapplied auto-precharge makes bank state ambiguous;
 	// callers must Sync first.
@@ -401,42 +401,27 @@ func (d *Device) EarliestIssue(cmd Command, at int64) (cycle int64, ok bool) {
 	}
 	// The banks whose row is open and not closing itself.
 	stayOpen := d.open &^ d.apBanks
+	open := stayOpen&(1<<i) != 0
+	t := max(at, d.ranks[cmd.Loc.Rank].refUntil) // PREA's and REF's walks start here
 
-	t := max(at, r.refUntil)
 	switch cmd.Kind {
 	case CmdACT:
-		if stayOpen&(1<<i) != 0 {
+		if open {
 			return 0, false // must precharge first
 		}
-		if b.apAt != 0 {
-			t = max(t, b.apAt+int64(d.tim.RP))
-		}
-		// tFAW: the fourth ACT back opened the window.
-		return max(t, b.nextACT, g.nextACT, r.nextACT, r.faw[r.fawIdx]+int64(d.tim.FAW)), true
 	case CmdPRE:
-		if stayOpen&(1<<i) == 0 {
+		if !open {
 			return 0, false // closed, or already closing itself
 		}
-		return max(t, b.nextPRE), true
+	case CmdRD, CmdRDA, CmdWR, CmdWRA:
+		if !open || b.row != cmd.Loc.Row {
+			return 0, false
+		}
 	case CmdPREA:
 		for m := stayOpen & b.rankBanks; m != 0; m &= m - 1 {
 			t = max(t, d.banks[bits.TrailingZeros64(m)].nextPRE)
 		}
 		return t, true
-	case CmdRD, CmdRDA:
-		if stayOpen&(1<<i) == 0 || b.row != cmd.Loc.Row {
-			return 0, false
-		}
-		t = max(t, b.nextCol, g.nextRD, r.nextRD)
-		// Data bus must be free for [t+CL, t+CL+BL2), plus the
-		// rank-to-rank switch gap when the bus owner changes.
-		return max(t, d.busFreeFor(cmd.Loc.Rank)-int64(d.tim.CL)), true
-	case CmdWR, CmdWRA:
-		if stayOpen&(1<<i) == 0 || b.row != cmd.Loc.Row {
-			return 0, false
-		}
-		t = max(t, b.nextCol, g.nextWR, r.nextWR)
-		return max(t, d.busFreeFor(cmd.Loc.Rank)-int64(d.tim.CWL)), true
 	case CmdREF:
 		if stayOpen&b.rankBanks != 0 {
 			return 0, false // all banks must be precharged
@@ -452,6 +437,8 @@ func (d *Device) EarliestIssue(cmd Command, at int64) (cycle int64, ok bool) {
 	default:
 		panic(fmt.Sprintf("dram: unknown command kind %v", cmd.Kind))
 	}
+	ready, _ := d.Ready(i, cmd.Kind)
+	return max(at, ready), true
 }
 
 // CanIssue reports whether cmd may legally issue exactly at cycle at.

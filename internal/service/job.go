@@ -44,7 +44,6 @@ type Job struct {
 	updated    chan struct{} // closed and replaced on every state/sample change
 	submitted  time.Time
 	started    time.Time
-	finished   time.Time
 	simWall    time.Duration
 	memCycles  int64
 }
@@ -90,53 +89,39 @@ func (j *Job) start() bool {
 	return true
 }
 
-// finish records the terminal state of a simulated job.
-func (j *Job) finish(state State, result []byte, errMsg string, simWall time.Duration, memCycles int64) {
+// finish records the job's terminal state: a simulation's outcome, a
+// result served from the cache (cached: the job is born done), or a
+// durable record's on recovery. A job already terminal keeps its state.
+func (j *Job) finish(state State, result []byte, errMsg string, simWall time.Duration, memCycles int64, cached bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
 		return
 	}
-	j.state = state
-	j.result = result
-	j.errMsg = errMsg
-	j.simWall = simWall
-	j.memCycles = memCycles
-	j.finished = time.Now()
+	j.state, j.result, j.errMsg, j.cached = state, result, errMsg, cached
+	j.simWall, j.memCycles = simWall, memCycles
 	j.cancel() // release the context's resources
 	j.notifyLocked()
 }
 
-// finishCached marks a job served from the result cache: it is born done.
-func (j *Job) finishCached(result []byte) {
+// requestCancel cancels a queued or running job and returns the state it
+// found. A queued job transitions immediately; a running one transitions
+// when the simulator notices the cancelled context; a terminal one is
+// left as it is.
+func (j *Job) requestCancel() State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = StateDone
-	j.result = result
-	j.cached = true
-	j.started = j.submitted
-	j.finished = time.Now()
-	j.cancel()
-	j.notifyLocked()
-}
-
-// requestCancel cancels a queued or running job. A queued job transitions
-// immediately; a running one transitions when the simulator notices the
-// cancelled context. Returns false if the job is already terminal.
-func (j *Job) requestCancel() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return false
+	was := j.state
+	if was.Terminal() {
+		return was
 	}
 	j.userCancel = true
-	if j.state == StateQueued {
+	if was == StateQueued {
 		j.state = StateCancelled
-		j.finished = time.Now()
 		j.notifyLocked()
 	}
 	j.cancel()
-	return true
+	return was
 }
 
 // userCancelled reports whether a client requested the cancellation, as
@@ -147,22 +132,6 @@ func (j *Job) userCancelled() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.userCancel
-}
-
-// restoreTerminal rebuilds a terminal job from its durable record during
-// recovery.
-func (j *Job) restoreTerminal(state State, result []byte, errMsg string, simWallMS float64, memCycles int64, cached bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.state = state
-	j.result = result
-	j.errMsg = errMsg
-	j.simWall = time.Duration(simWallMS * float64(time.Millisecond))
-	j.memCycles = memCycles
-	j.cached = cached
-	j.finished = j.submitted
-	j.cancel()
-	j.notifyLocked()
 }
 
 // record renders the job's durable submission record (state queued: the

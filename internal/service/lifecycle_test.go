@@ -46,7 +46,7 @@ type lifecycle struct {
 
 // start opens a server with one worker and a one-deep queue over the data
 // dir; its simulations wait in the run seam for a token on release.
-func (l *lifecycle) start(release <-chan struct{}, abort <-chan struct{}) {
+func (l *lifecycle) start(release, abort <-chan struct{}) {
 	s, err := New(Config{
 		Workers: 1, QueueDepth: 1, DataDir: l.dir,
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
@@ -315,4 +315,37 @@ func TestResubmitAfterCancelledRunIsFresh(t *testing.T) {
 	if code != http.StatusAccepted || again.Deduped || again.ID == first.ID || again.State != StateQueued {
 		t.Errorf("resubmission after a cancelled run: %d %+v, want 202 and a fresh queued job", code, again)
 	}
+}
+
+// TestSweepResultsConcurrentReaders streams one finished sweep's results
+// to several clients at once: each gets the same bytes, and under the
+// race detector no two streams write to a shared line.
+func TestSweepResultsConcurrentReaders(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
+	st, code := postSweep(t, ts, `{"base":{"workload":"seq,random","cores":2,"cycles":20000},"axes":{"policy":["open","closed"]}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST /v1/sweeps status %d", code)
+	}
+	waitSweepTerminal(t, ts, st.ID)
+	want, _ := getBody(t, ts, "/v1/sweeps/"+st.ID+"/results")
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				resp, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID + "/results")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || string(got) != string(want) {
+					t.Errorf("a concurrent reader got %d other bytes (%v)", len(got), err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"time"
 
 	"dramstacks/internal/exp"
 )
@@ -53,6 +54,7 @@ func (s *Server) recover() {
 		}
 		recovered++
 
+		wall := time.Duration(rec.SimWallMS * float64(time.Millisecond))
 		switch rec.State {
 		case StateDone:
 			result := []byte(rec.Result)
@@ -61,22 +63,22 @@ func (s *Server) recover() {
 			}
 			if !trustedResult(result, rec.SpecHash) {
 				s.log.Warn("recovery: done record failed validation; re-enqueueing", "job", rec.ID)
-				pending = s.requeue(job, pending)
+				pending = append(pending, job)
 				continue
 			}
-			job.restoreTerminal(StateDone, result, "", rec.SimWallMS, rec.MemCycles, rec.Cached)
+			job.finish(StateDone, result, "", wall, rec.MemCycles, rec.Cached)
 			s.cache.Put(rec.SpecHash, result, true)
 		case StateFailed:
-			job.restoreTerminal(StateFailed, nil, rec.Error, rec.SimWallMS, rec.MemCycles, false)
+			job.finish(StateFailed, nil, rec.Error, wall, rec.MemCycles, false)
 		case StateCancelled:
 			var partial []byte
 			if trustedResult([]byte(rec.Result), rec.SpecHash) {
 				partial = []byte(rec.Result)
 				s.cache.Put(rec.SpecHash, partial, false)
 			}
-			job.restoreTerminal(StateCancelled, partial, rec.Error, rec.SimWallMS, rec.MemCycles, false)
+			job.finish(StateCancelled, partial, rec.Error, wall, rec.MemCycles, false)
 		default: // queued or running at crash time
-			pending = s.requeue(job, pending)
+			pending = append(pending, job)
 		}
 	}
 
@@ -103,28 +105,11 @@ func (s *Server) recover() {
 			"jobs", recovered, "requeued", len(pending),
 			"sweeps", recoveredSweeps, "journal_lines_skipped", skipped)
 	}
-	if len(pending) > 0 {
-		go s.feedRecovered(pending)
+	for _, job := range pending {
+		s.markActive(job)
 	}
-}
-
-// requeue resets a recovered job to queued and registers it for
-// in-flight dedup.
-func (s *Server) requeue(job *Job, pending []*Job) []*Job {
-	s.active[job.Hash] = job
-	return append(pending, job)
-}
-
-// feedRecovered feeds re-enqueued jobs into the FIFO in submission
-// order, waiting for queue space like a sweep feeder does.
-func (s *Server) feedRecovered(jobs []*Job) {
-	for _, job := range jobs {
-		select {
-		case s.queue <- job:
-		case <-job.ctx.Done():
-		case <-s.baseCtx.Done():
-			return
-		}
+	if len(pending) > 0 {
+		go s.feed(pending)
 	}
 }
 

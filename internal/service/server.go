@@ -266,39 +266,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Served instantly when an identical spec already completed.
-	if result, ok := s.cache.Get(hash); ok {
-		s.metrics.CacheHits.Add(1)
+	job, state, how := s.resolve(spec, hash)
+	if how != fresh {
 		s.metrics.JobsSubmitted.Add(1)
-		job := s.registerJob(spec, hash)
-		job.finishCached(result)
-		s.persistJob(job)
-		s.persistResult(job)
-		s.metrics.JobsDone.Add(1)
-		s.log.Info("job served from cache", "job", job.ID, "spec_hash", hash)
+		if how == servedCached {
+			s.persistJob(job)
+			s.persistResult(job)
+			s.log.Info("job served from cache", "job", job.ID, "spec_hash", hash)
+		}
 		writeJSON(w, http.StatusOK, SubmitResponse{
-			ID: job.ID, SpecHash: hash, State: StateDone, Cached: true,
+			ID: job.ID, SpecHash: hash, State: state, Cached: how == servedCached, Deduped: how == coalesced,
 		})
 		return
 	}
-	s.metrics.CacheMisses.Add(1)
-
-	// Coalesce onto an identical queued/running job.
-	s.mu.Lock()
-	dup := s.active[hash]
-	s.mu.Unlock()
-	if dup != nil {
-		// Read once: a job finishing meanwhile is not reported deduped and done.
-		if state := dup.State(); !state.Terminal() {
-			s.metrics.JobsSubmitted.Add(1)
-			writeJSON(w, http.StatusOK, SubmitResponse{
-				ID: dup.ID, SpecHash: hash, State: state, Deduped: true,
-			})
-			return
-		}
-	}
-
-	job := s.registerJob(spec, hash)
 	select {
 	case s.queue <- job:
 	default:
@@ -309,15 +289,86 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, ErrQueueFull, "job queue full (%d deep); retry later", s.cfg.QueueDepth)
 		return
 	}
-	s.mu.Lock()
-	s.active[hash] = job
-	s.mu.Unlock()
+	// In flight only once the queue holds it: an identical submission
+	// must not coalesce onto a job the full queue then refuses.
+	s.markActive(job)
 	s.persistJob(job)
 	s.metrics.JobsSubmitted.Add(1)
 	s.log.Info("job queued", "job", job.ID, "spec_hash", hash, "workload", spec.Workload)
 	writeJSON(w, http.StatusAccepted, SubmitResponse{
 		ID: job.ID, SpecHash: hash, State: StateQueued,
 	})
+}
+
+// resolution is how resolve found the job that serves a spec.
+type resolution int
+
+const (
+	servedCached resolution = iota // born done from the result cache
+	coalesced                      // an identical job already queued or running
+	fresh                          // newly registered, for the caller to queue
+)
+
+// resolve finds the job that serves spec for a single submission or a
+// sweep point, counting the cache hit or miss: a new job born done from
+// the result cache, an identical queued or running job with its state
+// read once (one finishing meanwhile is not reported coalesced and done),
+// or else a new queued job, which the caller queues and marks in flight.
+func (s *Server) resolve(spec exp.Spec, hash string) (*Job, State, resolution) {
+	if result, ok := s.cache.Get(hash); ok {
+		s.metrics.CacheHits.Add(1)
+		job := s.registerJob(spec, hash)
+		job.finish(StateDone, result, "", 0, 0, true)
+		s.metrics.JobsDone.Add(1)
+		return job, StateDone, servedCached
+	}
+	s.metrics.CacheMisses.Add(1)
+	s.mu.Lock()
+	dup := s.active[hash]
+	s.mu.Unlock()
+	if dup != nil {
+		if state := dup.State(); !state.Terminal() {
+			return dup, state, coalesced
+		}
+	}
+	return s.registerJob(spec, hash), StateQueued, fresh
+}
+
+// markActive makes job the one identical submissions coalesce onto.
+func (s *Server) markActive(job *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.active[job.Hash] = job
+}
+
+// feed enqueues jobs in order, waiting for queue space instead of
+// refusing, and skipping jobs cancelled while they wait; it gives up on
+// server shutdown. Sweep points and recovered jobs enter the queue here.
+func (s *Server) feed(jobs []*Job) {
+	for _, job := range jobs {
+		select {
+		case s.queue <- job:
+		case <-job.ctx.Done():
+			// Cancelled before it entered the queue; requestCancel has
+			// already moved it to a terminal state.
+		case <-s.baseCtx.Done():
+			return
+		}
+	}
+}
+
+// cancelJob requests job's cancellation and reports whether it was still
+// queued or running. A queued job ends here: it leaves the in-flight set,
+// and its terminal state is journaled and counted; a running one ends in
+// its worker. Both DELETE routes go through here.
+func (s *Server) cancelJob(job *Job) bool {
+	was := job.requestCancel()
+	if was == StateQueued {
+		s.clearActive(job)
+		s.persistResult(job)
+		s.metrics.JobsCancelled.Add(1)
+	}
+	return !was.Terminal()
 }
 
 func (s *Server) registerJob(spec exp.Spec, hash string) *Job {
@@ -382,14 +433,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, ErrNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	if !job.requestCancel() {
+	if !s.cancelJob(job) {
 		writeError(w, http.StatusConflict, ErrConflict, "job %s already %s", job.ID, job.State())
 		return
-	}
-	if job.State() == StateCancelled { // was still queued
-		s.clearActive(job)
-		s.persistResult(job)
-		s.metrics.JobsCancelled.Add(1)
 	}
 	s.log.Info("job cancel requested", "job", job.ID, "state", job.State())
 	writeJSON(w, http.StatusAccepted, job.status())
@@ -455,15 +501,23 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrInvalidSpec, "%v", err)
 		return
 	}
+	enc := json.NewEncoder(w)
+	follow(w, r, from, job.snapshotSamples, func(sample exp.SampleJSON) error { return enc.Encode(sample) })
+}
+
+// follow streams NDJSON lines from index from on, one write per line, as
+// snapshot yields them: live, until snapshot reports the end or the
+// client goes away. Both streaming endpoints go through here.
+func follow[T any](w http.ResponseWriter, r *http.Request, from int,
+	snapshot func(from int) (batch []T, n int, changed <-chan struct{}, terminal bool), write func(T) error) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	sent := from
 	for {
-		batch, n, changed, terminal := job.snapshotSamples(sent)
-		for _, sample := range batch {
-			if err := enc.Encode(sample); err != nil {
+		batch, n, changed, terminal := snapshot(sent)
+		for _, line := range batch {
+			if err := write(line); err != nil {
 				return
 			}
 		}
@@ -562,7 +616,7 @@ func (s *Server) runJob(job *Job, arena *sim.Arena) (arenaOK bool) {
 	}
 	switch {
 	case err != nil:
-		job.finish(StateFailed, nil, err.Error(), wall, 0)
+		job.finish(StateFailed, nil, err.Error(), wall, 0, false)
 		s.persistResult(job)
 		s.metrics.JobsFailed.Add(1)
 		s.metrics.ObserveSimWall(wall.Seconds())
@@ -572,7 +626,7 @@ func (s *Server) runJob(job *Job, arena *sim.Arena) (arenaOK bool) {
 		if jerr != nil {
 			result = nil
 		}
-		job.finish(StateCancelled, result, "", wall, res.MemCycles)
+		job.finish(StateCancelled, result, "", wall, res.MemCycles, false)
 		if result != nil {
 			// Keep the partial retrievable but marked incomplete: it must
 			// never be served as if the full run had happened.
@@ -591,12 +645,12 @@ func (s *Server) runJob(job *Job, arena *sim.Arena) (arenaOK bool) {
 	default:
 		result, jerr := exp.ResultJSON(job.Spec, res)
 		if jerr != nil {
-			job.finish(StateFailed, nil, jerr.Error(), wall, res.MemCycles)
+			job.finish(StateFailed, nil, jerr.Error(), wall, res.MemCycles, false)
 			s.persistResult(job)
 			s.metrics.JobsFailed.Add(1)
 			return true
 		}
-		job.finish(StateDone, result, "", wall, res.MemCycles)
+		job.finish(StateDone, result, "", wall, res.MemCycles, false)
 		s.cache.Put(job.Hash, result, true)
 		s.persistResult(job)
 		s.metrics.JobsDone.Add(1)

@@ -29,11 +29,9 @@ type SweepJob struct {
 	jobs      []*Job // index-aligned with Points
 
 	mu        sync.Mutex
-	cancelled bool     // DELETE received
-	lines     [][]byte // NDJSON point-result lines, appended in point order
+	lines     [][]byte // NDJSON point-result lines, newline included, in point order
 	updated   chan struct{}
 	submitted time.Time
-	finished  time.Time
 }
 
 func (sw *SweepJob) notifyLocked() {
@@ -46,9 +44,6 @@ func (sw *SweepJob) appendLine(line []byte) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	sw.lines = append(sw.lines, line)
-	if len(sw.lines) == len(sw.Points) {
-		sw.finished = time.Now()
-	}
 	sw.notifyLocked()
 }
 
@@ -174,37 +169,23 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		submitted: time.Now(),
 	}
 
-	// Resolve every point: instant cache hit, coalesce onto an identical
-	// in-flight job, or register a fresh job for the queue feeder.
+	// Resolve every point: a new job born done from the cache, a job to
+	// coalesce onto, or a fresh job for the queue feeder.
 	var toEnqueue, newJobs []*Job
 	for i, p := range points {
 		s.metrics.JobsSubmitted.Add(1)
-		if result, ok := s.cache.Get(p.Hash); ok {
-			s.metrics.CacheHits.Add(1)
-			job := s.registerJob(p.Spec, p.Hash)
-			job.finishCached(result)
-			s.metrics.JobsDone.Add(1)
-			sw.jobs[i] = job
-			newJobs = append(newJobs, job)
-			continue
-		}
-		s.metrics.CacheMisses.Add(1)
-		s.mu.Lock()
-		dup := s.active[p.Hash]
-		s.mu.Unlock()
-		if dup != nil && !dup.State().Terminal() {
-			sw.jobs[i] = dup
-			continue
-		}
-		job := s.registerJob(p.Spec, p.Hash)
-		// Mark in-flight right away so overlapping sweeps and single
-		// submissions coalesce onto this point while it waits to enter
-		// the queue.
-		s.mu.Lock()
-		s.active[p.Hash] = job
-		s.mu.Unlock()
+		job, _, how := s.resolve(p.Spec, p.Hash)
 		sw.jobs[i] = job
-		toEnqueue = append(toEnqueue, job)
+		if how == coalesced {
+			continue
+		}
+		if how == fresh {
+			// Mark in-flight right away so overlapping sweeps and single
+			// submissions coalesce onto this point while it waits to enter
+			// the queue.
+			s.markActive(job)
+			toEnqueue = append(toEnqueue, job)
+		}
 		newJobs = append(newJobs, job)
 	}
 
@@ -230,28 +211,12 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	// Feed fresh jobs into the shared FIFO without overflowing it:
 	// unlike single submissions, a sweep blocks for queue space instead
 	// of taking a 429 per point.
-	go s.feedSweep(sw, toEnqueue)
+	go s.feed(toEnqueue)
 	go s.collectSweep(sw)
 
 	s.log.Info("sweep queued", "sweep", sw.ID, "sweep_hash", sw.Hash,
 		"points", len(points), "fresh", len(toEnqueue))
 	writeJSON(w, http.StatusAccepted, sw.status())
-}
-
-// feedSweep enqueues a sweep's fresh jobs in point order, waiting for
-// queue space, and giving up on jobs cancelled while they wait (or on
-// server shutdown).
-func (s *Server) feedSweep(sw *SweepJob, jobs []*Job) {
-	for _, job := range jobs {
-		select {
-		case s.queue <- job:
-		case <-job.ctx.Done():
-			// Cancelled before it entered the queue; requestCancel has
-			// already moved it to a terminal state.
-		case <-s.baseCtx.Done():
-			return
-		}
-	}
 }
 
 // collectSweep waits for each point in order and renders its NDJSON
@@ -315,7 +280,8 @@ func (s *Server) renderPointLine(sw *SweepJob, i int) []byte {
 	if err != nil {
 		b, _ = json.Marshal(SweepResultLine{Index: i, State: StateFailed, Error: err.Error()})
 	}
-	return b
+	// Terminated here, before it is shared: streamers must not append to it.
+	return append(b, '\n')
 }
 
 func (s *Server) lookupSweep(r *http.Request) (*SweepJob, bool) {
@@ -358,19 +324,10 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, ErrNotFound, "no such sweep %q", r.PathValue("id"))
 		return
 	}
-	sw.mu.Lock()
-	sw.cancelled = true
-	sw.mu.Unlock()
 	cancelled := 0
 	for _, job := range sw.jobs {
-		if !job.requestCancel() {
-			continue // already terminal
-		}
-		cancelled++
-		if job.State() == StateCancelled { // was still queued
-			s.clearActive(job)
-			s.persistResult(job)
-			s.metrics.JobsCancelled.Add(1)
+		if s.cancelJob(job) {
+			cancelled++
 		}
 	}
 	if cancelled == 0 {
@@ -396,28 +353,8 @@ func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrInvalidSweep, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	sent := from
-	for {
-		batch, n, changed, terminal := sw.snapshotLines(sent)
-		for _, line := range batch {
-			if _, err := w.Write(append(line, '\n')); err != nil {
-				return
-			}
-		}
-		sent = n
-		if len(batch) > 0 && flusher != nil {
-			flusher.Flush()
-		}
-		if terminal {
-			return
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	follow(w, r, from, sw.snapshotLines, func(line []byte) error {
+		_, err := w.Write(line)
+		return err
+	})
 }
