@@ -92,12 +92,14 @@ mutate:
 # Run the fuzz targets for FUZZTIME each: the strict spec decoder and the
 # canonical encoder (each against its reference implementation, the
 # canonical-encoding fixed point, hash determinism), journal recovery
-# (corruption is never fatal, torn tails are sealed), and the dramvet
+# (corruption is never fatal, torn tails are sealed), the /v1 routes (no
+# handler panics, every error is the envelope), and the dramvet
 # //dramvet:allow directive parser (no suppression is silently dropped).
 fuzz:
 	$(GO) test ./internal/exp/ -run FuzzDecodeSpec -fuzz FuzzDecodeSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exp/ -run FuzzSpecCanonical -fuzz FuzzSpecCanonical -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service/ -run FuzzJournalReplay -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/service/ -run FuzzV1Routes -fuzz FuzzV1Routes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analysis/ -run FuzzAllowDirective -fuzz FuzzAllowDirective -fuzztime $(FUZZTIME)
 
 # Build and launch the simulation service (see doc/SERVICE.md).

@@ -235,7 +235,7 @@ func TestLifecycleObservables(t *testing.T) {
 	l.stop()
 	l.out.WriteString("restart\n")
 	l.start(release, abort)
-	l.metrics(0, 1)
+	l.metrics(0, 0)
 	l.do("GET", "/v1/jobs", "")
 	l.do("GET", "/v1/sweeps/sweep-000001", "")
 	l.results("sweep-000001")
@@ -244,7 +244,7 @@ func TestLifecycleObservables(t *testing.T) {
 	l.do("POST", "/v1/jobs", lifeA) // a hit, numbered past the recovered jobs
 	l.do("DELETE", id(7), "")
 	release <- struct{}{}
-	l.metrics(0, 1)
+	l.metrics(0, 0)
 	l.journal()
 
 	golden := filepath.Join("testdata", "lifecycle.golden")

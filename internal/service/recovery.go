@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dramstacks/internal/exp"
@@ -37,7 +38,6 @@ func (s *Server) recover() {
 	}
 
 	var pending []*Job
-	recovered := 0
 	for _, rec := range jobs {
 		spec, err := exp.DecodeSpec(rec.Spec)
 		if err != nil {
@@ -47,12 +47,7 @@ func (s *Server) recover() {
 		spec = spec.Normalized()
 		job := newJob(s.baseCtx, rec.ID, spec, rec.SpecHash)
 		job.submitted = rec.Submitted
-		s.jobs[rec.ID] = job
-		s.order = append(s.order, rec.ID)
-		if n := idNumber(rec.ID, "job-%d"); n > s.nextID {
-			s.nextID = n
-		}
-		recovered++
+		s.jobs.put(rec.ID, job)
 
 		wall := time.Duration(rec.SimWallMS * float64(time.Millisecond))
 		switch rec.State {
@@ -82,22 +77,17 @@ func (s *Server) recover() {
 		}
 	}
 
-	recoveredSweeps := 0
 	for _, rec := range sweeps {
 		sw, err := s.rebuildSweep(rec)
 		if err != nil {
 			s.log.Error("recovery: dropping sweep", "sweep", rec.ID, "err", err)
 			continue
 		}
-		s.sweeps[rec.ID] = sw
-		s.sweepOrder = append(s.sweepOrder, rec.ID)
-		if n := idNumber(rec.ID, "sweep-%d"); n > s.nextSweepID {
-			s.nextSweepID = n
-		}
-		recoveredSweeps++
-		go s.collectSweep(sw)
+		s.sweeps.put(rec.ID, sw)
+		go s.collectSweep(sw, slices.ContainsFunc(sw.jobs, func(j *Job) bool { return !j.State().Terminal() }))
 	}
 
+	recovered, recoveredSweeps := len(s.jobs.ids), len(s.sweeps.ids)
 	s.metrics.JobsRecovered.Add(int64(recovered))
 	s.metrics.SweepsRecovered.Add(int64(recoveredSweeps))
 	if recovered > 0 || recoveredSweeps > 0 || skipped > 0 {
@@ -131,7 +121,7 @@ func (s *Server) rebuildSweep(rec *sweepRecord) (*SweepJob, error) {
 			return nil, fmt.Errorf("point %d: %w", i, err)
 		}
 		sw.Points[i] = exp.Point{Index: i, Spec: spec.Normalized(), Hash: p.Hash, Axes: p.Axes}
-		job, ok := s.jobs[p.JobID]
+		job, ok := s.jobs.items[p.JobID]
 		if !ok {
 			return nil, fmt.Errorf("point %d references unknown job %s", i, p.JobID)
 		}
@@ -148,16 +138,6 @@ func trustedResult(result []byte, wantHash string) bool {
 	}
 	h, err := exp.ResultSpecHash(result)
 	return err == nil && h == wantHash
-}
-
-// idNumber parses the numeric suffix of a "job-%06d"-style id, so the
-// id counters resume past every recovered id.
-func idNumber(id, format string) int64 {
-	var n int64
-	if _, err := fmt.Sscanf(id, format, &n); err != nil {
-		return 0
-	}
-	return n
 }
 
 // persistJob journals a job submission; storage errors degrade

@@ -246,3 +246,29 @@ func TestNoDataDirStaysInMemory(t *testing.T) {
 		t.Errorf("JobsRecovered = %d without a data dir", n)
 	}
 }
+
+// TestRecoveredIDsResume restarts over one recovered sweep and its two
+// point jobs: the next sweep and its jobs are numbered past them.
+func TestRecoveredIDsResume(t *testing.T) {
+	dir := t.TempDir()
+	const sweepDoc = `{"base": {"workload": "seq", "cycles": 20000}, "axes": {"cores": [1, 2]}}`
+
+	s1, ts1 := startDurable(t, dir, 1)
+	st, code := postSweep(t, ts1, sweepDoc)
+	if code != http.StatusAccepted {
+		t.Fatalf("sweep submit status %d", code)
+	}
+	waitSweepTerminal(t, ts1, st.ID)
+	shutdown(t, s1, ts1)
+
+	s2, ts2 := startDurable(t, dir, 1)
+	defer shutdown(t, s2, ts2)
+	next, code := postSweep(t, ts2, sweepDoc)
+	if code != http.StatusAccepted || next.ID != "sweep-000002" || next.Jobs[0].JobID != "job-000003" {
+		t.Fatalf("the sweep after a restart over sweep-000001: %d %s, first point %v; want sweep-000002, job-000003",
+			code, next.ID, next.Jobs)
+	}
+	if old := getSweepStatus(t, ts2, st.ID); old.ID != "sweep-000001" || old.State != "done" {
+		t.Errorf("recovered sweep = %s %s, want sweep-000001 done", old.ID, old.State)
+	}
+}

@@ -15,7 +15,9 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,15 +86,10 @@ type Server struct {
 	workersWG sync.WaitGroup
 	draining  atomic.Bool // graceful shutdown in progress
 
-	mu          sync.Mutex
-	jobs        map[string]*Job
-	order       []string        // submission order, for GET /v1/jobs
-	active      map[string]*Job // spec hash → queued/running job (in-flight dedup)
-	nextID      int64
-	running     int
-	sweeps      map[string]*SweepJob
-	sweepOrder  []string // submission order, for GET /v1/sweeps
-	nextSweepID int64
+	mu     sync.Mutex
+	jobs   registry[*Job]
+	sweeps registry[*SweepJob]
+	active map[string]*Job // spec hash → queued/running job (in-flight dedup)
 }
 
 // New assembles a server, recovers durable state when Config.DataDir is
@@ -106,10 +103,10 @@ func New(cfg Config) (*Server, error) {
 		cache:   NewCache(cfg.CacheBytes),
 		metrics: &Metrics{},
 		run:     exp.RunSpec,
-		jobs:    make(map[string]*Job),
 		active:  make(map[string]*Job),
-		sweeps:  make(map[string]*SweepJob),
 	}
+	s.jobs = registry[*Job]{mu: &s.mu, format: "job-%06d", items: make(map[string]*Job)}
+	s.sweeps = registry[*SweepJob]{mu: &s.mu, format: "sweep-%06d", items: make(map[string]*SweepJob)}
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
 	s.handler = s.logMiddleware(s.routes())
 	if cfg.DataDir != "" {
@@ -156,20 +153,123 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/stacks", s.handleStacks)
-	mux.HandleFunc("GET /v1/jobs/{id}/samples", s.handleSamples)
+	mux.HandleFunc("GET /v1/jobs", listAll(&s.jobs, (*Job).status))
+	mux.HandleFunc("GET /v1/jobs/{id}", byID(&s.jobs, "job", showOne((*Job).status)))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", byID(&s.jobs, "job", s.handleCancel))
+	mux.HandleFunc("GET /v1/jobs/{id}/stacks", byID(&s.jobs, "job", s.handleStacks))
+	mux.HandleFunc("GET /v1/jobs/{id}/samples", byID(&s.jobs, "job", s.handleSamples))
 	mux.HandleFunc("POST /v1/sweeps", s.handleSweepSubmit)
-	mux.HandleFunc("GET /v1/sweeps", s.handleSweepList)
-	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepStatus)
-	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleSweepCancel)
-	mux.HandleFunc("GET /v1/sweeps/{id}/results", s.handleSweepResults)
+	mux.HandleFunc("GET /v1/sweeps", listAll(&s.sweeps, (*SweepJob).status))
+	mux.HandleFunc("GET /v1/sweeps/{id}", byID(&s.sweeps, "sweep", showOne((*SweepJob).status)))
+	mux.HandleFunc("DELETE /v1/sweeps/{id}", byID(&s.sweeps, "sweep", s.handleSweepCancel))
+	mux.HandleFunc("GET /v1/sweeps/{id}/results", byID(&s.sweeps, "sweep", s.handleSweepResults))
 	mux.HandleFunc("GET /v1/standards", s.handleStandards)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	// ServeMux answers an unknown path, or a known one asked with another
+	// method, in plain text. "/" ranks below every pattern above and takes
+	// both instead, to answer with the envelope: 405 when the path serves
+	// one of the methods the routes use, found by asking the mux, else 404.
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		var allow []string
+		for _, method := range []string{"GET", "POST", "DELETE"} {
+			if _, pattern := mux.Handler(&http.Request{Method: method, URL: r.URL, Host: r.Host}); pattern != "/" {
+				allow = append(allow, method)
+			}
+		}
+		if allow == nil {
+			writeError(w, http.StatusNotFound, ErrNotFound, "no route %s", r.URL.Path)
+			return
+		}
+		methods := strings.Join(allow, ", ")
+		w.Header().Set("Allow", methods)
+		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s takes %s, not %s", r.URL.Path, methods, r.Method)
+	})
 	return mux
+}
+
+// registry keeps one kind of resource, jobs or sweeps, by id and in
+// submission order; the id of number n is fmt.Sprintf(format, n), where
+// format is a prefix and one integer verb. mu is Server.mu: callers of the
+// methods hold it, and byID and listAll take it.
+type registry[T any] struct {
+	mu     *sync.Mutex
+	format string
+	items  map[string]T
+	ids    []string // submission order
+	last   int64    // the highest id number issued or recovered
+}
+
+// next returns a fresh id.
+func (reg *registry[T]) next() string {
+	reg.last++
+	return fmt.Sprintf(reg.format, reg.last)
+}
+
+// put registers v under id, and moves the counter past a recovered id so
+// that next never issues it again.
+func (reg *registry[T]) put(id string, v T) {
+	reg.items[id] = v
+	reg.ids = append(reg.ids, id)
+	prefix := reg.format[:strings.IndexByte(reg.format, '%')]
+	if n, err := strconv.ParseInt(strings.TrimPrefix(id, prefix), 10, 64); err == nil && n > reg.last {
+		reg.last = n
+	}
+}
+
+// remove forgets id, searching from the end, where a just-refused job sits.
+func (reg *registry[T]) remove(id string) {
+	delete(reg.items, id)
+	for i := len(reg.ids) - 1; i >= 0; i-- {
+		if reg.ids[i] == id {
+			reg.ids = slices.Delete(reg.ids, i, i+1)
+			return
+		}
+	}
+}
+
+// list returns every resource in submission order.
+func (reg *registry[T]) list() []T {
+	out := make([]T, len(reg.ids))
+	for i, id := range reg.ids {
+		out[i] = reg.items[id]
+	}
+	return out
+}
+
+// byID serves an {id} route of reg: it hands h the resource the path
+// names, or answers 404 not_found.
+func byID[T any](reg *registry[T], kind string, h func(http.ResponseWriter, *http.Request, T)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		reg.mu.Lock()
+		v, ok := reg.items[r.PathValue("id")]
+		reg.mu.Unlock()
+		if !ok {
+			writeError(w, http.StatusNotFound, ErrNotFound, "no such %s %q", kind, r.PathValue("id"))
+			return
+		}
+		h(w, r, v)
+	}
+}
+
+// showOne serves GET on one resource: its status.
+func showOne[T, S any](status func(T) S) func(http.ResponseWriter, *http.Request, T) {
+	return func(w http.ResponseWriter, _ *http.Request, v T) { writeJSON(w, http.StatusOK, status(v)) }
+}
+
+// listAll serves GET on a collection: the status of every resource of
+// reg, in submission order.
+func listAll[T, S any](reg *registry[T], status func(T) S) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		reg.mu.Lock()
+		items := reg.list()
+		reg.mu.Unlock()
+		out := make([]S, len(items))
+		for i, v := range items {
+			out[i] = status(v)
+		}
+		writeJSON(w, http.StatusOK, out)
+	}
 }
 
 // statusRecorder captures the response code for the request log.
@@ -374,65 +474,18 @@ func (s *Server) cancelJob(job *Job) bool {
 func (s *Server) registerJob(spec exp.Spec, hash string) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextID++
-	id := fmt.Sprintf("job-%06d", s.nextID)
-	job := newJob(s.baseCtx, id, spec, hash)
-	s.jobs[id] = job
-	s.order = append(s.order, id)
+	job := newJob(s.baseCtx, s.jobs.next(), spec, hash)
+	s.jobs.put(job.ID, job)
 	return job
 }
 
 func (s *Server) unregisterJob(job *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.jobs, job.ID)
-	// Not necessarily the last id: another submission may have registered
-	// after this one. Search from the end, where a just-refused job sits.
-	for i := len(s.order) - 1; i >= 0; i-- {
-		if s.order[i] == job.ID {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
+	s.jobs.remove(job.ID)
 }
 
-func (s *Server) lookup(r *http.Request) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	job, ok := s.jobs[r.PathValue("id")]
-	return job, ok
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.lookup(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, job.status())
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, s.jobs[id])
-	}
-	s.mu.Unlock()
-	out := make([]StatusJSON, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.status())
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.lookup(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
+func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request, job *Job) {
 	if !s.cancelJob(job) {
 		writeError(w, http.StatusConflict, ErrConflict, "job %s already %s", job.ID, job.State())
 		return
@@ -441,12 +494,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, job.status())
 }
 
-func (s *Server) handleStacks(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.lookup(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
+func (s *Server) handleStacks(w http.ResponseWriter, r *http.Request, job *Job) {
 	result, state := job.resultBytes()
 	switch state {
 	case StateDone:
@@ -486,12 +534,7 @@ func parseFrom(r *http.Request) (int, error) {
 // handleSamples streams through-time samples as NDJSON, following the
 // run live until the job reaches a terminal state or the client goes
 // away. ?from=N resumes at sample index N.
-func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.lookup(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
+func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, job *Job) {
 	if job.Spec.Sample <= 0 {
 		writeError(w, http.StatusConflict, ErrConflict, "job %s has sampling off (submit with \"sample\" > 0)", job.ID)
 		return
@@ -542,12 +585,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	running := s.running
-	s.mu.Unlock()
 	g := Gauges{
 		Queued:     len(s.queue),
-		Running:    running,
+		Running:    int(s.metrics.WorkersBusy.Load()),
 		Workers:    s.cfg.Workers,
 		QueueCap:   s.cfg.QueueDepth,
 		CacheBytes: s.cache.Bytes(),
@@ -589,16 +629,8 @@ func (s *Server) runJob(job *Job, arena *sim.Arena) (arenaOK bool) {
 		// Cancelled while queued; already counted.
 		return true
 	}
-	s.mu.Lock()
-	s.running++
-	s.mu.Unlock()
 	s.metrics.WorkersBusy.Add(1)
-	defer func() {
-		s.mu.Lock()
-		s.running--
-		s.mu.Unlock()
-		s.metrics.WorkersBusy.Add(-1)
-	}()
+	defer s.metrics.WorkersBusy.Add(-1)
 
 	bytes, reuses := arena.Bytes(), arena.Reuses()
 	start := time.Now()

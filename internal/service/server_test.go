@@ -568,3 +568,34 @@ func TestCancelledResultNotServedFromCache(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUnknownIDNotFound asks each {id} route for an id the server never
+// issued: every one answers 404 not_found and names the kind it looked for.
+func TestUnknownIDNotFound(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, tc := range []struct{ method, path, message string }{
+		{"GET", "/v1/jobs/job-999999", `no such job "job-999999"`},
+		{"DELETE", "/v1/jobs/job-999999", `no such job "job-999999"`},
+		{"GET", "/v1/jobs/job-999999/stacks", `no such job "job-999999"`},
+		{"GET", "/v1/jobs/x/samples", `no such job "x"`},
+		{"GET", "/v1/sweeps/sweep-999999", `no such sweep "sweep-999999"`},
+		{"DELETE", "/v1/sweeps/sweep-999999", `no such sweep "sweep-999999"`},
+		{"GET", "/v1/sweeps/x/results", `no such sweep "x"`},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env errorJSON
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || err != nil ||
+			env.Error.Code != ErrNotFound || env.Error.Message != tc.message {
+			t.Errorf("%s %s: %d %+v (%v), want 404 %s %q", tc.method, tc.path, resp.StatusCode, env.Error, err, ErrNotFound, tc.message)
+		}
+	}
+}

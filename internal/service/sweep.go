@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -190,10 +189,8 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	s.nextSweepID++
-	sw.ID = fmt.Sprintf("sweep-%06d", s.nextSweepID)
-	s.sweeps[sw.ID] = sw
-	s.sweepOrder = append(s.sweepOrder, sw.ID)
+	sw.ID = s.sweeps.next()
+	s.sweeps.put(sw.ID, sw)
 	s.mu.Unlock()
 	// Write-ahead: journal the fresh/cache-served point jobs, then the
 	// sweep that references them, before acknowledging the submission.
@@ -212,7 +209,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	// unlike single submissions, a sweep blocks for queue space instead
 	// of taking a 429 per point.
 	go s.feed(toEnqueue)
-	go s.collectSweep(sw)
+	go s.collectSweep(sw, true)
 
 	s.log.Info("sweep queued", "sweep", sw.ID, "sweep_hash", sw.Hash,
 		"points", len(points), "fresh", len(toEnqueue))
@@ -221,8 +218,10 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 
 // collectSweep waits for each point in order and renders its NDJSON
 // result line, so /v1/sweeps/{id}/results streams points deterministically
-// ordered even though they complete out of order across the pool.
-func (s *Server) collectSweep(sw *SweepJob) {
+// ordered even though they complete out of order across the pool. It
+// counts the sweep done if countDone: a sweep is counted by the process
+// that ran its points, not again by each start that recovers it finished.
+func (s *Server) collectSweep(sw *SweepJob, countDone bool) {
 	for i := range sw.jobs {
 		for {
 			state, changed := sw.jobs[i].stateAndChanged()
@@ -237,7 +236,9 @@ func (s *Server) collectSweep(sw *SweepJob) {
 		}
 		sw.appendLine(s.renderPointLine(sw, i))
 	}
-	s.metrics.SweepsDone.Add(1)
+	if countDone {
+		s.metrics.SweepsDone.Add(1)
+	}
 	st := sw.status()
 	s.log.Info("sweep finished", "sweep", sw.ID, "state", st.State, "points", st.Total)
 }
@@ -284,46 +285,10 @@ func (s *Server) renderPointLine(sw *SweepJob, i int) []byte {
 	return append(b, '\n')
 }
 
-func (s *Server) lookupSweep(r *http.Request) (*SweepJob, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw, ok := s.sweeps[r.PathValue("id")]
-	return sw, ok
-}
-
-func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.lookupSweep(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound, "no such sweep %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, sw.status())
-}
-
-func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	ids := append([]string(nil), s.sweepOrder...)
-	sweeps := make([]*SweepJob, 0, len(ids))
-	for _, id := range ids {
-		sweeps = append(sweeps, s.sweeps[id])
-	}
-	s.mu.Unlock()
-	out := make([]SweepStatusJSON, 0, len(sweeps))
-	for _, sw := range sweeps {
-		out = append(out, sw.status())
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
 // handleSweepCancel cancels every non-terminal point of the sweep. Note
 // that a point coalesced onto another submission's identical job cancels
 // that shared job too — the same semantics as DELETE on a deduped job id.
-func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.lookupSweep(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound, "no such sweep %q", r.PathValue("id"))
-		return
-	}
+func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request, sw *SweepJob) {
 	cancelled := 0
 	for _, job := range sw.jobs {
 		if s.cancelJob(job) {
@@ -342,12 +307,7 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 // point order, live while the sweep runs, until every point is rendered
 // or the client goes away. ?from=N resumes at point index N, so a
 // client can ride out a server bounce without re-reading earlier points.
-func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.lookupSweep(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, ErrNotFound, "no such sweep %q", r.PathValue("id"))
-		return
-	}
+func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request, sw *SweepJob) {
 	from, err := parseFrom(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrInvalidSweep, "%v", err)
