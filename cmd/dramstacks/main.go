@@ -280,6 +280,11 @@ func runTrace(inFile string, cores, channels int, policy, mapping string, std st
 	if err != nil {
 		return nil, err
 	}
+	// Beyond the caches' reach two addresses would share a tag; refuse
+	// the trace before simulating any of it.
+	if reach := cfg.Hier.Reach(); base.MaxAddr() >= reach {
+		return nil, fmt.Errorf("trace address %#x is at or beyond the cache hierarchy's reach %#x", base.MaxAddr(), reach)
+	}
 	// Each core replays the trace from its own copy.
 	var sources []cpu.Source
 	for i := 0; i < cores; i++ {

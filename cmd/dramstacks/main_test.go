@@ -156,6 +156,32 @@ func TestRunTracePlayerWorkload(t *testing.T) {
 	}
 }
 
+// TestRunTraceRejectsBeyondReach: a trace that touches the cache
+// hierarchy's reach (the L1's, 2 TiB on the paper's machine), where two
+// addresses would share a tag, is refused before it is simulated, with an
+// error that names the address and the reach; one whose highest line is
+// the last below the reach runs.
+func TestRunTraceRejectsBeyondReach(t *testing.T) {
+	const reach = 2 << 40
+	for _, tc := range []struct {
+		addr uint64
+		ok   bool
+	}{{reach - 64, true}, {reach, false}, {reach + 63, false}, {1 << 63, false}} {
+		in := filepath.Join(t.TempDir(), "far.trace")
+		body := fmt.Sprintf("R 0x40 2\nW %s 2\nB 0\n", hex(tc.addr))
+		if err := os.WriteFile(in, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run("trace", in, 2, 1, 0, "", "def", "", 20_000, 0, 17, 0, "", "", "", false)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s, below the reach: %v", hex(tc.addr), err)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), hex(tc.addr)) || !strings.Contains(err.Error(), hex(reach))):
+			t.Errorf("%s: error %v, want one naming the address and the reach %s", hex(tc.addr), err, hex(reach))
+		}
+	}
+}
+
 // TestRunTraceJSONPinned pins what the trace replay simulates: the sha256
 // of its -json document on the test trace, once with the default flags and
 // once with every flag the replay reads moved off its default.

@@ -1,10 +1,10 @@
 package cache
 
-// Arena keeps the word arrays of the hierarchies one owner builds one
-// after another, so that a sweep worker's next point does not allocate
-// and zero megabytes its last point is about to drop: free lists keyed
-// by array length, each array cleared when it is handed out. The LLC's
-// array has one length at every core count and the private levels' one
+// Arena keeps the arrays of the hierarchies one owner builds one after
+// another, so that a sweep worker's next point does not allocate and zero
+// megabytes its last point is about to drop: free lists keyed by level
+// geometry, each level's arrays cleared when they are handed out. The
+// LLC has one geometry at every core count and the private levels one
 // each, so an arena grows to its owner's largest machine and stays there.
 //
 // An arena serves one live Hierarchy: Reset declares the previous one
@@ -12,20 +12,23 @@ package cache
 // nothing a hierarchy reports (LevelStats, HierStats) points into it. The
 // zero value is ready; a nil *Arena allocates.
 type Arena struct {
-	lists  []wordList // a handful: one per level geometry seen
+	lists  []levelList // a handful: one per level geometry seen
 	bytes  int64
 	reuses int64
 }
 
-// wordBytes is the size of an array element.
-const wordBytes = 8
+// levelList is the arena's arrays of levels of one geometry, sets × ways;
+// the first used of them are with the live hierarchy.
+type levelList struct {
+	sets, ways int
+	levels     []levelArrays
+	used       int
+}
 
-// wordList is the arena's arrays of n words; the first used of them are
-// with the live hierarchy.
-type wordList struct {
-	n      int
-	arrays [][]uint64
-	used   int
+// levelArrays is one level's arrays: its tag words and recency words.
+type levelArrays struct {
+	tags   []uint32
+	orders []uint64
 }
 
 // Reset takes back every array handed out: the hierarchy that had them
@@ -39,33 +42,40 @@ func (a *Arena) Reset() {
 // Bytes is the memory the arena holds, handed out or free.
 func (a *Arena) Bytes() int64 { return a.bytes }
 
-// Reuses counts the arrays handed out that an earlier hierarchy had
+// Reuses counts the levels handed arrays that an earlier hierarchy had
 // already used, each one an allocation not made.
 func (a *Arena) Reuses() int64 { return a.reuses }
 
-// words returns a zeroed array of n words.
-func (a *Arena) words(n int) []uint64 {
+// arrays returns zeroed arrays for a level of cfg's geometry.
+func (a *Arena) arrays(cfg Config) levelArrays {
 	if a == nil {
-		return make([]uint64, n)
+		return makeLevel(cfg)
 	}
-	var l *wordList
+	sets, ways := cfg.Sets(), cfg.Ways
+	var l *levelList
 	for i := range a.lists {
-		if a.lists[i].n == n {
+		if a.lists[i].sets == sets && a.lists[i].ways == ways {
 			l = &a.lists[i]
 			break
 		}
 	}
 	if l == nil {
-		a.lists = append(a.lists, wordList{n: n})
+		a.lists = append(a.lists, levelList{sets: sets, ways: ways})
 		l = &a.lists[len(a.lists)-1]
 	}
-	if l.used == len(l.arrays) {
-		l.arrays = append(l.arrays, make([]uint64, n))
-		a.bytes += int64(n) * wordBytes
+	if l.used == len(l.levels) {
+		l.levels = append(l.levels, makeLevel(cfg))
+		a.bytes += cfg.ArrayBytes()
 	} else {
-		clear(l.arrays[l.used])
+		clear(l.levels[l.used].tags)
+		clear(l.levels[l.used].orders)
 		a.reuses++
 	}
 	l.used++
-	return l.arrays[l.used-1]
+	return l.levels[l.used-1]
+}
+
+// makeLevel allocates zeroed arrays for a level of cfg's geometry.
+func makeLevel(cfg Config) levelArrays {
+	return levelArrays{make([]uint32, cfg.Sets()*cfg.Ways), make([]uint64, cfg.Sets())}
 }

@@ -71,30 +71,31 @@ func TestArenaHierarchyMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-	// Words: sets × (1 + ways).
-	llc, l2, l1 := int64(16384*12), int64(1024*17), int64(64*9)
-	tinyArrays := int64(3*8*3+4*16*5) * wordBytes // tiny(3): three L1s; three L2s and the LLC
-	if want := (llc+4*(l2+l1))*wordBytes + tinyArrays; peak != want {
+	if want := DefaultHierConfig(4).ArrayBytes() + tiny(3).ArrayBytes(); peak != want {
 		t.Errorf("the arena peaked at %d bytes, want %d: the arrays of its largest machine of each geometry", peak, want)
 	}
 }
 
 // TestArenaMachineBytes pins the cache arrays of the paper's machine as an
-// exact count. A set is a recency word and one tag word per way, 8 bytes
-// each: the 11 MB LLC is 16 384 sets × 12 words = 1 572 864 bytes at every
-// core count, and a core adds an L1 of 64 sets × 9 words (4 608 bytes) and
-// an L2 of 1 024 sets × 17 words (139 264 bytes), 143 872 bytes in all.
+// exact count. A set is a 4-byte tag word per way and an 8-byte recency
+// word: the 11 MB LLC is 16 384 sets × 52 bytes = 851 968 bytes at every
+// core count, and a core adds an L1 of 64 sets × 40 bytes (2 560 bytes)
+// and an L2 of 1 024 sets × 72 bytes (73 728 bytes), 76 288 bytes in all.
+// HierConfig.ArrayBytes, which the other arena tests read, must give the
+// same count.
 func TestArenaMachineBytes(t *testing.T) {
 	for _, tc := range []struct {
 		cores int
 		bytes int64
-	}{{1, 1_716_736}, {4, 2_148_352}, {8, 2_723_840}} {
+	}{{1, 928_256}, {4, 1_157_120}, {8, 1_462_272}} {
 		a := new(Arena)
-		if _, err := NewHierarchyIn(a, DefaultHierConfig(tc.cores), &fakeMem{}); err != nil {
+		cfg := DefaultHierConfig(tc.cores)
+		if _, err := NewHierarchyIn(a, cfg, &fakeMem{}); err != nil {
 			t.Fatal(err)
 		}
-		if a.Bytes() != tc.bytes {
-			t.Errorf("%d cores: the arena holds %d bytes, want %d", tc.cores, a.Bytes(), tc.bytes)
+		if a.Bytes() != tc.bytes || cfg.ArrayBytes() != tc.bytes {
+			t.Errorf("%d cores: the arena holds %d bytes and ArrayBytes is %d, want %d",
+				tc.cores, a.Bytes(), cfg.ArrayBytes(), tc.bytes)
 		}
 	}
 }

@@ -43,9 +43,9 @@ func (c Config) Validate() error {
 		// The recency word has one nibble per way.
 		return fmt.Errorf("cache %s: %d ways, at most 16 supported", c.Name, c.Ways)
 	case c.LineBytes < 8 || c.LineBytes&(c.LineBytes-1) != 0:
-		// Line addresses are formed by masking, and a tag word keeps three
-		// flags in the line offset's bits (bit 0 is also the dirty flag of
-		// a warm writeback, LLCOp).
+		// Line addresses are formed by masking, a warm writeback keeps its
+		// dirty flag in bit 0 of its line address (LLCOp), and no line is
+		// shorter than a word.
 		return fmt.Errorf("cache %s: line size %d not a power of two of at least 8", c.Name, c.LineBytes)
 	case c.Latency < 1:
 		return fmt.Errorf("cache %s: latency must be at least 1, got %d", c.Name, c.Latency)
@@ -62,6 +62,16 @@ func (c Config) Validate() error {
 
 // Sets returns the number of sets.
 func (c Config) Sets() int { return c.SizeBytes / (c.Ways * c.LineBytes) }
+
+// Reach is the level's first address it cannot tell apart from a lower
+// one: a tag word keeps tagBits of the line address above the set index,
+// so the reach is 2^tagBits ways' worth of bytes. Every method of a
+// level panics on an address at or beyond it rather than alias it.
+func (c Config) Reach() uint64 { return uint64(c.SizeBytes/c.Ways) << tagBits }
+
+// ArrayBytes is the size of the level's arrays: a set is a 4-byte tag
+// word a way and an 8-byte recency word.
+func (c Config) ArrayBytes() int64 { return int64(c.Sets()) * int64(4*c.Ways+8) }
 
 // LevelStats counts one level's activity.
 type LevelStats struct {
@@ -82,16 +92,20 @@ func (s LevelStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-// Way state lives in one []uint64 per level, a set being Ways+1 adjacent
-// words: a recency word, then one tag word per way. A whole set is a short
-// contiguous run of memory (72 bytes for the 8-way L1, 136 for the 16-way
-// L2, 96 for the 11-way LLC), which matters most during functional warming
-// of DRAM-sized footprints, where every access lands in a random set and
-// the probe is pure memory traffic.
+// Way state lives in two arrays per level. The tags are a []uint32, a set
+// being Ways adjacent tag words, one per way; the recency words are a
+// []uint64, one per set. A set's tags are a short contiguous run of memory
+// (32 bytes for the 8-way L1, 64 for the 16-way L2, 44 for the 11-way
+// LLC, plus 8 for the recency word), which matters most during functional
+// warming of DRAM-sized footprints, where every access lands in a random
+// set and the probe is pure memory traffic.
 //
-// A tag word is the line's address with three flags in the low bits the
-// line offset leaves free (Validate keeps lines at least 8 bytes long).
-// An invalid way is 0; a tag compare masks out dirty and prefetched.
+// A tag word is the line's tag, the address above the set index
+// (addr >> tagShift), shifted over three flags: valid, dirty and
+// prefetched. The tag has tagBits bits, so a level tells apart the
+// addresses below its reach (Config.Reach) and panics on any other. An
+// invalid way is 0; a tag compare masks out dirty and prefetched; an
+// eviction rebuilds the line's address from the tag and the set index.
 //
 // The recency word orders the ways: nibble k holds the way at recency rank
 // k, rank 0 the most recently used, so the least recent of Ways ways sits
@@ -114,6 +128,8 @@ const (
 	tagDirty      = 1 << 1
 	tagPrefetched = 1 << 2
 	tagFlags      = tagDirty | tagPrefetched
+	flagBits      = 3
+	tagBits       = 32 - flagBits
 
 	identity  = 0xfedcba9876543210 // nibble k is k
 	nibbleLSB = 0x1111111111111111
@@ -123,10 +139,13 @@ const (
 // Cache is one set-associative cache level.
 type Cache struct {
 	cfg      Config
-	words    []uint64 // sets × (1+Ways): recency word, tag words
-	setShift uint
+	tags     []uint32 // sets × Ways tag words
+	orders   []uint64 // one stored recency word per set
+	setShift uint     // the line offset's bits
 	setMask  uint64
-	stride   uint64 // words per set, 1+Ways
+	tagShift uint   // the line offset's and the set index's bits
+	reach    uint64 // Config.Reach
+	ways     uint64
 	lruShift uint   // 4 × (Ways-1): the least recent way's nibble
 	ranks    uint64 // the nibbles of ranks 0 to Ways-1
 	base     uint64 // stored XOR into a recency word
@@ -137,18 +156,22 @@ type Cache struct {
 // (a construction-time programming error).
 func New(cfg Config) *Cache { return newCache(cfg, nil) }
 
-// newCache is New with the word array taken from a (nil: allocated).
+// newCache is New with the arrays taken from a (nil: allocated).
 func newCache(cfg Config, a *Arena) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	sets := cfg.Sets()
+	arrays := a.arrays(cfg)
 	c := &Cache{
 		cfg:      cfg,
-		words:    a.words(sets * (1 + cfg.Ways)),
+		tags:     arrays.tags,
+		orders:   arrays.orders,
 		setShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setMask:  uint64(sets - 1),
-		stride:   uint64(1 + cfg.Ways),
+		tagShift: uint(bits.TrailingZeros(uint(cfg.LineBytes * sets))),
+		reach:    cfg.Reach(),
+		ways:     uint64(cfg.Ways),
 		lruShift: uint(4 * (cfg.Ways - 1)),
 		ranks:    uint64(1)<<(4*cfg.Ways) - 1,
 		base:     identity,
@@ -165,18 +188,41 @@ func (c *Cache) Cfg() Config { return c.cfg }
 // Stats returns the level's counters.
 func (c *Cache) Stats() LevelStats { return c.stats }
 
-// set returns addr's set: its recency word, then its tag words.
-func (c *Cache) set(addr uint64) []uint64 {
-	b := (addr >> c.setShift & c.setMask) * c.stride
-	return c.words[b : b+c.stride]
+// locate returns addr's set — its tag words and its stored recency word —
+// and the tag word of a clean, valid copy of its line. It panics on an
+// address at or beyond the level's reach.
+func (c *Cache) locate(addr uint64) (set []uint32, r *uint64, key uint32) {
+	if addr >= c.reach {
+		panic(beyondReach{c.cfg.Name, c.reach, addr})
+	}
+	i := addr >> c.setShift & c.setMask
+	return c.tags[i*c.ways:][:c.ways], &c.orders[i], c.key(addr)
 }
 
-// key returns the tag word of a clean, valid copy of addr's line.
-func (c *Cache) key(addr uint64) uint64 { return addr>>c.setShift<<c.setShift | tagValid }
+// key returns the tag word of a clean, valid copy of addr's line, which
+// must be below the level's reach.
+func (c *Cache) key(addr uint64) uint32 { return uint32(addr>>c.tagShift)<<flagBits | tagValid }
+
+// lineOf returns the address of the line whose tag word is t in the set
+// of addr.
+func (c *Cache) lineOf(t uint32, addr uint64) uint64 {
+	return uint64(t>>flagBits)<<c.tagShift | addr&(c.setMask<<c.setShift)
+}
+
+// beyondReach is the panic of an address a cache cannot tell apart from a
+// lower one.
+type beyondReach struct {
+	level       string
+	reach, addr uint64
+}
+
+func (e beyondReach) Error() string {
+	return fmt.Sprintf("cache %s: address %#x at or beyond the reach %#x", e.level, e.addr, e.reach)
+}
 
 // find returns the way of set whose tag word holds key, or -1.
-func find(set []uint64, key uint64) int {
-	for i, t := range set[1:] {
+func find(set []uint32, key uint32) int {
+	for i, t := range set {
 		if t&^tagFlags == key {
 			return i
 		}
@@ -185,23 +231,24 @@ func find(set []uint64, key uint64) int {
 }
 
 // claim returns the way of set that is to hold key's line, already moved
-// to the front: the way holding it (hit), else the way at the bottom rank
-// — the lowest-index invalid way, or the least recently used.
-func (c *Cache) claim(set []uint64, key uint64) (way int, hit bool) {
+// to the front of the recency word r: the way holding it (hit), else the
+// way at the bottom rank — the lowest-index invalid way, or the least
+// recently used.
+func (c *Cache) claim(set []uint32, r *uint64, key uint32) (way int, hit bool) {
 	if i := find(set, key); i >= 0 {
-		c.promote(set, i)
+		c.promote(r, i)
 		return i, true
 	}
-	o := set[0] ^ c.base
+	o := *r ^ c.base
 	w := o >> c.lruShift & 0xf
-	set[0] = c.rotate(o, w, c.ranks)
+	*r = c.rotate(o, w, c.ranks)
 	return int(w), false
 }
 
-// promote moves way to recency rank 0, every way that was more recent
-// down one rank. A way already at the front costs no store.
-func (c *Cache) promote(set []uint64, way int) {
-	o, w := set[0]^c.base, uint64(way)
+// promote moves way to rank 0 of the recency word r, every way that was
+// more recent down one rank. A way already at the front costs no store.
+func (c *Cache) promote(r *uint64, way int) {
+	o, w := *r^c.base, uint64(way)
 	if o&0xf == w {
 		return
 	}
@@ -212,7 +259,7 @@ func (c *Cache) promote(set []uint64, way int) {
 	// to the way's.
 	x := o ^ w*nibbleLSB
 	z := (x - nibbleLSB) &^ x & nibbleMSB
-	set[0] = c.rotate(o, w, z^(z-1))
+	*r = c.rotate(o, w, z^(z-1))
 }
 
 // rotate returns the stored recency word of order o with way w moved to
@@ -222,9 +269,9 @@ func (c *Cache) rotate(o, w, m uint64) uint64 { return (o&^m | o<<4&m | w) ^ c.b
 // hit counts a demand hit on way of set and updates the way's flags: a
 // prefetched line's first use is counted and the flag cleared, a write
 // marks the line dirty. The caller moves the way to the front.
-func (c *Cache) hit(set []uint64, way int, write bool) {
+func (c *Cache) hit(set []uint32, way int, write bool) {
 	c.stats.Hits++
-	t := set[1+way]
+	t := set[way]
 	nt := t &^ tagPrefetched
 	if nt != t {
 		c.stats.PrefetchHits++
@@ -233,7 +280,7 @@ func (c *Cache) hit(set []uint64, way int, write bool) {
 		nt |= tagDirty
 	}
 	if nt != t {
-		set[1+way] = nt
+		set[way] = nt
 	}
 }
 
@@ -244,8 +291,8 @@ func (c *Cache) Lookup(addr uint64, demand, write bool) bool {
 	if demand {
 		c.stats.Accesses++
 	}
-	set := c.set(addr)
-	i := find(set, c.key(addr))
+	set, r, key := c.locate(addr)
+	i := find(set, key)
 	switch {
 	case i < 0:
 		if demand {
@@ -254,9 +301,9 @@ func (c *Cache) Lookup(addr uint64, demand, write bool) bool {
 		return false
 	case demand:
 		c.hit(set, i, write)
-		c.promote(set, i)
+		c.promote(r, i)
 	case write:
-		set[1+i] |= tagDirty
+		set[i] |= tagDirty
 	}
 	return true
 }
@@ -265,20 +312,23 @@ func (c *Cache) Lookup(addr uint64, demand, write bool) bool {
 // updates recency (and dirtiness for writes) and reports true. Used by
 // functional cache warming.
 func (c *Cache) Touch(addr uint64, write bool) bool {
-	set := c.set(addr)
-	i := find(set, c.key(addr))
+	set, r, key := c.locate(addr)
+	i := find(set, key)
 	if i < 0 {
 		return false
 	}
 	if write {
-		set[1+i] |= tagDirty
+		set[i] |= tagDirty
 	}
-	c.promote(set, i)
+	c.promote(r, i)
 	return true
 }
 
 // Contains reports presence without disturbing statistics or recency.
-func (c *Cache) Contains(addr uint64) bool { return find(c.set(addr), c.key(addr)) >= 0 }
+func (c *Cache) Contains(addr uint64) bool {
+	set, _, key := c.locate(addr)
+	return find(set, key) >= 0
+}
 
 // Eviction describes a line pushed out by an Insert.
 type Eviction struct {
@@ -291,16 +341,15 @@ type Eviction struct {
 // refreshed in place: dirty is OR-ed in, and the line stays prefetched
 // only if it was and the insert is a prefetch too.
 func (c *Cache) Insert(addr uint64, dirty, prefetched bool) (Eviction, bool) {
-	set := c.set(addr)
-	key := c.key(addr)
-	i, hit := c.claim(set, key)
+	set, r, key := c.locate(addr)
+	i, hit := c.claim(set, r, key)
 	var ev Eviction
 	had := false
 	nt := key
 	if dirty {
 		nt |= tagDirty
 	}
-	if t := set[1+i]; hit {
+	if t := set[i]; hit {
 		nt |= t & tagDirty
 		if prefetched {
 			nt |= t & tagPrefetched
@@ -309,7 +358,7 @@ func (c *Cache) Insert(addr uint64, dirty, prefetched bool) (Eviction, bool) {
 		if t != 0 {
 			c.stats.Evictions++
 			had = true
-			ev = Eviction{Addr: t &^ (tagValid | tagFlags), Dirty: t&tagDirty != 0}
+			ev = Eviction{Addr: c.lineOf(t, addr), Dirty: t&tagDirty != 0}
 			if ev.Dirty {
 				c.stats.DirtyEvictions++
 			}
@@ -319,7 +368,7 @@ func (c *Cache) Insert(addr uint64, dirty, prefetched bool) (Eviction, bool) {
 			c.stats.PrefetchFills++
 		}
 	}
-	set[1+i] = nt
+	set[i] = nt
 	return ev, had
 }
 
@@ -330,23 +379,22 @@ func (c *Cache) Insert(addr uint64, dirty, prefetched bool) (Eviction, bool) {
 // then the evicted line's address with bit 0 set, a dirty LLCOp, and
 // otherwise 0.
 func (c *Cache) warmAccess(addr uint64, write bool) (wb uint64, hit bool) {
-	set := c.set(addr)
-	key := c.key(addr)
-	i, hit := c.claim(set, key)
+	set, r, key := c.locate(addr)
+	i, hit := c.claim(set, r, key)
 	if write {
 		key |= tagDirty
 	}
-	if t := set[1+i]; hit {
-		set[1+i] = t | key&tagDirty
+	if t := set[i]; hit {
+		set[i] = t | key&tagDirty
 	} else {
 		if t != 0 {
 			c.stats.Evictions++
 			if t&tagDirty != 0 {
 				c.stats.DirtyEvictions++
-				wb = t &^ tagFlags // the line with tagValid, bit 0, set
+				wb = c.lineOf(t, addr) | 1
 			}
 		}
-		set[1+i] = key
+		set[i] = key
 	}
 	return wb, hit
 }
@@ -356,28 +404,28 @@ func (c *Cache) warmAccess(addr uint64, write bool) (wb uint64, hit bool) {
 // recency order, below every valid way and above the invalid ways of lower
 // index. Only the tests call it.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set := c.set(addr)
-	i := find(set, c.key(addr))
+	set, r, key := c.locate(addr)
+	i := find(set, key)
 	if i < 0 {
 		return false, false
 	}
-	dirty = set[1+i]&tagDirty != 0
-	set[1+i] = 0
+	dirty = set[i]&tagDirty != 0
+	set[i] = 0
 	// Rewrite the ranks: the valid ways in their order, then the invalid
 	// ones from the highest index down.
-	r, order, k := set[0]^c.base, uint64(0), 0
+	o, order, k := *r^c.base, uint64(0), 0
 	for j := range c.cfg.Ways {
-		if w := r >> (4 * j) & 0xf; set[1+w] != 0 {
+		if w := o >> (4 * j) & 0xf; set[w] != 0 {
 			order |= w << (4 * k)
 			k++
 		}
 	}
 	for w := c.cfg.Ways - 1; w >= 0; w-- {
-		if set[1+w] == 0 {
+		if set[w] == 0 {
 			order |= uint64(w) << (4 * k)
 			k++
 		}
 	}
-	set[0] = (r&^c.ranks | order) ^ c.base
+	*r = (o&^c.ranks | order) ^ c.base
 	return true, dirty
 }

@@ -18,7 +18,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Ways = 0 },
 		func(c *Config) { c.LineBytes = 0 },
 		func(c *Config) { c.LineBytes, c.SizeBytes = 1, 16 },   // no bit for LLCOp's dirty flag
-		func(c *Config) { c.LineBytes, c.SizeBytes = 4, 64 },   // no room for a tag word's three flags
+		func(c *Config) { c.LineBytes, c.SizeBytes = 4, 64 },   // shorter than a word
 		func(c *Config) { c.LineBytes, c.SizeBytes = 48, 768 }, // not a power of two
 		func(c *Config) { c.Ways, c.SizeBytes = 32, 32*64 },    // wider than the recency word
 		func(c *Config) { c.Ways, c.SizeBytes = 64, 64*64 },

@@ -288,17 +288,22 @@ func TestWarmMatchesReference(t *testing.T) {
 	}
 }
 
-// sameState requires two caches to be identical: every word and the
-// statistics.
+// sameState requires two caches to be identical: every tag word, every
+// recency word and the statistics.
 func sameState(t *testing.T, what string, got, want *Cache) {
 	t.Helper()
 	if got.stats != want.stats {
 		t.Fatalf("%s: stats %+v, want %+v", what, got.stats, want.stats)
 	}
-	for i := range want.words {
-		if got.words[i] != want.words[i] {
-			t.Fatalf("%s set %d word %d: %#x, want %#x",
-				what, i/int(want.stride), i%int(want.stride), got.words[i], want.words[i])
+	for i := range want.tags {
+		if got.tags[i] != want.tags[i] {
+			t.Fatalf("%s set %d way %d: %#x, want %#x",
+				what, i/int(want.ways), i%int(want.ways), got.tags[i], want.tags[i])
+		}
+	}
+	for i := range want.orders {
+		if got.orders[i] != want.orders[i] {
+			t.Fatalf("%s set %d recency word: %#x, want %#x", what, i, got.orders[i], want.orders[i])
 		}
 	}
 }

@@ -113,6 +113,17 @@ func (c HierConfig) Validate() error {
 	return nil
 }
 
+// Reach is the smallest of the three levels' reaches (Config.Reach): the
+// hierarchy tells apart every address below it, and its entry points panic
+// on any other.
+func (c HierConfig) Reach() uint64 { return min(c.L1.Reach(), c.L2.Reach(), c.LLC.Reach()) }
+
+// ArrayBytes is the size of the hierarchy's arrays: the LLC's and every
+// core's L1 and L2.
+func (c HierConfig) ArrayBytes() int64 {
+	return c.LLC.ArrayBytes() + int64(c.Cores)*(c.L1.ArrayBytes()+c.L2.ArrayBytes())
+}
+
 // mshrEntry tracks one in-flight line fill. The entry itself is the
 // Waiter handed to the memory port, so no per-miss closure is needed;
 // entries are pooled by the owning Hierarchy and recycled on fill.
@@ -162,6 +173,7 @@ type Hierarchy struct {
 	hints []lineHint // per-core L1 way hint (see lineHint)
 
 	lineMask uint64
+	reach    uint64 // HierConfig.Reach
 	stats    HierStats
 }
 
@@ -201,6 +213,7 @@ func NewHierarchyIn(a *Arena, cfg HierConfig, mem MemPort) (*Hierarchy, error) {
 		park:        make([]parkSlot, cfg.Cores),
 		hints:       make([]lineHint, cfg.Cores),
 		lineMask:    ^uint64(cfg.L1.LineBytes - 1),
+		reach:       cfg.Reach(),
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		h.park[i].at = -1
@@ -270,6 +283,16 @@ func (h *Hierarchy) retryWritebacks(now int64) {
 	}
 }
 
+// line returns the line of addr, an address an entry point was given. It
+// panics on one at or beyond the hierarchy's reach, before any level sees
+// it.
+func (h *Hierarchy) line(addr uint64) uint64 {
+	if addr >= h.reach {
+		panic(beyondReach{"hierarchy", h.reach, addr})
+	}
+	return addr & h.lineMask
+}
+
 // Warm performs a functional (timing-free) access, used to pre-warm the
 // caches into their steady state before measurement begins: lines are
 // installed and recency/dirtiness tracked, no prefetches are trained and
@@ -278,7 +301,7 @@ func (h *Hierarchy) retryWritebacks(now int64) {
 // it pushes out are real evictions of the level's content, so Evictions
 // and DirtyEvictions count them at every level.
 func (h *Hierarchy) Warm(core int, addr uint64, write bool) {
-	line := addr & h.lineMask
+	line := h.line(addr)
 	l1, l2 := h.l1[core], h.l2[core]
 	wb1, hit := l1.warmAccess(line, write)
 	if hit {
@@ -318,7 +341,7 @@ type LLCOp uint64
 // walk of its own because an L1 hit, all a cache-resident stream does,
 // must cost one call.
 func (h *Hierarchy) WarmPrivate(core int, addr uint64, write bool, ops []LLCOp) []LLCOp {
-	line := addr & h.lineMask
+	line := h.line(addr)
 	l1, l2 := h.l1[core], h.l2[core]
 	wb1, hit := l1.warmAccess(line, write)
 	if hit {
@@ -386,7 +409,7 @@ func (h *Hierarchy) WarmLLC(logs []WarmLog) {
 // TestAccessMatchesReference pins the equivalence against the composed
 // per-level walk.
 func (h *Hierarchy) Access(now int64, core int, addr uint64, write bool, w Waiter) Outcome {
-	line := addr & h.lineMask
+	line := h.line(addr)
 	ht := &h.hints[core]
 	l1 := h.l1[core]
 	l2 := h.l2[core]
@@ -394,14 +417,15 @@ func (h *Hierarchy) Access(now int64, core int, addr uint64, write bool, w Waite
 
 	// L1 probe (mirrors Cache.Lookup(line, true, write) — keep in sync).
 	l1.stats.Accesses++
-	key := line | tagValid
 	n := line >> l1.setShift // the line number: its low bits pick the set
-	s1 := l1.words[(n&l1.setMask)*l1.stride:][:l1.stride]
+	i1 := n & l1.setMask
+	s1 := l1.tags[i1*l1.ways:][:l1.ways]
+	key := l1.key(line)
 	hitWay := -1
 	if ht.line == line && int(ht.way) < l1.cfg.Ways {
 		// A tag matches at most one way per set (Insert refreshes in
 		// place), so trusting the hinted way is exact, not heuristic.
-		if s1[1+ht.way]&^tagFlags == key {
+		if s1[ht.way]&^tagFlags == key {
 			hitWay = int(ht.way)
 		}
 	}
@@ -410,7 +434,7 @@ func (h *Hierarchy) Access(now int64, core int, addr uint64, write bool, w Waite
 	}
 	if hitWay >= 0 {
 		l1.hit(s1, hitWay, write)
-		l1.promote(s1, hitWay)
+		l1.promote(&l1.orders[i1], hitWay)
 		*ht = lineHint{line: line, way: int32(hitWay)}
 		return Outcome{Status: Hit, Latency: h.cfg.L1.Latency, Level: 1}
 	}
@@ -418,10 +442,11 @@ func (h *Hierarchy) Access(now int64, core int, addr uint64, write bool, w Waite
 
 	// L2 probe.
 	l2.stats.Accesses++
-	s2 := l2.words[(n&l2.setMask)*l2.stride:][:l2.stride]
-	if i := find(s2, key); i >= 0 {
+	i2 := n & l2.setMask
+	s2 := l2.tags[i2*l2.ways:][:l2.ways]
+	if i := find(s2, l2.key(line)); i >= 0 {
 		l2.hit(s2, i, write)
-		l2.promote(s2, i)
+		l2.promote(&l2.orders[i2], i)
 		h.fillL1(core, line, write)
 		h.train(now, core, line)
 		return Outcome{Status: Hit, Latency: h.cfg.L2.Latency, Level: 2}
@@ -431,10 +456,11 @@ func (h *Hierarchy) Access(now int64, core int, addr uint64, write bool, w Waite
 
 	// LLC probe.
 	llc.stats.Accesses++
-	s3 := llc.words[(n&llc.setMask)*llc.stride:][:llc.stride]
-	if i := find(s3, key); i >= 0 {
+	i3 := n & llc.setMask
+	s3 := llc.tags[i3*llc.ways:][:llc.ways]
+	if i := find(s3, llc.key(line)); i >= 0 {
 		llc.hit(s3, i, write)
-		llc.promote(s3, i)
+		llc.promote(&llc.orders[i3], i)
 		h.fillL2(now, core, line, false)
 		h.fillL1(core, line, write)
 		return Outcome{Status: Hit, Latency: h.cfg.LLC.Latency, Level: 3}
@@ -601,7 +627,7 @@ func (h *Hierarchy) fill(doneCPU int64, e *mshrEntry, queueFrac, regFrac float64
 // Prefetch issues a hardware prefetch for core into L2+LLC. It is
 // dropped silently on structural hazards.
 func (h *Hierarchy) Prefetch(now int64, core int, addr uint64) {
-	line := addr & h.lineMask
+	line := h.line(addr)
 	if h.l2[core].Contains(line) || h.llc.Contains(line) {
 		return
 	}
@@ -624,11 +650,15 @@ func (h *Hierarchy) Prefetch(now int64, core int, addr uint64) {
 }
 
 // train feeds the core's streamer with a demand L2 access and issues the
-// prefetches it asks for.
+// prefetches it asks for. A stream that runs off either end of the
+// address space, up to the reach or below line 0 (which wraps to the
+// top), asks for lines that do not exist; they are not prefetched.
 func (h *Hierarchy) train(now int64, core int, line uint64) {
-	lineNo := line / uint64(h.cfg.L1.LineBytes)
-	for _, ln := range h.pf[core].Observe(lineNo) {
-		h.Prefetch(now, core, ln*uint64(h.cfg.L1.LineBytes))
+	lineBytes := uint64(h.cfg.L1.LineBytes)
+	for _, ln := range h.pf[core].Observe(line / lineBytes) {
+		if a := ln * lineBytes; a < h.reach {
+			h.Prefetch(now, core, a)
+		}
 	}
 }
 

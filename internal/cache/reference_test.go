@@ -233,10 +233,13 @@ func (c *refCache) Invalidate(addr uint64) (present, dirty bool) {
 
 // sameAsRef requires c and ref to agree on everything a caller can
 // observe and on where each line lives: the statistics, and in every set
-// each way's line with its dirty and prefetched flags and the valid ways
-// in recency order — from the stamps on ref's side, from the recency word
-// on c's. It also holds c to the recency word's invariant: the invalid
-// ways sit below every valid way, in descending index order.
+// each way's 32-bit tag word — the reference line's tag with its valid,
+// dirty and prefetched flags — and the valid ways in recency order, from
+// the stamps on ref's side, from the recency word on c's. The line a tag
+// word rebuilds, the way an eviction does, must be the reference's whole
+// 64-bit line: a tag that lost a bit fails here. It also holds c to the
+// recency word's invariant: the invalid ways sit below every valid way,
+// in descending index order.
 func sameAsRef(t *testing.T, step int, c *Cache, ref *refCache) {
 	t.Helper()
 	if c.stats != ref.stats {
@@ -244,29 +247,33 @@ func sameAsRef(t *testing.T, step int, c *Cache, ref *refCache) {
 	}
 	ways := c.cfg.Ways
 	for s := 0; s < c.cfg.Sets(); s++ {
-		set, rs := c.words[s*(1+ways):][:1+ways], ref.slots[s*ways:][:ways]
+		set, o, rs := c.tags[s*ways:][:ways], c.orders[s]^c.base, ref.slots[s*ways:][:ways]
 		var order, refOrder []int
 		invalid := -1 // the last invalid way met going down the ranks
 		for k := 0; k < ways; k++ {
-			switch w := int((set[0]^c.base)>>(4*k)) & 0xf; {
-			case set[1+w] == 0 && invalid >= 0 && w > invalid:
+			switch w := int(o>>(4*k)) & 0xf; {
+			case set[w] == 0 && invalid >= 0 && w > invalid:
 				t.Fatalf("step %d: set %d invalid way %d at rank %d below invalid way %d", step, s, w, k, invalid)
-			case set[1+w] == 0:
+			case set[w] == 0:
 				invalid = w
 			case invalid >= 0:
 				t.Fatalf("step %d: set %d valid way %d at rank %d below invalid way %d", step, s, w, k, invalid)
 			default:
 				order = append(order, w)
 			}
-			g, r := set[1+k], rs[k]
-			want := uint64(0)
+			g, r := set[k], rs[k]
+			want := uint32(0)
 			if r.enc != 0 {
-				want = r.enc>>1<<c.setShift | tagValid
+				line := r.enc >> 1 << c.setShift
+				want = uint32(line>>c.tagShift)<<flagBits | tagValid
 				if r.meta&metaDirty != 0 {
 					want |= tagDirty
 				}
 				if r.meta&metaPrefetched != 0 {
 					want |= tagPrefetched
+				}
+				if got := c.lineOf(g, line); got != line {
+					t.Fatalf("step %d: set %d way %d tag word %#x rebuilds line %#x, reference %#x", step, s, k, g, got, line)
 				}
 				refOrder = append(refOrder, k)
 			}
@@ -287,9 +294,11 @@ func sameAsRef(t *testing.T, step int, c *Cache, ref *refCache) {
 // Invalidate, warmAccess and WarmLLC of 1 to 4 cores' logs, which the
 // reference applies one by one in (item, core) order — at every
 // associativity from 1 to 16 ways and 1 to 64 sets, on a few more lines
-// per set than there are ways and at unaligned addresses. After every
-// operation the results, the statistics and every set (sameAsRef) must
-// agree.
+// per set than there are ways and at unaligned addresses. Half the lines
+// of a set have the lowest tags and half the highest, up to the last line
+// below the level's reach, so every bit of a tag word is exercised. After
+// every operation the results, the statistics and every set (sameAsRef)
+// must agree.
 func TestCacheMatchesReference(t *testing.T) {
 	steps := 1500
 	if testing.Short() {
@@ -304,7 +313,11 @@ func TestCacheMatchesReference(t *testing.T) {
 				c, ref := h.llc, newRefCache(hc.LLC)
 				rng := rand.New(rand.NewSource(int64(ways*100 + sets)))
 				addr := func() uint64 {
-					return uint64(rng.Intn(ways+3)*sets+rng.Intn(sets))*64 + uint64(rng.Intn(64))
+					tag := uint64(rng.Intn(ways + 3))
+					if tag%2 == 1 {
+						tag = 1<<tagBits - 1 - tag/2
+					}
+					return (tag*uint64(sets)+uint64(rng.Intn(sets)))*64 + uint64(rng.Intn(64))
 				}
 				flip := func() bool { return rng.Intn(2) == 0 }
 				var ops []LLCOp

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"dramstacks/internal/cache"
 	"dramstacks/internal/sim"
 	"dramstacks/internal/stacks"
 )
@@ -75,7 +76,7 @@ func TestArenaRunSpecDifferential(t *testing.T) {
 			t.Errorf("%s after %s: the result document differs on a reused arena", step.spec.Label(), step.after)
 		}
 	}
-	if arena.Reuses() == 0 || arena.Bytes() < 2_723_840 { // an 8-core machine's cache arrays
+	if arena.Reuses() == 0 || arena.Bytes() < cache.DefaultHierConfig(8).ArrayBytes() { // an 8-core machine's cache arrays
 		t.Errorf("the arena reused %d arrays and holds %d bytes: it was not used", arena.Reuses(), arena.Bytes())
 	}
 }

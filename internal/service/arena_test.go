@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"dramstacks/internal/cache"
 	"dramstacks/internal/exp"
 	"dramstacks/internal/sim"
 )
@@ -61,8 +62,7 @@ func TestArenaMetricsMoveAcrossJobs(t *testing.T) {
 	first, _ := postJob(t, ts, `{"workload":"seq,random","cores":4,"cycles":20000}`)
 	waitState(t, ts, first.ID, StateDone)
 	held := metric("dramstacksd_arena_bytes")
-	llc, l2, l1 := int64(16384*12), int64(1024*17), int64(64*9) // words: sets × (1 + ways)
-	if want := (llc + 4*(l2+l1)) * 8; held != want || metric("dramstacksd_arena_reuses_total") != 0 {
+	if want := cache.DefaultHierConfig(4).ArrayBytes(); held != want || metric("dramstacksd_arena_reuses_total") != 0 {
 		t.Errorf("after one 4-core job the worker holds %d bytes (want %d) and reused %d arrays (want 0)",
 			held, want, metric("dramstacksd_arena_reuses_total"))
 	}
@@ -147,8 +147,7 @@ func TestArenaWorkerSurvivesPanic(t *testing.T) {
 	if got, _ := getBody(t, ts, "/v1/jobs/"+after.ID+"/stacks"); !bytes.Equal(got, directRun(t, next)) {
 		t.Error("the job after the panic differs from a fresh run")
 	}
-	llc, l2, l1 := int64(16384*12), int64(1024*17), int64(64*9) // words: sets × (1 + ways)
-	if b, r := metric("dramstacksd_arena_bytes"), metric("dramstacksd_arena_reuses_total"); b != (llc+2*(l2+l1))*8 || r != reuses {
+	if b, r := metric("dramstacksd_arena_bytes"), metric("dramstacksd_arena_reuses_total"); b != cache.DefaultHierConfig(2).ArrayBytes() || r != reuses {
 		t.Errorf("after the panic the worker holds %d bytes and has reused %d arrays (%d before): it kept the dead machine's arena",
 			b, r, reuses)
 	}

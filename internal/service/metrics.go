@@ -114,7 +114,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges) {
 	gauge("dramstacksd_workers_busy", "Workers currently running a job.", m.WorkersBusy.Load())
 
 	gauge("dramstacksd_arena_bytes", "Cache arrays and prewarm buffers the workers keep between jobs.", m.ArenaBytes.Load())
-	counter("dramstacksd_arena_reuses_total", "Cache arrays a job took over from its worker's previous job instead of allocating.", m.ArenaReuses.Load())
+	counter("dramstacksd_arena_reuses_total", "Cache levels whose arrays a job took over from its worker's previous job instead of allocating.", m.ArenaReuses.Load())
 
 	counter("dramstacksd_sim_mem_cycles_total", "Total simulated memory cycles across all jobs.", m.SimMemCycles.Load())
 

@@ -3,7 +3,7 @@ package sim
 import "dramstacks/internal/cache"
 
 // Arena is what a sweep worker keeps from one System to the next instead
-// of allocating it per point: the cache hierarchy's arrays (2.72 MB of
+// of allocating it per point: the cache hierarchy's arrays (1.46 MB of
 // an 8-core machine) and prewarmParallel's two record sets. Pass
 // it to New with WithArena; the zero value is ready.
 //
@@ -21,8 +21,8 @@ type Arena struct {
 // Bytes is the memory the arena holds on to between Systems.
 func (a *Arena) Bytes() int64 { return a.slots.Bytes() + a.warm.bytes() }
 
-// Reuses counts the cache arrays Systems took over from their
-// predecessors instead of allocating.
+// Reuses counts the cache levels whose arrays Systems took over from
+// their predecessors instead of allocating.
 func (a *Arena) Reuses() int64 { return a.slots.Reuses() }
 
 // issue starts a System's tenancy of the arena, ending the previous one's.

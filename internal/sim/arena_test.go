@@ -80,8 +80,7 @@ func TestArenaDifferentialRandomizedSpecs(t *testing.T) {
 		t.Errorf("the predecessors lack a kind: %+v", after)
 	}
 	// Four cores at most, and the cancelled run's are four.
-	llc, l2, l1 := int64(16384*12), int64(1024*17), int64(64*9) // words: sets × (1 + ways)
-	if want := (llc + 4*(l2+l1)) * 8; arena.slots.Bytes() != want || arena.Reuses() < 100 {
+	if want := Default(4).Hier.ArrayBytes(); arena.slots.Bytes() != want || arena.Reuses() < 100 {
 		t.Errorf("the arena holds %d bytes of cache arrays after %d reuses, want %d: its largest machine's",
 			arena.slots.Bytes(), arena.Reuses(), want)
 	}

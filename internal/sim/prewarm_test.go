@@ -188,7 +188,8 @@ func TestPrewarmWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := Work{WarmItems: []int64{24_576, 20_000, 24_576, 24_576}, LLCOps: 139_103, Chunks: 12, WarmBytes: 253_952}
+		want := Work{WarmItems: []int64{24_576, 20_000, 24_576, 24_576}, LLCOps: 139_103, Chunks: 12, WarmBytes: 253_952,
+			CacheBytes: cfg.Hier.ArrayBytes()}
 		if serial {
 			want.LLCOps, want.Chunks, want.WarmBytes = 0, 0, 0
 		}

@@ -247,6 +247,10 @@ type Work struct {
 	// (0 on the serial loop). Store-heavy streams grow a log past its
 	// chunk; on an Arena the sets may also keep what a predecessor grew.
 	WarmBytes int64
+	// CacheBytes is the size of the cache hierarchy's arrays
+	// (cache.HierConfig.ArrayBytes), allocated afresh or taken from an
+	// Arena.
+	CacheBytes int64
 	// Ctrl is the memory controllers' work, summed over channels.
 	Ctrl memctrl.Work
 }
@@ -258,6 +262,7 @@ func (s *System) Work() Work {
 		w = *s.work
 		w.WarmItems = slices.Clone(w.WarmItems)
 	}
+	w.CacheBytes = s.cfg.Hier.ArrayBytes()
 	for _, ctrl := range s.ctrls {
 		cw := ctrl.Work()
 		w.Ctrl.Ticks += cw.Ticks

@@ -23,8 +23,9 @@ import (
 // Addresses accept decimal or 0x-prefixed hex. The trace can be looped
 // to extend short recordings.
 type Player struct {
-	items []cpu.Instr
-	pos   int
+	items   []cpu.Instr
+	maxAddr uint64 // the highest load or store address
+	pos     int
 	// Loop replays the trace from the start when it ends.
 	Loop bool
 	// MaxOps bounds total emitted items when looping (0 = unbounded).
@@ -52,6 +53,7 @@ func ParseTrace(r io.Reader) (*Player, error) {
 			return nil, fmt.Errorf("workload: trace line %d: %w", lineNo, err)
 		}
 		p.items = append(p.items, ins)
+		p.maxAddr = max(p.maxAddr, ins.Addr) // a branch's is 0
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("workload: trace read: %w", err)
@@ -112,6 +114,10 @@ func addrBase(s string) int {
 
 // Len returns the number of parsed trace items.
 func (p *Player) Len() int { return len(p.items) }
+
+// MaxAddr returns the highest address a load or store of the trace
+// accesses (0 when it has none).
+func (p *Player) MaxAddr() uint64 { return p.maxAddr }
 
 // Next implements cpu.Source.
 func (p *Player) Next() (cpu.Instr, bool) {

@@ -37,6 +37,9 @@ R 64
 	if _, ok := p.Next(); ok {
 		t.Error("non-looping player did not end")
 	}
+	if p.MaxAddr() != 4160 {
+		t.Errorf("MaxAddr = %d, want 4160: the store's", p.MaxAddr())
+	}
 }
 
 func TestPlayerLoopAndMaxOps(t *testing.T) {
