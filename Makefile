@@ -93,14 +93,17 @@ mutate:
 # canonical encoder (each against its reference implementation, the
 # canonical-encoding fixed point, hash determinism), journal recovery
 # (corruption is never fatal, torn tails are sealed), the /v1 routes (no
-# handler panics, every error is the envelope), and the dramvet
-# //dramvet:allow directive parser (no suppression is silently dropped).
+# handler panics, every error is the envelope), the dramvet
+# //dramvet:allow directive parser (no suppression is silently dropped),
+# and the line index under the MSHR file and the write buffer (against a
+# Go map, keys crowded onto one home slot, probes wrapping, a full index).
 fuzz:
 	$(GO) test ./internal/exp/ -run FuzzDecodeSpec -fuzz FuzzDecodeSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exp/ -run FuzzSpecCanonical -fuzz FuzzSpecCanonical -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service/ -run FuzzJournalReplay -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service/ -run FuzzV1Routes -fuzz FuzzV1Routes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analysis/ -run FuzzAllowDirective -fuzz FuzzAllowDirective -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lineidx/ -run FuzzLineIndex -fuzz FuzzLineIndex -fuzztime $(FUZZTIME)
 
 # Build and launch the simulation service (see doc/SERVICE.md).
 serve:

@@ -24,6 +24,7 @@ var List = []string{
 	"internal/dram",
 	"internal/dram/standard",
 	"internal/exp",
+	"internal/lineidx",
 	"internal/memctrl",
 	"internal/prefetch",
 	"internal/qos",

@@ -195,9 +195,15 @@ func (c *Cache) locate(addr uint64) (set []uint32, r *uint64, key uint32) {
 	if addr >= c.reach {
 		panic(beyondReach{c.cfg.Name, c.reach, addr})
 	}
-	i := addr >> c.setShift & c.setMask
-	return c.tags[i*c.ways:][:c.ways], &c.orders[i], c.key(addr)
+	i := c.setIndex(addr)
+	return c.set(i), &c.orders[i], c.key(addr)
 }
+
+// setIndex returns the number of addr's set.
+func (c *Cache) setIndex(addr uint64) uint64 { return addr >> c.setShift & c.setMask }
+
+// set returns the tag words of set number i.
+func (c *Cache) set(i uint64) []uint32 { return c.tags[i*c.ways:][:c.ways] }
 
 // key returns the tag word of a clean, valid copy of addr's line, which
 // must be below the level's reach.
@@ -329,6 +335,10 @@ func (c *Cache) Contains(addr uint64) bool {
 	set, _, key := c.locate(addr)
 	return find(set, key) >= 0
 }
+
+// has is Contains for an address the caller knows to be below the
+// level's reach.
+func (c *Cache) has(addr uint64) bool { return find(c.set(c.setIndex(addr)), c.key(addr)) >= 0 }
 
 // Eviction describes a line pushed out by an Insert.
 type Eviction struct {

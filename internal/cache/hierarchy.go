@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 
+	"dramstacks/internal/lineidx"
 	"dramstacks/internal/prefetch"
 )
 
@@ -15,8 +16,8 @@ import (
 //
 // Completions are delivered through this interface rather than a
 // callback closure so the hot path allocates nothing per access: a
-// pooled ticket or MSHR entry passed as a Waiter is a plain interface
-// conversion of an existing pointer.
+// pooled ticket or an MSHR-file entry passed as a Waiter is a plain
+// interface conversion of an existing pointer.
 type Waiter interface {
 	MemDone(doneCPU int64, queueFrac, regFrac float64)
 }
@@ -125,15 +126,18 @@ func (c HierConfig) ArrayBytes() int64 {
 }
 
 // mshrEntry tracks one in-flight line fill. The entry itself is the
-// Waiter handed to the memory port, so no per-miss closure is needed;
-// entries are pooled by the owning Hierarchy and recycled on fill.
+// Waiter handed to the memory port, so no per-miss closure is needed.
+// Entries live in the hierarchy's MSHR file, built with it and never
+// reallocated, so the pointer stays valid until the fill.
 type mshrEntry struct {
 	h        *Hierarchy
+	id       int32 // the entry's index in the file
 	addr     uint64
 	core     int
 	prefetch bool
-	dirty    bool // a store is waiting: mark the line dirty on fill
-	waiters  []Waiter
+	dirty    bool   // a store is waiting: mark the line dirty on fill
+	first    Waiter // the first waiter, nil while none (a prefetch) waits
+	more     []Waiter
 }
 
 // MemDone implements Waiter: the fill for this entry's line completed.
@@ -161,8 +165,12 @@ type Hierarchy struct {
 
 	pf []*prefetch.Streamer
 
-	mshr        map[uint64]*mshrEntry
-	mshrFree    []*mshrEntry // recycled entries; waiters capacity reused
+	// The MSHR file: HierConfig.MSHRs entries, those not in flight on
+	// the idle stack, those in flight indexed by line.
+	mshrs       []mshrEntry
+	idle        []int32
+	inflight    lineidx.Index[int32]
+	mshrPeak    int // the most entries in flight at once
 	perCoreUsed []int
 
 	pendingWB []pendingWB // dirty lines waiting for controller queue space
@@ -208,12 +216,17 @@ func NewHierarchyIn(a *Arena, cfg HierConfig, mem MemPort) (*Hierarchy, error) {
 		cfg:         cfg,
 		llc:         newCache(cfg.LLC, a),
 		mem:         mem,
-		mshr:        make(map[uint64]*mshrEntry),
+		mshrs:       make([]mshrEntry, cfg.MSHRs),
+		idle:        make([]int32, cfg.MSHRs),
+		inflight:    lineidx.New[int32](cfg.MSHRs),
 		perCoreUsed: make([]int, cfg.Cores),
 		park:        make([]parkSlot, cfg.Cores),
 		hints:       make([]lineHint, cfg.Cores),
 		lineMask:    ^uint64(cfg.L1.LineBytes - 1),
 		reach:       cfg.Reach(),
+	}
+	for i := range h.mshrs {
+		h.mshrs[i].h, h.mshrs[i].id, h.idle[i] = h, int32(i), int32(i)
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		h.park[i].at = -1
@@ -247,10 +260,13 @@ func (h *Hierarchy) L2Stats(core int) LevelStats { return h.l2[core].stats }
 func (h *Hierarchy) LLCStats() LevelStats { return h.llc.stats }
 
 // OutstandingMisses returns the number of in-flight line fills.
-func (h *Hierarchy) OutstandingMisses() int { return len(h.mshr) }
+func (h *Hierarchy) OutstandingMisses() int { return h.inflight.Len() }
+
+// MSHRPeak returns the most line fills that were in flight at once.
+func (h *Hierarchy) MSHRPeak() int { return h.mshrPeak }
 
 // Pending reports whether fills or writebacks are still in flight.
-func (h *Hierarchy) Pending() bool { return len(h.mshr) > 0 || len(h.pendingWB) > 0 }
+func (h *Hierarchy) Pending() bool { return h.inflight.Len() > 0 || len(h.pendingWB) > 0 }
 
 // Backlogged reports whether Tick has a writeback to retry; while it has
 // none, skipping its calls changes nothing.
@@ -472,13 +488,12 @@ func (h *Hierarchy) Access(now int64, core int, addr uint64, write bool, w Waite
 // missToMem handles the LLC-miss tail of Access: merge into or allocate
 // an MSHR, or report structural back pressure.
 func (h *Hierarchy) missToMem(now int64, core int, line uint64, write bool, w Waiter) Outcome {
-	if e, ok := h.mshr[line]; ok {
+	if i, ok := h.inflight.Get(line); ok {
+		e := &h.mshrs[i]
 		h.stats.MSHRMerges++
 		e.dirty = e.dirty || write
 		e.prefetch = false // a demand now waits on this fill
-		if w != nil {
-			e.waiters = append(e.waiters, w)
-		}
+		e.wait(w)
 		return Outcome{Status: Pending}
 	}
 	if h.mshrFull(core) {
@@ -488,9 +503,7 @@ func (h *Hierarchy) missToMem(now int64, core int, line uint64, write bool, w Wa
 	}
 	e := h.newEntry(line, core)
 	e.dirty = write
-	if w != nil {
-		e.waiters = append(e.waiters, w)
-	}
+	e.wait(w)
 	if !h.mem.Read(now, line, core, e) {
 		h.putEntry(e)
 		h.stats.Retries++
@@ -504,12 +517,13 @@ func (h *Hierarchy) missToMem(now int64, core int, line uint64, write bool, w Wa
 // mshrFull reports whether a new line fill for core would be refused:
 // the shared MSHRs or the core's own share of them are all in use.
 func (h *Hierarchy) mshrFull(core int) bool {
-	return len(h.mshr) >= h.cfg.MSHRs || h.perCoreUsed[core] >= h.cfg.PerCoreMSHRs
+	return h.inflight.Len() >= h.cfg.MSHRs || h.perCoreUsed[core] >= h.cfg.PerCoreMSHRs
 }
 
 // admit records e, accepted by the memory port, as an in-flight fill.
 func (h *Hierarchy) admit(e *mshrEntry) {
-	h.mshr[e.addr] = e
+	h.inflight.Put(e.addr, e.id)
+	h.mshrPeak = max(h.mshrPeak, h.inflight.Len())
 	h.perCoreUsed[e.core]++
 	if h.parked != 0 {
 		h.wakeLine(e.addr) // a retry would now merge into e
@@ -579,31 +593,40 @@ func (h *Hierarchy) wakeLine(line uint64) {
 	}
 }
 
-// newEntry takes an MSHR entry from the pool (or allocates one) and
-// resets it for line/core.
+// newEntry takes an idle entry of the MSHR file and sets it up for
+// line/core. mshrFull(core) must be false: an entry is idle then.
 func (h *Hierarchy) newEntry(line uint64, core int) *mshrEntry {
-	if n := len(h.mshrFree); n > 0 {
-		e := h.mshrFree[n-1]
-		h.mshrFree = h.mshrFree[:n-1]
-		e.addr, e.core, e.prefetch, e.dirty = line, core, false, false
-		return e
-	}
-	return &mshrEntry{h: h, addr: line, core: core}
+	n := len(h.idle) - 1
+	e := &h.mshrs[h.idle[n]]
+	h.idle = h.idle[:n]
+	e.addr, e.core, e.prefetch, e.dirty = line, core, false, false
+	return e
 }
 
-// putEntry returns an entry to the pool, dropping waiter references.
+// putEntry returns an entry to the idle stack, dropping waiter
+// references; its waiters' array keeps its capacity.
 func (h *Hierarchy) putEntry(e *mshrEntry) {
-	for i := range e.waiters {
-		e.waiters[i] = nil
+	e.first = nil
+	clear(e.more)
+	e.more = e.more[:0]
+	h.idle = append(h.idle, e.id)
+}
+
+// wait adds w, when not nil, to the waiters of e's fill.
+func (e *mshrEntry) wait(w Waiter) {
+	switch {
+	case w == nil:
+	case e.first == nil:
+		e.first = w
+	default:
+		e.more = append(e.more, w)
 	}
-	e.waiters = e.waiters[:0]
-	h.mshrFree = append(h.mshrFree, e)
 }
 
 // fill completes an MSHR: install the line, cascade evictions, wake
 // waiters, recycle the entry.
 func (h *Hierarchy) fill(doneCPU int64, e *mshrEntry, queueFrac, regFrac float64) {
-	delete(h.mshr, e.addr)
+	h.inflight.Delete(e.addr)
 	h.perCoreUsed[e.core]--
 	if h.parked != 0 {
 		for i := range h.park {
@@ -618,7 +641,10 @@ func (h *Hierarchy) fill(doneCPU int64, e *mshrEntry, queueFrac, regFrac float64
 	if !e.prefetch {
 		h.fillL1(e.core, e.addr, e.dirty)
 	}
-	for _, w := range e.waiters {
+	if e.first != nil {
+		e.first.MemDone(doneCPU, queueFrac, regFrac)
+	}
+	for _, w := range e.more {
 		w.MemDone(doneCPU, queueFrac, regFrac)
 	}
 	h.putEntry(e)
@@ -628,10 +654,10 @@ func (h *Hierarchy) fill(doneCPU int64, e *mshrEntry, queueFrac, regFrac float64
 // dropped silently on structural hazards.
 func (h *Hierarchy) Prefetch(now int64, core int, addr uint64) {
 	line := h.line(addr)
-	if h.l2[core].Contains(line) || h.llc.Contains(line) {
+	if h.l2[core].has(line) || h.llc.has(line) {
 		return
 	}
-	if _, ok := h.mshr[line]; ok {
+	if _, ok := h.inflight.Get(line); ok {
 		return
 	}
 	if h.mshrFull(core) {

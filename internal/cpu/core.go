@@ -337,7 +337,8 @@ type Core struct {
 	loadHistN int
 	outStores int // store RFOs in flight in the memory system
 
-	tkFree []*ticket // ticket pool
+	tkFree  []*ticket // ticket pool
+	tickets int       // tickets allocated: the pool's size
 
 	// why is the reason the core is suspended, awake if it is not:
 	// NextEventCycle records the four that carry a deadline, TrySleep the
@@ -390,6 +391,10 @@ func New(id int, cfg Config, mem Mem, src Source) *Core {
 // Stats returns the core's counters.
 func (c *Core) Stats() Stats { return c.stats }
 
+// Tickets returns how many load tickets the core's pool holds, in use or
+// free: the most loads it has had in flight or not yet recycled at once.
+func (c *Core) Tickets() int { return c.tickets }
+
 // SleepStats returns what the core's sleeps have covered so far (up to
 // the last SyncSleep, for a core still asleep).
 func (c *Core) SleepStats() SleepStats { return c.sleep }
@@ -438,6 +443,7 @@ func (c *Core) newTicket() *ticket {
 		tk.done, tk.level, tk.queueFrac, tk.regFrac, tk.stall = -1, 0, 0, 0, 0
 		return tk
 	}
+	c.tickets++
 	return &ticket{c: c, done: -1}
 }
 

@@ -71,7 +71,7 @@ type Spec struct {
 	// Scale is the Kronecker graph scale for GAP kernels (default 17).
 	Scale int `json:"scale"`
 	// WriteQueue overrides the write-queue capacity for GAP kernels when
-	// positive (the paper's wq128 variant).
+	// positive (the paper's wq128 variant), up to memctrl.MaxWriteQueueCap.
 	WriteQueue int `json:"wq"`
 	// QoS is the multi-tenant policy in the internal/qos grammar
 	// ("win=2048,cap=1:16,rt=0"): per-core bandwidth budgets over a
@@ -221,8 +221,8 @@ func (s Spec) Validate() error {
 	if s.Sample < 0 {
 		return fmt.Errorf("exp: sample interval must be non-negative, got %d", s.Sample)
 	}
-	if s.WriteQueue < 0 {
-		return fmt.Errorf("exp: write queue override must be non-negative, got %d", s.WriteQueue)
+	if uint(s.WriteQueue) > memctrl.MaxWriteQueueCap { // 0..MaxWriteQueueCap
+		return fmt.Errorf("exp: write queue override must be in 0..4096, got %d", s.WriteQueue)
 	}
 	if isGapWorkload(s.Workload) && (s.Scale < 4 || s.Scale > 24) {
 		return fmt.Errorf("exp: GAP graph scale must be in 4..24, got %d", s.Scale)

@@ -3,8 +3,11 @@ package exp
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
+
+	"dramstacks/internal/memctrl"
 )
 
 func mustHash(t *testing.T, s Spec) string {
@@ -114,6 +117,8 @@ func TestSpecValidateRejects(t *testing.T) {
 		{Spec{Workload: "seq", Mapping: "zigzag"}, "unknown mapping"},
 		{Spec{Workload: "seq", Sample: -1}, "sample interval"},
 		{Spec{Workload: "bfs", Scale: 30}, "scale"},
+		{Spec{Workload: "bfs", WriteQueue: -1}, "write queue"},
+		{Spec{Workload: "bfs", WriteQueue: 1_000_000_000}, fmt.Sprintf("write queue override must be in 0..%d,", memctrl.MaxWriteQueueCap)},
 	}
 	for _, tc := range cases {
 		if _, err := tc.spec.Hash(); err == nil || !strings.Contains(err.Error(), tc.err) {

@@ -94,7 +94,7 @@ type Config struct {
 	ReadQueueCap int
 
 	// WriteQueueCap bounds the write buffer (paper default 32; the
-	// Fig. 8 "wq128" variant uses 128).
+	// Fig. 8 "wq128" variant uses 128), at most MaxWriteQueueCap.
 	WriteQueueCap int
 
 	// WriteHi and WriteLo are the drain watermarks: when the write
@@ -147,6 +147,13 @@ type Config struct {
 	QoS qos.Config
 }
 
+// MaxWriteQueueCap is the largest write buffer a controller accepts, 32
+// times the paper's wq128 variant. A controller indexes its queued writes
+// in a table sized from the capacity when it is built, 32 bytes a write
+// at this bound. Config.Validate's and exp.Spec.Validate's messages spell
+// the number out; their tests check that it is this one.
+const MaxWriteQueueCap = 4096
+
 // DefaultConfig returns the paper's controller configuration: FR-FCFS,
 // open page, a 32-entry write buffer.
 func DefaultConfig() Config {
@@ -166,8 +173,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.ReadQueueCap <= 0:
 		return fmt.Errorf("memctrl: read queue capacity must be positive, got %d", c.ReadQueueCap)
-	case c.WriteQueueCap <= 0:
-		return fmt.Errorf("memctrl: write queue capacity must be positive, got %d", c.WriteQueueCap)
+	case uint(c.WriteQueueCap-1) >= MaxWriteQueueCap: // 1..MaxWriteQueueCap
+		return fmt.Errorf("memctrl: write queue capacity must be in 1..4096, got %d", c.WriteQueueCap)
 	case c.WriteHi <= c.WriteLo:
 		return fmt.Errorf("memctrl: write high watermark %d must exceed low watermark %d", c.WriteHi, c.WriteLo)
 	case c.WriteHi > c.WriteQueueCap:

@@ -5,6 +5,7 @@ import (
 
 	"dramstacks/internal/addrmap"
 	"dramstacks/internal/dram"
+	"dramstacks/internal/lineidx"
 	"dramstacks/internal/stacks"
 )
 
@@ -59,7 +60,7 @@ type Controller struct {
 
 	readQ  reqList // arrival order; each request is also on its bank's list
 	writeQ reqList
-	wbuf   map[uint64]*Request // line address -> queued write (forwarding/coalescing)
+	wbuf   lineidx.Index[struct{}] // the queued writes' lines (forwarding, coalescing)
 
 	drain     bool // between watermarks of a write burst
 	writeMode bool // issuing writes this cycle (drain or opportunistic)
@@ -81,8 +82,10 @@ type Controller struct {
 	hist    stacks.LatencyHistogram
 	sampler *stacks.Sampler
 
-	// Request freelist, used only when cfg.Recycle is set.
-	reqFree []*Request
+	// Request freelist, used only when cfg.Recycle is set, and how many
+	// requests newRequest allocated: the list's size under Recycle.
+	reqFree  []*Request
+	requests int
 
 	// Incremental scheduling state (see schedule's doc comment): per-bank
 	// queues and candidates, and what retime derived from them: per tier
@@ -213,7 +216,7 @@ func New(dev *dram.Device, mapper addrmap.Mapper, cfg Config) (*Controller, erro
 		cfg:         cfg,
 		dev:         dev,
 		mapper:      mapper,
-		wbuf:        make(map[uint64]*Request),
+		wbuf:        lineidx.New[struct{}](cfg.WriteQueueCap),
 		cand:        make([]bankCand, geo.TotalBanks()),
 		bw:          stacks.NewBandwidthAccountant(geo.TotalBanks()),
 		lat:         stacks.NewLatencyAccountant(),
@@ -265,6 +268,10 @@ func (c *Controller) Stats() Stats { return c.stats }
 
 // Work returns the controller's work counts.
 func (c *Controller) Work() Work { return c.work }
+
+// Requests returns how many request objects the controller allocated:
+// under Config.Recycle, the size its free list reached.
+func (c *Controller) Requests() int { return c.requests }
 
 // BandwidthStack returns the bandwidth stack accumulated so far.
 func (c *Controller) BandwidthStack() stacks.BandwidthStack { return c.bw.Stack() }
@@ -325,6 +332,7 @@ func (c *Controller) newRequest(addr uint64, write bool, src int, onComplete fun
 		*req = Request{Addr: addr, Write: write, OnComplete: onComplete, Meta: meta, arrive: now, src: src}
 		return req
 	}
+	c.requests++
 	return &Request{Addr: addr, Write: write, OnComplete: onComplete, Meta: meta, arrive: now, src: src}
 }
 
@@ -360,7 +368,7 @@ func (c *Controller) EnqueueRead(now int64, addr uint64, onComplete func(*Reques
 //dramvet:allow poolescape(caller may inspect the request until onComplete fires; recycle happens at completion)
 func (c *Controller) EnqueueReadFrom(now int64, addr uint64, src int, onComplete func(*Request, int64), meta any) (*Request, bool) {
 	addr &^= uint64(c.geo.LineBytes - 1)
-	if _, hit := c.wbuf[addr]; hit {
+	if _, hit := c.wbuf.Get(addr); hit {
 		req := c.newRequest(addr, false, src, onComplete, meta, now)
 		req.forwarded = true
 		c.stats.ForwardedReads++
@@ -406,7 +414,7 @@ func (c *Controller) EnqueueWrite(now int64, addr uint64, onComplete func(*Reque
 //dramvet:allow poolescape(caller may inspect the request until onComplete fires; recycle happens at completion)
 func (c *Controller) EnqueueWriteFrom(now int64, addr uint64, src int, onComplete func(*Request, int64), meta any) (*Request, bool) {
 	addr &^= uint64(c.geo.LineBytes - 1)
-	if _, dup := c.wbuf[addr]; dup {
+	if _, dup := c.wbuf.Get(addr); dup {
 		c.stats.CoalescedWrites++
 		c.stats.EnqueuedWrites++
 		req := c.newRequest(addr, true, src, nil, meta, now)
@@ -421,7 +429,7 @@ func (c *Controller) EnqueueWriteFrom(now int64, addr uint64, src int, onComplet
 	}
 	req := c.newRequest(addr, true, src, onComplete, meta, now)
 	c.writeQ.pushBack(req, inQueue)
-	c.wbuf[addr] = req
+	c.wbuf.Put(addr, struct{}{})
 	c.stats.EnqueuedWrites++
 	c.admit(req, now)
 	return req, true

@@ -1,7 +1,9 @@
 package memctrl
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dramstacks/internal/addrmap"
@@ -175,6 +177,42 @@ func TestWriteCoalescing(t *testing.T) {
 	}
 	if w := r.ctrl.writeQ.n; w != 1 {
 		t.Errorf("write queue holds %d entries, want 1", w)
+	}
+}
+
+// TestIssuedWriteLeavesTheWriteBuffer: once a write's column command
+// has issued, its line is no longer buffered. A later read of the line
+// goes to DRAM instead of being forwarded, a later write to it is queued
+// instead of coalescing, and the write buffer still takes WriteQueueCap
+// distinct lines after many more than that have passed through it.
+func TestIssuedWriteLeavesTheWriteBuffer(t *testing.T) {
+	r := newRig(t, nil)
+	a := r.addr(1, 2, 3, 4)
+	r.ctrl.EnqueueWrite(0, a, nil, nil)
+	r.runUntil(5000, func() bool { return r.ctrl.Stats().IssuedWrites == 1 })
+	done := false
+	req, _ := r.ctrl.EnqueueRead(r.now, a, func(*Request, int64) { done = true }, nil)
+	if req.forwarded {
+		t.Error("a read of an issued write's line was forwarded")
+	}
+	r.runUntil(5000, func() bool { return done })
+	if s := r.ctrl.Stats(); s.ForwardedReads != 0 || s.IssuedReads != 1 {
+		t.Errorf("forwarded %d reads and issued %d, want 0 and 1", s.ForwardedReads, s.IssuedReads)
+	}
+	r.ctrl.EnqueueWrite(r.now, a, nil, nil)
+	if s := r.ctrl.Stats(); s.CoalescedWrites != 0 || r.ctrl.writeQ.n != 1 {
+		t.Errorf("a write to an issued write's line coalesced %d times, queue holds %d, want 0 and 1", s.CoalescedWrites, r.ctrl.writeQ.n)
+	}
+	r.runUntil(5000, func() bool { return r.ctrl.writeQ.n == 0 })
+
+	n := r.ctrl.cfg.WriteQueueCap
+	for round := range 4 {
+		for i := range n {
+			if _, ok := r.ctrl.EnqueueWrite(r.now, r.addr(i%4, i/4%4, 100*round+i, 0), nil, nil); !ok {
+				t.Fatalf("round %d: write %d of %d refused", round, i, n)
+			}
+		}
+		r.runUntil(200_000, func() bool { return r.ctrl.writeQ.n == 0 })
 	}
 }
 
@@ -408,6 +446,7 @@ func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.ReadQueueCap = 0 },
 		func(c *Config) { c.WriteQueueCap = 0 },
+		func(c *Config) { c.WriteQueueCap = MaxWriteQueueCap + 1 },
 		func(c *Config) { c.WriteHi = c.WriteLo },
 		func(c *Config) { c.WriteHi = c.WriteQueueCap + 1 },
 		func(c *Config) { c.WriteLo = -1; c.WriteHi = 0 },
@@ -419,5 +458,15 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(dev, m, cfg); err == nil {
 			t.Errorf("case %d: bad config accepted", i)
 		}
+	}
+	cfg := DefaultConfig()
+	cfg.WriteQueueCap, cfg.WriteHi = MaxWriteQueueCap, MaxWriteQueueCap
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("write queue of MaxWriteQueueCap refused: %v", err)
+	}
+	cfg.WriteQueueCap++
+	want := fmt.Sprintf("capacity must be in 1..%d,", MaxWriteQueueCap)
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("write queue of MaxWriteQueueCap+1: err = %v, want mention of %q", err, want)
 	}
 }

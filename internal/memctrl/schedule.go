@@ -455,9 +455,9 @@ func (c *Controller) issueColumn(now int64, req *Request, kind dram.CommandKind)
 	}
 	if req.Write {
 		c.writeQ.remove(req, inQueue)
-		if c.wbuf[req.Addr] == req {
-			delete(c.wbuf, req.Addr)
-		}
+		// Later writes to the line coalesced into this one: it was the
+		// line's only queued write.
+		c.wbuf.Delete(req.Addr)
 		c.stats.IssuedWrites++
 		if req.OnComplete != nil {
 			req.OnComplete(req, now)

@@ -475,6 +475,14 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 	check("invalid spec", resp, http.StatusBadRequest, ErrInvalidSpec)
 
+	// A write queue past memctrl.MaxWriteQueueCap is refused before any
+	// machine, and its write index, is built.
+	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"workload":"bfs","wq":1000000000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("oversized write queue", resp, http.StatusBadRequest, ErrInvalidSpec)
+
 	resp, err = http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(`{"axes":{"cores":[]}}`))
 	if err != nil {
 		t.Fatal(err)

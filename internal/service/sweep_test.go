@@ -268,6 +268,7 @@ func TestSweepBadRequests(t *testing.T) {
 		{"bad version", `{"version": 2, "base": {"workload": "seq"}, "axes": {"cores": [1]}}`},
 		{"empty axis", `{"base": {"workload": "seq"}, "axes": {"cores": []}}`},
 		{"invalid point", `{"base": {"workload": "seq"}, "axes": {"cores": [99]}}`},
+		{"oversized write queue", `{"base": {"workload": "bfs"}, "axes": {"wq": [128, 1000000000]}}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(tc.body))

@@ -253,6 +253,22 @@ type Work struct {
 	CacheBytes int64
 	// Ctrl is the memory controllers' work, summed over channels.
 	Ctrl memctrl.Work
+	// Pools is how far the memory path's fixed and pooled objects were
+	// used.
+	Pools Pools
+}
+
+// Pools is the high-water marks of the simulated memory path's objects.
+type Pools struct {
+	// MSHRPeak is the most line fills the hierarchy's MSHR file held at
+	// once (at most cache.HierConfig.MSHRs).
+	MSHRPeak int
+	// Tickets is the load tickets the cores' pools reached, summed over
+	// cores.
+	Tickets int
+	// Requests is the request objects the controllers' pools reached,
+	// summed over controllers.
+	Requests int
 }
 
 // Work returns the System's work counts.
@@ -263,7 +279,12 @@ func (s *System) Work() Work {
 		w.WarmItems = slices.Clone(w.WarmItems)
 	}
 	w.CacheBytes = s.cfg.Hier.ArrayBytes()
+	w.Pools.MSHRPeak = s.hier.MSHRPeak()
+	for _, c := range s.cores {
+		w.Pools.Tickets += c.Tickets()
+	}
 	for _, ctrl := range s.ctrls {
+		w.Pools.Requests += ctrl.Requests()
 		cw := ctrl.Work()
 		w.Ctrl.Ticks += cw.Ticks
 		w.Ctrl.Replayed += cw.Replayed
